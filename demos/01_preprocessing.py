@@ -1,7 +1,7 @@
 """Walk through schema-driven CSV preprocessing.
 
 Builds a tiny schema by hand, writes a few flow records, and shows what
-fit/transform do: min-max scaling of numerics, one-hot expansion of
+fitting and encoding do: min-max scaling of numerics, one-hot expansion of
 categoricals, missing-value masking, and how unseen categories are
 counted instead of crashing.
 

@@ -61,13 +61,13 @@ print(f"alignment: {amap.mapped} mapped, {amap.masked} masked,"
       f" {amap.omitted} omitted (of target width {amap.target_width})")
 
 target_state = fit_transfer_preprocessor(state, target_records, target, aliases)
-report = transfer_evaluate(
+result = transfer_evaluate(
     encoder, projector, amap,
     encode_dataset(target_records, target_state),
     head,
 )
-print(f"transfer accuracy with 3/16 features missing: {report.metrics.accuracy:.4f}")
+print(f"transfer accuracy with 3/16 features missing: {result.report.accuracy:.4f}")
 print("  per-class recall: "
       + ", ".join(f"{n}={m.recall:.3f}"
-                  for n, m in zip(report.class_names, report.metrics.per_class)))
+                  for n, m in zip(result.class_names, result.report.per_class)))
 print("\nwithout the alias line, f00 would have no match and stay masked too")

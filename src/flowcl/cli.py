@@ -34,7 +34,6 @@ from . import __version__
 from .augment import MaskingConfig
 from .dataio import (
     TransformStats,
-    SplitSpec,
     binarize,
     encode_dataset,
     filter_classes,
@@ -47,8 +46,6 @@ from .dataio import (
     random_split,
     save_encoded,
     save_state,
-    stratified_split,
-    stratified_subsample,
     write_json,
 )
 from .errors import (
@@ -62,18 +59,17 @@ from .errors import (
 )
 from .metrics import report_to_dict
 from .model import (
-    Conv,
     EncoderConfig,
-    MaxPool,
     build_encoder,
     count_parameters,
     load_encoder,
     load_head,
+    parse_layers,
     preset_config,
     save_encoder,
     save_head,
 )
-from .sscl import ContrastiveConfig, HeadConfig, evaluate_head, pretrain, train_head
+from .sscl import ContrastiveConfig, HeadConfig, evaluate_head, head_split, pretrain, train_head
 from .transfer import (
     build_alignment,
     fit_transfer_preprocessor,
@@ -146,22 +142,6 @@ def _schema_by_name_or_path(value: str):
     return packaged_schema(value)
 
 
-def _parse_layers(items) -> tuple:
-    specs = []
-    for item in items:
-        try:
-            kind, arg = item
-        except (TypeError, ValueError):
-            raise ConfigError(f"layer spec must be [kind, arg], got {item!r}") from None
-        if kind == "conv":
-            specs.append(Conv(int(arg)))
-        elif kind == "pool":
-            specs.append(MaxPool(int(arg)))
-        else:
-            raise ConfigError(f"unknown layer kind {kind!r} (use 'conv' or 'pool')")
-    return tuple(specs)
-
-
 def _apply_task(dataset, task: str, classes, normal_class: str):
     """Restrict the labeled dataset to the requested classification task."""
     if task == "binary":
@@ -228,7 +208,7 @@ def cmd_pretrain(cfg: dict) -> None:
     if cfg["layers"] is not None:
         if cfg["context_dim"] is None:
             raise ConfigError("custom 'layers' also need 'context_dim'")
-        config = EncoderConfig(_parse_layers(cfg["layers"]), dataset.width,
+        config = EncoderConfig(parse_layers(cfg["layers"]), dataset.width,
                                int(cfg["context_dim"]))
     else:
         config = preset_config(cfg["arch"], dataset.width)
@@ -300,33 +280,46 @@ def _head_config(cfg: dict) -> HeadConfig:
                       weight_decay=float(cfg["weight_decay"]), seed=int(cfg["seed"]))
 
 
+def _head_protocol(cfg: dict) -> dict:
+    """The settings that fix a head stage's split, as reports and heads record them."""
+    return {"task": cfg["task"], "representation": cfg["representation"],
+            "label_fraction": float(cfg["label_fraction"]),
+            "split_fraction": float(cfg["split_fraction"]), "seed": int(cfg["seed"])}
+
+
+def _load_task_data(encoder_path: str, data_path: str, task: str, classes,
+                    normal_class: str):
+    """Frozen encoder plus the encoded dataset restricted to the task."""
+    encoder, projector, _ = load_encoder(encoder_path)
+    dataset, _ = load_encoded(data_path)
+    return encoder, projector, _apply_task(dataset, task, classes, normal_class)
+
+
+def _report_doc(protocol: dict, train_count: int, test_count: int, report,
+                class_names) -> dict:
+    """The evaluate / transfer-eval report body."""
+    doc = {key: protocol[key] for key in
+           ("task", "representation", "label_fraction", "split_fraction", "seed")}
+    doc.update(train_count=train_count, test_count=test_count,
+               metrics=report_to_dict(report, class_names=class_names))
+    return doc
+
+
 def cmd_train_head(cfg: dict) -> None:
-    encoder, projector, _ = load_encoder(cfg["encoder"])
-    dataset, _ = load_encoded(cfg["data"])
-    task_ds = _apply_task(dataset, cfg["task"], cfg["classes"], cfg["normal_class"])
-    split_fraction = float(cfg["split_fraction"])
-    if not 0.0 < split_fraction < 1.0:
-        raise ConfigError(f"split_fraction must lie in (0, 1), got {split_fraction}")
-    train_idx, _ = stratified_split(task_ds, split_fraction, int(cfg["seed"]))
-    train = task_ds.subset(train_idx)
-    label_fraction = float(cfg["label_fraction"])
-    if label_fraction != 1.0:
-        train = stratified_subsample(
-            train, SplitSpec("head-set", label_fraction, int(cfg["seed"])))
+    encoder, projector, task_ds = _load_task_data(
+        cfg["encoder"], cfg["data"], cfg["task"], cfg["classes"], cfg["normal_class"])
+    protocol = _head_protocol(cfg)
+    train, _ = head_split(task_ds, protocol["split_fraction"],
+                          protocol["label_fraction"], protocol["seed"])
     logger.info("training on %d labeled samples: %s", len(train),
                 json.dumps(train.class_counts(), sort_keys=True))
-    head_config = _head_config(cfg)
     head = train_head(encoder, projector, train.x, train.labels,
-                      len(task_ds.class_names), head_config)
+                      len(task_ds.class_names), _head_config(cfg))
     save_head(cfg["out"], head, extra_meta={
-        "task": cfg["task"],
+        **protocol,
         "classes": list(task_ds.class_names),
         "normal_class": cfg["normal_class"],
         "requested_classes": cfg["classes"],
-        "representation": cfg["representation"],
-        "label_fraction": label_fraction,
-        "split_fraction": split_fraction,
-        "seed": int(cfg["seed"]),
         "train_count": len(train),
         "data_sha256": _sha256(cfg["data"]),
     })
@@ -338,35 +331,23 @@ EVALUATE_DEFAULTS = {"data": None, "encoder": None, "head": None, "out": None}
 
 
 def cmd_evaluate(cfg: dict) -> None:
-    encoder, projector, _ = load_encoder(cfg["encoder"])
     head, head_meta = load_head(cfg["head"])
-    dataset, _ = load_encoded(cfg["data"])
+    encoder, projector, task_ds = _load_task_data(
+        cfg["encoder"], cfg["data"], head_meta["task"],
+        head_meta.get("requested_classes"), head_meta.get("normal_class", "Normal"))
     if head_meta.get("data_sha256") not in (None, _sha256(cfg["data"])):
         logger.warning("--data differs from the file the head was trained on; "
                        "the train/test split will not line up")
-    task_ds = _apply_task(dataset, head_meta["task"],
-                          head_meta.get("requested_classes"),
-                          head_meta.get("normal_class", "Normal"))
     if list(task_ds.class_names) != list(head_meta["classes"]):
         raise SchemaMismatchError(
             f"dataset classes {list(task_ds.class_names)} do not match the "
             f"head's classes {list(head_meta['classes'])}")
-    _, test_idx = stratified_split(task_ds, float(head_meta["split_fraction"]),
-                                   int(head_meta["seed"]))
-    test = task_ds.subset(test_idx)
+    _, test = head_split(task_ds, head_meta["split_fraction"], head_meta["label_fraction"],
+                         head_meta["seed"])
     report = evaluate_head(encoder, projector, head, test.x, test.labels,
                            head_meta["representation"])
-    doc = {
-        "task": head_meta["task"],
-        "representation": head_meta["representation"],
-        "label_fraction": head_meta["label_fraction"],
-        "split_fraction": head_meta["split_fraction"],
-        "seed": head_meta["seed"],
-        "train_count": head_meta["train_count"],
-        "test_count": len(test),
-        "metrics": report_to_dict(report, class_names=task_ds.class_names),
-    }
-    write_json(cfg["out"], doc)
+    write_json(cfg["out"], _report_doc(head_meta, head_meta["train_count"], len(test),
+                                       report, task_ds.class_names))
     logger.info("accuracy %.4f, weighted f1 %.4f", report.accuracy, report.f1)
     _write_manifest(cfg["out"] + ".manifest.json", "evaluate", cfg,
                     [cfg["data"], cfg["encoder"], cfg["head"]], [cfg["out"]])
@@ -405,24 +386,16 @@ def cmd_transfer_eval(cfg: dict) -> None:
         logger.warning("unseen categories in target data: %s",
                        json.dumps(stats.unseen, sort_keys=True))
     task_ds = _apply_task(target_ds, cfg["task"], cfg["classes"], cfg["normal_class"])
-    split_fraction = float(cfg["split_fraction"])
-    report = transfer_evaluate(encoder, projector, amap, task_ds, _head_config(cfg),
-                               split_fraction=split_fraction,
-                               label_fraction=float(cfg["label_fraction"]))
-    doc = {
-        "task": cfg["task"],
-        "representation": cfg["representation"],
-        "label_fraction": float(cfg["label_fraction"]),
-        "split_fraction": split_fraction,
-        "seed": int(cfg["seed"]),
-        "train_count": report.train_count,
-        "test_count": report.test_count,
-        "metrics": report_to_dict(report.metrics, class_names=task_ds.class_names),
-        "alignment": {"mapped": report.mapped, "masked": report.masked,
-                      "omitted": report.omitted},
-    }
+    protocol = _head_protocol(cfg)
+    result = transfer_evaluate(encoder, projector, amap, task_ds, _head_config(cfg),
+                               split_fraction=protocol["split_fraction"],
+                               label_fraction=protocol["label_fraction"])
+    doc = _report_doc(protocol, result.train_count, result.test_count, result.report,
+                      task_ds.class_names)
+    doc["alignment"] = {"mapped": amap.mapped, "masked": amap.masked,
+                        "omitted": amap.omitted}
     write_json(cfg["out"], doc)
-    logger.info("transfer accuracy %.4f", report.metrics.accuracy)
+    logger.info("transfer accuracy %.4f", result.report.accuracy)
     inputs = [cfg["target_csv"], cfg["original_state"], cfg["encoder"]]
     inputs += [p for p in (cfg["original_schema"], cfg["target_schema"], cfg["alias"])
                if p is not None and os.path.exists(p)]

@@ -3,7 +3,7 @@
 A schema declares the feature layout (names, kinds, categorical
 vocabularies) up front, so the encoded width is known before any data is
 read and stays identical across machines. Fitting touches only the training
-records; transform is a pure function of (record, fitted state).
+records; encoding is a pure function of (records, fitted state).
 """
 
 from __future__ import annotations
@@ -298,50 +298,6 @@ class TransformStats:
 
 
 @dataclass(frozen=True)
-class EncodedSample:
-    """Encoded feature vector in [0,1]^width plus an optional class index."""
-
-    features: np.ndarray
-    label: int | None
-
-
-def transform(record: RawRecord, state: PreprocessorState,
-              stats: TransformStats | None = None) -> EncodedSample:
-    """Encode one record: min-max scale numerics, one-hot categoricals.
-
-    Numerics are clipped into [0,1]; a degenerate feature (min == max on the
-    fitting data) encodes as 0. The literal value "-" in a categorical
-    yields an all-zero block, as does any value outside the vocabulary (the
-    latter with a counted warning).
-    """
-    schema = state.schema
-    out = np.zeros(schema.encoded_width)
-    pos = 0
-    num_i = 0
-    for f, value in zip(schema.features, record.values):
-        if f.kind == "numeric":
-            mn, mx = state.minima[num_i], state.maxima[num_i]
-            if mx > mn:
-                out[pos] = min(1.0, max(0.0, (value - mn) / (mx - mn)))
-            num_i += 1
-            pos += 1
-        else:
-            if value != MASK_VALUE:
-                lowered = value.lower()
-                hit = next((k for k, v in enumerate(f.vocabulary) if v.lower() == lowered), None)
-                if hit is not None:
-                    out[pos + hit] = 1.0
-                else:
-                    if stats is not None:
-                        stats.count(f.name)
-                    warnings.warn(f"feature {f.name}: unseen category {value!r} zero-masked",
-                                  UnseenCategoryWarning, stacklevel=2)
-            pos += f.width
-    label = None if record.label is None else schema.class_index(record.label)
-    return EncodedSample(out, label)
-
-
-@dataclass(frozen=True)
 class EncodedDataset:
     """Encoded matrix plus integer labels (-1 marks unlabeled rows)."""
 
@@ -375,17 +331,48 @@ class EncodedDataset:
 
 def encode_dataset(records: list[RawRecord], state: PreprocessorState,
                    stats: TransformStats | None = None) -> EncodedDataset:
+    """Encode records column by column: min-max scale numerics, one-hot categoricals.
+
+    Numerics are clipped into [0,1]; a degenerate feature (min == max on the
+    fitting data) encodes as 0. The literal value "-" in a categorical
+    yields an all-zero block, as does any value outside the vocabulary (the
+    latter with a counted warning).
+    """
     if not records:
         raise EmptyDatasetError("no records to encode")
-    width = state.schema.encoded_width
-    x = np.zeros((len(records), width))
-    labels = np.full(len(records), UNLABELED, dtype=np.int64)
-    for i, rec in enumerate(records):
-        sample = transform(rec, state, stats)
-        x[i] = sample.features
-        if sample.label is not None:
-            labels[i] = sample.label
-    return EncodedDataset(x, labels, state.schema.class_names)
+    schema = state.schema
+    names = [rec.label for rec in records]
+    codes = {name: schema.class_index(name) for name in dict.fromkeys(names)
+             if name is not None}
+    labels = np.array([UNLABELED if name is None else codes[name] for name in names],
+                      dtype=np.int64)
+    x = np.zeros((len(records), schema.encoded_width))
+    num_i = 0
+    for col, (f, start, _) in enumerate(schema.block_spans()):
+        values = [rec.values[col] for rec in records]
+        if f.kind == "numeric":
+            mn, mx = state.minima[num_i], state.maxima[num_i]
+            num_i += 1
+            if mx > mn:
+                # Selections, not np.clip or np.fmax (whose vector loops can
+                # keep -0.0): -0.0 and NaN become +0.0, as with max(0.0, v).
+                scaled = (np.array(values, dtype=np.float64) - mn) / (mx - mn)
+                scaled = np.where(scaled > 0.0, scaled, 0.0)
+                x[:, start] = np.where(scaled < 1.0, scaled, 1.0)
+            continue
+        index = {v.lower(): k for k, v in enumerate(f.vocabulary)}
+        for row, value in enumerate(values):
+            if value == MASK_VALUE:
+                continue
+            hit = index.get(value.lower())
+            if hit is not None:
+                x[row, start + hit] = 1.0
+                continue
+            if stats is not None:
+                stats.count(f.name)
+            warnings.warn(f"feature {f.name}: unseen category {value!r} zero-masked",
+                          UnseenCategoryWarning, stacklevel=2)
+    return EncodedDataset(x, labels, schema.class_names)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ __all__ = [
     "encode",
     "load_encoder",
     "load_head",
+    "parse_layers",
     "preset_config",
     "project",
     "save_encoder",
@@ -143,20 +144,29 @@ def config_to_dict(config: EncoderConfig) -> dict:
             "context_dim": config.context_dim, "preset": config.preset}
 
 
+def parse_layers(items) -> tuple:
+    """Turn [kind, arg] pairs ("conv", channels / "pool", window) into layer specs."""
+    specs = []
+    for item in items:
+        try:
+            kind, arg = item
+            arg = int(arg)
+        except (TypeError, ValueError):
+            raise ConfigError(f"layer spec must be [kind, int], got {item!r}") from None
+        if kind == "conv":
+            specs.append(Conv(arg))
+        elif kind == "pool":
+            specs.append(MaxPool(arg))
+        else:
+            raise ConfigError(f"unknown layer kind {kind!r} (use 'conv' or 'pool')")
+    return tuple(specs)
+
+
 def config_from_dict(doc: dict) -> EncoderConfig:
     expected = {"layers", "input_width", "context_dim", "preset"}
     if set(doc) != expected:
         raise ConfigError(f"bad encoder config keys: {sorted(set(doc) ^ expected)}")
-    specs = []
-    for item in doc["layers"]:
-        kind, arg = item
-        if kind == "conv":
-            specs.append(Conv(int(arg)))
-        elif kind == "pool":
-            specs.append(MaxPool(int(arg)))
-        else:
-            raise ConfigError(f"unknown layer kind {kind!r}")
-    return EncoderConfig(tuple(specs), int(doc["input_width"]),
+    return EncoderConfig(parse_layers(doc["layers"]), int(doc["input_width"]),
                          int(doc["context_dim"]), str(doc["preset"]))
 
 
@@ -342,7 +352,10 @@ def load_encoder(path: str) -> tuple[EncoderBlock, ProjectionHead, dict]:
     if meta.get("kind") != "encoder":
         raise CheckpointError(f"{path} is not an encoder checkpoint "
                               f"(kind={meta.get('kind')!r})")
-    config = config_from_dict(meta["config"])
+    try:
+        config = config_from_dict(meta["config"])
+    except ConfigError as err:
+        raise CheckpointError(f"encoder checkpoint {path}: {err}") from None
     block = EncoderBlock(config)
     n_convs = sum(1 for s in config.layers if isinstance(s, Conv))
     try:

@@ -29,12 +29,12 @@ import numpy as np
 
 from . import numgrad as ng
 from .augment import MaskingConfig, augment_pair
+from .dataio import EncodedDataset, SplitSpec, stratified_split, stratified_subsample
 from .errors import (
     ConfigError,
     DegenerateVectorError,
     InsufficientDataError,
     InvalidBatchError,
-    InvalidPairError,
     InvalidShapeError,
     MissingLabelError,
 )
@@ -54,16 +54,14 @@ __all__ = [
     "ContrastiveConfig",
     "HeadConfig",
     "HeadStageResult",
-    "SimilarityMatrix",
     "batch_loss",
     "evaluate_head",
+    "head_split",
     "holdout_loss",
-    "pair_loss",
     "predict",
     "pretrain",
     "representation_features",
     "run_head_stage",
-    "similarity_matrix",
     "train_head",
 ]
 
@@ -92,57 +90,6 @@ class ContrastiveConfig:
             raise ConfigError("masking must be a MaskingConfig")
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """2N x 2N cosine similarities of the latent batch."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise InvalidShapeError(f"similarity matrix must be square, got {v.shape}")
-        if v.shape[0] < 2 or v.shape[0] % 2:
-            raise InvalidBatchError(f"need an even number >= 2 of views, got {v.shape[0]}")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n_views(self) -> int:
-        return self.values.shape[0]
-
-
-def _normalize_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(z, axis=1)
-    if np.any(norms == 0.0):
-        bad = int(np.flatnonzero(norms == 0.0)[0])
-        raise DegenerateVectorError(f"latent vector {bad} has zero norm; "
-                                    "cosine similarity is undefined")
-    return z / norms[:, None], norms
-
-
-def similarity_matrix(z) -> SimilarityMatrix:
-    zd = np.asarray(z, dtype=np.float64)
-    if zd.ndim != 2:
-        raise InvalidShapeError(f"expected [views, dim] latents, got shape {zd.shape}")
-    unit, _ = _normalize_rows(zd)
-    return SimilarityMatrix(np.clip(unit @ unit.T, -1.0, 1.0))
-
-
-def pair_loss(i: int, j: int, s: SimilarityMatrix, temperature: float) -> float:
-    """l_{i,j} for one ordered pair, log-sum-exp stabilized."""
-    values = s.values if isinstance(s, SimilarityMatrix) else SimilarityMatrix(s).values
-    n = values.shape[0]
-    if not (0 <= i < n and 0 <= j < n):
-        raise InvalidPairError(f"indices ({i}, {j}) outside the {n}-view batch")
-    if i == j:
-        raise InvalidPairError("a view cannot be its own positive")
-    row = values[i] / temperature
-    others = np.delete(row, i)
-    peak = others.max()
-    lse = peak + np.log(np.sum(np.exp(others - peak)))
-    return float(lse - row[j])
-
-
 def batch_loss(z: Tensor, temperature: float) -> Tensor:
     """Differentiable batch objective over interleaved positive pairs.
 
@@ -160,7 +107,12 @@ def batch_loss(z: Tensor, temperature: float) -> Tensor:
         raise InvalidBatchError(f"need an even number >= 2 of views, got {n}")
     if not temperature > 0:
         raise ConfigError(f"temperature must be > 0, got {temperature!r}")
-    unit, norms = _normalize_rows(zd)
+    norms = np.linalg.norm(zd, axis=1)
+    if np.any(norms == 0.0):
+        bad = int(np.flatnonzero(norms == 0.0)[0])
+        raise DegenerateVectorError(f"latent vector {bad} has zero norm; "
+                                    "cosine similarity is undefined")
+    unit = zd / norms[:, None]
     sim = unit @ unit.T
     scaled = sim / temperature
     np.fill_diagonal(scaled, -np.inf)
@@ -348,28 +300,35 @@ class HeadStageResult:
     class_names: tuple
 
 
+def head_split(dataset: EncodedDataset, split_fraction: float, label_fraction: float,
+               seed: int) -> tuple[EncodedDataset, EncodedDataset]:
+    """Stratified (train, test) split under the head seed, train side label-subsampled.
+
+    The test side depends only on (dataset, split_fraction, seed), so
+    evaluate re-derives exactly the rows a saved head never trained on.
+    """
+    if not 0.0 < split_fraction < 1.0:
+        raise ConfigError(f"split_fraction must lie in (0, 1), got {split_fraction!r}")
+    if not 0.0 < label_fraction <= 1.0:
+        raise ConfigError(f"label_fraction must lie in (0, 1], got {label_fraction!r}")
+    train_idx, test_idx = stratified_split(dataset, split_fraction, seed)
+    train = dataset.subset(train_idx)
+    if label_fraction != 1.0:
+        train = stratified_subsample(train, SplitSpec("head-set", label_fraction, seed))
+    return train, dataset.subset(test_idx)
+
+
 def run_head_stage(encoder: EncoderBlock, projector: ProjectionHead,
                    dataset, config: HeadConfig, split_fraction: float = 0.8,
                    label_fraction: float = 1.0) -> HeadStageResult:
     """The supervised protocol shared by plain evaluation and transfer.
 
-    Stratified 80/20 split of the labeled data under the head seed, optional
-    stratified subsampling of the training side (label-efficiency runs), head
-    fit on the survivors, metrics on the held-out side. Everything downstream
-    of the dataset is a pure function of (dataset, config, fractions), which
-    is what makes an identity-aligned transfer reproduce these numbers
-    bit for bit.
+    `head_split` under the head seed, head fit on the training side, metrics
+    on the held-out side. Everything downstream of the dataset is a pure
+    function of (dataset, config, fractions), which is what makes an
+    identity-aligned transfer reproduce these numbers bit for bit.
     """
-    from .dataio import SplitSpec, stratified_split, stratified_subsample
-
-    if not 0.0 < split_fraction < 1.0:
-        raise ConfigError(f"split_fraction must lie in (0, 1), got {split_fraction!r}")
-    train_idx, test_idx = stratified_split(dataset, split_fraction, config.seed)
-    train = dataset.subset(train_idx)
-    test = dataset.subset(test_idx)
-    if label_fraction != 1.0:
-        train = stratified_subsample(
-            train, SplitSpec("head-set", label_fraction, config.seed))
+    train, test = head_split(dataset, split_fraction, label_fraction, config.seed)
     head = train_head(encoder, projector, train.x, train.labels,
                       len(dataset.class_names), config)
     report = evaluate_head(encoder, projector, head, test.x, test.labels,

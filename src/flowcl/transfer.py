@@ -18,17 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DatasetSchema, EncodedDataset, PreprocessorState, RawRecord
+from .dataio import DatasetSchema, EncodedDataset, PreprocessorState, RawRecord, fit_preprocessor
 from .errors import ConfigError, InvalidShapeError, NoSharedFeaturesError
-from .metrics import MetricsReport
 from .model import EncoderBlock, ProjectionHead
-from .sscl import HeadConfig, run_head_stage
+from .sscl import HeadConfig, HeadStageResult, run_head_stage
 
 __all__ = [
     "FeatureAlignmentMap",
-    "TransferReport",
     "align_matrix",
-    "align_sample",
     "build_alignment",
     "fit_transfer_preprocessor",
     "parse_alias_table",
@@ -120,19 +117,8 @@ def build_alignment(original: DatasetSchema, target: DatasetSchema,
     return amap
 
 
-def align_sample(x, amap: FeatureAlignmentMap) -> np.ndarray:
-    """Rearrange one encoded target sample into the original layout."""
-    xd = np.asarray(x, dtype=np.float64)
-    if xd.shape != (amap.target_width,):
-        raise InvalidShapeError(
-            f"expected a target sample of width {amap.target_width}, got {xd.shape}")
-    out = np.zeros(amap.width)
-    live = amap.source_positions >= 0
-    out[live] = xd[amap.source_positions[live]]
-    return out
-
-
 def align_matrix(x, amap: FeatureAlignmentMap) -> np.ndarray:
+    """Rearrange target rows into the original layout; one row is x[None]."""
     xd = np.asarray(x, dtype=np.float64)
     if xd.ndim != 2 or xd.shape[1] != amap.target_width:
         raise InvalidShapeError(
@@ -148,8 +134,6 @@ def fit_transfer_preprocessor(original_state: PreprocessorState,
                               target_schema: DatasetSchema,
                               aliases: tuple[tuple[str, str], ...] = ()) -> PreprocessorState:
     """Fit on the target, then pin shared numerics to the original scale."""
-    from .dataio import fit_preprocessor
-
     state = fit_preprocessor(target_records, target_schema)
     rename = {orig.lower(): tgt.lower() for orig, tgt in aliases}
     target_numeric = {f.name.lower(): i for i, f in enumerate(
@@ -166,21 +150,10 @@ def fit_transfer_preprocessor(original_state: PreprocessorState,
     return PreprocessorState(target_schema, minima, maxima)
 
 
-@dataclass(frozen=True)
-class TransferReport:
-    metrics: MetricsReport
-    mapped: int
-    masked: int
-    omitted: int
-    train_count: int
-    test_count: int
-    class_names: tuple
-
-
 def transfer_evaluate(encoder: EncoderBlock, projector: ProjectionHead,
                       amap: FeatureAlignmentMap, target: EncodedDataset,
                       config: HeadConfig, split_fraction: float = 0.8,
-                      label_fraction: float = 1.0) -> TransferReport:
+                      label_fraction: float = 1.0) -> HeadStageResult:
     """Align the target data, then run the standard supervised head stage.
 
     With an identity alignment this collapses to the plain pipeline: the
@@ -189,8 +162,6 @@ def transfer_evaluate(encoder: EncoderBlock, projector: ProjectionHead,
     """
     aligned = EncodedDataset(align_matrix(target.x, amap), target.labels.copy(),
                              target.class_names)
-    stage = run_head_stage(encoder, projector, aligned, config,
-                           split_fraction=split_fraction,
-                           label_fraction=label_fraction)
-    return TransferReport(stage.report, amap.mapped, amap.masked, amap.omitted,
-                          stage.train_count, stage.test_count, target.class_names)
+    return run_head_stage(encoder, projector, aligned, config,
+                          split_fraction=split_fraction,
+                          label_fraction=label_fraction)

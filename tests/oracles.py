@@ -7,8 +7,25 @@ formulas) so that agreement with the vectorized package code is meaningful.
 from __future__ import annotations
 
 import math
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
+
+from flowcl.dataio import (
+    MASK_VALUE,
+    UNLABELED,
+    PreprocessorState,
+    RawRecord,
+    TransformStats,
+    UnseenCategoryWarning,
+)
+from flowcl.errors import (
+    DegenerateVectorError,
+    InvalidBatchError,
+    InvalidPairError,
+    InvalidShapeError,
+)
 
 
 def fd_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -91,6 +108,86 @@ def naive_nt_xent(z: np.ndarray, tau: float) -> float:
     for k in range(rows // 2):
         total += l(2 * k, 2 * k + 1) + l(2 * k + 1, 2 * k)
     return total / rows
+
+
+@dataclass(frozen=True)
+class SimilarityMatrix:
+    """2N x 2N cosine similarities of the latent batch."""
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=np.float64)
+        if v.ndim != 2 or v.shape[0] != v.shape[1]:
+            raise InvalidShapeError(f"similarity matrix must be square, got {v.shape}")
+        if v.shape[0] < 2 or v.shape[0] % 2:
+            raise InvalidBatchError(f"need an even number >= 2 of views, got {v.shape[0]}")
+        object.__setattr__(self, "values", v)
+
+    @property
+    def n_views(self) -> int:
+        return self.values.shape[0]
+
+
+def similarity_matrix(z) -> SimilarityMatrix:
+    zd = np.asarray(z, dtype=np.float64)
+    if zd.ndim != 2:
+        raise InvalidShapeError(f"expected [views, dim] latents, got shape {zd.shape}")
+    norms = np.linalg.norm(zd, axis=1)
+    if np.any(norms == 0.0):
+        bad = int(np.flatnonzero(norms == 0.0)[0])
+        raise DegenerateVectorError(f"latent vector {bad} has zero norm; "
+                                    "cosine similarity is undefined")
+    unit = zd / norms[:, None]
+    return SimilarityMatrix(np.clip(unit @ unit.T, -1.0, 1.0))
+
+
+def pair_loss(i: int, j: int, s: SimilarityMatrix, temperature: float) -> float:
+    """l_{i,j} for one ordered pair, log-sum-exp stabilized."""
+    values = s.values if isinstance(s, SimilarityMatrix) else SimilarityMatrix(s).values
+    n = values.shape[0]
+    if not (0 <= i < n and 0 <= j < n):
+        raise InvalidPairError(f"indices ({i}, {j}) outside the {n}-view batch")
+    if i == j:
+        raise InvalidPairError("a view cannot be its own positive")
+    row = values[i] / temperature
+    others = np.delete(row, i)
+    peak = others.max()
+    lse = peak + np.log(np.sum(np.exp(others - peak)))
+    return float(lse - row[j])
+
+
+def naive_encode(record: RawRecord, state: PreprocessorState,
+                 stats: TransformStats | None = None) -> tuple[np.ndarray, int]:
+    """Encode one record with scalar Python arithmetic, feature by feature.
+
+    Returns the encoded row and the class index (UNLABELED for no label).
+    """
+    schema = state.schema
+    out = np.zeros(schema.encoded_width)
+    pos = 0
+    num_i = 0
+    for f, value in zip(schema.features, record.values):
+        if f.kind == "numeric":
+            mn, mx = state.minima[num_i], state.maxima[num_i]
+            if mx > mn:
+                out[pos] = min(1.0, max(0.0, (value - mn) / (mx - mn)))
+            num_i += 1
+            pos += 1
+        else:
+            if value != MASK_VALUE:
+                lowered = value.lower()
+                hit = next((k for k, v in enumerate(f.vocabulary) if v.lower() == lowered), None)
+                if hit is not None:
+                    out[pos + hit] = 1.0
+                else:
+                    if stats is not None:
+                        stats.count(f.name)
+                    warnings.warn(f"feature {f.name}: unseen category {value!r} zero-masked",
+                                  UnseenCategoryWarning, stacklevel=2)
+            pos += f.width
+    label = UNLABELED if record.label is None else schema.class_index(record.label)
+    return out, label
 
 
 def naive_weighted_metrics(cm: np.ndarray) -> dict[str, float]:

@@ -10,6 +10,7 @@ import pytest
 from flowcl.cli import main
 from flowcl.dataio import load_encoded, load_schema, load_state, save_schema
 from flowcl.model import build_encoder, load_encoder
+from flowcl.numgrad import load_arrays, save_arrays
 from flowcl.synth import blob_schema, generate_blobs, subset_schema, write_csv
 
 
@@ -127,6 +128,13 @@ class TestPretrain:
                      "--data", str(workspace / "prep" / "train.npz"),
                      "--out", str(tmp_path / "e.npz")]) == 2
 
+    def test_malformed_layer_arg_is_config_error(self, workspace, tmp_path):
+        bad = tmp_path / "bad-layers.json"
+        bad.write_text('{"layers": [["conv", "x"]], "context_dim": 4}', encoding="utf-8")
+        assert main(["pretrain", "--config", str(bad),
+                     "--data", str(workspace / "prep" / "train.npz"),
+                     "--out", str(tmp_path / "e.npz")]) == 2
+
     def test_oversized_batch_is_data_error(self, workspace, tmp_path):
         assert main(["pretrain", "--config", str(workspace / "arch.json"),
                      "--data", str(workspace / "prep" / "train.npz"),
@@ -191,6 +199,24 @@ class TestHeadAndEvaluate:
                      "--head", str(head), "--out", str(report_path)]) == 0
         assert json.loads((report_path).read_text())["representation"] == "context"
 
+    @pytest.mark.parametrize("layers", [[["conv"]], [["dense", 4]]])
+    def test_bad_checkpoint_layers_are_checkpoint_error(self, workspace, tmp_path, layers):
+        arrays, meta = load_arrays(str(workspace / "enc.npz"))
+        meta["config"]["layers"] = layers
+        broken = tmp_path / "broken.npz"
+        save_arrays(str(broken), arrays, meta=meta)
+        assert main(["train-head", "--data", str(workspace / "prep" / "train.npz"),
+                     "--encoder", str(broken),
+                     "--out", str(tmp_path / "h.npz")] + HEAD_FLAGS) == 7
+
+    @pytest.mark.parametrize("fraction", ["0", "1.5"])
+    def test_out_of_range_label_fraction_is_config_error(self, workspace, tmp_path,
+                                                         fraction):
+        assert main(["train-head", "--data", str(workspace / "prep" / "train.npz"),
+                     "--encoder", str(workspace / "enc.npz"),
+                     "--out", str(tmp_path / "h.npz"),
+                     "--label-fraction", fraction] + HEAD_FLAGS) == 2
+
     def test_wrong_checkpoint_kind_is_checkpoint_error(self, workspace, trained_head, tmp_path):
         assert main(["evaluate", "--data", str(workspace / "prep" / "train.npz"),
                      "--encoder", str(trained_head),
@@ -229,6 +255,13 @@ class TestTransferEval:
         doc = json.loads((out).read_text())
         assert doc["alignment"]["masked"] == 3
         assert doc["metrics"]["accuracy"] >= 0.8
+
+    @pytest.mark.parametrize("fraction", ["0", "1.5"])
+    def test_out_of_range_label_fraction_is_config_error(self, workspace, tmp_path,
+                                                         fraction):
+        assert self.run_transfer(workspace, workspace / "blobs.json",
+                                 workspace / "blobs.csv", tmp_path / "t.json",
+                                 extra=["--label-fraction", fraction]) == 2
 
     def test_disjoint_schemas_exit_code(self, workspace, tmp_path):
         from flowcl.dataio import DatasetSchema, Feature

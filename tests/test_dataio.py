@@ -1,5 +1,7 @@
 """Schema handling, CSV parsing, encoding, and the split/subsample rules."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from flowcl.dataio import (
     DatasetSchema,
     EncodedDataset,
     Feature,
+    PreprocessorState,
     RawRecord,
     SplitSpec,
     UNLABELED,
@@ -29,7 +32,6 @@ from flowcl.dataio import (
     schema_to_dict,
     stratified_split,
     stratified_subsample,
-    transform,
 )
 from flowcl.errors import (
     EmptyDatasetError,
@@ -38,6 +40,8 @@ from flowcl.errors import (
     SchemaMismatchError,
     UnknownClassError,
 )
+
+from oracles import naive_encode
 
 
 def tiny_schema() -> DatasetSchema:
@@ -174,6 +178,12 @@ class TestPreprocessor:
             fit_preprocessor([], tiny_schema())
 
 
+def encode_one(record, state, stats=None):
+    """encode_dataset on a one-record list: (encoded row, class index)."""
+    ds = encode_dataset([record], state, stats)
+    return ds.x[0], int(ds.labels[0])
+
+
 class TestTransform:
     @pytest.fixture()
     def state(self):
@@ -181,50 +191,50 @@ class TestTransform:
         return fit_preprocessor(records, tiny_schema())
 
     def test_endpoints_map_to_zero_and_one(self, state):
-        lo = transform(RawRecord((0.0, "tcp", 10.0), "ok"), state)
-        hi = transform(RawRecord((4.0, "tcp", 30.0), "ok"), state)
-        assert lo.features[0] == 0.0 and hi.features[0] == 1.0
-        assert lo.features[4] == 0.0 and hi.features[4] == 1.0
+        lo, _ = encode_one(RawRecord((0.0, "tcp", 10.0), "ok"), state)
+        hi, _ = encode_one(RawRecord((4.0, "tcp", 30.0), "ok"), state)
+        assert lo[0] == 0.0 and hi[0] == 1.0
+        assert lo[4] == 0.0 and hi[4] == 1.0
 
     def test_midpoint_maps_to_half(self, state):
-        mid = transform(RawRecord((2.0, "tcp", 20.0), "ok"), state)
-        assert mid.features[0] == 0.5 and mid.features[4] == 0.5
+        mid, _ = encode_one(RawRecord((2.0, "tcp", 20.0), "ok"), state)
+        assert mid[0] == 0.5 and mid[4] == 0.5
 
     def test_out_of_range_values_clipped(self, state):
-        sample = transform(RawRecord((-3.0, "tcp", 99.0), "ok"), state)
-        assert sample.features[0] == 0.0 and sample.features[4] == 1.0
+        row, _ = encode_one(RawRecord((-3.0, "tcp", 99.0), "ok"), state)
+        assert row[0] == 0.0 and row[4] == 1.0
 
     def test_one_hot_block(self, state):
-        sample = transform(RawRecord((1.0, "udp", 15.0), "bad"), state)
-        np.testing.assert_array_equal(sample.features[1:4], [0.0, 1.0, 0.0])
-        assert sample.label == 1
+        row, label = encode_one(RawRecord((1.0, "udp", 15.0), "bad"), state)
+        np.testing.assert_array_equal(row[1:4], [0.0, 1.0, 0.0])
+        assert label == 1
 
     def test_dash_masks_categorical_block(self, state):
-        sample = transform(RawRecord((1.0, "-", 15.0), "ok"), state)
-        np.testing.assert_array_equal(sample.features[1:4], [0.0, 0.0, 0.0])
+        row, _ = encode_one(RawRecord((1.0, "-", 15.0), "ok"), state)
+        np.testing.assert_array_equal(row[1:4], [0.0, 0.0, 0.0])
 
     def test_unseen_category_masked_and_counted(self, state):
         stats = TransformStats()
         with pytest.warns(UnseenCategoryWarning):
-            sample = transform(RawRecord((1.0, "gre", 15.0), "ok"), state, stats)
-        np.testing.assert_array_equal(sample.features[1:4], [0.0, 0.0, 0.0])
+            row, _ = encode_one(RawRecord((1.0, "gre", 15.0), "ok"), state, stats)
+        np.testing.assert_array_equal(row[1:4], [0.0, 0.0, 0.0])
         assert stats.unseen == {"proto": 1}
 
     def test_degenerate_feature_encodes_to_zero(self):
         with pytest.warns(UserWarning):
             state = fit_preprocessor([RawRecord((5.0, "tcp", 1.0), "ok"),
                                       RawRecord((5.0, "tcp", 3.0), "ok")], tiny_schema())
-        sample = transform(RawRecord((7.0, "tcp", 2.0), "ok"), state)
-        assert sample.features[0] == 0.0
+        row, _ = encode_one(RawRecord((7.0, "tcp", 2.0), "ok"), state)
+        assert row[0] == 0.0
 
     def test_deterministic_and_in_unit_box(self, state):
         rng = np.random.default_rng(3)
         for _ in range(25):
             rec = RawRecord((float(rng.normal(2, 5)), "udp", float(rng.normal(20, 30))), "ok")
-            a = transform(rec, state)
-            b = transform(rec, state)
-            np.testing.assert_array_equal(a.features, b.features)
-            assert a.features.min() >= 0.0 and a.features.max() <= 1.0
+            a, _ = encode_one(rec, state)
+            b, _ = encode_one(rec, state)
+            np.testing.assert_array_equal(a, b)
+            assert a.min() >= 0.0 and a.max() <= 1.0
 
     def test_fit_then_transform_spans_unit_interval(self):
         rng = np.random.default_rng(11)
@@ -234,6 +244,34 @@ class TestTransform:
         ds = encode_dataset(records, state)
         assert ds.x[:, 0].min() == 0.0 and ds.x[:, 0].max() == 1.0
         assert ds.x[:, 4].min() == 0.0 and ds.x[:, 4].max() == 1.0
+
+    def test_matches_per_record_reference_bit_for_bit(self):
+        inf, nan = float("inf"), float("nan")
+        schema = DatasetSchema(
+            (Feature("size", "numeric"),
+             Feature("proto", "categorical", ("tcp", "UDP", "icmp")),
+             Feature("rate", "numeric")),
+            label_column="label", class_names=("ok", "bad"),
+            label_aliases=(("malicious", "bad"),))
+        # Pinned finite extrema, as fit_transfer_preprocessor leaves them.
+        state = PreprocessorState(schema, np.array([0.0, -2.0]), np.array([4.0, 8.0]))
+        cells = [-0.0, 0.0, nan, inf, -inf, -5.0, 9.0, 2.0, 1e308, -1e308]
+        protos = ["tcp", "udp", "Udp", "ICMP", "-", "gre", "Tcp", "GRE", "x", "udp"]
+        labels = ["ok", "bad", "Malicious", None, "OK", "malicious", "bad", None, "ok", "Bad"]
+        records = [RawRecord((size, proto, rate), label)
+                   for size, proto, rate, label in zip(
+                       cells, protos, reversed(cells), labels)]
+        records += [RawRecord((-0.0, "-", -0.0), None), RawRecord((nan, "tcp", -inf), "ok")]
+        records *= 8  # long enough columns for numpy's vectorised loops
+        got_stats, want_stats = TransformStats(), TransformStats()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = encode_dataset(records, state, got_stats)
+            want = [naive_encode(rec, state, want_stats) for rec in records]
+        want_x = np.array([row for row, _ in want])
+        assert got.x.tobytes() == want_x.tobytes()
+        assert got.labels.tolist() == [label for _, label in want]
+        assert got_stats.unseen == want_stats.unseen == {"proto": 24}
 
 
 def labeled_dataset(counts: dict[int, int], n_classes=3, width=4, seed=0) -> EncodedDataset:

@@ -19,14 +19,12 @@ from flowcl.sscl import (
     HeadConfig,
     batch_loss,
     evaluate_head,
-    pair_loss,
     predict,
     pretrain,
-    similarity_matrix,
     train_head,
 )
 
-from oracles import fd_gradient, naive_nt_xent, rel_error
+from oracles import fd_gradient, naive_nt_xent, pair_loss, rel_error, similarity_matrix
 
 
 def random_latents(rng, n_views, dim):

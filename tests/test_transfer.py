@@ -17,7 +17,6 @@ from flowcl.synth import blob_schema, generate_blobs, subset_schema
 from flowcl.transfer import (
     FeatureAlignmentMap,
     align_matrix,
-    align_sample,
     build_alignment,
     fit_transfer_preprocessor,
     parse_alias_table,
@@ -105,6 +104,11 @@ class TestBuildAlignment:
             build_alignment(mixed_schema(), target)
 
 
+def align_sample(x, amap):
+    """One encoded target sample through align_matrix."""
+    return align_matrix(np.asarray(x)[None], amap)[0]
+
+
 class TestAlignSample:
     def test_identity_map_is_identity(self):
         schema = mixed_schema()
@@ -128,6 +132,8 @@ class TestAlignSample:
         amap = FeatureAlignmentMap(np.array([0, 1]), target_width=2)
         with pytest.raises(InvalidShapeError):
             align_sample(np.ones(3), amap)
+        with pytest.raises(InvalidShapeError):
+            align_matrix(np.ones(2), amap)
 
     def test_matrix_form_matches_rowwise(self):
         schema = mixed_schema()
@@ -216,10 +222,10 @@ class TestTransferEvaluate:
         schema, _, _, dataset, encoder, projector = trained_pipeline
         plain = run_head_stage(encoder, projector, dataset, HEAD)
         amap = build_alignment(schema, schema)
-        report = transfer_evaluate(encoder, projector, amap, dataset, HEAD)
-        assert report.metrics == plain.report
-        assert report.mapped == 16 and report.masked == 0
-        assert report.train_count == plain.train_count
+        result = transfer_evaluate(encoder, projector, amap, dataset, HEAD)
+        assert result.report == plain.report
+        assert amap.mapped == 16 and amap.masked == 0
+        assert result.train_count == plain.train_count
 
     def test_dropping_a_fifth_of_features_stays_close(self, trained_pipeline):
         schema, records, state, dataset, encoder, projector = trained_pipeline
@@ -229,9 +235,9 @@ class TestTransferEvaluate:
         target_state = fit_transfer_preprocessor(state, records, target_schema)
         target = encode_dataset(records, target_state)
         amap = build_alignment(schema, target_schema)
-        report = transfer_evaluate(encoder, projector, amap, target, HEAD)
-        assert report.masked == 3
-        assert abs(report.metrics.accuracy - baseline) <= 0.10
+        result = transfer_evaluate(encoder, projector, amap, target, HEAD)
+        assert amap.masked == 3
+        assert abs(result.report.accuracy - baseline) <= 0.10
 
     def test_degradation_is_graceful_as_masking_grows(self, trained_pipeline):
         schema, records, state, dataset, encoder, projector = trained_pipeline
@@ -242,9 +248,9 @@ class TestTransferEvaluate:
             target_state = fit_transfer_preprocessor(state, records, target_schema)
             target = encode_dataset(records, target_state)
             amap = build_alignment(schema, target_schema)
-            report = transfer_evaluate(encoder, projector, amap, target, HEAD)
-            assert report.masked == n_masked
-            accuracies.append(report.metrics.accuracy)
+            result = transfer_evaluate(encoder, projector, amap, target, HEAD)
+            assert amap.masked == n_masked
+            accuracies.append(result.report.accuracy)
         for earlier, later in zip(accuracies, accuracies[1:]):
             assert later <= earlier + 0.02
 
