@@ -329,9 +329,16 @@ def cmd_train_head(cfg: dict) -> None:
 
 EVALUATE_DEFAULTS = {"data": None, "encoder": None, "head": None, "out": None}
 
+# Head meta keys that evaluate needs to re-derive the split and the report.
+_HEAD_META_KEYS = ("task", "classes", "split_fraction", "label_fraction", "seed",
+                   "train_count", "representation")
+
 
 def cmd_evaluate(cfg: dict) -> None:
     head, head_meta = load_head(cfg["head"])
+    missing = [key for key in _HEAD_META_KEYS if key not in head_meta]
+    if missing:
+        raise CheckpointError(f"head checkpoint {cfg['head']} lacks meta keys {missing}")
     encoder, projector, task_ds = _load_task_data(
         cfg["encoder"], cfg["data"], head_meta["task"],
         head_meta.get("requested_classes"), head_meta.get("normal_class", "Normal"))

@@ -1,11 +1,14 @@
 """Encoder and head construction over the numgrad ops.
 
 An encoder is a declarative stack of Conv/MaxPool specs. Every Conv means:
-kernel width 2, stride 1, bias, batch norm, ReLU. The encoded flow record
-enters as a single-channel 1D signal, and a global max pool after the last
-layer collapses whatever spatial width remains, so the hidden vector h is
-always exactly hidden_dim wide regardless of the input schema's width. The
-projection g and the classification heads are single affine maps.
+kernel width 2, stride 1, bias, batch norm, ReLU, run as one fused
+channels-last op (`numgrad.conv_bn_relu`). The encoded flow record enters as
+a single-channel 1D signal, activations stay (batch, width, channels), and a
+global max pool after the last layer collapses whatever spatial width
+remains, so the hidden vector h is always exactly hidden_dim wide regardless
+of the input schema's width. The projection g and the classification heads
+are single affine maps. Kernels keep the (out_ch, in_ch, 2) layout of
+`numgrad.conv1d`, so checkpoints do not depend on the activation layout.
 
 Two presets mirror the reference architecture pair: "smaller-pack"
 (hidden 512, context 256) for the 42-feature flow schema and "larger-pack"
@@ -146,6 +149,8 @@ def config_to_dict(config: EncoderConfig) -> dict:
 
 def parse_layers(items) -> tuple:
     """Turn [kind, arg] pairs ("conv", channels / "pool", window) into layer specs."""
+    if not isinstance(items, (list, tuple)):
+        raise ConfigError(f"layers must be a list of [kind, int] pairs, got {items!r}")
     specs = []
     for item in items:
         try:
@@ -292,6 +297,9 @@ def build_classification_head(input_dim: int, n_classes: int, seed: int) -> Clas
 def encode(block: EncoderBlock, x, training: bool = False) -> Tensor:
     """Forward a [batch, width] batch through e to h of shape [batch, hidden].
 
+    Activations stay channels-last, (batch, width, channels), with the input
+    read as one channel. Each Conv is one fused conv/BN/ReLU op and each pool
+    one op, so a taped pass records one entry per layer plus the global pool.
     Eval mode reads the frozen BN running stats and mutates nothing; train
     mode normalizes by batch statistics and updates the running stats.
     """
@@ -302,19 +310,16 @@ def encode(block: EncoderBlock, x, training: bool = False) -> Tensor:
         raise InvalidShapeError(
             f"input width {xt.data.shape[1]} does not match the encoder's "
             f"configured width {block.config.input_width}")
-    out = ng.record_op(Tensor(xt.data.reshape(xt.data.shape[0], 1, xt.data.shape[1])),
-                       [xt], lambda g: (g.reshape(xt.data.shape),))
+    out = xt
     conv_iter = iter(block.convs)
     for spec in block.config.layers:
         if isinstance(spec, Conv):
             layer = next(conv_iter)
-            out = ng.conv1d(out, layer.kernel, layer.bias)
-            out = ng.batchnorm1d(out, layer.gamma, layer.beta,
-                                 layer.running_mean, layer.running_var, training=training)
-            out = ng.relu(out)
+            out = ng.conv_bn_relu(out, layer.kernel, layer.bias, layer.gamma, layer.beta,
+                                  layer.running_mean, layer.running_var, training=training)
         else:
-            out = ng.maxpool1d(out, spec.window)
-    return ng.global_maxpool1d(out)
+            out = ng.maxpool_cl(out, spec.window)
+    return ng.global_maxpool_cl(out)
 
 
 def project(head: ProjectionHead, h) -> Tensor:
@@ -352,6 +357,8 @@ def load_encoder(path: str) -> tuple[EncoderBlock, ProjectionHead, dict]:
     if meta.get("kind") != "encoder":
         raise CheckpointError(f"{path} is not an encoder checkpoint "
                               f"(kind={meta.get('kind')!r})")
+    if "config" not in meta:
+        raise CheckpointError(f"encoder checkpoint {path} lacks meta key 'config'")
     try:
         config = config_from_dict(meta["config"])
     except ConfigError as err:

@@ -5,9 +5,12 @@ from .ops import (
     affine,
     batchnorm1d,
     conv1d,
+    conv_bn_relu,
     cosine_similarity,
     global_maxpool1d,
+    global_maxpool_cl,
     maxpool1d,
+    maxpool_cl,
     relu,
     softmax_cross_entropy,
 )
@@ -26,10 +29,13 @@ __all__ = [
     "backward",
     "batchnorm1d",
     "conv1d",
+    "conv_bn_relu",
     "cosine_similarity",
     "global_maxpool1d",
+    "global_maxpool_cl",
     "load_arrays",
     "maxpool1d",
+    "maxpool_cl",
     "record_op",
     "relu",
     "save_arrays",

@@ -4,6 +4,14 @@ Forward math is plain vectorized NumPy in float64; each op hands `record_op`
 a closure mapping the output gradient to input gradients. Inputs are never
 mutated (batchnorm's running statistics, which are explicitly state, are the
 one documented exception).
+
+The encoder's conv, batch norm and max pool math exists once, as kernels over
+channels-last activations: (batch, width, channels) arrays whose rows are
+contiguous channel vectors, so the width-2 conv is one flat GEMM and batch
+norm reduces over rows. The encoder runs them through `conv_bn_relu`,
+`maxpool_cl` and `global_maxpool_cl`, one tape entry each. The
+(batch, channels, width) primitives `conv1d`, `batchnorm1d`, `maxpool1d` and
+`global_maxpool1d` are transposing wrappers over the same kernels.
 """
 
 from __future__ import annotations
@@ -14,9 +22,178 @@ from ..errors import DegenerateVectorError, InvalidLabelError, InvalidShapeError
 from .tensor import Tensor, as_tensor, record_op
 
 
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise InvalidShapeError(message)
+
+
+def _channels_last(data: np.ndarray) -> np.ndarray:
+    """(B, W, C) as is; a (B, W) batch is one input channel, viewed as (B, W, 1)."""
+    _require(data.ndim in (2, 3), f"expected (batch, width[, ch]) activations, got {data.shape}")
+    return data if data.ndim == 3 else data[:, :, None]
+
+
+def _conv(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray):
+    """Width-2 valid conv of channels-last x (B, W, Cin) as one flat GEMM.
+
+    Returns z (B, W-1, Cout) and the rule dz -> (dx, dkernel, dbias).
+    """
+    _require(kernel.ndim == 3 and kernel.shape[2] == 2,
+             f"conv1d kernel must be (out_ch, in_ch, 2), got {kernel.shape}")
+    batch, width, in_ch = x.shape
+    out_ch = kernel.shape[0]
+    _require(width >= 2, f"conv1d needs width >= 2, got {width}")
+    _require(kernel.shape[1] == in_ch,
+             f"conv1d channel mismatch: input has {in_ch}, kernel expects {kernel.shape[1]}")
+    _require(bias.shape == (out_ch,), f"conv1d bias must be ({out_ch},), got {bias.shape}")
+
+    # im2col: row (b, t) of x2 is x[b, t] then x[b, t+1], and
+    # k2[tap * in_ch + i, o] = kernel[o, i, tap].
+    x2 = np.concatenate((x[:, :-1], x[:, 1:]), axis=2).reshape(-1, 2 * in_ch)
+    k2 = kernel.transpose(2, 1, 0).reshape(2 * in_ch, out_ch)
+    z = x2 @ k2
+    z += bias
+
+    def back(dz: np.ndarray):
+        dz = dz.reshape(-1, out_ch)
+        dk = (x2.T @ dz).reshape(2, in_ch, out_ch).transpose(2, 1, 0)
+        dx2 = (dz @ k2.T).reshape(batch, width - 1, 2 * in_ch)
+        dx = np.empty((batch, width, in_ch))
+        dx[:, :-1] = dx2[:, :, :in_ch]
+        dx[:, -1] = 0.0
+        dx[:, 1:] += dx2[:, :, in_ch:]
+        return dx, dk, dz.sum(axis=0)
+
+    return z.reshape(batch, width - 1, out_ch), back
+
+
+def _batchnorm(z: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+               running_mean: np.ndarray, running_var: np.ndarray,
+               training: bool, momentum: float, eps: float):
+    """Per-channel batch norm over the rows of z (N, C), normalizing z in place.
+
+    z is overwritten with xhat. Returns the output and the rule
+    dy -> (dz, dgamma, dbeta).
+    """
+    n, ch = z.shape
+    _require(gamma.shape == (ch,) and beta.shape == (ch,),
+             f"batchnorm1d affine params must be ({ch},)")
+    _require(n >= 1, "batchnorm1d needs at least one element per channel")
+    if training:
+        _require(n >= 2, "batchnorm1d train mode needs >= 2 elements per channel")
+        mean = z.mean(axis=0)
+        z -= mean
+        var = np.einsum("ij,ij->j", z, z) / n
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        running_var *= 1.0 - momentum
+        running_var += momentum * var
+    else:
+        z -= running_mean
+        var = running_var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    z *= inv_std
+    xhat = z
+    out = xhat * gamma
+    out += beta
+
+    def back(dy: np.ndarray):
+        dgamma = np.einsum("ij,ij->j", dy, xhat)
+        dbeta = dy.sum(axis=0)
+        if not training:
+            return dy * (gamma * inv_std), dgamma, dbeta
+        # Closed form with s1 = gamma * dbeta and s2 = gamma * dgamma:
+        # dz = inv_std / n * (n * gamma * dy - s1 - xhat * s2).
+        dz = xhat * (dgamma / n)
+        dz += dbeta / n
+        np.subtract(dy, dz, out=dz)
+        dz *= gamma * inv_std
+        return dz, dgamma, dbeta
+
+    return out, back
+
+
+def _maxpool(x: np.ndarray, window: int):
+    """Non-overlapping max pool over the width of channels-last x (B, W, C).
+
+    Stride == window, trailing remainder dropped. Ties go to the first
+    maximum, as with argmax. Returns (B, W // window, C) and the rule g -> dx.
+    """
+    batch, width, ch = x.shape
+    _require(window >= 1, f"pool window must be >= 1, got {window}")
+    _require(window <= width, f"pool window {window} exceeds width {width}")
+    out_w = width // window
+    tiles = x[:, : out_w * window].reshape(batch, out_w, window, ch)
+    out = tiles[:, :, 0].copy()
+    index = np.min_scalar_type(window - 1).type
+    arg = np.zeros(out.shape, dtype=index)
+    for j in range(1, window):
+        tile = tiles[:, :, j]
+        # j only grows, so a slot that beats the running max (strictly, which
+        # keeps the first of equal maxima) holds the largest index so far.
+        np.maximum(arg, (tile > out) * index(j), out=arg)
+        np.maximum(out, tile, out=out)
+
+    def back(g: np.ndarray):
+        dx = np.empty((batch, width, ch))
+        dtiles = dx[:, : out_w * window].reshape(batch, out_w, window, ch)
+        for j in range(window):
+            np.multiply(g, arg == j, out=dtiles[:, :, j])
+        dx[:, out_w * window:] = 0.0
+        return dx
+
+    return out, back
+
+
+def conv_bn_relu(
+    x: Tensor,
+    kernel: Tensor,
+    bias: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    training: bool,
+) -> Tensor:
+    """One encoder unit, relu(batchnorm1d(conv1d(x))), as a single taped op.
+
+    Channels-last: x (B, W, C_in), or (B, W) as one input channel, maps to
+    (B, W-1, C_out). Same semantics as the three primitives in sequence,
+    running statistics included; batch norm and ReLU run in place on the
+    conv output, and backward keeps only the conv's input rows, xhat and the
+    output.
+    """
+    x, kernel, bias, gamma, beta = (as_tensor(t) for t in (x, kernel, bias, gamma, beta))
+    z, conv_back = _conv(_channels_last(x.data), kernel.data, bias.data)
+    out, bn_back = _batchnorm(z.reshape(-1, z.shape[2]), gamma.data, beta.data,
+                              running_mean, running_var, training, BN_MOMENTUM, BN_EPS)
+    np.maximum(out, 0.0, out=out)
+
+    def rule(g: np.ndarray):
+        dz, dgamma, dbeta = bn_back(g.reshape(out.shape) * (out > 0))
+        dx, dk, db = conv_back(dz)
+        return dx.reshape(x.shape), dk, db, dgamma, dbeta
+
+    return record_op(Tensor(out.reshape(z.shape)), (x, kernel, bias, gamma, beta), rule)
+
+
+def maxpool_cl(x: Tensor, window: int) -> Tensor:
+    """`maxpool1d` on channels-last x (B, W, C), or (B, W) as one channel."""
+    x = as_tensor(x)
+    out, back = _maxpool(_channels_last(x.data), window)
+    return record_op(Tensor(out), (x,), lambda g: (back(g).reshape(x.shape),))
+
+
+def global_maxpool_cl(x: Tensor) -> Tensor:
+    """`global_maxpool1d` on channels-last x: (B, W, C) -> (B, C)."""
+    x = as_tensor(x)
+    _require(x.data.ndim == 3, f"global_maxpool_cl input must be 3-D, got {x.shape}")
+    out, back = _maxpool(x.data, x.shape[1])
+    return record_op(Tensor(out[:, 0]), (x,), lambda g: (back(g[:, None]),))
 
 
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
@@ -27,54 +204,22 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """
     x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     _require(x.data.ndim == 3, f"conv1d input must be (batch, ch, width), got {x.shape}")
-    _require(kernel.data.ndim == 3 and kernel.shape[2] == 2,
-             f"conv1d kernel must be (out_ch, in_ch, 2), got {kernel.shape}")
-    batch, in_ch, width = x.shape
-    out_ch = kernel.shape[0]
-    _require(width >= 2, f"conv1d needs width >= 2, got {width}")
-    _require(kernel.shape[1] == in_ch,
-             f"conv1d channel mismatch: input has {in_ch}, kernel expects {kernel.shape[1]}")
-    _require(bias.shape == (out_ch,), f"conv1d bias must be ({out_ch},), got {bias.shape}")
-
-    # Stack the two taps so the whole op is one batched matmul:
-    # x2[b, 2i+tap, t] = x[b, i, t+tap], k2[o, 2i+tap] = kernel[o, i, tap].
-    x2 = np.stack((x.data[:, :, :-1], x.data[:, :, 1:]), axis=2).reshape(batch, 2 * in_ch, width - 1)
-    k2 = kernel.data.reshape(out_ch, 2 * in_ch)
-    out = Tensor(np.matmul(k2, x2) + bias.data[None, :, None])
+    z, back = _conv(x.data.transpose(0, 2, 1), kernel.data, bias.data)
 
     def rule(g: np.ndarray):
-        dk = np.tensordot(g, x2, axes=([0, 2], [0, 2])).reshape(kernel.shape)
-        db = g.sum(axis=(0, 2))
-        dx2 = np.matmul(k2.T, g).reshape(batch, in_ch, 2, width - 1)
-        dx = np.zeros_like(x.data)
-        dx[:, :, :-1] += dx2[:, :, 0, :]
-        dx[:, :, 1:] += dx2[:, :, 1, :]
-        return dx, dk, db
+        dx, dk, db = back(g.transpose(0, 2, 1))
+        return dx.transpose(0, 2, 1), dk, db
 
-    return record_op(out, (x, kernel, bias), rule)
+    return record_op(Tensor(z.transpose(0, 2, 1)), (x, kernel, bias), rule)
 
 
 def maxpool1d(x: Tensor, window: int) -> Tensor:
     """Non-overlapping max pooling: stride == window, trailing remainder dropped."""
     x = as_tensor(x)
     _require(x.data.ndim == 3, f"maxpool1d input must be (batch, ch, width), got {x.shape}")
-    batch, ch, width = x.shape
-    _require(window >= 1, f"pool window must be >= 1, got {window}")
-    _require(window <= width, f"pool window {window} exceeds width {width}")
-
-    out_w = width // window
-    tiles = x.data[:, :, : out_w * window].reshape(batch, ch, out_w, window)
-    arg = tiles.argmax(axis=3)
-    out = Tensor(tiles.max(axis=3))
-
-    def rule(g: np.ndarray):
-        dtiles = np.zeros_like(tiles)
-        np.put_along_axis(dtiles, arg[..., None], g[..., None], axis=3)
-        dx = np.zeros_like(x.data)
-        dx[:, :, : out_w * window] = dtiles.reshape(batch, ch, out_w * window)
-        return (dx,)
-
-    return record_op(out, (x,), rule)
+    out, back = _maxpool(x.data.transpose(0, 2, 1), window)
+    return record_op(Tensor(out.transpose(0, 2, 1)), (x,),
+                     lambda g: (back(g.transpose(0, 2, 1)).transpose(0, 2, 1),))
 
 
 def global_maxpool1d(x: Tensor) -> Tensor:
@@ -82,15 +227,9 @@ def global_maxpool1d(x: Tensor) -> Tensor:
     x = as_tensor(x)
     _require(x.data.ndim == 3, f"global_maxpool1d input must be 3-D, got {x.shape}")
     _require(x.shape[2] >= 1, "global_maxpool1d needs width >= 1")
-    arg = x.data.argmax(axis=2)
-    out = Tensor(x.data.max(axis=2))
-
-    def rule(g: np.ndarray):
-        dx = np.zeros_like(x.data)
-        np.put_along_axis(dx, arg[..., None], g[..., None], axis=2)
-        return (dx,)
-
-    return record_op(out, (x,), rule)
+    out, back = _maxpool(x.data.transpose(0, 2, 1), x.shape[2])
+    return record_op(Tensor(out[:, 0]), (x,),
+                     lambda g: (back(g[:, None]).transpose(0, 2, 1),))
 
 
 def batchnorm1d(
@@ -100,8 +239,8 @@ def batchnorm1d(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
+    momentum: float = BN_MOMENTUM,
+    eps: float = BN_EPS,
 ) -> Tensor:
     """Per-channel batch normalization with affine scale/shift.
 
@@ -113,41 +252,17 @@ def batchnorm1d(
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     _require(x.data.ndim == 3, f"batchnorm1d input must be (batch, ch, width), got {x.shape}")
     batch, ch, width = x.shape
-    _require(gamma.shape == (ch,) and beta.shape == (ch,),
-             f"batchnorm1d affine params must be ({ch},)")
-    n = batch * width
-    _require(n >= 1, "batchnorm1d needs at least one element per channel")
-    if training:
-        _require(n >= 2, "batchnorm1d train mode needs >= 2 elements per channel")
-        mean = x.data.mean(axis=(0, 2))
-        var = x.data.var(axis=(0, 2))
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
-    else:
-        mean = running_mean
-        var = running_var
-
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None]) * inv_std[None, :, None]
-    out = Tensor(xhat * gamma.data[None, :, None] + beta.data[None, :, None])
+    # A C-order copy: the kernel normalizes its rows in place.
+    rows = np.array(x.data.transpose(0, 2, 1), order="C").reshape(-1, ch)
+    out, back = _batchnorm(rows, gamma.data, beta.data, running_mean, running_var,
+                           training, momentum, eps)
 
     def rule(g: np.ndarray):
-        dgamma = (g * xhat).sum(axis=(0, 2))
-        dbeta = g.sum(axis=(0, 2))
-        if training:
-            dxhat = g * gamma.data[None, :, None]
-            s1 = dxhat.sum(axis=(0, 2))
-            s2 = (dxhat * xhat).sum(axis=(0, 2))
-            dx = (inv_std[None, :, None] / n) * (
-                n * dxhat - s1[None, :, None] - xhat * s2[None, :, None]
-            )
-        else:
-            dx = g * (gamma.data * inv_std)[None, :, None]
-        return dx, dgamma, dbeta
+        dx, dgamma, dbeta = back(g.transpose(0, 2, 1).reshape(-1, ch))
+        return dx.reshape(batch, width, ch).transpose(0, 2, 1), dgamma, dbeta
 
-    return record_op(out, (x, gamma, beta), rule)
+    return record_op(Tensor(out.reshape(batch, width, ch).transpose(0, 2, 1)),
+                     (x, gamma, beta), rule)
 
 
 def relu(x: Tensor) -> Tensor:

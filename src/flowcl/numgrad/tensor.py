@@ -117,6 +117,8 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
     Walks the tape once in reverse. Gradients fan-in by summation: a tensor
     consumed by several operations accumulates one contribution per use.
+    Gradients are held by reference and every sum is a new array, so no
+    rule may mutate the gradient it receives or the ones it returns.
     """
     if loss.size != 1:
         raise InvalidShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -135,10 +137,9 @@ def backward(loss: Tensor, tape: Tape) -> None:
                 continue
             held = pending.get(id(t))
             if held is None:
-                pending[id(t)] = (t, np.array(grad_in, dtype=np.float64, copy=True))
+                pending[id(t)] = (t, np.asarray(grad_in, dtype=np.float64))
             else:
-                acc = held[1]
-                acc += grad_in
+                pending[id(t)] = (t, held[1] + grad_in)
     for t, g in pending.values():
         if t.requires_grad:
             t.grad = g if t.grad is None else t.grad + g

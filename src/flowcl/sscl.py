@@ -248,15 +248,28 @@ class HeadConfig:
             raise ConfigError(f"batch_size must be a positive int, got {self.batch_size!r}")
 
 
+FEATURE_CHUNK_ROWS = 256
+
+
 def representation_features(encoder: EncoderBlock, projector: ProjectionHead,
                             x, representation: str) -> np.ndarray:
-    """Frozen eval-mode features: h, or z = g(h) when representation is context."""
-    h = encode(encoder, np.asarray(x, dtype=np.float64), training=False)
-    if representation == "hidden":
-        return h.data
-    if representation == "context":
-        return project(projector, h).data
-    raise ConfigError(f"representation must be 'hidden' or 'context', got {representation!r}")
+    """Frozen eval-mode features: h, or z = g(h) when representation is context.
+
+    Rows go through the encoder FEATURE_CHUNK_ROWS at a time, so memory stays
+    bounded however many rows there are. Eval-mode batch norm reads the
+    running statistics, so every row's features are independent of its
+    chunk and equal, bit for bit, to a single-batch pass.
+    """
+    if representation not in ("hidden", "context"):
+        raise ConfigError(
+            f"representation must be 'hidden' or 'context', got {representation!r}")
+    data = np.asarray(x, dtype=np.float64)
+    features = []
+    # An empty input still makes one encode call, which rejects it.
+    for start in range(0, max(len(data), 1), FEATURE_CHUNK_ROWS):
+        h = encode(encoder, data[start:start + FEATURE_CHUNK_ROWS], training=False)
+        features.append((h if representation == "hidden" else project(projector, h)).data)
+    return np.concatenate(features)
 
 
 def train_head(encoder: EncoderBlock, projector: ProjectionHead, x, labels,

@@ -20,12 +20,15 @@ from flowcl.dataio import (
     TransformStats,
     UnseenCategoryWarning,
 )
+from flowcl import numgrad as ng
 from flowcl.errors import (
     DegenerateVectorError,
     InvalidBatchError,
     InvalidPairError,
     InvalidShapeError,
 )
+from flowcl.model import Conv
+from flowcl.numgrad import Tensor
 
 
 def fd_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -71,6 +74,30 @@ def naive_conv1d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndar
                     acc += kernel[o, i, 0] * x[b, i, t] + kernel[o, i, 1] * x[b, i, t + 1]
                 out[b, o, t] = acc
     return out
+
+
+def composed_encode(block, x, training: bool = False) -> Tensor:
+    """The encoder as a chain of (batch, channels, width) primitives.
+
+    The input is reshaped to one channel, and each Conv is conv1d, then
+    batchnorm1d, then relu, each its own tape entry: the reference that the
+    fused channels-last `model.encode` must match.
+    """
+    xt = ng.as_tensor(x)
+    batch, width = xt.data.shape
+    out = ng.record_op(Tensor(xt.data.reshape(batch, 1, width)),
+                       [xt], lambda g: (g.reshape(batch, width),))
+    conv_iter = iter(block.convs)
+    for spec in block.config.layers:
+        if isinstance(spec, Conv):
+            layer = next(conv_iter)
+            out = ng.conv1d(out, layer.kernel, layer.bias)
+            out = ng.batchnorm1d(out, layer.gamma, layer.beta,
+                                 layer.running_mean, layer.running_var, training=training)
+            out = ng.relu(out)
+        else:
+            out = ng.maxpool1d(out, spec.window)
+    return ng.global_maxpool1d(out)
 
 
 def naive_cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -135,6 +135,13 @@ class TestPretrain:
                      "--data", str(workspace / "prep" / "train.npz"),
                      "--out", str(tmp_path / "e.npz")]) == 2
 
+    def test_non_list_layers_is_config_error(self, workspace, tmp_path):
+        bad = tmp_path / "bad-layers.json"
+        bad.write_text('{"layers": 5, "context_dim": 4}', encoding="utf-8")
+        assert main(["pretrain", "--config", str(bad),
+                     "--data", str(workspace / "prep" / "train.npz"),
+                     "--out", str(tmp_path / "e.npz")]) == 2
+
     def test_oversized_batch_is_data_error(self, workspace, tmp_path):
         assert main(["pretrain", "--config", str(workspace / "arch.json"),
                      "--data", str(workspace / "prep" / "train.npz"),
@@ -208,6 +215,27 @@ class TestHeadAndEvaluate:
         assert main(["train-head", "--data", str(workspace / "prep" / "train.npz"),
                      "--encoder", str(broken),
                      "--out", str(tmp_path / "h.npz")] + HEAD_FLAGS) == 7
+
+    def test_encoder_meta_without_config_is_checkpoint_error(self, workspace, tmp_path):
+        arrays, meta = load_arrays(str(workspace / "enc.npz"))
+        del meta["config"]
+        broken = tmp_path / "broken.npz"
+        save_arrays(str(broken), arrays, meta=meta)
+        assert main(["train-head", "--data", str(workspace / "prep" / "train.npz"),
+                     "--encoder", str(broken),
+                     "--out", str(tmp_path / "h.npz")] + HEAD_FLAGS) == 7
+
+    @pytest.mark.parametrize("key", ["task", "classes", "split_fraction", "label_fraction",
+                                     "seed", "train_count", "representation"])
+    def test_head_meta_missing_key_is_checkpoint_error(self, workspace, trained_head,
+                                                       tmp_path, key):
+        arrays, meta = load_arrays(str(trained_head))
+        del meta[key]
+        broken = tmp_path / "broken-head.npz"
+        save_arrays(str(broken), arrays, meta=meta)
+        assert main(["evaluate", "--data", str(workspace / "prep" / "train.npz"),
+                     "--encoder", str(workspace / "enc.npz"),
+                     "--head", str(broken), "--out", str(tmp_path / "r.json")]) == 7
 
     @pytest.mark.parametrize("fraction", ["0", "1.5"])
     def test_out_of_range_label_fraction_is_config_error(self, workspace, tmp_path,

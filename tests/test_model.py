@@ -23,6 +23,9 @@ from flowcl.model import (
     save_head,
 )
 from flowcl.numgrad import Tape, Tensor, backward
+from flowcl.sscl import batch_loss
+
+from oracles import composed_encode
 
 
 def small_config(width=12):
@@ -155,6 +158,74 @@ class TestBuildAndEncode:
         for p in list(block.parameters()) + list(proj.parameters()):
             assert p.grad is not None
             assert np.all(np.isfinite(p.grad))
+
+
+def _taped_pass(encode_fn, config, x, training):
+    """h, loss, the input and parameter gradients, and the BN running stats."""
+    block, proj = build_encoder(config, seed=5)
+    xt = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        h = encode_fn(block, xt, training=training)
+        loss = batch_loss(project(proj, h), 0.5)
+    backward(loss, tape)
+    grads = {"x": xt.grad, "proj_w": proj.weight.grad, "proj_b": proj.bias.grad}
+    for i, layer in enumerate(block.convs):
+        for name in ("kernel", "bias", "gamma", "beta"):
+            grads[f"{name}{i}"] = getattr(layer, name).grad
+    stats = [s for layer in block.convs for s in (layer.running_mean, layer.running_var)]
+    return h.data, float(loss.data), grads, stats, len(tape)
+
+
+def _assert_scaled_close(got, want, what):
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-10 * scale, what
+
+
+# Pool windows 2, 3 and 4 each with a width remainder (66 -> 65 -> 32 r1 ->
+# 31 -> 10 r1 -> 9 -> 2 r1 -> 1), a one-channel conv feeding another, a pool
+# before the first conv, ties in every pool window, and a full preset.
+FUSED_CASES = {
+    "ties": EncoderConfig((Conv(3), MaxPool(2)), 5, context_dim=2),
+    "pools-2-3-4": EncoderConfig((Conv(4), MaxPool(2), Conv(6), MaxPool(3), Conv(5),
+                                  MaxPool(4), Conv(3)), 66, context_dim=4),
+    "one-channel": EncoderConfig((Conv(1), Conv(3), MaxPool(2), Conv(2)), 9, context_dim=3),
+    "pool-first": EncoderConfig((MaxPool(3), Conv(4), MaxPool(2), Conv(3)), 20, context_dim=3),
+    "smaller-pack": preset_config("smaller-pack", 40),
+}
+
+
+class TestFusedEncoder:
+    """`encode` against the composed (batch, channels, width) primitives."""
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("case", sorted(FUSED_CASES))
+    def test_matches_composed_primitives(self, case, training):
+        config = FUSED_CASES[case]
+        x = np.random.default_rng(8).uniform(size=(6, config.input_width))
+        if case == "ties":
+            # A constant row makes every conv output of that row equal, so
+            # both pools see ties and both paths must pick the same maximum.
+            x[:] = x[:, :1]
+        h, loss, grads, stats, entries = _taped_pass(encode, config, x, training)
+        h_ref, loss_ref, grads_ref, stats_ref, _ = _taped_pass(composed_encode, config, x,
+                                                               training)
+        # One entry per conv or pool, the global pool, the projection and the loss.
+        assert entries == len(config.layers) + 3
+        _assert_scaled_close(h, h_ref, "h")
+        assert abs(loss - loss_ref) <= 1e-10 * abs(loss_ref)
+        for i, (got, want) in enumerate(zip(stats, stats_ref)):
+            _assert_scaled_close(got, want, f"running stat {i}")
+        for name, want in grads_ref.items():
+            got = grads[name]
+            if training and name.startswith("bias"):
+                # Train-mode BN subtracts the batch mean, which cancels the
+                # conv bias: both gradients are rounding noise next to the
+                # kernel's.
+                kernel_scale = np.max(np.abs(grads_ref["kernel" + name[4:]]))
+                assert np.max(np.abs(got)) <= 1e-10 * kernel_scale, name
+                assert np.max(np.abs(want)) <= 1e-10 * kernel_scale, name
+            else:
+                _assert_scaled_close(got, want, name)
 
 
 class TestProjectAndHead:

@@ -1,7 +1,13 @@
 """Contrastive loss math and both training loops."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import flowcl
 
 from flowcl.augment import MaskingConfig
 from flowcl.errors import (
@@ -12,7 +18,15 @@ from flowcl.errors import (
     InvalidPairError,
     MissingLabelError,
 )
-from flowcl.model import Conv, EncoderConfig, MaxPool, build_encoder, encode
+from flowcl.model import (
+    Conv,
+    EncoderConfig,
+    MaxPool,
+    build_encoder,
+    encode,
+    preset_config,
+    project,
+)
 from flowcl.numgrad import Tape, Tensor, backward
 from flowcl.sscl import (
     ContrastiveConfig,
@@ -21,6 +35,7 @@ from flowcl.sscl import (
     evaluate_head,
     predict,
     pretrain,
+    representation_features,
     train_head,
 )
 
@@ -310,3 +325,44 @@ class TestHeadStage:
         y[0] = -1
         with pytest.raises(MissingLabelError):
             evaluate_head(encoder, projector, head, x, y, "hidden")
+
+
+_FEATURE_RSS_SCRIPT = """
+import resource, sys
+import numpy as np
+from flowcl.model import Conv, EncoderConfig, build_encoder
+from flowcl.sscl import representation_features
+rows = int(sys.argv[1])
+encoder, projector = build_encoder(EncoderConfig((Conv(16), Conv(32)), 64, 8), seed=0)
+x = np.random.default_rng(0).uniform(size=(rows, 64))
+representation_features(encoder, projector, x, "hidden")
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+class TestRepresentationFeatures:
+    @pytest.mark.parametrize("preset", ["smaller-pack", "larger-pack"])
+    def test_chunked_features_equal_one_batch_bytes(self, preset):
+        encoder, projector = build_encoder(preset_config(preset, 40), seed=3)
+        rng = np.random.default_rng(27)
+        encode(encoder, rng.uniform(size=(8, 40)), training=True)  # move the BN stats
+        x = rng.uniform(size=(600, 40))  # three chunks, the last one partial
+        h = encode(encoder, x, training=False)
+        got = representation_features(encoder, projector, x, "hidden")
+        assert got.tobytes() == h.data.tobytes()
+        got = representation_features(encoder, projector, x, "context")
+        assert got.tobytes() == project(projector, h).data.tobytes()
+
+    def test_peak_memory_is_bounded_in_rows(self):
+        """Ten times the rows must not double peak RSS (a child process per size)."""
+        src = os.path.dirname(os.path.dirname(flowcl.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+        def peak_kb(rows: int) -> int:
+            done = subprocess.run([sys.executable, "-c", _FEATURE_RSS_SCRIPT, str(rows)],
+                                  env=env, capture_output=True, text=True, check=True,
+                                  timeout=300)
+            return int(done.stdout.split()[-1])
+
+        assert peak_kb(10_000) < 2 * peak_kb(1_000)

@@ -11,6 +11,7 @@ from flowcl.numgrad import (
     backward,
     batchnorm1d,
     conv1d,
+    conv_bn_relu,
     cosine_similarity,
     global_maxpool1d,
     maxpool1d,
@@ -194,6 +195,18 @@ class TestMaxPool1d:
         backward(loss, tape)
         np.testing.assert_array_equal(x.grad, [[[0.0, 1.0, 0.0, 0.0, 0.0, 10.0]]])
 
+    def test_ties_route_to_the_first_maximum(self):
+        x = Tensor(np.array([[[3.0, 3.0, 1.0, 2.0, 2.0, 2.0, 2.0]]]), requires_grad=True)
+        with Tape() as tape:
+            loss = _weighted_sum(maxpool1d(x, 3), np.array([[[1.0, 10.0]]]))
+        backward(loss, tape)
+        np.testing.assert_array_equal(x.grad, [[[1.0, 0.0, 0.0, 10.0, 0.0, 0.0, 0.0]]])
+        y = Tensor(np.array([[[1.0, 4.0, 4.0]]]), requires_grad=True)
+        with Tape() as tape:
+            loss = _weighted_sum(global_maxpool1d(y), np.array([[5.0]]))
+        backward(loss, tape)
+        np.testing.assert_array_equal(y.grad, [[[0.0, 5.0, 0.0]]])
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         x0 = spread_values(rng, (2, 3, 9), scale=2.0)
@@ -302,6 +315,46 @@ class TestBatchNorm1d:
         assert rel_error(x_t.grad, fd_gradient(lambda v: run(v, g0, b0), x0.copy())) < 1e-6
         assert rel_error(g_t.grad, fd_gradient(lambda v: run(x0, v, b0), g0.copy())) < 1e-6
         assert rel_error(b_t.grad, fd_gradient(lambda v: run(x0, g0, v), b0.copy())) < 1e-6
+
+
+class TestConvBnRelu:
+    @pytest.mark.parametrize("training", [True, False])
+    def test_gradients_match_finite_differences(self, training):
+        rng = np.random.default_rng(29)
+        x0 = rng.normal(size=(3, 5, 2))  # channels-last (batch, width, ch)
+        k0 = rng.normal(size=(4, 2, 2))
+        kb0 = rng.normal(size=4)
+        g0 = rng.uniform(0.5, 1.5, size=4)
+        be0 = rng.normal(size=4)
+        rm0 = rng.normal(size=4)
+        rv0 = rng.uniform(0.5, 2.0, size=4)
+        weight = rng.normal(size=(3, 4, 4))
+        values = [x0, k0, kb0, g0, be0]
+
+        def forward(*args):
+            return conv_bn_relu(*args, rm0.copy(), rv0.copy(), training=training)
+
+        # Central differences are only valid away from the ReLU kink.
+        pre = batchnorm1d(conv1d(Tensor(x0.transpose(0, 2, 1)), Tensor(k0), Tensor(kb0)),
+                          Tensor(g0), Tensor(be0), rm0.copy(), rv0.copy(), training=training)
+        assert np.min(np.abs(pre.data)) > 1e-3
+
+        params = [Tensor(v, requires_grad=True) for v in values]
+        with Tape() as tape:
+            loss = _weighted_sum(forward(*params), weight)
+        backward(loss, tape)
+        for i, (p, v) in enumerate(zip(params, values)):
+            def run(trial, i=i):
+                args = [Tensor(a) for a in values]
+                args[i] = Tensor(trial)
+                return float((forward(*args).data * weight).sum())
+
+            numeric = fd_gradient(run, v.copy())
+            if training and i == 2:
+                # Train-mode batch norm cancels the conv bias exactly.
+                assert np.max(np.abs(p.grad)) < 1e-12 and np.max(np.abs(numeric)) < 1e-8
+            else:
+                assert rel_error(p.grad, numeric) < 1e-6, f"input {i}"
 
 
 class TestRelu:
