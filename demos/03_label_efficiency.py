@@ -9,6 +9,8 @@ untouched 20%.
 Run: python3 demos/03_label_efficiency.py  (takes ~half a minute)
 """
 
+from dataclasses import replace
+
 from flowcl.dataio import encode_dataset, fit_preprocessor
 from flowcl.model import Conv, EncoderConfig, MaxPool, build_encoder
 from flowcl.sscl import ContrastiveConfig, HeadConfig, pretrain, run_head_stage
@@ -29,10 +31,10 @@ pretrain(encoder, projector, dataset.x,
 print("pretrained; encoder is frozen from here on\n")
 print("fraction  labeled  accuracy  f1")
 
-head_config = HeadConfig(representation="hidden", epochs=120, seed=3)
+head_config = HeadConfig(representation="hidden", epochs=120, seed=3, split_fraction=0.8)
 for fraction in (1.0, 0.25, 0.05, 0.01):
-    result = run_head_stage(encoder, projector, dataset, head_config,
-                            split_fraction=0.8, label_fraction=fraction)
+    result = run_head_stage(encoder, projector, dataset,
+                            replace(head_config, label_fraction=fraction))
     print(f"  {fraction:5.0%}  {result.train_count:7d}"
           f"  {result.report.accuracy:.4f}  {result.report.f1:.4f}")
 

@@ -1,8 +1,10 @@
 """The `flowcl` command: preprocess, pretrain, train-head, evaluate, transfer-eval.
 
-Every subcommand reads an optional JSON config file (--config) whose keys
-are the flag names with dashes turned into underscores; explicit flags win
-over the file, the file wins over built-in defaults, and unknown keys are
+Each subcommand declares its settings once, in a table of `Setting`s that
+makes its flags, type-checks its config values and gives its defaults. Every
+subcommand reads an optional JSON config file (--config) whose keys are the
+flag names with dashes turned into underscores; explicit flags win over the
+file, the file wins over built-in defaults, and unknown or mistyped keys are
 rejected. Alongside its primary output each command writes a manifest with
 the resolved settings and sha256 checksums of inputs and outputs; rerunning
 a command with identical inputs reproduces every artifact byte for byte.
@@ -29,6 +31,8 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
+from typing import Any, NamedTuple
 
 from . import __version__
 from .augment import MaskingConfig
@@ -40,6 +44,7 @@ from .dataio import (
     fit_preprocessor,
     load_csv,
     load_encoded,
+    load_json_object,
     load_schema,
     load_state,
     packaged_schema,
@@ -109,28 +114,67 @@ def _write_manifest(manifest_path: str, command: str, config: dict,
     write_json(manifest_path, doc)
 
 
-def _resolve(args: argparse.Namespace, defaults: dict, required: tuple) -> dict:
-    """defaults < config file < explicit flags; unknown or missing keys fail."""
-    given = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-    resolved = dict(defaults)
+class Setting(NamedTuple):
+    """One setting of a subcommand: default, flag help and choices, checks.
+
+    Its flag `--key-with-dashes` parses `_kind(setting)` (a bool gets
+    --x/--no-x) and a config-file value must have that type; `flag=False`
+    makes the setting config-only.
+    """
+
+    default: Any = None
+    help: str | None = None
+    choices: tuple | None = None
+    required: bool = False
+    kind: type | None = None
+    flag: bool = True
+
+
+def _kind(setting: Setting) -> type:
+    """The declared kind, else the default's type; str for a None default."""
+    if setting.kind is not None:
+        return setting.kind
+    return str if setting.default is None else type(setting.default)
+
+
+def _config_value(key: str, value, setting: Setting):
+    """A config-file value checked against its setting; an int is taken as a float."""
+    kind = _kind(setting)
+    if value is None and setting.default is None:
+        return None
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind:
+        raise ConfigError(f"setting '{key}' must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _config_defaults(config_type, *names: str) -> dict:
+    """Settings that take their defaults from the same-named fields of a config class."""
+    return {name: Setting(getattr(config_type, name)) for name in names}
+
+
+def _config_from(config_type, cfg: dict, **given):
+    """An instance of a config class, its fields read from the same-named settings."""
+    return config_type(**given, **{f.name: cfg[f.name] for f in fields(config_type)
+                                   if f.name not in given})
+
+
+def _resolve(args: argparse.Namespace, settings: dict) -> dict:
+    """defaults < config file < explicit flags; unknown, mistyped or missing keys fail."""
+    resolved = {key: setting.default for key, setting in settings.items()}
     if args.config is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config file {args.config}: {err}") from None
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config file {args.config} must hold a JSON object")
-        unknown = sorted(set(doc) - set(defaults))
+        doc = load_json_object(args.config, ConfigError)
+        unknown = sorted(set(doc) - set(settings))
         if unknown:
             raise ConfigError(f"unknown config keys {unknown}; "
-                              f"valid keys: {sorted(defaults)}")
-        resolved.update(doc)
-    for key, value in given.items():
-        if value is not None:
-            resolved[key] = value
-    for key in required:
-        if resolved.get(key) is None:
+                              f"valid keys: {sorted(settings)}")
+        for key, value in doc.items():
+            resolved[key] = _config_value(key, value, settings[key])
+    for key, setting in settings.items():
+        if getattr(args, key, None) is not None:
+            resolved[key] = getattr(args, key)
+        if setting.required and resolved[key] is None:
             raise ConfigError(f"missing required setting '{key}' "
                               f"(flag --{key.replace('_', '-')})")
     return resolved
@@ -156,8 +200,11 @@ def _apply_task(dataset, task: str, classes, normal_class: str):
 # Subcommands
 
 
-PREPROCESS_DEFAULTS = {
-    "schema": None, "train_csv": None, "test_csv": None, "out_dir": None,
+PREPROCESS_SETTINGS = {
+    "schema": Setting(help="packaged schema name or a schema JSON path", required=True),
+    "train_csv": Setting(required=True),
+    "test_csv": Setting(),
+    "out_dir": Setting(required=True),
 }
 
 
@@ -194,12 +241,18 @@ def cmd_preprocess(cfg: dict) -> None:
                     "preprocess", cfg, inputs, outputs)
 
 
-PRETRAIN_DEFAULTS = {
-    "data": None, "out": None, "arch": "smaller-pack",
-    "layers": None, "context_dim": None, "schema": None,
-    "batch_size": 32, "temperature": 0.5, "epochs": 100, "mask_ratio": 0.3,
-    "group_mask": False, "holdout_fraction": 0.2,
-    "lr": 2e-4, "lr_gamma": 0.99, "weight_decay": 0.01, "seed": 0,
+PRETRAIN_SETTINGS = {
+    "data": Setting(help="encoded .npz from preprocess", required=True),
+    "out": Setting(help="encoder checkpoint path (.npz)", required=True),
+    "arch": Setting("smaller-pack", "encoder preset (smaller-pack or larger-pack)"),
+    "layers": Setting(kind=list, flag=False),
+    "context_dim": Setting(kind=int, flag=False),
+    "schema": Setting(help="schema for --group-mask feature blocks"),
+    **_config_defaults(ContrastiveConfig, "batch_size", "temperature", "epochs"),
+    "mask_ratio": Setting(MaskingConfig.ratio),
+    **_config_defaults(MaskingConfig, "group_mask"),
+    "holdout_fraction": Setting(0.2),
+    **_config_defaults(ContrastiveConfig, "lr", "lr_gamma", "weight_decay", "seed"),
 }
 
 
@@ -208,8 +261,7 @@ def cmd_pretrain(cfg: dict) -> None:
     if cfg["layers"] is not None:
         if cfg["context_dim"] is None:
             raise ConfigError("custom 'layers' also need 'context_dim'")
-        config = EncoderConfig(parse_layers(cfg["layers"]), dataset.width,
-                               int(cfg["context_dim"]))
+        config = EncoderConfig(parse_layers(cfg["layers"]), dataset.width, cfg["context_dim"])
     else:
         config = preset_config(cfg["arch"], dataset.width)
     groups = None
@@ -221,24 +273,20 @@ def cmd_pretrain(cfg: dict) -> None:
             raise SchemaMismatchError(
                 "--schema does not match the schema the data was encoded with")
         groups = [(start, stop) for _, start, stop in schema.block_spans()]
-    masking = MaskingConfig(ratio=float(cfg["mask_ratio"]), rng_seed=int(cfg["seed"]),
-                            group_mask=bool(cfg["group_mask"]))
-    contrastive = ContrastiveConfig(
-        batch_size=int(cfg["batch_size"]), temperature=float(cfg["temperature"]),
-        epochs=int(cfg["epochs"]), masking=masking, lr=float(cfg["lr"]),
-        lr_gamma=float(cfg["lr_gamma"]), weight_decay=float(cfg["weight_decay"]),
-        seed=int(cfg["seed"]))
+    masking = MaskingConfig(ratio=cfg["mask_ratio"], rng_seed=cfg["seed"],
+                            group_mask=cfg["group_mask"])
+    contrastive = _config_from(ContrastiveConfig, cfg, masking=masking)
     logger.info("temperature %g, batch size %d, mask ratio %g",
                 contrastive.temperature, contrastive.batch_size, masking.ratio)
-    encoder, projector = build_encoder(config, int(cfg["seed"]))
+    encoder, projector = build_encoder(config, cfg["seed"])
     logger.info("encoder+projection parameters: %d",
                 count_parameters(encoder, projector))
-    holdout_fraction = float(cfg["holdout_fraction"])
+    holdout_fraction = cfg["holdout_fraction"]
     if not 0.0 <= holdout_fraction < 1.0:
         raise ConfigError(f"holdout_fraction must lie in [0, 1), got {holdout_fraction}")
     if holdout_fraction > 0.0:
-        train, hold = random_split(dataset, 1.0 - holdout_fraction,
-                                   int(cfg["seed"]), label="pretrain-split")
+        train, hold = random_split(dataset, 1.0 - holdout_fraction, cfg["seed"],
+                                   label="pretrain-split")
         holdout_x = hold.x if len(hold) >= 2 else None
     else:
         train, holdout_x = dataset, None
@@ -248,14 +296,9 @@ def cmd_pretrain(cfg: dict) -> None:
         logger.info("epoch 0 loss %.6f -> final loss %.6f",
                     history[0]["loss"], history[-1]["loss"])
     save_encoder(cfg["out"], encoder, projector, extra_meta={
-        "root_seed": int(cfg["seed"]),
-        "contrastive": {
-            "batch_size": contrastive.batch_size,
-            "temperature": contrastive.temperature,
-            "epochs": contrastive.epochs,
-            "mask_ratio": masking.ratio,
-            "group_mask": masking.group_mask,
-        },
+        "root_seed": cfg["seed"],
+        "contrastive": {key: cfg[key] for key in
+                        ("batch_size", "temperature", "epochs", "mask_ratio", "group_mask")},
         "schema_fingerprint": meta.get("schema_fingerprint"),
     })
     history_path = os.path.splitext(cfg["out"])[0] + "-history.json"
@@ -264,27 +307,20 @@ def cmd_pretrain(cfg: dict) -> None:
                     [cfg["data"]], [cfg["out"], history_path])
 
 
-HEAD_STAGE_DEFAULTS = {
-    "data": None, "encoder": None,
-    "task": "binary", "classes": None, "normal_class": "Normal",
-    "representation": "hidden", "label_fraction": 1.0, "split_fraction": 0.8,
-    "epochs": 200, "batch_size": 32, "lr": 0.01, "weight_decay": 0.01, "seed": 0,
+HEAD_STAGE_SETTINGS = {
+    "task": Setting("binary", choices=("binary", "multiclass")),
+    "classes": Setting(help="comma-separated class names to keep (multiclass)"),
+    "normal_class": Setting("Normal", "class treated as benign for --task binary"),
+    "representation": Setting(HeadConfig.representation, choices=("hidden", "context")),
+    **_config_defaults(HeadConfig, "label_fraction", "split_fraction", "epochs", "batch_size",
+                       "lr", "weight_decay", "seed"),
 }
 
-TRAIN_HEAD_DEFAULTS = dict(HEAD_STAGE_DEFAULTS, out=None)
+TRAIN_HEAD_SETTINGS = {**{key: Setting(required=True) for key in ("data", "encoder", "out")},
+                       **HEAD_STAGE_SETTINGS}
 
-
-def _head_config(cfg: dict) -> HeadConfig:
-    return HeadConfig(representation=cfg["representation"], epochs=int(cfg["epochs"]),
-                      batch_size=int(cfg["batch_size"]), lr=float(cfg["lr"]),
-                      weight_decay=float(cfg["weight_decay"]), seed=int(cfg["seed"]))
-
-
-def _head_protocol(cfg: dict) -> dict:
-    """The settings that fix a head stage's split, as reports and heads record them."""
-    return {"task": cfg["task"], "representation": cfg["representation"],
-            "label_fraction": float(cfg["label_fraction"]),
-            "split_fraction": float(cfg["split_fraction"]), "seed": int(cfg["seed"])}
+# The settings that fix a head stage's split, as heads and reports record them.
+_PROTOCOL_KEYS = ("task", "representation", "label_fraction", "split_fraction", "seed")
 
 
 def _load_task_data(encoder_path: str, data_path: str, task: str, classes,
@@ -298,8 +334,7 @@ def _load_task_data(encoder_path: str, data_path: str, task: str, classes,
 def _report_doc(protocol: dict, train_count: int, test_count: int, report,
                 class_names) -> dict:
     """The evaluate / transfer-eval report body."""
-    doc = {key: protocol[key] for key in
-           ("task", "representation", "label_fraction", "split_fraction", "seed")}
+    doc = {key: protocol[key] for key in _PROTOCOL_KEYS}
     doc.update(train_count=train_count, test_count=test_count,
                metrics=report_to_dict(report, class_names=class_names))
     return doc
@@ -308,15 +343,14 @@ def _report_doc(protocol: dict, train_count: int, test_count: int, report,
 def cmd_train_head(cfg: dict) -> None:
     encoder, projector, task_ds = _load_task_data(
         cfg["encoder"], cfg["data"], cfg["task"], cfg["classes"], cfg["normal_class"])
-    protocol = _head_protocol(cfg)
-    train, _ = head_split(task_ds, protocol["split_fraction"],
-                          protocol["label_fraction"], protocol["seed"])
+    config = _config_from(HeadConfig, cfg)
+    train, _ = head_split(task_ds, config)
     logger.info("training on %d labeled samples: %s", len(train),
                 json.dumps(train.class_counts(), sort_keys=True))
     head = train_head(encoder, projector, train.x, train.labels,
-                      len(task_ds.class_names), _head_config(cfg))
+                      len(task_ds.class_names), config)
     save_head(cfg["out"], head, extra_meta={
-        **protocol,
+        **{key: cfg[key] for key in _PROTOCOL_KEYS},
         "classes": list(task_ds.class_names),
         "normal_class": cfg["normal_class"],
         "requested_classes": cfg["classes"],
@@ -327,11 +361,10 @@ def cmd_train_head(cfg: dict) -> None:
                     [cfg["data"], cfg["encoder"]], [cfg["out"]])
 
 
-EVALUATE_DEFAULTS = {"data": None, "encoder": None, "head": None, "out": None}
+EVALUATE_SETTINGS = {key: Setting(required=True) for key in ("data", "encoder", "head", "out")}
 
 # Head meta keys that evaluate needs to re-derive the split and the report.
-_HEAD_META_KEYS = ("task", "classes", "split_fraction", "label_fraction", "seed",
-                   "train_count", "representation")
+_HEAD_META_KEYS = _PROTOCOL_KEYS + ("classes", "train_count")
 
 
 def cmd_evaluate(cfg: dict) -> None:
@@ -349,10 +382,11 @@ def cmd_evaluate(cfg: dict) -> None:
         raise SchemaMismatchError(
             f"dataset classes {list(task_ds.class_names)} do not match the "
             f"head's classes {list(head_meta['classes'])}")
-    _, test = head_split(task_ds, head_meta["split_fraction"], head_meta["label_fraction"],
-                         head_meta["seed"])
+    config = HeadConfig(**{key: head_meta[key] for key in
+                           ("representation", "split_fraction", "label_fraction", "seed")})
+    _, test = head_split(task_ds, config)
     report = evaluate_head(encoder, projector, head, test.x, test.labels,
-                           head_meta["representation"])
+                           config.representation)
     write_json(cfg["out"], _report_doc(head_meta, head_meta["train_count"], len(test),
                                        report, task_ds.class_names))
     logger.info("accuracy %.4f, weighted f1 %.4f", report.accuracy, report.f1)
@@ -360,12 +394,13 @@ def cmd_evaluate(cfg: dict) -> None:
                     [cfg["data"], cfg["encoder"], cfg["head"]], [cfg["out"]])
 
 
-TRANSFER_DEFAULTS = {k: v for k, v in HEAD_STAGE_DEFAULTS.items() if k != "data"}
-TRANSFER_DEFAULTS.update({
-    "encoder": None, "target_csv": None, "target_schema": None,
-    "original_schema": None, "original_state": None,
-    "alias": None, "out": None,
-})
+TRANSFER_SETTINGS = {
+    **{key: Setting(required=True) for key in
+       ("target_csv", "target_schema", "original_schema", "original_state")},
+    "alias": Setting(help="text file of 'original = target' feature renames"),
+    "encoder": Setting(required=True), "out": Setting(required=True),
+    **HEAD_STAGE_SETTINGS,
+}
 
 
 def cmd_transfer_eval(cfg: dict) -> None:
@@ -393,11 +428,8 @@ def cmd_transfer_eval(cfg: dict) -> None:
         logger.warning("unseen categories in target data: %s",
                        json.dumps(stats.unseen, sort_keys=True))
     task_ds = _apply_task(target_ds, cfg["task"], cfg["classes"], cfg["normal_class"])
-    protocol = _head_protocol(cfg)
-    result = transfer_evaluate(encoder, projector, amap, task_ds, _head_config(cfg),
-                               split_fraction=protocol["split_fraction"],
-                               label_fraction=protocol["label_fraction"])
-    doc = _report_doc(protocol, result.train_count, result.test_count, result.report,
+    result = transfer_evaluate(encoder, projector, amap, task_ds, _config_from(HeadConfig, cfg))
+    doc = _report_doc(cfg, result.train_count, result.test_count, result.report,
                       task_ds.class_names)
     doc["alignment"] = {"mapped": amap.mapped, "masked": amap.masked,
                         "omitted": amap.omitted}
@@ -414,19 +446,17 @@ def cmd_transfer_eval(cfg: dict) -> None:
 # Argument parsing and dispatch
 
 
-def _add_head_stage_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--task", choices=("binary", "multiclass"))
-    p.add_argument("--classes", help="comma-separated class names to keep (multiclass)")
-    p.add_argument("--normal-class", dest="normal_class",
-                   help="class treated as benign for --task binary")
-    p.add_argument("--representation", choices=("hidden", "context"))
-    p.add_argument("--label-fraction", dest="label_fraction", type=float)
-    p.add_argument("--split-fraction", dest="split_fraction", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--seed", type=int)
+_COMMANDS = {
+    "preprocess": (cmd_preprocess, PREPROCESS_SETTINGS,
+                   "fit min-max/one-hot encoding and encode CSVs"),
+    "pretrain": (cmd_pretrain, PRETRAIN_SETTINGS, "self-supervised contrastive pretraining"),
+    "train-head": (cmd_train_head, TRAIN_HEAD_SETTINGS,
+                   "fit a classification head on frozen features"),
+    "evaluate": (cmd_evaluate, EVALUATE_SETTINGS,
+                 "score a trained head on the held-out split"),
+    "transfer-eval": (cmd_transfer_eval, TRANSFER_SETTINGS,
+                      "align a foreign schema and evaluate the frozen encoder"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -435,70 +465,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Self-supervised contrastive pretraining for flow records.")
     parser.add_argument("--version", action="version", version=f"flowcl {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("preprocess", help="fit min-max/one-hot encoding and encode CSVs")
-    p.add_argument("--config", help="JSON settings file; flags override it")
-    p.add_argument("--schema", help="packaged schema name or a schema JSON path")
-    p.add_argument("--train-csv", dest="train_csv")
-    p.add_argument("--test-csv", dest="test_csv")
-    p.add_argument("--out-dir", dest="out_dir")
-
-    p = sub.add_parser("pretrain", help="self-supervised contrastive pretraining")
-    p.add_argument("--config")
-    p.add_argument("--data", help="encoded .npz from preprocess")
-    p.add_argument("--out", help="encoder checkpoint path (.npz)")
-    p.add_argument("--arch", help="encoder preset (smaller-pack or larger-pack)")
-    p.add_argument("--schema", help="schema for --group-mask feature blocks")
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--mask-ratio", dest="mask_ratio", type=float)
-    p.add_argument("--group-mask", dest="group_mask",
-                   action=argparse.BooleanOptionalAction)
-    p.add_argument("--holdout-fraction", dest="holdout_fraction", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--lr-gamma", dest="lr_gamma", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("train-head", help="fit a classification head on frozen features")
-    p.add_argument("--config")
-    p.add_argument("--data")
-    p.add_argument("--encoder")
-    p.add_argument("--out")
-    _add_head_stage_flags(p)
-
-    p = sub.add_parser("evaluate", help="score a trained head on the held-out split")
-    p.add_argument("--config")
-    p.add_argument("--data")
-    p.add_argument("--encoder")
-    p.add_argument("--head")
-    p.add_argument("--out")
-
-    p = sub.add_parser("transfer-eval",
-                       help="align a foreign schema and evaluate the frozen encoder")
-    p.add_argument("--config")
-    p.add_argument("--target-csv", dest="target_csv")
-    p.add_argument("--target-schema", dest="target_schema")
-    p.add_argument("--original-schema", dest="original_schema")
-    p.add_argument("--original-state", dest="original_state")
-    p.add_argument("--alias", help="text file of 'original = target' feature renames")
-    p.add_argument("--encoder")
-    p.add_argument("--out")
-    _add_head_stage_flags(p)
-
+    for name, (_, settings, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON settings file; flags override it")
+        for key, setting in settings.items():
+            if not setting.flag:
+                continue
+            kind = _kind(setting)
+            how = ({"action": argparse.BooleanOptionalAction} if kind is bool
+                   else {"type": kind, "choices": setting.choices})
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=setting.help, **how)
     return parser
-
-
-_COMMANDS = {
-    "preprocess": (cmd_preprocess, PREPROCESS_DEFAULTS, ("schema", "train_csv", "out_dir")),
-    "pretrain": (cmd_pretrain, PRETRAIN_DEFAULTS, ("data", "out")),
-    "train-head": (cmd_train_head, TRAIN_HEAD_DEFAULTS, ("data", "encoder", "out")),
-    "evaluate": (cmd_evaluate, EVALUATE_DEFAULTS, ("data", "encoder", "head", "out")),
-    "transfer-eval": (cmd_transfer_eval, TRANSFER_DEFAULTS,
-                      ("target_csv", "target_schema", "original_schema",
-                       "original_state", "encoder", "out")),
-}
 
 
 def _exit_code(err: Exception) -> int:
@@ -521,9 +498,9 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler, defaults, required = _COMMANDS[args.command]
+    handler, settings, _ = _COMMANDS[args.command]
     try:
-        handler(_resolve(args, defaults, required))
+        handler(_resolve(args, settings))
     except (FlowclError, FloatingPointError, OSError) as err:
         logger.error("%s", err)
         return _exit_code(err)

@@ -186,9 +186,20 @@ def save_schema(path: str, schema: DatasetSchema) -> None:
     write_json(path, schema_to_dict(schema))
 
 
-def load_schema(path: str) -> DatasetSchema:
+def load_json_object(path: str, error: type[Exception] = SchemaMismatchError) -> dict:
+    """The JSON object a file holds; raise `error` naming the file for anything else."""
     with open(path, "r", encoding="utf-8") as fh:
-        return schema_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as err:
+            raise error(f"{path} is not valid JSON: {err}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{path} must hold a JSON object")
+    return doc
+
+
+def load_schema(path: str) -> DatasetSchema:
+    return schema_from_dict(load_json_object(path))
 
 
 def packaged_schema(name: str) -> DatasetSchema:
@@ -492,8 +503,7 @@ def save_state(path: str, state: PreprocessorState) -> None:
 
 
 def load_state(path: str, schema: DatasetSchema) -> PreprocessorState:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = load_json_object(path)
     if doc.get("format_version") != STATE_FORMAT_VERSION:
         raise SchemaMismatchError(
             f"unsupported preprocessor state version {doc.get('format_version')!r}")
@@ -521,7 +531,10 @@ def load_encoded(path: str) -> tuple[EncodedDataset, dict]:
     arrays, meta = load_arrays(path)
     if meta.get("kind") != "encoded-dataset":
         raise SchemaMismatchError(f"{path} is not an encoded dataset artifact")
-    dataset = EncodedDataset(np.asarray(arrays["x"], dtype=np.float64),
-                             np.asarray(arrays["labels"], dtype=np.int64),
-                             tuple(meta["class_names"]))
+    try:
+        dataset = EncodedDataset(np.asarray(arrays["x"], dtype=np.float64),
+                                 np.asarray(arrays["labels"], dtype=np.int64),
+                                 tuple(meta["class_names"]))
+    except KeyError as exc:
+        raise SchemaMismatchError(f"{path} is an encoded dataset without {exc}") from None
     return dataset, meta

@@ -45,7 +45,13 @@ def save_arrays(path: str, arrays: dict[str, np.ndarray], meta: dict[str, Any] |
 
 
 def load_arrays(path: str) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
-    with np.load(path, allow_pickle=False) as z:
+    try:
+        z = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile) as err:
+        raise CheckpointError(f"{path} is not an npz checkpoint: {err}") from None
+    if not isinstance(z, np.lib.npyio.NpzFile):
+        raise CheckpointError(f"{path} is not an npz checkpoint")
+    with z:
         if _META_KEY not in z:
             raise CheckpointError(f"{path} is not a recognized checkpoint (missing metadata)")
         header = json.loads(str(z[_META_KEY][()]))

@@ -237,6 +237,8 @@ class HeadConfig:
     lr: float = 0.01
     weight_decay: float = 0.01
     seed: int = 0
+    split_fraction: float = 0.8
+    label_fraction: float = 1.0
 
     def __post_init__(self):
         if self.representation not in ("hidden", "context"):
@@ -246,6 +248,10 @@ class HeadConfig:
             raise ConfigError(f"epochs must be a non-negative int, got {self.epochs!r}")
         if not isinstance(self.batch_size, int) or self.batch_size < 1:
             raise ConfigError(f"batch_size must be a positive int, got {self.batch_size!r}")
+        if not 0.0 < self.split_fraction < 1.0:
+            raise ConfigError(f"split_fraction must lie in (0, 1), got {self.split_fraction!r}")
+        if not 0.0 < self.label_fraction <= 1.0:
+            raise ConfigError(f"label_fraction must lie in (0, 1], got {self.label_fraction!r}")
 
 
 FEATURE_CHUNK_ROWS = 256
@@ -313,35 +319,32 @@ class HeadStageResult:
     class_names: tuple
 
 
-def head_split(dataset: EncodedDataset, split_fraction: float, label_fraction: float,
-               seed: int) -> tuple[EncodedDataset, EncodedDataset]:
+def head_split(dataset: EncodedDataset,
+               config: HeadConfig) -> tuple[EncodedDataset, EncodedDataset]:
     """Stratified (train, test) split under the head seed, train side label-subsampled.
 
-    The test side depends only on (dataset, split_fraction, seed), so
-    evaluate re-derives exactly the rows a saved head never trained on.
+    The train side is `split_fraction` of the rows, of which the head sees
+    `label_fraction`. The test side depends only on (dataset, split_fraction,
+    seed), so evaluate re-derives exactly the rows a saved head never trained on.
     """
-    if not 0.0 < split_fraction < 1.0:
-        raise ConfigError(f"split_fraction must lie in (0, 1), got {split_fraction!r}")
-    if not 0.0 < label_fraction <= 1.0:
-        raise ConfigError(f"label_fraction must lie in (0, 1], got {label_fraction!r}")
-    train_idx, test_idx = stratified_split(dataset, split_fraction, seed)
+    train_idx, test_idx = stratified_split(dataset, config.split_fraction, config.seed)
     train = dataset.subset(train_idx)
-    if label_fraction != 1.0:
-        train = stratified_subsample(train, SplitSpec("head-set", label_fraction, seed))
+    if config.label_fraction != 1.0:
+        train = stratified_subsample(
+            train, SplitSpec("head-set", config.label_fraction, config.seed))
     return train, dataset.subset(test_idx)
 
 
 def run_head_stage(encoder: EncoderBlock, projector: ProjectionHead,
-                   dataset, config: HeadConfig, split_fraction: float = 0.8,
-                   label_fraction: float = 1.0) -> HeadStageResult:
+                   dataset, config: HeadConfig) -> HeadStageResult:
     """The supervised protocol shared by plain evaluation and transfer.
 
     `head_split` under the head seed, head fit on the training side, metrics
     on the held-out side. Everything downstream of the dataset is a pure
-    function of (dataset, config, fractions), which is what makes an
-    identity-aligned transfer reproduce these numbers bit for bit.
+    function of (dataset, config), which is what makes an identity-aligned
+    transfer reproduce these numbers bit for bit.
     """
-    train, test = head_split(dataset, split_fraction, label_fraction, config.seed)
+    train, test = head_split(dataset, config)
     head = train_head(encoder, projector, train.x, train.labels,
                       len(dataset.class_names), config)
     report = evaluate_head(encoder, projector, head, test.x, test.labels,

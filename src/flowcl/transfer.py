@@ -152,8 +152,7 @@ def fit_transfer_preprocessor(original_state: PreprocessorState,
 
 def transfer_evaluate(encoder: EncoderBlock, projector: ProjectionHead,
                       amap: FeatureAlignmentMap, target: EncodedDataset,
-                      config: HeadConfig, split_fraction: float = 0.8,
-                      label_fraction: float = 1.0) -> HeadStageResult:
+                      config: HeadConfig) -> HeadStageResult:
     """Align the target data, then run the standard supervised head stage.
 
     With an identity alignment this collapses to the plain pipeline: the
@@ -162,6 +161,4 @@ def transfer_evaluate(encoder: EncoderBlock, projector: ProjectionHead,
     """
     aligned = EncodedDataset(align_matrix(target.x, amap), target.labels.copy(),
                              target.class_names)
-    return run_head_stage(encoder, projector, aligned, config,
-                          split_fraction=split_fraction,
-                          label_fraction=label_fraction)
+    return run_head_stage(encoder, projector, aligned, config)

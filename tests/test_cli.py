@@ -1,5 +1,6 @@
 """End-to-end runs of the flowcl command on a synthetic workspace."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from flowcl.cli import main
+from flowcl.cli import build_parser, main
 from flowcl.dataio import load_encoded, load_schema, load_state, save_schema
 from flowcl.model import build_encoder, load_encoder
 from flowcl.numgrad import load_arrays, save_arrays
@@ -86,6 +87,13 @@ class TestPreprocess:
                      "--out-dir", str(tmp_path)])
         assert code == 3
 
+    def test_malformed_schema_json_is_schema_error(self, workspace, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json", encoding="utf-8")
+        assert main(["preprocess", "--schema", str(bad),
+                     "--train-csv", str(workspace / "blobs.csv"),
+                     "--out-dir", str(tmp_path)]) == 4
+
     def test_missing_required_flag_is_config_error(self, tmp_path):
         assert main(["preprocess", "--out-dir", str(tmp_path)]) == 2
 
@@ -128,6 +136,14 @@ class TestPretrain:
                      "--data", str(workspace / "prep" / "train.npz"),
                      "--out", str(tmp_path / "e.npz")]) == 2
 
+    @pytest.mark.parametrize("text", ["{not json", "[]"], ids=["truncated", "list"])
+    def test_malformed_config_file_is_config_error(self, workspace, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["pretrain", "--config", str(bad),
+                     "--data", str(workspace / "prep" / "train.npz"),
+                     "--out", str(tmp_path / "e.npz")]) == 2
+
     def test_malformed_layer_arg_is_config_error(self, workspace, tmp_path):
         bad = tmp_path / "bad-layers.json"
         bad.write_text('{"layers": [["conv", "x"]], "context_dim": 4}', encoding="utf-8")
@@ -141,6 +157,34 @@ class TestPretrain:
         assert main(["pretrain", "--config", str(bad),
                      "--data", str(workspace / "prep" / "train.npz"),
                      "--out", str(tmp_path / "e.npz")]) == 2
+
+    @pytest.mark.parametrize("bad", [{"lr": "abc"}, {"group_mask": "false"}, {"seed": 1.9},
+                                     {"seed": True}, {"batch_size": "8"}],
+                             ids=["str-lr", "str-group_mask", "float-seed", "bool-seed",
+                                  "str-batch_size"])
+    def test_mistyped_config_value_is_config_error(self, workspace, tmp_path, bad):
+        doc = {"layers": [["conv", 4]], "context_dim": 4, "epochs": 1, "batch_size": 16, **bad}
+        config = tmp_path / "typed.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["pretrain", "--config", str(config),
+                     "--data", str(workspace / "prep" / "train.npz"),
+                     "--schema", str(workspace / "blobs.json"),
+                     "--out", str(tmp_path / "e.npz")]) == 2
+
+    def test_non_npz_data_is_checkpoint_error(self, tmp_path):
+        text = tmp_path / "not.npz"
+        text.write_text("f00,label\n0.5,normal\n", encoding="utf-8")
+        assert main(["pretrain", "--data", str(text), "--out", str(tmp_path / "e.npz")]) == 7
+
+    @pytest.mark.parametrize("drop", ["x", "labels", "class_names"])
+    def test_incomplete_encoded_dataset_is_schema_error(self, workspace, tmp_path, drop):
+        arrays, meta = load_arrays(str(workspace / "prep" / "train.npz"))
+        arrays.pop(drop, None)
+        meta.pop(drop, None)
+        broken = tmp_path / "broken.npz"
+        save_arrays(str(broken), arrays, meta=meta)
+        assert main(["pretrain", "--config", str(workspace / "arch.json"),
+                     "--data", str(broken), "--out", str(tmp_path / "e.npz")]) == 4
 
     def test_oversized_batch_is_data_error(self, workspace, tmp_path):
         assert main(["pretrain", "--config", str(workspace / "arch.json"),
@@ -190,6 +234,23 @@ class TestHeadAndEvaluate:
         _, meta = load_head(str(head))
         assert meta["train_count"] == 4  # 1% of 160 per class -> 2 each
         assert meta["label_fraction"] == 0.01
+
+    def test_config_int_fraction_gives_the_same_head(self, workspace, trained_head, tmp_path):
+        config = tmp_path / "fraction.json"
+        config.write_text('{"label_fraction": 1}', encoding="utf-8")
+        head = tmp_path / "from-config.npz"
+        assert main(["train-head", "--config", str(config),
+                     "--data", str(workspace / "prep" / "train.npz"),
+                     "--encoder", str(workspace / "enc.npz"), "--out", str(head)]
+                    + HEAD_FLAGS) == 0
+        flagged = tmp_path / "from-flag.npz"
+        assert main(["train-head", "--label-fraction", "1.0",
+                     "--data", str(workspace / "prep" / "train.npz"),
+                     "--encoder", str(workspace / "enc.npz"), "--out", str(flagged)]
+                    + HEAD_FLAGS) == 0
+        assert sha(head) == sha(flagged) == sha(trained_head)
+        manifest = json.loads((tmp_path / "from-config.npz.manifest.json").read_text())
+        assert repr(manifest["config"]["label_fraction"]) == "1.0"
 
     def test_context_representation_round_trip(self, workspace, tmp_path):
         head = tmp_path / "ctx.npz"
@@ -291,6 +352,21 @@ class TestTransferEval:
                                  workspace / "blobs.csv", tmp_path / "t.json",
                                  extra=["--label-fraction", fraction]) == 2
 
+    @pytest.mark.parametrize("text", ['{"features": [', "[]"], ids=["truncated", "list"])
+    @pytest.mark.parametrize("flag", ["--target-schema", "--original-schema",
+                                      "--original-state"])
+    def test_malformed_json_input_is_schema_error(self, workspace, tmp_path, flag, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        args = {"--target-schema": workspace / "blobs.json",
+                "--original-schema": workspace / "blobs.json",
+                "--original-state": workspace / "prep" / "preprocessor.json", flag: bad}
+        assert main(["transfer-eval", "--target-csv", str(workspace / "blobs.csv"),
+                     "--encoder", str(workspace / "enc.npz"),
+                     "--out", str(tmp_path / "t.json")]
+                    + [str(part) for pair in args.items() for part in pair]
+                    + HEAD_FLAGS) == 4
+
     def test_disjoint_schemas_exit_code(self, workspace, tmp_path):
         from flowcl.dataio import DatasetSchema, Feature
 
@@ -336,3 +412,74 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             main(["train-head", "--task", "ternary"])
         assert err.value.code == 2
+
+    def test_flags_types_choices_and_help(self):
+        """Every subcommand's flags, as (dest, type, choices, help); --config besides."""
+        head_stage = {
+            "--task": ("task", "str", ("binary", "multiclass"), None),
+            "--classes": ("classes", "str", None,
+                          "comma-separated class names to keep (multiclass)"),
+            "--normal-class": ("normal_class", "str", None,
+                               "class treated as benign for --task binary"),
+            "--representation": ("representation", "str", ("hidden", "context"), None),
+            "--label-fraction": ("label_fraction", "float", None, None),
+            "--split-fraction": ("split_fraction", "float", None, None),
+            "--epochs": ("epochs", "int", None, None),
+            "--batch-size": ("batch_size", "int", None, None),
+            "--lr": ("lr", "float", None, None),
+            "--weight-decay": ("weight_decay", "float", None, None),
+            "--seed": ("seed", "int", None, None),
+        }
+
+        def paths(*names):
+            return {"--" + n.replace("_", "-"): (n, "str", None, None) for n in names}
+
+        expected = {
+            "preprocess": {
+                **paths("train_csv", "test_csv", "out_dir"),
+                "--schema": ("schema", "str", None,
+                             "packaged schema name or a schema JSON path"),
+            },
+            "pretrain": {
+                "--data": ("data", "str", None, "encoded .npz from preprocess"),
+                "--out": ("out", "str", None, "encoder checkpoint path (.npz)"),
+                "--arch": ("arch", "str", None, "encoder preset (smaller-pack or larger-pack)"),
+                "--schema": ("schema", "str", None, "schema for --group-mask feature blocks"),
+                "--batch-size": ("batch_size", "int", None, None),
+                "--temperature": ("temperature", "float", None, None),
+                "--epochs": ("epochs", "int", None, None),
+                "--mask-ratio": ("mask_ratio", "float", None, None),
+                "--group-mask": ("group_mask", "bool", None, None),
+                "--holdout-fraction": ("holdout_fraction", "float", None, None),
+                "--lr": ("lr", "float", None, None),
+                "--lr-gamma": ("lr_gamma", "float", None, None),
+                "--weight-decay": ("weight_decay", "float", None, None),
+                "--seed": ("seed", "int", None, None),
+            },
+            "train-head": {**paths("data", "encoder", "out"), **head_stage},
+            "evaluate": paths("data", "encoder", "head", "out"),
+            "transfer-eval": {
+                **paths("target_csv", "target_schema", "original_schema", "original_state",
+                        "encoder", "out"),
+                "--alias": ("alias", "str", None,
+                            "text file of 'original = target' feature renames"),
+                **head_stage,
+            },
+        }
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(expected)
+        for name, parser in sub.choices.items():
+            flags = {}
+            for action in parser._actions:
+                if isinstance(action, argparse._HelpAction):
+                    continue
+                kind = ("bool" if isinstance(action, argparse.BooleanOptionalAction)
+                        else (action.type or str).__name__)
+                flags[action.option_strings[0]] = (action.dest, kind, action.choices,
+                                                   action.help)
+            assert flags.pop("--config")[:3] == ("config", "str", None)
+            assert flags == expected[name], name
+        group_mask = next(a for a in sub.choices["pretrain"]._actions
+                          if a.dest == "group_mask")
+        assert group_mask.option_strings == ["--group-mask", "--no-group-mask"]

@@ -290,6 +290,13 @@ class TestHeadStage:
                           HeadConfig(representation="context", epochs=2, seed=15))
         assert head.input_dim == projector.context_dim == 8
 
+    @pytest.mark.parametrize("fractions", [{"split_fraction": 0.0}, {"split_fraction": 1.0},
+                                           {"label_fraction": 0.0}, {"label_fraction": 1.5}],
+                             ids=["split-0", "split-1", "label-0", "label-1.5"])
+    def test_out_of_range_fractions_rejected(self, fractions):
+        with pytest.raises(ConfigError, match=next(iter(fractions))):
+            HeadConfig(**fractions)
+
     def test_unlabeled_sample_rejected(self):
         rng = np.random.default_rng(16)
         x, y = blob_data(rng, 8)

@@ -1,5 +1,7 @@
 """Schema alignment and frozen-encoder transfer."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -258,7 +260,7 @@ class TestTransferEvaluate:
         schema, _, _, dataset, encoder, projector = trained_pipeline
         amap = build_alignment(schema, schema)
         full = transfer_evaluate(encoder, projector, amap, dataset, HEAD)
-        tiny = transfer_evaluate(encoder, projector, amap, dataset, HEAD,
-                                 label_fraction=0.05)
+        tiny = transfer_evaluate(encoder, projector, amap, dataset,
+                                 replace(HEAD, label_fraction=0.05))
         assert full.train_count == 240 and full.test_count == 60
         assert tiny.train_count == 12  # 5% of 120 per class, both classes
