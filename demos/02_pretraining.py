@@ -40,7 +40,7 @@ print(f"\nencoder+projection parameters: {count_parameters(encoder, projector)}"
 
 # Hold out 20% of the unlabeled pool to watch generalization of the
 # contrastive objective itself.
-train, hold = random_split(dataset, 0.8, seed=0, label="pretrain-split")
+train, hold = random_split(dataset, 0.8, seed=0)
 history = pretrain(
     encoder,
     projector,

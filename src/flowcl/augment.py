@@ -4,8 +4,10 @@ A view is the encoded sample with a fixed number of positions zeroed:
 k = round(ratio * width), chosen uniformly without replacement. Two
 independent views of one sample form a positive pair for the contrastive
 objective. Masking happens after encoding, so a masked position may be a
-single one-hot bit or a scaled numeric; an optional group mode masks whole
-feature blocks instead of individual positions.
+single one-hot bit or a scaled numeric; given feature blocks, whole blocks
+are masked instead of individual positions. Masking has no seed of its own:
+the caller passes the rng (pretraining's is keyed by the run seed, epoch
+and sample).
 """
 
 from __future__ import annotations
@@ -22,17 +24,13 @@ __all__ = ["MaskingConfig", "ViewPair", "mask_count", "mask_view", "augment_pair
 
 @dataclass(frozen=True)
 class MaskingConfig:
-    """Masking ratio and seed for the augmentation streams."""
+    """The share of positions (or feature blocks) each view masks."""
 
     ratio: float = 0.3
-    rng_seed: int = 0
-    group_mask: bool = False
 
     def __post_init__(self):
         if not (isinstance(self.ratio, (int, float)) and 0.0 <= self.ratio <= 1.0):
             raise ConfigError(f"masking ratio must lie in [0, 1], got {self.ratio!r}")
-        if isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, int):
-            raise ConfigError(f"rng_seed must be an integer, got {self.rng_seed!r}")
 
 
 class ViewPair(NamedTuple):
@@ -49,14 +47,14 @@ def mask_view(x, config: MaskingConfig, rng: np.random.Generator,
     """Return a copy of ``x`` with k = round(ratio*width) positions zeroed.
 
     Positions are drawn uniformly without replacement; a position that is
-    already zero still counts as masked when selected. With
-    ``config.group_mask`` and ``groups`` given as (start, stop) spans,
-    round(ratio * n_groups) whole spans are zeroed instead.
+    already zero still counts as masked when selected. With ``groups``
+    given as (start, stop) spans, round(ratio * n_groups) whole spans are
+    zeroed instead.
     """
     view = np.array(x, dtype=np.float64, copy=True)
     if view.ndim != 1 or view.size < 1:
         raise ConfigError(f"expected a 1-D sample of width >= 1, got shape {view.shape}")
-    if config.group_mask and groups is not None:
+    if groups is not None:
         k = mask_count(config.ratio, len(groups))
         if k > 0:
             chosen = rng.choice(len(groups), size=k, replace=False)

@@ -146,6 +146,9 @@ def _config_value(key: str, value, setting: Setting):
         value = float(value)
     if type(value) is not kind:
         raise ConfigError(f"setting '{key}' must be {kind.__name__}, got {value!r}")
+    if setting.choices is not None and value not in setting.choices:
+        raise ConfigError(f"setting '{key}' must be one of {list(setting.choices)}, "
+                          f"got {value!r}")
     return value
 
 
@@ -250,7 +253,7 @@ PRETRAIN_SETTINGS = {
     "schema": Setting(help="schema for --group-mask feature blocks"),
     **_config_defaults(ContrastiveConfig, "batch_size", "temperature", "epochs"),
     "mask_ratio": Setting(MaskingConfig.ratio),
-    **_config_defaults(MaskingConfig, "group_mask"),
+    "group_mask": Setting(False),
     "holdout_fraction": Setting(0.2),
     **_config_defaults(ContrastiveConfig, "lr", "lr_gamma", "weight_decay", "seed"),
 }
@@ -273,8 +276,7 @@ def cmd_pretrain(cfg: dict) -> None:
             raise SchemaMismatchError(
                 "--schema does not match the schema the data was encoded with")
         groups = [(start, stop) for _, start, stop in schema.block_spans()]
-    masking = MaskingConfig(ratio=cfg["mask_ratio"], rng_seed=cfg["seed"],
-                            group_mask=cfg["group_mask"])
+    masking = MaskingConfig(ratio=cfg["mask_ratio"])
     contrastive = _config_from(ContrastiveConfig, cfg, masking=masking)
     logger.info("temperature %g, batch size %d, mask ratio %g",
                 contrastive.temperature, contrastive.batch_size, masking.ratio)
@@ -285,8 +287,7 @@ def cmd_pretrain(cfg: dict) -> None:
     if not 0.0 <= holdout_fraction < 1.0:
         raise ConfigError(f"holdout_fraction must lie in [0, 1), got {holdout_fraction}")
     if holdout_fraction > 0.0:
-        train, hold = random_split(dataset, 1.0 - holdout_fraction, cfg["seed"],
-                                   label="pretrain-split")
+        train, hold = random_split(dataset, 1.0 - holdout_fraction, cfg["seed"])
         holdout_x = hold.x if len(hold) >= 2 else None
     else:
         train, holdout_x = dataset, None
@@ -372,8 +373,14 @@ def cmd_evaluate(cfg: dict) -> None:
     missing = [key for key in _HEAD_META_KEYS if key not in head_meta]
     if missing:
         raise CheckpointError(f"head checkpoint {cfg['head']} lacks meta keys {missing}")
+    try:
+        protocol = {key: _config_value(key, head_meta[key], HEAD_STAGE_SETTINGS[key])
+                    for key in _PROTOCOL_KEYS}
+        config = HeadConfig(**{key: protocol[key] for key in _PROTOCOL_KEYS if key != "task"})
+    except ConfigError as err:
+        raise CheckpointError(f"head checkpoint {cfg['head']}: {err}") from None
     encoder, projector, task_ds = _load_task_data(
-        cfg["encoder"], cfg["data"], head_meta["task"],
+        cfg["encoder"], cfg["data"], protocol["task"],
         head_meta.get("requested_classes"), head_meta.get("normal_class", "Normal"))
     if head_meta.get("data_sha256") not in (None, _sha256(cfg["data"])):
         logger.warning("--data differs from the file the head was trained on; "
@@ -382,12 +389,10 @@ def cmd_evaluate(cfg: dict) -> None:
         raise SchemaMismatchError(
             f"dataset classes {list(task_ds.class_names)} do not match the "
             f"head's classes {list(head_meta['classes'])}")
-    config = HeadConfig(**{key: head_meta[key] for key in
-                           ("representation", "split_fraction", "label_fraction", "seed")})
     _, test = head_split(task_ds, config)
     report = evaluate_head(encoder, projector, head, test.x, test.labels,
                            config.representation)
-    write_json(cfg["out"], _report_doc(head_meta, head_meta["train_count"], len(test),
+    write_json(cfg["out"], _report_doc(protocol, head_meta["train_count"], len(test),
                                        report, task_ds.class_names))
     logger.info("accuracy %.4f, weighted f1 %.4f", report.accuracy, report.f1)
     _write_manifest(cfg["out"] + ".manifest.json", "evaluate", cfg,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -223,7 +224,8 @@ def load_csv(path: str, schema: DatasetSchema) -> list[RawRecord]:
 
     Header must contain every feature name and the label column (order
     irrelevant, case-insensitive, extra columns ignored). Numeric fields are
-    parsed as floats; categorical fields and labels are whitespace-stripped
+    parsed as floats and must be finite (an inf or NaN cell is a
+    `RowParseError`); categorical fields and labels are whitespace-stripped
     strings. An empty label cell yields label None.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -252,10 +254,14 @@ def load_csv(path: str, schema: DatasetSchema) -> list[RawRecord]:
                 raw = row[c].strip()
                 if f.kind == "numeric":
                     try:
-                        values.append(float(raw))
+                        value = float(raw)
                     except ValueError:
                         raise RowParseError(
                             row_idx, f"feature {f.name}: {raw!r} is not numeric") from None
+                    if not math.isfinite(value):
+                        raise RowParseError(
+                            row_idx, f"feature {f.name}: {raw!r} is not a finite number")
+                    values.append(value)
                 else:
                     values.append(raw)
             label = row[label_col].strip()
@@ -275,6 +281,8 @@ class PreprocessorState:
         numeric = [f for f in self.schema.features if f.kind == "numeric"]
         if self.minima.shape != (len(numeric),) or self.maxima.shape != (len(numeric),):
             raise SchemaMismatchError("min/max arrays must have one entry per numeric feature")
+        if not (np.all(np.isfinite(self.minima)) and np.all(np.isfinite(self.maxima))):
+            raise SchemaMismatchError("fitted minima and maxima must be finite")
         if np.any(self.minima > self.maxima):
             raise SchemaMismatchError("fitted minimum exceeds maximum")
 
@@ -386,21 +394,6 @@ def encode_dataset(records: list[RawRecord], state: PreprocessorState,
     return EncodedDataset(x, labels, schema.class_names)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Stratified per-class subsampling parameters for one dataset role."""
-
-    role: str
-    fraction: float
-    seed: int
-
-    def __post_init__(self):
-        if self.role not in ("encoder-set", "head-set"):
-            raise SchemaMismatchError(f"role must be encoder-set or head-set, got {self.role!r}")
-        if not 0 < self.fraction <= 1:
-            raise SchemaMismatchError(f"fraction must lie in (0, 1], got {self.fraction}")
-
-
 def _round_count(x: float) -> int:
     return int(round(x))
 
@@ -416,36 +409,43 @@ def _stratified_indices(labels: np.ndarray, fraction: float,
     return np.sort(np.concatenate(picked))
 
 
-def stratified_subsample(dataset: EncodedDataset, spec: SplitSpec) -> EncodedDataset:
+def stratified_subsample(dataset: EncodedDataset, fraction: float, seed: int) -> EncodedDataset:
     """Keep round(fraction x class size) rows per class (at least one each).
 
-    Selection is uniform without replacement under the spec's seed and
-    deterministic; surviving rows keep their original order.
+    Selection is uniform without replacement under the seed's "head-set"
+    subsample stream and deterministic; surviving rows keep their original
+    order.
     """
+    if not 0 < fraction <= 1:
+        raise SchemaMismatchError(f"fraction must lie in (0, 1], got {fraction}")
     dataset.require_labels()
-    rng = substream(spec.seed, "stratified-subsample", spec.role)
-    return dataset.subset(_stratified_indices(dataset.labels, spec.fraction, rng))
+    rng = substream(seed, "stratified-subsample", "head-set")
+    return dataset.subset(_stratified_indices(dataset.labels, fraction, rng))
 
 
-def stratified_split(dataset: EncodedDataset, fraction: float, seed: int,
-                     role: str = "head-set") -> tuple[np.ndarray, np.ndarray]:
+def stratified_split(dataset: EncodedDataset, fraction: float,
+                     seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Stratified (selected, remainder) index pair; selected gets the fraction."""
     dataset.require_labels()
-    rng = substream(seed, "stratified-split", role)
+    rng = substream(seed, "stratified-split", "head-set")
     take = _stratified_indices(dataset.labels, fraction, rng)
     mask = np.ones(len(dataset), dtype=bool)
     mask[take] = False
     return take, np.flatnonzero(mask)
 
 
-def random_split(dataset: EncodedDataset, fraction: float, seed: int,
-                 label: str = "split") -> tuple[EncodedDataset, EncodedDataset]:
-    """Unstratified split: round(fraction*n) rows in the first part."""
+def random_split(dataset: EncodedDataset, fraction: float,
+                 seed: int) -> tuple[EncodedDataset, EncodedDataset]:
+    """Unstratified split: round(fraction*n) rows in the first part.
+
+    The permutation comes from the seed's "pretrain-split" stream, the split
+    that holds out pretraining rows.
+    """
     if not 0 < fraction <= 1:
         raise SchemaMismatchError(f"fraction must lie in (0, 1], got {fraction}")
     n = len(dataset)
     take = _round_count(fraction * n)
-    perm = substream(seed, label).permutation(n)
+    perm = substream(seed, "pretrain-split").permutation(n)
     return dataset.subset(np.sort(perm[:take])), dataset.subset(np.sort(perm[take:]))
 
 

@@ -21,10 +21,6 @@ class NonFiniteGradientError(FlowclError, FloatingPointError):
     """A NaN or Inf gradient reached the optimizer."""
 
 
-class InvalidPairError(FlowclError, ValueError):
-    """A contrastive pair references the same view twice."""
-
-
 class InvalidBatchError(FlowclError, ValueError):
     """A contrastive batch does not decompose into view pairs."""
 

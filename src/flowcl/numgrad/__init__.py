@@ -14,16 +14,14 @@ from .ops import (
     relu,
     softmax_cross_entropy,
 )
-from .optim import AdamW, ExponentialLr, adamw_update
+from .optim import AdamW
 from .tensor import Tape, Tensor, as_tensor, backward, record_op
 
 __all__ = [
     "AdamW",
-    "ExponentialLr",
     "FORMAT_VERSION",
     "Tape",
     "Tensor",
-    "adamw_update",
     "affine",
     "as_tensor",
     "backward",

@@ -72,8 +72,7 @@ def _conv(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray):
 
 
 def _batchnorm(z: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-               running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool, momentum: float, eps: float):
+               running_mean: np.ndarray, running_var: np.ndarray, training: bool):
     """Per-channel batch norm over the rows of z (N, C), normalizing z in place.
 
     z is overwritten with xhat. Returns the output and the rule
@@ -88,14 +87,14 @@ def _batchnorm(z: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
         mean = z.mean(axis=0)
         z -= mean
         var = np.einsum("ij,ij->j", z, z) / n
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var
     else:
         z -= running_mean
         var = running_var
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     z *= inv_std
     xhat = z
     out = xhat * gamma
@@ -170,7 +169,7 @@ def conv_bn_relu(
     x, kernel, bias, gamma, beta = (as_tensor(t) for t in (x, kernel, bias, gamma, beta))
     z, conv_back = _conv(_channels_last(x.data), kernel.data, bias.data)
     out, bn_back = _batchnorm(z.reshape(-1, z.shape[2]), gamma.data, beta.data,
-                              running_mean, running_var, training, BN_MOMENTUM, BN_EPS)
+                              running_mean, running_var, training)
     np.maximum(out, 0.0, out=out)
 
     def rule(g: np.ndarray):
@@ -239,8 +238,6 @@ def batchnorm1d(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
-    momentum: float = BN_MOMENTUM,
-    eps: float = BN_EPS,
 ) -> Tensor:
     """Per-channel batch normalization with affine scale/shift.
 
@@ -254,8 +251,7 @@ def batchnorm1d(
     batch, ch, width = x.shape
     # A C-order copy: the kernel normalizes its rows in place.
     rows = np.array(x.data.transpose(0, 2, 1), order="C").reshape(-1, ch)
-    out, back = _batchnorm(rows, gamma.data, beta.data, running_mean, running_var,
-                           training, momentum, eps)
+    out, back = _batchnorm(rows, gamma.data, beta.data, running_mean, running_var, training)
 
     def rule(g: np.ndarray):
         dx, dgamma, dbeta = back(g.transpose(0, 2, 1).reshape(-1, ch))

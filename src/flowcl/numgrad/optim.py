@@ -1,47 +1,15 @@
-"""AdamW with decoupled weight decay, plus the exponential LR schedule."""
+"""AdamW with decoupled weight decay."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigError, NonFiniteGradientError
 from .tensor import Tensor
 
-
-@dataclass(frozen=True)
-class ExponentialLr:
-    """lr(epoch) = base_lr * gamma ** epoch."""
-
-    base_lr: float = 2e-4
-    gamma: float = 0.99
-
-    def __post_init__(self):
-        if self.base_lr <= 0:
-            raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
-        if not 0 < self.gamma <= 1:
-            raise ConfigError(f"gamma must lie in (0, 1], got {self.gamma}")
-
-    def lr_at(self, epoch: int) -> float:
-        if epoch < 0:
-            raise ConfigError(f"epoch must be >= 0, got {epoch}")
-        return self.base_lr * self.gamma**epoch
-
-
-def adamw_update(w, g, m, v, step: int, lr, beta1, beta2, eps, weight_decay):
-    """One decoupled-weight-decay Adam update. Mutates w, m, v in place.
-
-    w <- w - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * w)
-    with bias-corrected moments m_hat = m/(1-b1^t), v_hat = v/(1-b2^t).
-    """
-    m *= beta1
-    m += (1.0 - beta1) * g
-    v *= beta2
-    v += (1.0 - beta2) * (g * g)
-    m_hat = m / (1.0 - beta1**step)
-    v_hat = v / (1.0 - beta2**step)
-    w -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * w)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class AdamW:
@@ -52,23 +20,15 @@ class AdamW:
     unused parameter is simply skipped.
     """
 
-    def __init__(self, params, lr: float = 2e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.01):
+    def __init__(self, params, lr: float = 2e-4, weight_decay: float = 0.01):
         self.params: list[Tensor] = list(params)
         if not self.params:
             raise ConfigError("optimizer needs at least one parameter")
         if lr <= 0:
             raise ConfigError(f"lr must be positive, got {lr}")
-        if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
-            raise ConfigError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
-        if eps <= 0:
-            raise ConfigError(f"eps must be positive, got {eps}")
         if weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {weight_decay}")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
@@ -79,6 +39,11 @@ class AdamW:
             p.grad = None
 
     def step(self) -> None:
+        """One decoupled-weight-decay Adam update of every parameter with a gradient.
+
+        w <- w - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * w)
+        with bias-corrected moments m_hat = m/(1-b1^t), v_hat = v/(1-b2^t).
+        """
         self.step_count += 1
         for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
@@ -87,19 +52,11 @@ class AdamW:
             if not np.all(np.isfinite(g)):
                 raise NonFiniteGradientError(
                     f"non-finite gradient for parameter of shape {p.shape}")
-            adamw_update(p.data, g, m, v, self.step_count,
-                         self.lr, self.beta1, self.beta2, self.eps, self.weight_decay)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Moment buffers plus step counter, keyed for checkpointing."""
-        out: dict[str, np.ndarray] = {"step_count": np.array(self.step_count, dtype=np.int64)}
-        for i, (m, v) in enumerate(zip(self._m, self._v)):
-            out[f"m{i}"] = m
-            out[f"v{i}"] = v
-        return out
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.step_count = int(arrays["step_count"][()])
-        for i in range(len(self.params)):
-            self._m[i][...] = arrays[f"m{i}"]
-            self._v[i][...] = arrays[f"v{i}"]
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            m_hat = m / (1.0 - ADAM_BETA1**self.step_count)
+            v_hat = v / (1.0 - ADAM_BETA2**self.step_count)
+            w = p.data
+            w -= self.lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + self.weight_decay * w)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import numgrad as ng
 from .augment import MaskingConfig, augment_pair
-from .dataio import EncodedDataset, SplitSpec, stratified_split, stratified_subsample
+from .dataio import EncodedDataset, stratified_split, stratified_subsample
 from .errors import (
     ConfigError,
     DegenerateVectorError,
@@ -47,7 +47,7 @@ from .model import (
     encode,
     project,
 )
-from .numgrad import AdamW, ExponentialLr, Tape, Tensor, backward
+from .numgrad import AdamW, Tape, Tensor, backward
 from .seeding import substream
 
 __all__ = [
@@ -88,6 +88,8 @@ class ContrastiveConfig:
             raise ConfigError(f"epochs must be a non-negative int, got {self.epochs!r}")
         if not isinstance(self.masking, MaskingConfig):
             raise ConfigError("masking must be a MaskingConfig")
+        if not 0 < self.lr_gamma <= 1:
+            raise ConfigError(f"lr_gamma must lie in (0, 1], got {self.lr_gamma}")
 
 
 def batch_loss(z: Tensor, temperature: float) -> Tensor:
@@ -137,12 +139,12 @@ def batch_loss(z: Tensor, temperature: float) -> Tensor:
     return ng.record_op(out, [zt], rule)
 
 
-def _paired_views(data: np.ndarray, indices, masking: MaskingConfig, stream_label: str,
+def _paired_views(data: np.ndarray, indices, config: ContrastiveConfig, stream_label: str,
                   epoch: int, groups) -> np.ndarray:
     views = np.empty((2 * len(indices), data.shape[1]))
     for k, idx in enumerate(indices):
-        rng = substream(masking.rng_seed, stream_label, epoch, int(idx))
-        pair = augment_pair(data[idx], masking, rng, groups)
+        rng = substream(config.seed, stream_label, epoch, int(idx))
+        pair = augment_pair(data[idx], config.masking, rng, groups)
         views[2 * k] = pair.x_i
         views[2 * k + 1] = pair.x_j
     return views
@@ -153,9 +155,10 @@ def holdout_loss(encoder: EncoderBlock, projector: ProjectionHead, holdout,
                  groups: Sequence[tuple[int, int]] | None = None) -> float | None:
     """Contrastive loss on held-out samples, eval-mode forward, no learning.
 
-    Augmentation draws come from a dedicated "holdout-augment" stream keyed
-    by (epoch, row), so the number reported for an epoch is reproducible.
-    Returns None when fewer than 2 held-out samples exist.
+    Augmentation draws come from the "holdout-augment" stream of
+    `config.seed`, keyed by (epoch, row), so the number reported for an
+    epoch is reproducible. Returns None when fewer than 2 held-out samples
+    exist.
     """
     data = np.asarray(holdout, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 2:
@@ -166,8 +169,7 @@ def holdout_loss(encoder: EncoderBlock, projector: ProjectionHead, holdout,
         rows = np.arange(start, min(start + config.batch_size, data.shape[0]))
         if rows.size < 2:
             break
-        views = _paired_views(data, rows, config.masking, "holdout-augment",
-                              epoch, groups)
+        views = _paired_views(data, rows, config, "holdout-augment", epoch, groups)
         latents = _eval_latents(encoder, projector, views)
         loss = batch_loss(Tensor(latents), config.temperature)
         total += float(loss.data) * rows.size
@@ -188,9 +190,10 @@ def pretrain(encoder: EncoderBlock, projector: ProjectionHead, x,
 
     Every epoch reshuffles from its own seed substream, the trailing partial
     batch is dropped, and each sample's two views come from an rng stream
-    keyed by (mask seed, epoch, sample index), so the whole trajectory is a
-    pure function of (parameters, data, config). With `holdout` given, each
-    history entry also carries the held-out contrastive loss.
+    keyed by (seed, epoch, sample index), so the whole trajectory is a pure
+    function of (parameters, data, config). The learning rate decays as
+    lr * lr_gamma ** epoch. With `holdout` given, each history entry also
+    carries the held-out contrastive loss.
     """
     data = np.asarray(x, dtype=np.float64)
     if data.ndim != 2:
@@ -200,17 +203,15 @@ def pretrain(encoder: EncoderBlock, projector: ProjectionHead, x,
         raise InsufficientDataError(
             f"{n} samples cannot fill one batch of {config.batch_size}")
     params = list(encoder.parameters()) + list(projector.parameters())
-    schedule = ExponentialLr(config.lr, config.lr_gamma)
     opt = AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
     history = []
     for epoch in range(config.epochs):
-        opt.lr = schedule.lr_at(epoch)
+        opt.lr = config.lr * config.lr_gamma**epoch
         order = substream(config.seed, "pretrain-shuffle", epoch).permutation(n)
         epoch_losses = []
         for start in range(0, n - config.batch_size + 1, config.batch_size):
             batch_idx = order[start:start + config.batch_size]
-            views = _paired_views(data, batch_idx, config.masking, "augment",
-                                  epoch, groups)
+            views = _paired_views(data, batch_idx, config, "augment", epoch, groups)
             with Tape() as tape:
                 h = encode(encoder, views, training=True)
                 z = project(projector, h)
@@ -330,8 +331,7 @@ def head_split(dataset: EncodedDataset,
     train_idx, test_idx = stratified_split(dataset, config.split_fraction, config.seed)
     train = dataset.subset(train_idx)
     if config.label_fraction != 1.0:
-        train = stratified_subsample(
-            train, SplitSpec("head-set", config.label_fraction, config.seed))
+        train = stratified_subsample(train, config.label_fraction, config.seed)
     return train, dataset.subset(test_idx)
 
 

@@ -24,7 +24,6 @@ from flowcl import numgrad as ng
 from flowcl.errors import (
     DegenerateVectorError,
     InvalidBatchError,
-    InvalidPairError,
     InvalidShapeError,
 )
 from flowcl.model import Conv
@@ -167,6 +166,10 @@ def similarity_matrix(z) -> SimilarityMatrix:
                                     "cosine similarity is undefined")
     unit = zd / norms[:, None]
     return SimilarityMatrix(np.clip(unit @ unit.T, -1.0, 1.0))
+
+
+class InvalidPairError(ValueError):
+    """A contrastive pair references the same view twice."""
 
 
 def pair_loss(i: int, j: int, s: SimilarityMatrix, temperature: float) -> float:

@@ -61,7 +61,7 @@ class TestMaskView:
     def test_group_mode_zeroes_whole_blocks(self):
         x = np.ones(7)
         groups = [(0, 1), (1, 4), (4, 7)]
-        config = MaskingConfig(ratio=0.34, group_mask=True)
+        config = MaskingConfig(ratio=0.34)
         rng = substream(6, "augment", 0, 0)
         for _ in range(30):
             out = mask_view(x, config, rng, groups=groups)

@@ -97,6 +97,24 @@ class TestPreprocess:
     def test_missing_required_flag_is_config_error(self, tmp_path):
         assert main(["preprocess", "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("cell", ["Infinity", "-inf", "nan", "NaN"])
+    @pytest.mark.parametrize("flag", ["--train-csv", "--test-csv"])
+    def test_non_finite_numeric_cell_is_parse_error(self, workspace, tmp_path, caplog,
+                                                    flag, cell):
+        lines = (workspace / "blobs.csv").read_text(encoding="utf-8").splitlines()
+        cells = lines[5].split(",")
+        cells[2] = cell
+        lines[5] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        csvs = {"--train-csv": workspace / "blobs.csv", "--test-csv": workspace / "blobs.csv",
+                flag: bad}
+        assert main(["preprocess", "--schema", str(workspace / "blobs.json"),
+                     "--out-dir", str(tmp_path / "out")]
+                    + [str(part) for pair in csvs.items() for part in pair]) == 4
+        feature = lines[0].split(",")[2]
+        assert f"row 5: feature {feature}: '{cell}'" in caplog.text
+
 
 class TestPretrain:
     def test_history_written_with_holdout(self, workspace):
@@ -298,6 +316,21 @@ class TestHeadAndEvaluate:
                      "--encoder", str(workspace / "enc.npz"),
                      "--head", str(broken), "--out", str(tmp_path / "r.json")]) == 7
 
+    @pytest.mark.parametrize("key, value", [("split_fraction", "0.8"),
+                                            ("label_fraction", None), ("seed", 1.5),
+                                            ("representation", "foo"), ("task", "foo")],
+                             ids=["str-split_fraction", "null-label_fraction", "float-seed",
+                                  "unknown-representation", "unknown-task"])
+    def test_head_meta_mistyped_value_is_checkpoint_error(self, workspace, trained_head,
+                                                          tmp_path, key, value):
+        arrays, meta = load_arrays(str(trained_head))
+        meta[key] = value
+        broken = tmp_path / "broken-head.npz"
+        save_arrays(str(broken), arrays, meta=meta)
+        assert main(["evaluate", "--data", str(workspace / "prep" / "train.npz"),
+                     "--encoder", str(workspace / "enc.npz"),
+                     "--head", str(broken), "--out", str(tmp_path / "r.json")]) == 7
+
     @pytest.mark.parametrize("fraction", ["0", "1.5"])
     def test_out_of_range_label_fraction_is_config_error(self, workspace, tmp_path,
                                                          fraction):
@@ -366,6 +399,18 @@ class TestTransferEval:
                      "--out", str(tmp_path / "t.json")]
                     + [str(part) for pair in args.items() for part in pair]
                     + HEAD_FLAGS) == 4
+
+    def test_non_finite_state_is_schema_error(self, workspace, tmp_path):
+        doc = json.loads((workspace / "prep" / "preprocessor.json").read_text())
+        doc["maxima"][next(iter(doc["maxima"]))] = float("inf")
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(doc), encoding="utf-8")
+        assert "Infinity" in state.read_text(encoding="utf-8")
+        assert main(["transfer-eval", "--target-csv", str(workspace / "blobs.csv"),
+                     "--target-schema", str(workspace / "blobs.json"),
+                     "--original-schema", str(workspace / "blobs.json"),
+                     "--original-state", str(state), "--encoder", str(workspace / "enc.npz"),
+                     "--out", str(tmp_path / "t.json")] + HEAD_FLAGS) == 4
 
     def test_disjoint_schemas_exit_code(self, workspace, tmp_path):
         from flowcl.dataio import DatasetSchema, Feature

@@ -11,7 +11,6 @@ from flowcl.dataio import (
     Feature,
     PreprocessorState,
     RawRecord,
-    SplitSpec,
     UNLABELED,
     UnseenCategoryWarning,
     TransformStats,
@@ -285,40 +284,38 @@ def labeled_dataset(counts: dict[int, int], n_classes=3, width=4, seed=0) -> Enc
 class TestStratifiedSubsample:
     def test_fraction_one_is_identity(self):
         ds = labeled_dataset({0: 10, 1: 5})
-        out = stratified_subsample(ds, SplitSpec("head-set", 1.0, seed=1))
+        out = stratified_subsample(ds, 1.0, seed=1)
         np.testing.assert_array_equal(out.x, ds.x)
         np.testing.assert_array_equal(out.labels, ds.labels)
 
     def test_five_percent_of_200_is_10(self):
         ds = labeled_dataset({0: 200, 1: 40})
-        out = stratified_subsample(ds, SplitSpec("head-set", 0.05, seed=2))
+        out = stratified_subsample(ds, 0.05, seed=2)
         assert int(np.sum(out.labels == 0)) == 10
 
     def test_minimum_of_one_per_class(self):
         ds = labeled_dataset({0: 40, 1: 200})
-        out = stratified_subsample(ds, SplitSpec("head-set", 0.01, seed=3))
+        out = stratified_subsample(ds, 0.01, seed=3)
         assert int(np.sum(out.labels == 0)) == 1
         assert int(np.sum(out.labels == 1)) == 2
 
     def test_deterministic_under_seed(self):
         ds = labeled_dataset({0: 50, 1: 50, 2: 50})
-        a = stratified_subsample(ds, SplitSpec("head-set", 0.2, seed=9))
-        b = stratified_subsample(ds, SplitSpec("head-set", 0.2, seed=9))
+        a = stratified_subsample(ds, 0.2, seed=9)
+        b = stratified_subsample(ds, 0.2, seed=9)
         np.testing.assert_array_equal(a.x, b.x)
-        c = stratified_subsample(ds, SplitSpec("head-set", 0.2, seed=10))
+        c = stratified_subsample(ds, 0.2, seed=10)
         assert not np.array_equal(a.x, c.x)
 
     def test_unlabeled_rows_rejected(self):
         ds = labeled_dataset({0: 5, 1: 5})
         ds.labels[3] = UNLABELED
         with pytest.raises(MissingLabelError):
-            stratified_subsample(ds, SplitSpec("head-set", 0.5, seed=1))
+            stratified_subsample(ds, 0.5, seed=1)
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(SchemaMismatchError):
-            SplitSpec("head-set", 0.0, seed=1)
-        with pytest.raises(SchemaMismatchError):
-            SplitSpec("warmup", 0.5, seed=1)
+            stratified_subsample(labeled_dataset({0: 5, 1: 5}), 0.0, seed=1)
 
 
 class TestSplits:

@@ -280,7 +280,7 @@ class TestBatchNorm1d:
         x = rng.normal(loc=2.0, size=(4, 2, 5))
         rm, rv = np.zeros(2), np.ones(2)
         batchnorm1d(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                    rm, rv, training=True, momentum=0.1)
+                    rm, rv, training=True)
         np.testing.assert_allclose(rm, 0.1 * x.mean(axis=(0, 2)), rtol=1e-12)
         np.testing.assert_allclose(rv, 0.9 + 0.1 * x.var(axis=(0, 2)), rtol=1e-12)
 
