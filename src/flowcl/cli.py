@@ -379,20 +379,27 @@ def cmd_evaluate(cfg: dict) -> None:
         config = HeadConfig(**{key: protocol[key] for key in _PROTOCOL_KEYS if key != "task"})
     except ConfigError as err:
         raise CheckpointError(f"head checkpoint {cfg['head']}: {err}") from None
+    train_count, classes = head_meta["train_count"], head_meta["classes"]
+    if isinstance(train_count, bool) or not isinstance(train_count, int) or train_count < 0:
+        raise CheckpointError(f"head checkpoint {cfg['head']}: train_count must be a "
+                              f"non-negative int, got {train_count!r}")
+    if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
+        raise CheckpointError(f"head checkpoint {cfg['head']}: classes must be a list "
+                              f"of strings, got {classes!r}")
     encoder, projector, task_ds = _load_task_data(
         cfg["encoder"], cfg["data"], protocol["task"],
         head_meta.get("requested_classes"), head_meta.get("normal_class", "Normal"))
     if head_meta.get("data_sha256") not in (None, _sha256(cfg["data"])):
         logger.warning("--data differs from the file the head was trained on; "
                        "the train/test split will not line up")
-    if list(task_ds.class_names) != list(head_meta["classes"]):
+    if list(task_ds.class_names) != classes:
         raise SchemaMismatchError(
             f"dataset classes {list(task_ds.class_names)} do not match the "
-            f"head's classes {list(head_meta['classes'])}")
+            f"head's classes {classes}")
     _, test = head_split(task_ds, config)
     report = evaluate_head(encoder, projector, head, test.x, test.labels,
                            config.representation)
-    write_json(cfg["out"], _report_doc(protocol, head_meta["train_count"], len(test),
+    write_json(cfg["out"], _report_doc(protocol, train_count, len(test),
                                        report, task_ds.class_names))
     logger.info("accuracy %.4f, weighted f1 %.4f", report.accuracy, report.f1)
     _write_manifest(cfg["out"] + ".manifest.json", "evaluate", cfg,

@@ -12,6 +12,14 @@ norm reduces over rows. The encoder runs them through `conv_bn_relu`,
 `maxpool_cl` and `global_maxpool_cl`, one tape entry each. The
 (batch, channels, width) primitives `conv1d`, `batchnorm1d`, `maxpool1d` and
 `global_maxpool1d` are transposing wrappers over the same kernels.
+
+Eval mode, which every frozen-feature pass uses, folds batch norm into the
+conv: `_bn_eval_map` turns the running statistics, gamma, beta and the conv
+bias into one per-channel scale and shift, so `conv_bn_relu` runs one GEMM
+against the scaled kernel, one pass adding the shift, and ReLU in place. Its
+backward is exact and never divides by gamma. Pools keep only the running
+max in the forward; their backward rule finds each window's first maximum
+from the input it holds, so an untaped pass builds no routing arrays.
 """
 
 from __future__ import annotations
@@ -71,29 +79,60 @@ def _conv(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray):
     return z.reshape(batch, width - 1, out_ch), back
 
 
+def _bn_eval_map(gamma: np.ndarray, beta: np.ndarray, running_mean: np.ndarray,
+                 running_var: np.ndarray, bias: np.ndarray):
+    """Eval-mode batch norm of z + bias as one per-channel map, z * scale + shift.
+
+    scale = gamma * inv_std and shift = (bias - running_mean) * scale + beta,
+    with inv_std = 1 / sqrt(running_var + BN_EPS). Returns scale, shift and
+    the rule (dscale, dshift) -> (dgamma, dbeta, dbias), which never divides
+    by gamma.
+    """
+    _require(gamma.shape == beta.shape == bias.shape == running_mean.shape == running_var.shape,
+             f"batchnorm1d affine params must be {running_mean.shape}")
+    inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
+    scale = gamma * inv_std
+    centre = bias - running_mean
+    shift = centre * scale
+    shift += beta
+
+    def back(dscale: np.ndarray, dshift: np.ndarray):
+        return inv_std * (dscale + centre * dshift), dshift, scale * dshift
+
+    return scale, shift, back
+
+
 def _batchnorm(z: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                running_mean: np.ndarray, running_var: np.ndarray, training: bool):
-    """Per-channel batch norm over the rows of z (N, C), normalizing z in place.
+    """Per-channel batch norm over the rows of z (N, C).
 
-    z is overwritten with xhat. Returns the output and the rule
-    dy -> (dz, dgamma, dbeta).
+    Train mode overwrites z with xhat; eval mode reads z and applies
+    `_bn_eval_map`. Returns the output and the rule dy -> (dz, dgamma, dbeta).
     """
     n, ch = z.shape
     _require(gamma.shape == (ch,) and beta.shape == (ch,),
              f"batchnorm1d affine params must be ({ch},)")
     _require(n >= 1, "batchnorm1d needs at least one element per channel")
-    if training:
-        _require(n >= 2, "batchnorm1d train mode needs >= 2 elements per channel")
-        mean = z.mean(axis=0)
-        z -= mean
-        var = np.einsum("ij,ij->j", z, z) / n
-        running_mean *= 1.0 - BN_MOMENTUM
-        running_mean += BN_MOMENTUM * mean
-        running_var *= 1.0 - BN_MOMENTUM
-        running_var += BN_MOMENTUM * var
-    else:
-        z -= running_mean
-        var = running_var
+    if not training:
+        scale, shift, map_back = _bn_eval_map(gamma, beta, running_mean, running_var,
+                                              np.zeros(ch))
+        out = z * scale
+        out += shift
+
+        def eval_back(dy: np.ndarray):
+            dgamma, dbeta, _ = map_back(np.einsum("ij,ij->j", dy, z), dy.sum(axis=0))
+            return dy * scale, dgamma, dbeta
+
+        return out, eval_back
+
+    _require(n >= 2, "batchnorm1d train mode needs >= 2 elements per channel")
+    mean = z.mean(axis=0)
+    z -= mean
+    var = np.einsum("ij,ij->j", z, z) / n
+    running_mean *= 1.0 - BN_MOMENTUM
+    running_mean += BN_MOMENTUM * mean
+    running_var *= 1.0 - BN_MOMENTUM
+    running_var += BN_MOMENTUM * var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     z *= inv_std
     xhat = z
@@ -103,8 +142,6 @@ def _batchnorm(z: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     def back(dy: np.ndarray):
         dgamma = np.einsum("ij,ij->j", dy, xhat)
         dbeta = dy.sum(axis=0)
-        if not training:
-            return dy * (gamma * inv_std), dgamma, dbeta
         # Closed form with s1 = gamma * dbeta and s2 = gamma * dgamma:
         # dz = inv_std / n * (n * gamma * dy - s1 - xhat * s2).
         dz = xhat * (dgamma / n)
@@ -119,8 +156,10 @@ def _batchnorm(z: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
 def _maxpool(x: np.ndarray, window: int):
     """Non-overlapping max pool over the width of channels-last x (B, W, C).
 
-    Stride == window, trailing remainder dropped. Ties go to the first
-    maximum, as with argmax. Returns (B, W // window, C) and the rule g -> dx.
+    Stride == window, trailing remainder dropped. The forward keeps only the
+    running max; the rule g -> dx finds each window's first maximum (ties go
+    to the first, as with argmax) from x and the max when it runs, so a pass
+    without a tape builds no routing. Returns (B, W // window, C) and the rule.
     """
     batch, width, ch = x.shape
     _require(window >= 1, f"pool window must be >= 1, got {window}")
@@ -128,20 +167,21 @@ def _maxpool(x: np.ndarray, window: int):
     out_w = width // window
     tiles = x[:, : out_w * window].reshape(batch, out_w, window, ch)
     out = tiles[:, :, 0].copy()
-    index = np.min_scalar_type(window - 1).type
-    arg = np.zeros(out.shape, dtype=index)
     for j in range(1, window):
-        tile = tiles[:, :, j]
-        # j only grows, so a slot that beats the running max (strictly, which
-        # keeps the first of equal maxima) holds the largest index so far.
-        np.maximum(arg, (tile > out) * index(j), out=arg)
-        np.maximum(out, tile, out=out)
+        np.maximum(out, tiles[:, :, j], out=out)
 
     def back(g: np.ndarray):
         dx = np.empty((batch, width, ch))
         dtiles = dx[:, : out_w * window].reshape(batch, out_w, window, ch)
+        # Slots whose first maximum no earlier tap has taken; hit <= free,
+        # so xor clears the slots a tap takes.
+        free = np.ones(out.shape, dtype=bool)
+        hit = np.empty(out.shape, dtype=bool)
         for j in range(window):
-            np.multiply(g, arg == j, out=dtiles[:, :, j])
+            np.equal(tiles[:, :, j], out, out=hit)
+            hit &= free
+            free ^= hit
+            np.multiply(g, hit, out=dtiles[:, :, j])
         dx[:, out_w * window:] = 0.0
         return dx
 
@@ -162,21 +202,40 @@ def conv_bn_relu(
 
     Channels-last: x (B, W, C_in), or (B, W) as one input channel, maps to
     (B, W-1, C_out). Same semantics as the three primitives in sequence,
-    running statistics included; batch norm and ReLU run in place on the
-    conv output, and backward keeps only the conv's input rows, xhat and the
-    output.
+    running statistics included. Train mode runs batch norm and ReLU in place
+    on the conv output. Eval mode folds batch norm and the conv bias into the
+    GEMM (`_bn_eval_map`): one GEMM with kernel columns scaled by
+    gamma / sqrt(running_var + BN_EPS), one pass adding the per-channel shift,
+    and ReLU in place. Backward keeps only the conv's input rows, xhat (train
+    mode) and the output.
     """
     x, kernel, bias, gamma, beta = (as_tensor(t) for t in (x, kernel, bias, gamma, beta))
-    z, conv_back = _conv(_channels_last(x.data), kernel.data, bias.data)
-    out, bn_back = _batchnorm(z.reshape(-1, z.shape[2]), gamma.data, beta.data,
-                              running_mean, running_var, training)
+    if training:
+        z, conv_back = _conv(_channels_last(x.data), kernel.data, bias.data)
+        out, bn_back = _batchnorm(z.reshape(-1, z.shape[2]), gamma.data, beta.data,
+                                  running_mean, running_var, True)
+
+        def rule(g: np.ndarray):
+            # The masked gradient is a temporary, freed before conv_back runs.
+            dz, dgamma, dbeta = bn_back(g.reshape(out.shape) * (out > 0))
+            dx, dk, db = conv_back(dz)
+            return dx.reshape(x.shape), dk, db, dgamma, dbeta
+    else:
+        scale, shift, map_back = _bn_eval_map(gamma.data, beta.data, running_mean,
+                                              running_var, bias.data)
+        _require(kernel.data.ndim == 3 and kernel.shape[0] == scale.size,
+                 f"conv1d kernel must be ({scale.size}, in_ch, 2), got {kernel.shape}")
+        # The conv of the scaled kernel, with the shift as its bias; its
+        # gradients map back through scale = gamma * inv_std and shift.
+        z, conv_back = _conv(_channels_last(x.data), kernel.data * scale[:, None, None], shift)
+        out = z.reshape(-1, z.shape[2])
+
+        def rule(g: np.ndarray):
+            dx, dfolded, dshift = conv_back(g.reshape(out.shape) * (out > 0))
+            dgamma, dbeta, db = map_back(np.einsum("oit,oit->o", dfolded, kernel.data), dshift)
+            return dx.reshape(x.shape), dfolded * scale[:, None, None], db, dgamma, dbeta
+
     np.maximum(out, 0.0, out=out)
-
-    def rule(g: np.ndarray):
-        dz, dgamma, dbeta = bn_back(g.reshape(out.shape) * (out > 0))
-        dx, dk, db = conv_back(dz)
-        return dx.reshape(x.shape), dk, db, dgamma, dbeta
-
     return record_op(Tensor(out.reshape(z.shape)), (x, kernel, bias, gamma, beta), rule)
 
 

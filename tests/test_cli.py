@@ -318,9 +318,16 @@ class TestHeadAndEvaluate:
 
     @pytest.mark.parametrize("key, value", [("split_fraction", "0.8"),
                                             ("label_fraction", None), ("seed", 1.5),
-                                            ("representation", "foo"), ("task", "foo")],
+                                            ("representation", "foo"), ("task", "foo"),
+                                            ("train_count", "x"), ("train_count", -1),
+                                            ("train_count", True), ("train_count", 2.0),
+                                            ("classes", "no"), ("classes", [0, 1]),
+                                            ("classes", None)],
                              ids=["str-split_fraction", "null-label_fraction", "float-seed",
-                                  "unknown-representation", "unknown-task"])
+                                  "unknown-representation", "unknown-task",
+                                  "str-train_count", "negative-train_count",
+                                  "bool-train_count", "float-train_count", "str-classes",
+                                  "int-classes", "null-classes"])
     def test_head_meta_mistyped_value_is_checkpoint_error(self, workspace, trained_head,
                                                           tmp_path, key, value):
         arrays, meta = load_arrays(str(trained_head))

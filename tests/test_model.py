@@ -160,9 +160,17 @@ class TestBuildAndEncode:
             assert np.all(np.isfinite(p.grad))
 
 
-def _taped_pass(encode_fn, config, x, training):
-    """h, loss, the input and parameter gradients, and the BN running stats."""
+def _taped_pass(encode_fn, config, x, training, data_stats=False):
+    """h, loss, the input and parameter gradients, and the BN running stats.
+
+    With `data_stats`, untaped train-mode passes over x first carry the
+    running statistics from their initial (0, 1) to x's own: at momentum 0.1
+    one pass moves them a tenth of the way, and 50 leave 0.9**50 < 1% of
+    the start.
+    """
     block, proj = build_encoder(config, seed=5)
+    for _ in range(50 if data_stats else 0):
+        encode_fn(block, x, training=True)
     xt = Tensor(x, requires_grad=True)
     with Tape() as tape:
         h = encode_fn(block, xt, training=training)
@@ -194,38 +202,68 @@ FUSED_CASES = {
 }
 
 
+# Gradients that are analytically zero come back as rounding noise of a few
+# float64 epsilons (2.2e-16) times the unit-scale activations; a real
+# mismatch between the two paths shows up many orders above this.
+GRADIENT_NOISE_FLOOR = 1e-14
+
+
+def _assert_paths_match(case, training, data_stats=False):
+    config = FUSED_CASES[case]
+    x = np.random.default_rng(8).uniform(size=(6, config.input_width))
+    if case == "ties":
+        # A constant row makes every conv output of that row equal, so
+        # both pools see ties and both paths must pick the same maximum.
+        x[:] = x[:, :1]
+    h, loss, grads, stats, entries = _taped_pass(encode, config, x, training, data_stats)
+    h_ref, loss_ref, grads_ref, stats_ref, _ = _taped_pass(composed_encode, config, x,
+                                                           training, data_stats)
+    # One entry per conv or pool, the global pool, the projection and the loss.
+    assert entries == len(config.layers) + 3
+    _assert_scaled_close(h, h_ref, "h")
+    assert abs(loss - loss_ref) <= 1e-10 * abs(loss_ref)
+    for i, (got, want) in enumerate(zip(stats, stats_ref)):
+        _assert_scaled_close(got, want, f"running stat {i}")
+    if case == "one-channel" and not training and not data_stats:
+        # With the initial running statistics (0, 1) every row reaches the
+        # same h, so each of the 6 views is as similar to its 4 negatives as
+        # to its positive: the loss is ln 5 whatever the parameters and every
+        # gradient is analytically 0. Both paths return rounding noise whose
+        # digits depend on operation order; `data_stats` covers this config
+        # with distinct rows.
+        for got_h, got_loss in ((h, loss), (h_ref, loss_ref)):
+            assert np.all(got_h == got_h[0])
+            assert abs(got_loss - np.log(5.0)) <= 1e-12
+        for name in grads_ref:
+            assert np.max(np.abs(grads[name])) <= GRADIENT_NOISE_FLOOR, name
+            assert np.max(np.abs(grads_ref[name])) <= GRADIENT_NOISE_FLOOR, name
+        return
+    for name, want in grads_ref.items():
+        got = grads[name]
+        if training and name.startswith("bias"):
+            # Train-mode BN subtracts the batch mean, which cancels the
+            # conv bias: both gradients are rounding noise next to the
+            # kernel's.
+            kernel_scale = np.max(np.abs(grads_ref["kernel" + name[4:]]))
+            assert np.max(np.abs(got)) <= 1e-10 * kernel_scale, name
+            assert np.max(np.abs(want)) <= 1e-10 * kernel_scale, name
+        else:
+            _assert_scaled_close(got, want, name)
+
+
 class TestFusedEncoder:
     """`encode` against the composed (batch, channels, width) primitives."""
 
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("case", sorted(FUSED_CASES))
     def test_matches_composed_primitives(self, case, training):
-        config = FUSED_CASES[case]
-        x = np.random.default_rng(8).uniform(size=(6, config.input_width))
-        if case == "ties":
-            # A constant row makes every conv output of that row equal, so
-            # both pools see ties and both paths must pick the same maximum.
-            x[:] = x[:, :1]
-        h, loss, grads, stats, entries = _taped_pass(encode, config, x, training)
-        h_ref, loss_ref, grads_ref, stats_ref, _ = _taped_pass(composed_encode, config, x,
-                                                               training)
-        # One entry per conv or pool, the global pool, the projection and the loss.
-        assert entries == len(config.layers) + 3
-        _assert_scaled_close(h, h_ref, "h")
-        assert abs(loss - loss_ref) <= 1e-10 * abs(loss_ref)
-        for i, (got, want) in enumerate(zip(stats, stats_ref)):
-            _assert_scaled_close(got, want, f"running stat {i}")
-        for name, want in grads_ref.items():
-            got = grads[name]
-            if training and name.startswith("bias"):
-                # Train-mode BN subtracts the batch mean, which cancels the
-                # conv bias: both gradients are rounding noise next to the
-                # kernel's.
-                kernel_scale = np.max(np.abs(grads_ref["kernel" + name[4:]]))
-                assert np.max(np.abs(got)) <= 1e-10 * kernel_scale, name
-                assert np.max(np.abs(want)) <= 1e-10 * kernel_scale, name
-            else:
-                _assert_scaled_close(got, want, name)
+        _assert_paths_match(case, training)
+
+    @pytest.mark.parametrize("case", sorted(FUSED_CASES))
+    def test_eval_with_data_statistics_matches_composed_primitives(self, case):
+        # Eval mode folds batch norm into the conv GEMM; running statistics
+        # taken from data give every channel its own scale and shift.
+        _assert_paths_match(case, training=False, data_stats=True)
 
 
 class TestProjectAndHead:

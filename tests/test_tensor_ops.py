@@ -318,13 +318,23 @@ class TestBatchNorm1d:
 
 
 class TestConvBnRelu:
-    @pytest.mark.parametrize("training", [True, False])
-    def test_gradients_match_finite_differences(self, training):
+    @pytest.mark.parametrize("training,gamma", [
+        pytest.param(True, None, id="True"),
+        pytest.param(False, None, id="False"),
+        # Eval mode scales each kernel column by gamma / sqrt(running_var +
+        # eps): a zero column (channel 1, whose beta keeps it live) and sign
+        # flips must leave every gradient exact, dgamma included.
+        pytest.param(False, [-0.8, 0.0, -1.2, 0.7], id="eval-zero-and-negative-gamma"),
+        pytest.param(False, [0.0, 0.9, -0.4, -1.1], id="eval-zero-gamma-dead-channel"),
+    ])
+    def test_gradients_match_finite_differences(self, training, gamma):
         rng = np.random.default_rng(29)
         x0 = rng.normal(size=(3, 5, 2))  # channels-last (batch, width, ch)
         k0 = rng.normal(size=(4, 2, 2))
         kb0 = rng.normal(size=4)
         g0 = rng.uniform(0.5, 1.5, size=4)
+        if gamma is not None:
+            g0 = np.array(gamma)
         be0 = rng.normal(size=4)
         rm0 = rng.normal(size=4)
         rv0 = rng.uniform(0.5, 2.0, size=4)
