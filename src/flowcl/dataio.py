@@ -159,6 +159,18 @@ def schema_to_dict(schema: DatasetSchema) -> dict:
     return out
 
 
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaMismatchError(f"{what} must be a string, got {type(value).__name__}")
+    return value
+
+
+def _strings(value, what: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise SchemaMismatchError(f"{what} must be a list of strings")
+    return tuple(value)
+
+
 def schema_from_dict(doc: dict) -> DatasetSchema:
     if not isinstance(doc, dict):
         raise SchemaMismatchError("schema document must be a JSON object")
@@ -170,17 +182,25 @@ def schema_from_dict(doc: dict) -> DatasetSchema:
     if doc.get("format_version") != SCHEMA_FORMAT_VERSION:
         raise SchemaMismatchError(
             f"unsupported schema format version {doc.get('format_version')!r}")
+    entries = doc.get("features", [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise SchemaMismatchError("features must be a list of objects")
     features = []
-    for entry in doc.get("features", []):
+    for entry in entries:
         extra = set(entry) - {"name", "kind", "vocabulary"}
         if extra:
             raise SchemaMismatchError(f"unknown feature keys: {sorted(extra)}")
-        features.append(Feature(entry.get("name", ""), entry.get("kind", ""),
-                                tuple(entry.get("vocabulary", ()))))
-    aliases = tuple(sorted(doc.get("label_aliases", {}).items()))
-    return DatasetSchema(tuple(features), doc.get("label_column", ""),
-                         tuple(doc.get("class_names", ())),
-                         doc.get("description", ""), aliases)
+        name = _string(entry.get("name", ""), "feature name")
+        features.append(Feature(name, _string(entry.get("kind", ""), f"feature {name}: kind"),
+                                _strings(entry.get("vocabulary", []),
+                                         f"feature {name}: vocabulary")))
+    aliases = doc.get("label_aliases", {})
+    if not isinstance(aliases, dict) or not all(isinstance(c, str) for c in aliases.values()):
+        raise SchemaMismatchError("label_aliases must map label spellings to class names")
+    return DatasetSchema(tuple(features), _string(doc.get("label_column", ""), "label_column"),
+                         _strings(doc.get("class_names", []), "class_names"),
+                         _string(doc.get("description", ""), "description"),
+                         tuple(sorted(aliases.items())))
 
 
 def save_schema(path: str, schema: DatasetSchema) -> None:

@@ -263,7 +263,9 @@ def representation_features(encoder: EncoderBlock, projector: ProjectionHead,
     """Frozen eval-mode features: h, or z = g(h) when representation is context.
 
     Rows go through the encoder FEATURE_CHUNK_ROWS at a time, so memory stays
-    bounded however many rows there are. Eval-mode batch norm reads the
+    bounded however many rows there are, and each chunk's features are copied
+    into one output array allocated at the first chunk, so no chunk results
+    pile up between the encoder's temporaries. Eval-mode batch norm reads the
     running statistics, so every row's features are independent of its
     chunk and equal, bit for bit, to a single-batch pass.
     """
@@ -271,12 +273,15 @@ def representation_features(encoder: EncoderBlock, projector: ProjectionHead,
         raise ConfigError(
             f"representation must be 'hidden' or 'context', got {representation!r}")
     data = np.asarray(x, dtype=np.float64)
-    features = []
+    features = None
     # An empty input still makes one encode call, which rejects it.
     for start in range(0, max(len(data), 1), FEATURE_CHUNK_ROWS):
         h = encode(encoder, data[start:start + FEATURE_CHUNK_ROWS], training=False)
-        features.append((h if representation == "hidden" else project(projector, h)).data)
-    return np.concatenate(features)
+        chunk = (h if representation == "hidden" else project(projector, h)).data
+        if features is None:
+            features = np.empty((len(data), chunk.shape[1]))
+        features[start:start + len(chunk)] = chunk
+    return features
 
 
 def train_head(encoder: EncoderBlock, projector: ProjectionHead, x, labels,

@@ -1,13 +1,20 @@
 """End-to-end runs of the flowcl command on a synthetic workspace."""
 
 import argparse
+import ctypes
 import hashlib
 import json
+import logging
 import os
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import flowcl
+from flowcl import cli
 from flowcl.cli import build_parser, main
 from flowcl.dataio import load_encoded, load_schema, load_state, save_schema
 from flowcl.model import build_encoder, load_encoder
@@ -58,6 +65,19 @@ def trained_head(workspace):
     return head
 
 
+@pytest.fixture(scope="module")
+def multiclass_head(workspace):
+    head = workspace / "head_multi.npz"
+    assert main(["train-head", "--data", str(workspace / "prep" / "train.npz"),
+                 "--encoder", str(workspace / "enc.npz"), "--out", str(head),
+                 "--task", "multiclass", "--classes", "normal,attack",
+                 "--epochs", "5", "--seed", "3"]) == 0
+    assert main(["evaluate", "--data", str(workspace / "prep" / "train.npz"),
+                 "--encoder", str(workspace / "enc.npz"), "--head", str(head),
+                 "--out", str(workspace / "report_multi.json")]) == 0
+    return head
+
+
 class TestPreprocess:
     def test_artifacts_exist_and_load(self, workspace):
         schema = load_schema(str(workspace / "blobs.json"))
@@ -97,6 +117,34 @@ class TestPreprocess:
     def test_missing_required_flag_is_config_error(self, tmp_path):
         assert main(["preprocess", "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d.update(features=5), "features must be a list of objects"),
+        (lambda d: d["features"].__setitem__(0, 5), "features must be a list of objects"),
+        (lambda d: d["features"][0].update(name=5), "feature name must be a string"),
+        (lambda d: d["features"][0].update(kind=5), "kind must be a string"),
+        (lambda d: d["features"][0].update(kind="categorical", vocabulary=["tcp", 5]),
+         "vocabulary must be a list of strings"),
+        (lambda d: d["features"][0].update(kind="categorical", vocabulary="tcp"),
+         "vocabulary must be a list of strings"),
+        (lambda d: d.update(class_names="ab"), "class_names must be a list of strings"),
+        (lambda d: d.update(class_names=["normal", 5]), "class_names must be a list of strings"),
+        (lambda d: d.update(label_aliases=[["benign", "normal"]]), "label_aliases must map"),
+        (lambda d: d.update(label_aliases={"benign": 5}), "label_aliases must map"),
+        (lambda d: d.update(label_column=5), "label_column must be a string"),
+    ], ids=["int-features", "int-feature-entry", "int-name", "int-kind",
+            "int-vocabulary-entry", "str-vocabulary", "str-class_names", "int-class-name",
+            "list-label_aliases", "int-alias-target", "int-label_column"])
+    def test_mistyped_schema_is_schema_error(self, workspace, tmp_path, caplog,
+                                             mutate, message):
+        doc = json.loads((workspace / "blobs.json").read_text(encoding="utf-8"))
+        mutate(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["preprocess", "--schema", str(bad),
+                     "--train-csv", str(workspace / "blobs.csv"),
+                     "--out-dir", str(tmp_path / "out")]) == 4
+        assert message in caplog.text
+
     @pytest.mark.parametrize("cell", ["Infinity", "-inf", "nan", "NaN"])
     @pytest.mark.parametrize("flag", ["--train-csv", "--test-csv"])
     def test_non_finite_numeric_cell_is_parse_error(self, workspace, tmp_path, caplog,
@@ -117,6 +165,22 @@ class TestPreprocess:
 
 
 class TestPretrain:
+    def test_fresh_processes_write_identical_checkpoint(self, workspace, tmp_path):
+        """Two `python -m flowcl.cli pretrain` processes, each with the allocator
+        policy applied from its start, write the in-process run's bytes."""
+        src = os.path.dirname(os.path.dirname(flowcl.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        for run in ("a", "b"):
+            subprocess.run([sys.executable, "-m", "flowcl.cli", "pretrain",
+                            "--config", str(workspace / "arch.json"),
+                            "--data", str(workspace / "prep" / "train.npz"),
+                            "--out", str(tmp_path / f"{run}.npz")],
+                           env=env, capture_output=True, check=True, timeout=300)
+            assert sha(tmp_path / f"{run}.npz") == sha(workspace / "enc.npz")
+            assert (sha(tmp_path / f"{run}-history.json")
+                    == sha(workspace / "enc-history.json"))
+
     def test_history_written_with_holdout(self, workspace):
         history_path = os.path.splitext(str(workspace / "enc.npz"))[0] + "-history.json"
         with open(history_path, encoding="utf-8") as fh:
@@ -322,15 +386,23 @@ class TestHeadAndEvaluate:
                                             ("train_count", "x"), ("train_count", -1),
                                             ("train_count", True), ("train_count", 2.0),
                                             ("classes", "no"), ("classes", [0, 1]),
-                                            ("classes", None)],
+                                            ("classes", None), ("normal_class", 5),
+                                            ("normal_class", None),
+                                            ("requested_classes", 5),
+                                            ("requested_classes", ["normal"])],
                              ids=["str-split_fraction", "null-label_fraction", "float-seed",
                                   "unknown-representation", "unknown-task",
                                   "str-train_count", "negative-train_count",
                                   "bool-train_count", "float-train_count", "str-classes",
-                                  "int-classes", "null-classes"])
+                                  "int-classes", "null-classes", "int-normal_class",
+                                  "null-normal_class", "int-requested_classes",
+                                  "list-requested_classes"])
     def test_head_meta_mistyped_value_is_checkpoint_error(self, workspace, trained_head,
-                                                          tmp_path, key, value):
-        arrays, meta = load_arrays(str(trained_head))
+                                                          multiclass_head, tmp_path,
+                                                          key, value):
+        # requested_classes is read only by multiclass heads, normal_class by binary ones.
+        head = multiclass_head if key == "requested_classes" else trained_head
+        arrays, meta = load_arrays(str(head))
         meta[key] = value
         broken = tmp_path / "broken-head.npz"
         save_arrays(str(broken), arrays, meta=meta)
@@ -535,3 +607,42 @@ class TestParser:
         group_mask = next(a for a in sub.choices["pretrain"]._actions
                           if a.dest == "group_mask")
         assert group_mask.option_strings == ["--group-mask", "--no-group-mask"]
+
+
+class TestAllocatorPolicy:
+    """main() raises glibc's mmap and trim thresholds; elsewhere it does nothing."""
+
+    NO_OP = [(logging.DEBUG, "allocator thresholds left at their defaults")]
+
+    def test_main_sets_glibc_thresholds(self, monkeypatch, tmp_path):
+        calls = []
+        lib = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 1)
+        monkeypatch.setattr(cli, "platform", SimpleNamespace(libc_ver=lambda: ("glibc", "2.36")))
+        monkeypatch.setattr(cli, "ctypes", SimpleNamespace(CDLL=lambda name: lib,
+                                                           c_int=ctypes.c_int))
+        assert main(["preprocess", "--out-dir", str(tmp_path)]) == 2
+        # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD is -1 in glibc's malloc.h.
+        assert calls == [(-3, 64 << 20), (-1, 256 << 20)]
+
+    @pytest.mark.parametrize("libc, lib", [
+        (("", ""), None),
+        (("musl", "1.2.4"), None),
+        (("glibc", "2.36"), SimpleNamespace()),
+        (("glibc", "2.36"), SimpleNamespace(mallopt=lambda param, value: 0)),
+    ], ids=["unknown-libc", "musl", "no-mallopt", "mallopt-rejects"])
+    def test_elsewhere_is_a_silent_no_op(self, monkeypatch, caplog, libc, lib):
+        def cdll(name):
+            assert lib is not None, "opened the C library outside glibc"
+            return lib
+
+        monkeypatch.setattr(cli, "platform", SimpleNamespace(libc_ver=lambda: libc))
+        monkeypatch.setattr(cli, "ctypes", SimpleNamespace(CDLL=cdll, c_int=ctypes.c_int))
+        with caplog.at_level(logging.DEBUG, logger="flowcl"):
+            cli._keep_freed_pages()
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == self.NO_OP
+
+    @pytest.mark.skipif(cli.platform.libc_ver()[0] != "glibc", reason="needs glibc")
+    def test_this_glibc_accepts_the_thresholds(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="flowcl"):
+            cli._keep_freed_pages()
+        assert caplog.records == []

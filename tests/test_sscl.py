@@ -340,11 +340,16 @@ class TestHeadStage:
             evaluate_head(encoder, projector, head, x, y, "hidden")
 
 
+# Prints the peak RSS (KB) of frozen features over argv[1] rows; with a
+# second argument "policy", after applying the CLI's allocator policy first.
 _FEATURE_RSS_SCRIPT = """
 import resource, sys
 import numpy as np
+from flowcl.cli import _keep_freed_pages
 from flowcl.model import Conv, EncoderConfig, build_encoder
 from flowcl.sscl import representation_features
+if sys.argv[2:] == ["policy"]:
+    _keep_freed_pages()
 rows = int(sys.argv[1])
 encoder, projector = build_encoder(EncoderConfig((Conv(16), Conv(32)), 64, 8), seed=0)
 x = np.random.default_rng(0).uniform(size=(rows, 64))
@@ -368,14 +373,17 @@ class TestRepresentationFeatures:
 
     def test_peak_memory_is_bounded_in_rows(self):
         """Ten times the rows must not double peak RSS (a child process per size)."""
-        src = os.path.dirname(os.path.dirname(flowcl.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        assert _feature_peak_kb(10_000) < 2 * _feature_peak_kb(1_000)
 
-        def peak_kb(rows: int) -> int:
-            done = subprocess.run([sys.executable, "-c", _FEATURE_RSS_SCRIPT, str(rows)],
-                                  env=env, capture_output=True, text=True, check=True,
-                                  timeout=300)
-            return int(done.stdout.split()[-1])
+    def test_peak_memory_is_bounded_in_rows_with_allocator_policy(self):
+        """The same bound when freed pages stay in the process, as under the CLI."""
+        assert _feature_peak_kb(10_000, "policy") < 2 * _feature_peak_kb(1_000, "policy")
 
-        assert peak_kb(10_000) < 2 * peak_kb(1_000)
+
+def _feature_peak_kb(rows: int, *extra: str) -> int:
+    src = os.path.dirname(os.path.dirname(flowcl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", _FEATURE_RSS_SCRIPT, str(rows), *extra],
+                          env=env, capture_output=True, text=True, check=True, timeout=300)
+    return int(done.stdout.split()[-1])
