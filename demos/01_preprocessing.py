@@ -17,7 +17,6 @@ import numpy as np
 from flowcl.dataio import (
     DatasetSchema,
     Feature,
-    TransformStats,
     encode_dataset,
     fit_preprocessor,
     load_csv,
@@ -57,13 +56,13 @@ for feat, lo, hi in zip((f for f in schema.features if f.kind == "numeric"),
 
 # Unseen categories ("gre") and the missing marker ("-") both become
 # all-zero one-hot blocks; only the unseen ones are counted.
-stats = TransformStats()
+unseen = {}
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
-    dataset = encode_dataset(records, state, stats)
+    dataset = encode_dataset(records, state, unseen)
 print("\nencoded matrix (rows are records):")
 print(np.round(dataset.x, 3))
-print("unseen category counts:", stats.unseen)
+print("unseen category counts:", unseen)
 
 print(f"\nEncodedDataset: {dataset.x.shape[0]} samples x {dataset.width} dims,"
       f" class counts {dataset.class_counts()}")

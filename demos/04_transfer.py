@@ -60,7 +60,7 @@ amap = build_alignment(original, target, aliases)
 print(f"alignment: {amap.mapped} mapped, {amap.masked} masked,"
       f" {amap.omitted} omitted (of target width {amap.target_width})")
 
-target_state = fit_transfer_preprocessor(state, target_records, target, aliases)
+target_state = fit_transfer_preprocessor(state, target_records, target, amap)
 result = transfer_evaluate(
     encoder, projector, amap,
     encode_dataset(target_records, target_state),

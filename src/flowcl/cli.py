@@ -43,7 +43,6 @@ from typing import Any, NamedTuple
 from . import __version__
 from .augment import MaskingConfig
 from .dataio import (
-    TransformStats,
     binarize,
     encode_dataset,
     filter_classes,
@@ -67,6 +66,7 @@ from .errors import (
     NoSharedFeaturesError,
     RowParseError,
     SchemaMismatchError,
+    checked,
 )
 from .metrics import report_to_dict
 from .model import (
@@ -165,13 +165,9 @@ def _kind(setting: Setting) -> type:
 
 def _config_value(key: str, value, setting: Setting):
     """A config-file value checked against its setting; an int is taken as a float."""
-    kind = _kind(setting)
     if value is None and setting.default is None:
         return None
-    if kind is float and type(value) is int:
-        value = float(value)
-    if type(value) is not kind:
-        raise ConfigError(f"setting '{key}' must be {kind.__name__}, got {value!r}")
+    value = checked(value, _kind(setting), f"setting '{key}'", ConfigError)
     if setting.choices is not None and value not in setting.choices:
         raise ConfigError(f"setting '{key}' must be one of {list(setting.choices)}, "
                           f"got {value!r}")
@@ -238,34 +234,35 @@ PREPROCESS_SETTINGS = {
 
 
 def cmd_preprocess(cfg: dict) -> None:
+    """Fit on the train split, then encode and save each split in turn.
+
+    A split's parsed rows outweigh its matrix: both go before the next split is read.
+    """
     schema = _schema_by_name_or_path(cfg["schema"])
-    train_records = load_csv(cfg["train_csv"], schema)
-    state = fit_preprocessor(train_records, schema)
-    os.makedirs(cfg["out_dir"], exist_ok=True)
     state_path = os.path.join(cfg["out_dir"], "preprocessor.json")
-    save_state(state_path, state)
-    inputs = [cfg["train_csv"]]
-    outputs = [state_path]
-    stats = TransformStats()
-    train_ds = encode_dataset(train_records, state, stats)
-    train_path = os.path.join(cfg["out_dir"], "train.npz")
-    save_encoded(train_path, train_ds, schema.fingerprint())
-    outputs.append(train_path)
-    logger.info("encoded width %d", train_ds.width)
-    logger.info("train class counts: %s",
-                json.dumps(train_ds.class_counts(), sort_keys=True))
-    if cfg["test_csv"] is not None:
-        test_records = load_csv(cfg["test_csv"], schema)
-        test_ds = encode_dataset(test_records, state, stats)
-        test_path = os.path.join(cfg["out_dir"], "test.npz")
-        save_encoded(test_path, test_ds, schema.fingerprint())
-        inputs.append(cfg["test_csv"])
-        outputs.append(test_path)
-        logger.info("test class counts: %s",
-                    json.dumps(test_ds.class_counts(), sort_keys=True))
-    if stats.unseen:
+    state, unseen, inputs, outputs = None, {}, [], [state_path]
+    for split in ("train", "test"):
+        csv_path = cfg[split + "_csv"]
+        if csv_path is None:
+            continue
+        records = load_csv(csv_path, schema)
+        if state is None:
+            state = fit_preprocessor(records, schema)
+            os.makedirs(cfg["out_dir"], exist_ok=True)
+            save_state(state_path, state)
+            logger.info("encoded width %d", schema.encoded_width)
+        dataset = encode_dataset(records, state, unseen)
+        del records
+        path = os.path.join(cfg["out_dir"], split + ".npz")
+        save_encoded(path, dataset, schema.fingerprint())
+        inputs.append(csv_path)
+        outputs.append(path)
+        logger.info("%s class counts: %s", split,
+                    json.dumps(dataset.class_counts(), sort_keys=True))
+        del dataset
+    if unseen:
         logger.warning("unseen categories encoded as all-zero blocks: %s",
-                       json.dumps(stats.unseen, sort_keys=True))
+                       json.dumps(unseen, sort_keys=True))
     _write_manifest(os.path.join(cfg["out_dir"], "manifest.json"),
                     "preprocess", cfg, inputs, outputs)
 
@@ -407,15 +404,12 @@ def cmd_evaluate(cfg: dict) -> None:
                                      HEAD_STAGE_SETTINGS["normal_class"])
         requested = _config_value("requested_classes", head_meta.get("requested_classes"),
                                   HEAD_STAGE_SETTINGS["classes"])
+        classes = checked(head_meta["classes"], list, "classes", ConfigError, of=str)
+        train_count = checked(head_meta["train_count"], int, "train_count", ConfigError)
+        if train_count < 0:
+            raise ConfigError(f"train_count must be non-negative, got {train_count}")
     except ConfigError as err:
         raise CheckpointError(f"head checkpoint {cfg['head']}: {err}") from None
-    train_count, classes = head_meta["train_count"], head_meta["classes"]
-    if isinstance(train_count, bool) or not isinstance(train_count, int) or train_count < 0:
-        raise CheckpointError(f"head checkpoint {cfg['head']}: train_count must be a "
-                              f"non-negative int, got {train_count!r}")
-    if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
-        raise CheckpointError(f"head checkpoint {cfg['head']}: classes must be a list "
-                              f"of strings, got {classes!r}")
     encoder, projector, task_ds = _load_task_data(
         cfg["encoder"], cfg["data"], protocol["task"], requested, normal_class)
     if head_meta.get("data_sha256") not in (None, _sha256(cfg["data"])):
@@ -461,13 +455,13 @@ def cmd_transfer_eval(cfg: dict) -> None:
     logger.info("alignment: %d mapped, %d masked, %d omitted",
                 amap.mapped, amap.masked, amap.omitted)
     target_records = load_csv(cfg["target_csv"], target_schema)
-    state = fit_transfer_preprocessor(original_state, target_records,
-                                      target_schema, aliases)
-    stats = TransformStats()
-    target_ds = encode_dataset(target_records, state, stats)
-    if stats.unseen:
+    state = fit_transfer_preprocessor(original_state, target_records, target_schema, amap)
+    unseen: dict[str, int] = {}
+    target_ds = encode_dataset(target_records, state, unseen)
+    del target_records  # parsed rows outweigh the encoded matrix; free them before scoring
+    if unseen:
         logger.warning("unseen categories in target data: %s",
-                       json.dumps(stats.unseen, sort_keys=True))
+                       json.dumps(unseen, sort_keys=True))
     task_ds = _apply_task(target_ds, cfg["task"], cfg["classes"], cfg["normal_class"])
     result = transfer_evaluate(encoder, projector, amap, task_ds, _config_from(HeadConfig, cfg))
     doc = _report_doc(cfg, result.train_count, result.test_count, result.report,

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .errors import (
     RowParseError,
     SchemaMismatchError,
     UnknownClassError,
+    checked,
 )
 from .numgrad.checkpoint import load_arrays, save_arrays
 from .seeding import substream
@@ -159,16 +160,9 @@ def schema_to_dict(schema: DatasetSchema) -> dict:
     return out
 
 
-def _string(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaMismatchError(f"{what} must be a string, got {type(value).__name__}")
-    return value
-
-
-def _strings(value, what: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise SchemaMismatchError(f"{what} must be a list of strings")
-    return tuple(value)
+def _field(doc: dict, key: str, kind: type, what: str, of: type | None = None):
+    """A schema field checked for its JSON type; an absent one is kind()'s empty value."""
+    return checked(doc.get(key, kind()), kind, what, SchemaMismatchError, of)
 
 
 def schema_from_dict(doc: dict) -> DatasetSchema:
@@ -182,24 +176,21 @@ def schema_from_dict(doc: dict) -> DatasetSchema:
     if doc.get("format_version") != SCHEMA_FORMAT_VERSION:
         raise SchemaMismatchError(
             f"unsupported schema format version {doc.get('format_version')!r}")
-    entries = doc.get("features", [])
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise SchemaMismatchError("features must be a list of objects")
     features = []
-    for entry in entries:
+    for entry in _field(doc, "features", list, "features", of=dict):
         extra = set(entry) - {"name", "kind", "vocabulary"}
         if extra:
             raise SchemaMismatchError(f"unknown feature keys: {sorted(extra)}")
-        name = _string(entry.get("name", ""), "feature name")
-        features.append(Feature(name, _string(entry.get("kind", ""), f"feature {name}: kind"),
-                                _strings(entry.get("vocabulary", []),
-                                         f"feature {name}: vocabulary")))
+        name = _field(entry, "name", str, "feature name")
+        features.append(Feature(name, _field(entry, "kind", str, f"feature {name}: kind"),
+                                _field(entry, "vocabulary", list, f"feature {name}: vocabulary",
+                                       of=str)))
     aliases = doc.get("label_aliases", {})
     if not isinstance(aliases, dict) or not all(isinstance(c, str) for c in aliases.values()):
         raise SchemaMismatchError("label_aliases must map label spellings to class names")
-    return DatasetSchema(tuple(features), _string(doc.get("label_column", ""), "label_column"),
-                         _strings(doc.get("class_names", []), "class_names"),
-                         _string(doc.get("description", ""), "description"),
+    return DatasetSchema(tuple(features), _field(doc, "label_column", str, "label_column"),
+                         _field(doc, "class_names", list, "class_names", of=str),
+                         _field(doc, "description", str, "description"),
                          tuple(sorted(aliases.items())))
 
 
@@ -326,16 +317,6 @@ def fit_preprocessor(records: list[RawRecord], schema: DatasetSchema) -> Preproc
     return state
 
 
-@dataclass
-class TransformStats:
-    """Mutable tally of zero-masked unseen categories, keyed by feature name."""
-
-    unseen: dict[str, int] = field(default_factory=dict)
-
-    def count(self, feature: str) -> None:
-        self.unseen[feature] = self.unseen.get(feature, 0) + 1
-
-
 @dataclass(frozen=True)
 class EncodedDataset:
     """Encoded matrix plus integer labels (-1 marks unlabeled rows)."""
@@ -369,13 +350,13 @@ class EncodedDataset:
 
 
 def encode_dataset(records: list[RawRecord], state: PreprocessorState,
-                   stats: TransformStats | None = None) -> EncodedDataset:
+                   unseen: dict[str, int] | None = None) -> EncodedDataset:
     """Encode records column by column: min-max scale numerics, one-hot categoricals.
 
     Numerics are clipped into [0,1]; a degenerate feature (min == max on the
     fitting data) encodes as 0. The literal value "-" in a categorical
     yields an all-zero block, as does any value outside the vocabulary (the
-    latter with a counted warning).
+    latter with a warning, and tallied per feature name into `unseen`).
     """
     if not records:
         raise EmptyDatasetError("no records to encode")
@@ -407,8 +388,8 @@ def encode_dataset(records: list[RawRecord], state: PreprocessorState,
             if hit is not None:
                 x[row, start + hit] = 1.0
                 continue
-            if stats is not None:
-                stats.count(f.name)
+            if unseen is not None:
+                unseen[f.name] = unseen.get(f.name, 0) + 1
             warnings.warn(f"feature {f.name}: unseen category {value!r} zero-masked",
                           UnseenCategoryWarning, stacklevel=2)
     return EncodedDataset(x, labels, schema.class_names)
@@ -530,9 +511,11 @@ def load_state(path: str, schema: DatasetSchema) -> PreprocessorState:
     if doc.get("schema_fingerprint") != schema.fingerprint():
         raise SchemaMismatchError("preprocessor state was fitted under a different schema")
     numeric = [f.name for f in schema.features if f.kind == "numeric"]
+    fitted = [checked(doc.get(key), dict, f"state {key}", SchemaMismatchError, of=float)
+              for key in ("minima", "maxima")]
     try:
-        minima = np.array([doc["minima"][n] for n in numeric], dtype=np.float64)
-        maxima = np.array([doc["maxima"][n] for n in numeric], dtype=np.float64)
+        minima, maxima = (np.array([values[n] for n in numeric], dtype=np.float64)
+                          for values in fitted)
     except KeyError as exc:
         raise SchemaMismatchError(f"state file missing fitted values for {exc}") from None
     return PreprocessorState(schema, minima, maxima)
@@ -554,7 +537,8 @@ def load_encoded(path: str) -> tuple[EncodedDataset, dict]:
     try:
         dataset = EncodedDataset(np.asarray(arrays["x"], dtype=np.float64),
                                  np.asarray(arrays["labels"], dtype=np.int64),
-                                 tuple(meta["class_names"]))
+                                 checked(meta["class_names"], list, f"{path}: class_names",
+                                         SchemaMismatchError, of=str))
     except KeyError as exc:
         raise SchemaMismatchError(f"{path} is an encoded dataset without {exc}") from None
     return dataset, meta

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type check every reader uses."""
 
 
 class FlowclError(Exception):
@@ -67,3 +67,25 @@ class ConfigError(FlowclError, ValueError):
 
 class CheckpointError(FlowclError, ValueError):
     """A checkpoint file is missing, malformed, or of the wrong version."""
+
+
+_NOUNS = {str: "string", int: "int", float: "number", bool: "bool", list: "list", dict: "object"}
+
+
+def _has_kind(value, kind: type) -> bool:
+    return type(value) is kind or (kind is float and type(value) is int)
+
+
+def checked(value, kind: type, what: str, error: type[FlowclError], of: type | None = None):
+    """`value` if a JSON document gave it the declared type, else raise `error`.
+
+    `kind` is str, int, float, bool, list or dict; `of` also types a list's
+    items or a dict's values. A bool is neither an int nor a number; an int
+    is taken as a float and comes back as one.
+    """
+    items = () if of is None else (value.values() if type(value) is dict else value)
+    if not _has_kind(value, kind) or not all(_has_kind(item, of) for item in items):
+        noun = _NOUNS[kind] + ("" if of is None else f" of {_NOUNS[of]}s")
+        article = "an" if noun[0] in "aeiou" else "a"
+        raise error(f"{what} must be {article} {noun}, got {value!r}")
+    return float(value) if kind is float else value

@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from . import numgrad as ng
-from .errors import CheckpointError, ConfigError, InvalidShapeError
+from .errors import CheckpointError, ConfigError, InvalidShapeError, checked
 from .numgrad import Tensor
 from .seeding import substream
 
@@ -155,9 +155,9 @@ def parse_layers(items) -> tuple:
     for item in items:
         try:
             kind, arg = item
-            arg = int(arg)
         except (TypeError, ValueError):
             raise ConfigError(f"layer spec must be [kind, int], got {item!r}") from None
+        arg = checked(arg, int, f"layer {kind!r} argument", ConfigError)
         if kind == "conv":
             specs.append(Conv(arg))
         elif kind == "pool":
@@ -169,10 +169,12 @@ def parse_layers(items) -> tuple:
 
 def config_from_dict(doc: dict) -> EncoderConfig:
     expected = {"layers", "input_width", "context_dim", "preset"}
-    if set(doc) != expected:
+    if set(checked(doc, dict, "encoder config", ConfigError)) != expected:
         raise ConfigError(f"bad encoder config keys: {sorted(set(doc) ^ expected)}")
-    return EncoderConfig(parse_layers(doc["layers"]), int(doc["input_width"]),
-                         int(doc["context_dim"]), str(doc["preset"]))
+    return EncoderConfig(parse_layers(doc["layers"]),
+                         checked(doc["input_width"], int, "input_width", ConfigError),
+                         checked(doc["context_dim"], int, "context_dim", ConfigError),
+                         checked(doc["preset"], str, "preset", ConfigError))
 
 
 @dataclass
@@ -357,10 +359,8 @@ def load_encoder(path: str) -> tuple[EncoderBlock, ProjectionHead, dict]:
     if meta.get("kind") != "encoder":
         raise CheckpointError(f"{path} is not an encoder checkpoint "
                               f"(kind={meta.get('kind')!r})")
-    if "config" not in meta:
-        raise CheckpointError(f"encoder checkpoint {path} lacks meta key 'config'")
     try:
-        config = config_from_dict(meta["config"])
+        config = config_from_dict(meta.get("config"))
     except ConfigError as err:
         raise CheckpointError(f"encoder checkpoint {path}: {err}") from None
     block = EncoderBlock(config)

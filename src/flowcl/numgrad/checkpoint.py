@@ -2,7 +2,8 @@
 
 The container is a standard .npz (readable with np.load), but written by hand
 so the bytes are deterministic: entries are sorted, stored uncompressed, and
-carry a fixed zip timestamp instead of the wall clock. Writes go to a temp
+carry a fixed zip timestamp instead of the wall clock. Each array is streamed
+into its zip entry, so saving holds no second copy of it. Writes go to a temp
 file in the same directory and are renamed into place, so a crash never
 leaves a readable half-written checkpoint behind.
 """
@@ -18,7 +19,7 @@ from typing import Any
 import numpy as np
 from numpy.lib import format as npformat
 
-from ..errors import CheckpointError
+from ..errors import CheckpointError, checked
 
 FORMAT_VERSION = 1
 
@@ -36,11 +37,14 @@ def save_arrays(path: str, arrays: dict[str, np.ndarray], meta: dict[str, Any] |
         payload[_ARRAY_PREFIX + name] = np.asarray(arr)
     tmp = path + ".tmp"
     with zipfile.ZipFile(tmp, "w", compression=zipfile.ZIP_STORED, allowZip64=True) as zf:
-        for name in sorted(payload):
-            buf = io.BytesIO()
-            npformat.write_array(buf, payload[name], allow_pickle=False)
+        for name, arr in sorted(payload.items()):
             info = zipfile.ZipInfo(name + ".npy", date_time=_EPOCH)
-            zf.writestr(info, buf.getvalue())
+            # The entry's size, from which open() makes writestr()'s zip64 choice.
+            header = io.BytesIO()
+            npformat.write_array_header_1_0(header, npformat.header_data_from_array_1_0(arr))
+            info.file_size = header.tell() + arr.nbytes
+            with zf.open(info, "w") as entry:
+                npformat.write_array(entry, arr, allow_pickle=False)
     os.replace(tmp, path)
 
 
@@ -54,10 +58,14 @@ def load_arrays(path: str) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
     with z:
         if _META_KEY not in z:
             raise CheckpointError(f"{path} is not a recognized checkpoint (missing metadata)")
-        header = json.loads(str(z[_META_KEY][()]))
+        try:
+            header = json.loads(str(z[_META_KEY][()]))
+        except ValueError as err:
+            raise CheckpointError(f"{path} has unreadable metadata: {err}") from None
+        header = checked(header, dict, f"{path} header", CheckpointError)
         version = header.get("format_version")
         if version != FORMAT_VERSION:
             raise CheckpointError(
                 f"unsupported checkpoint format version {version!r} (expected {FORMAT_VERSION})")
         arrays = {k[len(_ARRAY_PREFIX):]: z[k] for k in z.files if k.startswith(_ARRAY_PREFIX)}
-    return arrays, header["meta"]
+    return arrays, checked(header.get("meta"), dict, f"{path} meta", CheckpointError)

@@ -82,18 +82,12 @@ def parse_alias_table(text: str) -> tuple[tuple[str, str], ...]:
     return tuple(pairs)
 
 
-def _target_lookup(target: DatasetSchema) -> dict:
-    table = {}
-    for feature, start, stop in target.block_spans():
-        table[feature.name.lower()] = (feature, start)
-    return table
-
-
 def build_alignment(original: DatasetSchema, target: DatasetSchema,
                     aliases: tuple[tuple[str, str], ...] = ()) -> FeatureAlignmentMap:
     """Name-match the schemas into a positional map original <- target."""
     rename = {orig.lower(): tgt.lower() for orig, tgt in aliases}
-    targets = _target_lookup(target)
+    targets = {feature.name.lower(): (feature, start)
+               for feature, start, _ in target.block_spans()}
     positions = np.full(original.encoded_width, -1, dtype=np.int64)
     for feature, start, stop in original.block_spans():
         wanted = rename.get(feature.name.lower(), feature.name.lower())
@@ -129,24 +123,23 @@ def align_matrix(x, amap: FeatureAlignmentMap) -> np.ndarray:
     return out
 
 
+def _numeric_starts(schema: DatasetSchema) -> list[int]:
+    return [start for feature, start, _ in schema.block_spans() if feature.kind == "numeric"]
+
+
 def fit_transfer_preprocessor(original_state: PreprocessorState,
                               target_records: list[RawRecord],
                               target_schema: DatasetSchema,
-                              aliases: tuple[tuple[str, str], ...] = ()) -> PreprocessorState:
-    """Fit on the target, then pin shared numerics to the original scale."""
+                              amap: FeatureAlignmentMap) -> PreprocessorState:
+    """Fit on the target, then pin each numeric `amap` maps to its original scale."""
     state = fit_preprocessor(target_records, target_schema)
-    rename = {orig.lower(): tgt.lower() for orig, tgt in aliases}
-    target_numeric = {f.name.lower(): i for i, f in enumerate(
-        f for f in target_schema.features if f.kind == "numeric")}
-    minima = state.minima.copy()
-    maxima = state.maxima.copy()
-    orig_numerics = [f for f in original_state.schema.features if f.kind == "numeric"]
-    for i, feature in enumerate(orig_numerics):
-        wanted = rename.get(feature.name.lower(), feature.name.lower())
-        j = target_numeric.get(wanted)
-        if j is not None:
-            minima[j] = original_state.minima[i]
-            maxima[j] = original_state.maxima[i]
+    # Target position of each original numeric; build_alignment maps numerics to numerics.
+    positions = amap.source_positions[_numeric_starts(original_state.schema)]
+    mapped = positions >= 0
+    target = np.searchsorted(_numeric_starts(target_schema), positions[mapped])
+    minima, maxima = state.minima.copy(), state.maxima.copy()
+    minima[target] = original_state.minima[mapped]
+    maxima[target] = original_state.maxima[mapped]
     return PreprocessorState(target_schema, minima, maxima)
 
 

@@ -17,7 +17,6 @@ from flowcl.dataio import (
     UNLABELED,
     PreprocessorState,
     RawRecord,
-    TransformStats,
     UnseenCategoryWarning,
 )
 from flowcl import numgrad as ng
@@ -188,7 +187,7 @@ def pair_loss(i: int, j: int, s: SimilarityMatrix, temperature: float) -> float:
 
 
 def naive_encode(record: RawRecord, state: PreprocessorState,
-                 stats: TransformStats | None = None) -> tuple[np.ndarray, int]:
+                 unseen: dict[str, int] | None = None) -> tuple[np.ndarray, int]:
     """Encode one record with scalar Python arithmetic, feature by feature.
 
     Returns the encoded row and the class index (UNLABELED for no label).
@@ -211,8 +210,8 @@ def naive_encode(record: RawRecord, state: PreprocessorState,
                 if hit is not None:
                     out[pos + hit] = 1.0
                 else:
-                    if stats is not None:
-                        stats.count(f.name)
+                    if unseen is not None:
+                        unseen[f.name] = unseen.get(f.name, 0) + 1
                     warnings.warn(f"feature {f.name}: unseen category {value!r} zero-masked",
                                   UnseenCategoryWarning, stacklevel=2)
             pos += f.width

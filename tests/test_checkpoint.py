@@ -1,10 +1,14 @@
 """Checkpoint container: bit-exact arrays, metadata, and format guards."""
 
+import io
 import json
 import os
+import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
+from numpy.lib import format as npformat
 
 from flowcl.errors import CheckpointError
 from flowcl.numgrad import load_arrays, save_arrays
@@ -53,6 +57,42 @@ class TestCheckpointRoundtrip:
         assert set(loaded) == {"b"}
 
 
+def buffered_reference(path, arrays, meta):
+    """The container written the plain way: each .npy built in memory, then writestr."""
+    header = json.dumps({"format_version": 1, "meta": meta}, sort_keys=True)
+    payload = {"__meta__": np.array(header), **{"a::" + k: v for k, v in arrays.items()}}
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED, allowZip64=True) as zf:
+        for name in sorted(payload):
+            buf = io.BytesIO()
+            npformat.write_array(buf, payload[name], allow_pickle=False)
+            zf.writestr(zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0)),
+                        buf.getvalue())
+
+
+class TestStreamedSave:
+    def test_bytes_equal_the_buffered_container(self, tmp_path):
+        rng = np.random.default_rng(5)
+        arrays = {"x": rng.normal(size=(300, 7)), "labels": np.arange(300, dtype=np.int64),
+                  "fortran": np.asfortranarray(rng.normal(size=(5, 9))),
+                  "scalar": np.array(2.5), "empty": np.zeros((0, 4))}
+        meta = {"kind": "test", "classes": ["a", "b"]}
+        save_arrays(str(tmp_path / "streamed.npz"), arrays, meta=meta)
+        buffered_reference(str(tmp_path / "buffered.npz"), arrays, meta)
+        assert ((tmp_path / "streamed.npz").read_bytes()
+                == (tmp_path / "buffered.npz").read_bytes())
+
+    def test_saving_holds_no_copy_of_the_array(self, tmp_path):
+        big = np.ones(8 << 20)  # 64 MiB, allocated before tracing starts
+        tracemalloc.start()
+        try:
+            save_arrays(str(tmp_path / "big.npz"), {"x": big})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < big.nbytes / 2
+        np.testing.assert_array_equal(load_arrays(str(tmp_path / "big.npz"))[0]["x"], big)
+
+
 class TestCheckpointGuards:
     def test_foreign_npz_rejected(self, tmp_path):
         path = str(tmp_path / "foreign.npz")
@@ -65,6 +105,15 @@ class TestCheckpointGuards:
         header = json.dumps({"format_version": 99, "meta": {}})
         np.savez(path, __meta__=np.array(header))
         with pytest.raises(CheckpointError):
+            load_arrays(path)
+
+    @pytest.mark.parametrize("text", ["[1]", '{"format_version": 1, "meta": [1]}',
+                                      '{"format_version": 1}', "{not json"],
+                             ids=["list-header", "list-meta", "no-meta", "bad-json"])
+    def test_malformed_header_rejected(self, tmp_path, text):
+        path = str(tmp_path / "odd.npz")
+        np.savez(path, __meta__=np.array(text))
+        with pytest.raises(CheckpointError, match="must be an object|unreadable metadata"):
             load_arrays(path)
 
     def test_reserved_name_rejected(self, tmp_path):

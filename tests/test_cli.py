@@ -8,6 +8,7 @@ import logging
 import os
 import subprocess
 import sys
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,6 +26,10 @@ from flowcl.synth import blob_schema, generate_blobs, subset_schema, write_csv
 def sha(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+class Rows(list):
+    """load_csv's rows in a list that, unlike a plain list, can be weakly referenced."""
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +105,32 @@ class TestPreprocess:
                          "--train-csv", str(workspace / "blobs.csv"),
                          "--out-dir", str(out)]) == 0
         assert sha(out / "train.npz") == sha(workspace / "prep" / "train.npz")
+
+    def test_each_split_is_freed_before_the_next(self, workspace, tmp_path, monkeypatch):
+        """A split's parsed rows are gone when it is saved, its matrix when the next is read."""
+        rows, matrices, events = [], [], []
+        real_load, real_save = cli.load_csv, cli.save_encoded
+
+        def load(path, schema):
+            events.append(("load", [ref() is None for ref in matrices]))
+            loaded = Rows(real_load(path, schema))
+            rows.append(weakref.ref(loaded))
+            return loaded
+
+        def save(path, dataset, fingerprint):
+            events.append(("save", [ref() is None for ref in rows]))
+            matrices.append(weakref.ref(dataset))
+            real_save(path, dataset, fingerprint)
+
+        monkeypatch.setattr(cli, "load_csv", load)
+        monkeypatch.setattr(cli, "save_encoded", save)
+        assert main(["preprocess", "--schema", str(workspace / "blobs.json"),
+                     "--train-csv", str(workspace / "blobs.csv"),
+                     "--test-csv", str(workspace / "blobs.csv"),
+                     "--out-dir", str(tmp_path)]) == 0
+        assert events == [("load", []), ("save", [True]),
+                          ("load", [True]), ("save", [True, True])]
+        assert sha(tmp_path / "test.npz") == sha(tmp_path / "train.npz")
 
     def test_missing_csv_is_io_error(self, workspace, tmp_path):
         code = main(["preprocess", "--schema", str(workspace / "blobs.json"),
@@ -268,6 +299,18 @@ class TestPretrain:
         assert main(["pretrain", "--config", str(workspace / "arch.json"),
                      "--data", str(broken), "--out", str(tmp_path / "e.npz")]) == 4
 
+    @pytest.mark.parametrize("class_names", ["ab", 5, ["normal", 5]],
+                             ids=["str", "int", "int-entry"])
+    def test_mistyped_encoded_class_names_is_schema_error(self, workspace, tmp_path, caplog,
+                                                          class_names):
+        arrays, meta = load_arrays(str(workspace / "prep" / "train.npz"))
+        meta["class_names"] = class_names
+        broken = tmp_path / "broken.npz"
+        save_arrays(str(broken), arrays, meta=meta)
+        assert main(["train-head", "--data", str(broken), "--encoder", str(workspace / "enc.npz"),
+                     "--out", str(tmp_path / "h.npz")] + HEAD_FLAGS) == 4
+        assert "class_names must be a list of strings" in caplog.text
+
     def test_oversized_batch_is_data_error(self, workspace, tmp_path):
         assert main(["pretrain", "--config", str(workspace / "arch.json"),
                      "--data", str(workspace / "prep" / "train.npz"),
@@ -349,7 +392,8 @@ class TestHeadAndEvaluate:
                      "--head", str(head), "--out", str(report_path)]) == 0
         assert json.loads((report_path).read_text())["representation"] == "context"
 
-    @pytest.mark.parametrize("layers", [[["conv"]], [["dense", 4]]])
+    @pytest.mark.parametrize("layers", [[["conv"]], [["dense", 4]],
+                                        [["conv", 8.5], ["pool", 2], ["conv", 16]]])
     def test_bad_checkpoint_layers_are_checkpoint_error(self, workspace, tmp_path, layers):
         arrays, meta = load_arrays(str(workspace / "enc.npz"))
         meta["config"]["layers"] = layers
@@ -358,6 +402,22 @@ class TestHeadAndEvaluate:
         assert main(["train-head", "--data", str(workspace / "prep" / "train.npz"),
                      "--encoder", str(broken),
                      "--out", str(tmp_path / "h.npz")] + HEAD_FLAGS) == 7
+
+    @pytest.mark.parametrize("key, value", [("input_width", None), ("input_width", "16"),
+                                            ("input_width", True), ("context_dim", "x"),
+                                            ("context_dim", 8.7), ("preset", ["a"])],
+                             ids=["null-input_width", "str-input_width", "bool-input_width",
+                                  "str-context_dim", "float-context_dim", "list-preset"])
+    def test_mistyped_encoder_config_is_checkpoint_error(self, workspace, tmp_path, caplog,
+                                                         key, value):
+        arrays, meta = load_arrays(str(workspace / "enc.npz"))
+        meta["config"][key] = value
+        broken = tmp_path / "broken.npz"
+        save_arrays(str(broken), arrays, meta=meta)
+        assert main(["train-head", "--data", str(workspace / "prep" / "train.npz"),
+                     "--encoder", str(broken),
+                     "--out", str(tmp_path / "h.npz")] + HEAD_FLAGS) == 7
+        assert f"{key} must be a" in caplog.text
 
     def test_encoder_meta_without_config_is_checkpoint_error(self, workspace, tmp_path):
         arrays, meta = load_arrays(str(workspace / "enc.npz"))
@@ -490,6 +550,43 @@ class TestTransferEval:
                      "--original-schema", str(workspace / "blobs.json"),
                      "--original-state", str(state), "--encoder", str(workspace / "enc.npz"),
                      "--out", str(tmp_path / "t.json")] + HEAD_FLAGS) == 4
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d["minima"].update(f00="abc"),
+        lambda d: d.update(minima=list(d["minima"].values())),
+        lambda d: d["minima"].update(f00="0.1"),
+        lambda d: d["maxima"].update(f00=True),
+    ], ids=["str-minimum", "list-minima", "numeric-str-minimum", "bool-maximum"])
+    def test_mistyped_state_is_schema_error(self, workspace, tmp_path, caplog, mutate):
+        doc = json.loads((workspace / "prep" / "preprocessor.json").read_text())
+        mutate(doc)
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["transfer-eval", "--target-csv", str(workspace / "blobs.csv"),
+                     "--target-schema", str(workspace / "blobs.json"),
+                     "--original-schema", str(workspace / "blobs.json"),
+                     "--original-state", str(state), "--encoder", str(workspace / "enc.npz"),
+                     "--out", str(tmp_path / "t.json")] + HEAD_FLAGS) == 4
+        assert "must be an object of numbers" in caplog.text
+
+    def test_target_rows_are_freed_before_scoring(self, workspace, tmp_path, monkeypatch):
+        rows, freed = [], []
+        real_load, real_evaluate = cli.load_csv, cli.transfer_evaluate
+
+        def load(path, schema):
+            loaded = Rows(real_load(path, schema))
+            rows.append(weakref.ref(loaded))
+            return loaded
+
+        def evaluate(*args):
+            freed.append([ref() is None for ref in rows])
+            return real_evaluate(*args)
+
+        monkeypatch.setattr(cli, "load_csv", load)
+        monkeypatch.setattr(cli, "transfer_evaluate", evaluate)
+        assert self.run_transfer(workspace, workspace / "target13.json",
+                                 workspace / "target13.csv", tmp_path / "t.json") == 0
+        assert freed == [[True]]
 
     def test_disjoint_schemas_exit_code(self, workspace, tmp_path):
         from flowcl.dataio import DatasetSchema, Feature

@@ -13,7 +13,6 @@ from flowcl.dataio import (
     RawRecord,
     UNLABELED,
     UnseenCategoryWarning,
-    TransformStats,
     binarize,
     encode_dataset,
     filter_classes,
@@ -177,9 +176,9 @@ class TestPreprocessor:
             fit_preprocessor([], tiny_schema())
 
 
-def encode_one(record, state, stats=None):
+def encode_one(record, state, unseen=None):
     """encode_dataset on a one-record list: (encoded row, class index)."""
-    ds = encode_dataset([record], state, stats)
+    ds = encode_dataset([record], state, unseen)
     return ds.x[0], int(ds.labels[0])
 
 
@@ -213,11 +212,11 @@ class TestTransform:
         np.testing.assert_array_equal(row[1:4], [0.0, 0.0, 0.0])
 
     def test_unseen_category_masked_and_counted(self, state):
-        stats = TransformStats()
+        unseen = {}
         with pytest.warns(UnseenCategoryWarning):
-            row, _ = encode_one(RawRecord((1.0, "gre", 15.0), "ok"), state, stats)
+            row, _ = encode_one(RawRecord((1.0, "gre", 15.0), "ok"), state, unseen)
         np.testing.assert_array_equal(row[1:4], [0.0, 0.0, 0.0])
-        assert stats.unseen == {"proto": 1}
+        assert unseen == {"proto": 1}
 
     def test_degenerate_feature_encodes_to_zero(self):
         with pytest.warns(UserWarning):
@@ -262,15 +261,15 @@ class TestTransform:
                        cells, protos, reversed(cells), labels)]
         records += [RawRecord((-0.0, "-", -0.0), None), RawRecord((nan, "tcp", -inf), "ok")]
         records *= 8  # long enough columns for numpy's vectorised loops
-        got_stats, want_stats = TransformStats(), TransformStats()
+        got_unseen, want_unseen = {}, {}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = encode_dataset(records, state, got_stats)
-            want = [naive_encode(rec, state, want_stats) for rec in records]
+            got = encode_dataset(records, state, got_unseen)
+            want = [naive_encode(rec, state, want_unseen) for rec in records]
         want_x = np.array([row for row, _ in want])
         assert got.x.tobytes() == want_x.tobytes()
         assert got.labels.tolist() == [label for _, label in want]
-        assert got_stats.unseen == want_stats.unseen == {"proto": 24}
+        assert got_unseen == want_unseen == {"proto": 24}
 
 
 def labeled_dataset(counts: dict[int, int], n_classes=3, width=4, seed=0) -> EncodedDataset:

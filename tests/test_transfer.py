@@ -184,7 +184,8 @@ class TestTransferPreprocessor:
         original_state = fit_preprocessor(original_records, schema)
         target_schema = subset_schema(schema, ["f00", "f01"])
         target_records = [RawRecord(r.values[:2], r.label) for r in original_records]
-        state = fit_transfer_preprocessor(original_state, target_records, target_schema)
+        state = fit_transfer_preprocessor(original_state, target_records, target_schema,
+                                          build_alignment(schema, target_schema))
         np.testing.assert_array_equal(state.minima, original_state.minima[:2])
         np.testing.assert_array_equal(state.maxima, original_state.maxima[:2])
 
@@ -194,8 +195,26 @@ class TestTransferPreprocessor:
         target = DatasetSchema((Feature("duration_ms", "numeric"),), "y", ("a", "b"))
         state = fit_transfer_preprocessor(
             original_state, _records([(3.0,), (4.0,)]), target,
-            aliases=(("dur", "duration_ms"),))
+            build_alignment(original, target, (("dur", "duration_ms"),)))
         assert state.minima[0] == 0.0 and state.maxima[0] == 10.0
+
+
+    def test_pins_exactly_what_the_alignment_maps(self):
+        # Reordered numerics, a categorical in between, and a kind clash on "dur".
+        original_state = fit_preprocessor(
+            [RawRecord((0.0, "tcp", 100.0), "ok"), RawRecord((10.0, "udp", 300.0), "bad")],
+            mixed_schema())
+        target = DatasetSchema(
+            (Feature("bytes", "numeric"), Feature("alpha", "numeric"),
+             Feature("proto", "categorical", ("udp", "tcp")),
+             Feature("dur", "categorical", ("short", "long"))),
+            "y", ("ok", "bad"))
+        amap = build_alignment(mixed_schema(), target)
+        state = fit_transfer_preprocessor(
+            original_state, [RawRecord((150.0, 7.0, "tcp", "short"), "ok"),
+                             RawRecord((250.0, 9.0, "udp", "long"), "ok")], target, amap)
+        np.testing.assert_array_equal(state.minima, [100.0, 7.0])
+        np.testing.assert_array_equal(state.maxima, [300.0, 9.0])
 
 
 def _records(rows):
@@ -234,9 +253,9 @@ class TestTransferEvaluate:
         baseline = run_head_stage(encoder, projector, dataset, HEAD).report.accuracy
         keep = [f.name for f in schema.features][:13]  # drop 3 of 16
         target_schema = subset_schema(schema, keep)
-        target_state = fit_transfer_preprocessor(state, records, target_schema)
-        target = encode_dataset(records, target_state)
         amap = build_alignment(schema, target_schema)
+        target_state = fit_transfer_preprocessor(state, records, target_schema, amap)
+        target = encode_dataset(records, target_state)
         result = transfer_evaluate(encoder, projector, amap, target, HEAD)
         assert amap.masked == 3
         assert abs(result.report.accuracy - baseline) <= 0.10
@@ -247,9 +266,9 @@ class TestTransferEvaluate:
         accuracies = []
         for n_masked in (0, 2, 5, 8):
             target_schema = subset_schema(schema, names[:16 - n_masked])
-            target_state = fit_transfer_preprocessor(state, records, target_schema)
-            target = encode_dataset(records, target_state)
             amap = build_alignment(schema, target_schema)
+            target_state = fit_transfer_preprocessor(state, records, target_schema, amap)
+            target = encode_dataset(records, target_state)
             result = transfer_evaluate(encoder, projector, amap, target, HEAD)
             assert amap.masked == n_masked
             accuracies.append(result.report.accuracy)
