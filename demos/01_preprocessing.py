@@ -1,7 +1,8 @@
 """Walk through schema-driven CSV preprocessing.
 
 Builds a tiny schema by hand, writes a few flow records, and shows what
-fitting and encoding do: min-max scaling of numerics, one-hot expansion of
+parsing, fitting and encoding do: the parsed table of numerics and
+category codes, min-max scaling of numerics, one-hot expansion of
 categoricals, missing-value masking, and how unseen categories are
 counted instead of crashing.
 
@@ -42,27 +43,30 @@ csv_text = """dur,proto,sbytes,attack_cat
 1.0,-,1500,Exploits
 0.8,gre,1200,Normal
 """
+# Unseen categories ("gre") and the missing marker ("-") both get code -1,
+# an all-zero one-hot block; only the unseen ones are counted.
+unseen = {}
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "flows.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(csv_text)
-    records = load_csv(path, schema)
-print(f"\nloaded {len(records)} records; first: {records[0]}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        table = load_csv(path, schema, unseen)
+print(f"\nloaded {len(table)} rows")
+print("  numerics:", table.numeric.tolist())
+print("  proto codes:", table.codes[:, 0].tolist())
+print("  label codes:", table.labels.tolist())
+print("unseen category counts:", unseen)
 
-state = fit_preprocessor(records, schema)
+state = fit_preprocessor(table, schema)
 for feat, lo, hi in zip((f for f in schema.features if f.kind == "numeric"),
                         state.minima, state.maxima):
     print(f"  {feat.name}: min={lo} max={hi}")
 
-# Unseen categories ("gre") and the missing marker ("-") both become
-# all-zero one-hot blocks; only the unseen ones are counted.
-unseen = {}
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    dataset = encode_dataset(records, state, unseen)
+dataset = encode_dataset(table, state)
 print("\nencoded matrix (rows are records):")
 print(np.round(dataset.x, 3))
-print("unseen category counts:", unseen)
 
 print(f"\nEncodedDataset: {dataset.x.shape[0]} samples x {dataset.width} dims,"
       f" class counts {dataset.class_counts()}")

@@ -8,20 +8,26 @@ loss curve. No labels are touched anywhere here.
 Run: python3 demos/02_pretraining.py  (takes a few seconds)
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from flowcl.augment import MaskingConfig, augment_pair
 from flowcl.model import Conv, EncoderConfig, MaxPool, build_encoder, count_parameters
 from flowcl.seeding import substream
 from flowcl.sscl import ContrastiveConfig, pretrain
-from flowcl.synth import blob_schema, generate_blobs
-from flowcl.dataio import encode_dataset, fit_preprocessor, random_split
+from flowcl.synth import blob_schema, generate_blobs, write_csv
+from flowcl.dataio import encode_dataset, fit_preprocessor, load_csv, random_split
 
 schema = blob_schema(16)
-records = generate_blobs(schema, n_per_class=400, seed=7)
-state = fit_preprocessor(records, schema)
-dataset = encode_dataset(records, state)
-print(f"{len(records)} samples, width {schema.encoded_width}, classes {schema.class_names}")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "blobs.csv")
+    write_csv(path, schema, generate_blobs(schema, n_per_class=400, seed=7))
+    table = load_csv(path, schema)
+state = fit_preprocessor(table, schema)
+dataset = encode_dataset(table, state)
+print(f"{len(table)} samples, width {schema.encoded_width}, classes {schema.class_names}")
 
 masking = MaskingConfig(ratio=0.3)
 rng = substream(7, "augment", 0, 0)

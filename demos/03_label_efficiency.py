@@ -9,16 +9,21 @@ untouched 20%.
 Run: python3 demos/03_label_efficiency.py  (takes ~half a minute)
 """
 
+import os
+import tempfile
 from dataclasses import replace
 
-from flowcl.dataio import encode_dataset, fit_preprocessor
+from flowcl.dataio import encode_dataset, fit_preprocessor, load_csv
 from flowcl.model import Conv, EncoderConfig, MaxPool, build_encoder
 from flowcl.sscl import ContrastiveConfig, HeadConfig, pretrain, run_head_stage
-from flowcl.synth import blob_schema, generate_blobs
+from flowcl.synth import blob_schema, generate_blobs, write_csv
 
 schema = blob_schema(16)
-records = generate_blobs(schema, n_per_class=500, seed=21)
-dataset = encode_dataset(records, fit_preprocessor(records, schema))
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "blobs.csv")
+    write_csv(path, schema, generate_blobs(schema, n_per_class=500, seed=21))
+    table = load_csv(path, schema)
+dataset = encode_dataset(table, fit_preprocessor(table, schema))
 
 config = EncoderConfig(
     (Conv(16), MaxPool(2), Conv(32), MaxPool(2), Conv(64)),

@@ -8,16 +8,19 @@ ones are masked to zero, extra target features are omitted.
 Run: python3 demos/04_transfer.py  (takes ~15 seconds)
 """
 
+import os
+import tempfile
+
 from flowcl.dataio import (
     DatasetSchema,
     Feature,
-    RawRecord,
     encode_dataset,
     fit_preprocessor,
+    load_csv,
 )
 from flowcl.model import Conv, EncoderConfig, MaxPool, build_encoder
 from flowcl.sscl import ContrastiveConfig, HeadConfig, pretrain, run_head_stage
-from flowcl.synth import blob_schema, generate_blobs, subset_schema
+from flowcl.synth import blob_schema, generate_blobs, subset_schema, write_csv
 from flowcl.transfer import (
     build_alignment,
     fit_transfer_preprocessor,
@@ -25,10 +28,20 @@ from flowcl.transfer import (
     transfer_evaluate,
 )
 
+
+def parsed(schema, records):
+    """Records written with write_csv and read back with load_csv, as the CLI reads them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.csv")
+        write_csv(path, schema, records)
+        return load_csv(path, schema)
+
+
 original = blob_schema(16)
 records = generate_blobs(original, n_per_class=400, seed=33)
-state = fit_preprocessor(records, original)
-dataset = encode_dataset(records, state)
+table = parsed(original, records)
+state = fit_preprocessor(table, original)
+dataset = encode_dataset(table, state)
 
 encoder, projector = build_encoder(
     EncoderConfig((Conv(16), MaxPool(2), Conv(32), MaxPool(2), Conv(64)),
@@ -52,18 +65,18 @@ target = DatasetSchema(
     description="renamed-and-reduced target",
 )
 index = {f.name: i for i, f in enumerate(original.features)}
-target_records = [RawRecord(tuple(r.values[index[n]] for n in keep), r.label)
-                  for r in records]
+target_table = parsed(target, [type(r)(tuple(r.values[index[n]] for n in keep), r.label)
+                               for r in records])
 
 aliases = parse_alias_table("# original = target\nf00 = duration\n")
 amap = build_alignment(original, target, aliases)
 print(f"alignment: {amap.mapped} mapped, {amap.masked} masked,"
       f" {amap.omitted} omitted (of target width {amap.target_width})")
 
-target_state = fit_transfer_preprocessor(state, target_records, target, amap)
+target_state = fit_transfer_preprocessor(state, target_table, target, amap)
 result = transfer_evaluate(
     encoder, projector, amap,
-    encode_dataset(target_records, target_state),
+    encode_dataset(target_table, target_state),
     head,
 )
 print(f"transfer accuracy with 3/16 features missing: {result.report.accuracy:.4f}")

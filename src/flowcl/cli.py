@@ -236,7 +236,7 @@ PREPROCESS_SETTINGS = {
 def cmd_preprocess(cfg: dict) -> None:
     """Fit on the train split, then encode and save each split in turn.
 
-    A split's parsed rows outweigh its matrix: both go before the next split is read.
+    A split's parsed table and matrix both go before the next split is read.
     """
     schema = _schema_by_name_or_path(cfg["schema"])
     state_path = os.path.join(cfg["out_dir"], "preprocessor.json")
@@ -245,14 +245,14 @@ def cmd_preprocess(cfg: dict) -> None:
         csv_path = cfg[split + "_csv"]
         if csv_path is None:
             continue
-        records = load_csv(csv_path, schema)
+        table = load_csv(csv_path, schema, unseen)
         if state is None:
-            state = fit_preprocessor(records, schema)
+            state = fit_preprocessor(table, schema)
             os.makedirs(cfg["out_dir"], exist_ok=True)
             save_state(state_path, state)
             logger.info("encoded width %d", schema.encoded_width)
-        dataset = encode_dataset(records, state, unseen)
-        del records
+        dataset = encode_dataset(table, state)
+        del table
         path = os.path.join(cfg["out_dir"], split + ".npz")
         save_encoded(path, dataset, schema.fingerprint())
         inputs.append(csv_path)
@@ -454,11 +454,11 @@ def cmd_transfer_eval(cfg: dict) -> None:
             f"schema encodes to {amap.width}")
     logger.info("alignment: %d mapped, %d masked, %d omitted",
                 amap.mapped, amap.masked, amap.omitted)
-    target_records = load_csv(cfg["target_csv"], target_schema)
-    state = fit_transfer_preprocessor(original_state, target_records, target_schema, amap)
     unseen: dict[str, int] = {}
-    target_ds = encode_dataset(target_records, state, unseen)
-    del target_records  # parsed rows outweigh the encoded matrix; free them before scoring
+    target_table = load_csv(cfg["target_csv"], target_schema, unseen)
+    state = fit_transfer_preprocessor(original_state, target_table, target_schema, amap)
+    target_ds = encode_dataset(target_table, state)
+    del target_table  # free the parsed table before scoring
     if unseen:
         logger.warning("unseen categories in target data: %s",
                        json.dumps(unseen, sort_keys=True))
@@ -513,20 +513,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each error kind's exit code, the first match winning; any other error exits 1.
+_EXIT_CODES = ((NoSharedFeaturesError, 6), (CheckpointError, 7), (ConfigError, 2),
+               ((SchemaMismatchError, RowParseError), 4),
+               ((FlowclError, FloatingPointError), 5), (OSError, 3))
+
+
 def _exit_code(err: Exception) -> int:
-    if isinstance(err, NoSharedFeaturesError):
-        return 6
-    if isinstance(err, CheckpointError):
-        return 7
-    if isinstance(err, ConfigError):
-        return 2
-    if isinstance(err, (SchemaMismatchError, RowParseError)):
-        return 4
-    if isinstance(err, (FlowclError, FloatingPointError)):
-        return 5
-    if isinstance(err, OSError):
-        return 3
-    return 1
+    return next((code for kinds, code in _EXIT_CODES if isinstance(err, kinds)), 1)
 
 
 def main(argv=None) -> int:

@@ -3,13 +3,14 @@
 A schema declares the feature layout (names, kinds, categorical
 vocabularies) up front, so the encoded width is known before any data is
 read and stays identical across machines. Fitting touches only the training
-records; encoding is a pure function of (records, fitted state).
+rows; encoding is a pure function of (parsed table, fitted state).
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -118,22 +119,19 @@ class DatasetSchema:
 
     def block_spans(self) -> tuple[tuple[Feature, int, int], ...]:
         """(feature, start, stop) of each feature's slice in the encoded vector."""
-        spans = []
-        pos = 0
-        for f in self.features:
-            spans.append((f, pos, pos + f.width))
-            pos += f.width
-        return tuple(spans)
+        stops = itertools.accumulate(f.width for f in self.features)
+        return tuple((f, stop - f.width, stop) for f, stop in zip(self.features, stops))
+
+    def starts(self, kind: str) -> list[int]:
+        """The encoded start of each feature of one kind, in schema order."""
+        return [start for f, start, _ in self.block_spans() if f.kind == kind]
 
     def class_index(self, name: str) -> int:
-        lowered = name.lower()
-        for i, c in enumerate(self.class_names):
-            if c.lower() == lowered:
-                return i
-        for alias, canonical in self.label_aliases:
-            if alias.lower() == lowered:
-                return self.class_names.index(canonical)
-        raise UnknownClassError(f"label {name!r} is not among classes {self.class_names}")
+        spellings = {a.lower(): c for a, c in self.label_aliases}
+        spellings |= {c.lower(): c for c in reversed(self.class_names)}  # the first class wins
+        if name.lower() not in spellings:
+            raise UnknownClassError(f"label {name!r} is not among classes {self.class_names}")
+        return self.class_names.index(spellings[name.lower()])
 
     def fingerprint(self) -> str:
         canon = json.dumps(schema_to_dict(self), sort_keys=True)
@@ -222,62 +220,103 @@ def packaged_schema(name: str) -> DatasetSchema:
     return load_schema(here)
 
 
+PARSE_BLOCK_ROWS = 512  # CSV rows held as text before they become array rows
+
+
 @dataclass(frozen=True)
-class RawRecord:
-    """One parsed CSV row: feature values in schema order, plus the label string."""
+class ParsedTable:
+    """A parsed CSV, one row per data row: float64 numerics and int64 category codes
+    (-1 for "-" and unseen values) in schema order, and label codes (UNLABELED if empty)."""
 
-    values: tuple
-    label: str | None
+    numeric: np.ndarray
+    codes: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return self.labels.shape[0]
 
 
-def load_csv(path: str, schema: DatasetSchema) -> list[RawRecord]:
-    """Parse a CSV with a header row against the schema.
+def _row_error(numeric: list[tuple[Feature, int]], width: int,
+               rows: list[tuple[int, list[str]]]) -> RowParseError:
+    """The first row that is short or has a numeric cell that is not a finite number."""
+    for row_idx, row in rows:
+        if len(row) < width:
+            return RowParseError(row_idx, f"expected {width} fields, got {len(row)}")
+        for f, c in numeric:
+            raw = row[c].strip()
+            try:
+                value = float(raw)
+            except ValueError:
+                return RowParseError(row_idx, f"feature {f.name}: {raw!r} is not numeric")
+            if not math.isfinite(value):
+                return RowParseError(row_idx, f"feature {f.name}: {raw!r} is not a finite number")
 
-    Header must contain every feature name and the label column (order
-    irrelevant, case-insensitive, extra columns ignored). Numeric fields are
-    parsed as floats and must be finite (an inf or NaN cell is a
-    `RowParseError`); categorical fields and labels are whitespace-stripped
-    strings. An empty label cell yields label None.
+
+def _block_arrays(schema: DatasetSchema, cols: dict[str, int], width: int,
+                  unseen: dict[str, int] | None, rows: list[tuple[int, list[str]]]):
+    """Numeric, code and label arrays of (row number, cells) pairs."""
+    numeric = [(f, cols[f.name]) for f in schema.features if f.kind == "numeric"]
+    try:
+        values = np.array([[float(row[c]) for _, c in numeric] for _, row in rows],
+                          dtype=np.float64).reshape(len(rows), len(numeric))
+        valid = np.isfinite(values).all() and all(len(row) >= width for _, row in rows)
+    except (ValueError, IndexError):
+        valid = False
+    if not valid:
+        raise _row_error(numeric, width, rows)
+    categorical = [f for f in schema.features if f.kind == "categorical"]
+    codes = np.empty((len(rows), len(categorical)), dtype=np.int64)
+    for j, f in enumerate(categorical):
+        index = {v.lower(): k for k, v in enumerate(f.vocabulary)} | {MASK_VALUE: -1}
+        cells = [row[cols[f.name]].strip() for _, row in rows]
+        codes[:, j] = [index.get(cell.lower(), -1) for cell in cells]
+        missed = [cell for cell in cells if cell.lower() not in index]
+        for value in dict.fromkeys(missed):
+            warnings.warn(f"feature {f.name}: unseen category {value!r} zero-masked",
+                          UnseenCategoryWarning, stacklevel=3)
+        if unseen is not None and missed:
+            unseen[f.name] = unseen.get(f.name, 0) + len(missed)
+    names = [row[cols[schema.label_column]].strip() for _, row in rows]
+    label_of = {n: schema.class_index(n) if n else UNLABELED for n in dict.fromkeys(names)}
+    return values, codes, np.array([label_of[n] for n in names], dtype=np.int64)
+
+
+def load_csv(path: str, schema: DatasetSchema,
+             unseen: dict[str, int] | None = None) -> ParsedTable:
+    """Parse a UTF-8 CSV with a header row against the schema, PARSE_BLOCK_ROWS at a time.
+
+    Header names match case-insensitively, in any order; extra columns are
+    ignored, and of a repeated name the first column is read. A short row or
+    a numeric cell that is not a finite float is a `RowParseError`, a label
+    outside the classes and aliases an `UnknownClassError`. Each category
+    outside the vocabulary warns and is tallied per feature name into `unseen`.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaMismatchError(f"{path}: empty file, no header row") from None
-        positions = {name.strip().lower(): i for i, name in enumerate(header)}
-        missing = [f.name for f in schema.features if f.name.lower() not in positions]
-        if schema.label_column.lower() not in positions:
-            missing.append(schema.label_column)
-        if missing:
-            raise SchemaMismatchError(f"{path}: header is missing columns {missing}")
-        cols = [positions[f.name.lower()] for f in schema.features]
-        label_col = positions[schema.label_column.lower()]
-
-        records = []
-        for row_idx, row in enumerate(reader, start=1):
-            if not row:
-                continue  # tolerate blank lines
-            if len(row) < len(header):
-                raise RowParseError(row_idx, f"expected {len(header)} fields, got {len(row)}")
-            values = []
-            for f, c in zip(schema.features, cols):
-                raw = row[c].strip()
-                if f.kind == "numeric":
-                    try:
-                        value = float(raw)
-                    except ValueError:
-                        raise RowParseError(
-                            row_idx, f"feature {f.name}: {raw!r} is not numeric") from None
-                    if not math.isfinite(value):
-                        raise RowParseError(
-                            row_idx, f"feature {f.name}: {raw!r} is not a finite number")
-                    values.append(value)
-                else:
-                    values.append(raw)
-            label = row[label_col].strip()
-            records.append(RawRecord(tuple(values), label if label else None))
-    return records
+            header = next(reader, None)
+            if header is None:
+                raise SchemaMismatchError(f"{path}: empty file, no header row")
+            positions = {name.strip().lower(): i for i, name in reversed(list(enumerate(header)))}
+            names = [f.name for f in schema.features] + [schema.label_column]
+            missing = [name for name in names if name.lower() not in positions]
+            if missing:
+                raise SchemaMismatchError(f"{path}: header is missing columns {missing}")
+            cols = {name: positions[name.lower()] for name in names}
+            blocks, rows = [], []
+            for row_idx, row in enumerate(reader, start=1):
+                if row:  # blank lines are skipped
+                    rows.append((row_idx, row))
+                if len(rows) == PARSE_BLOCK_ROWS:
+                    blocks.append(_block_arrays(schema, cols, len(header), unseen, rows))
+                    rows = []
+            blocks.append(_block_arrays(schema, cols, len(header), unseen, rows))
+        except UnicodeDecodeError as err:
+            raise SchemaMismatchError(f"{path} is not UTF-8 text: byte "
+                                      f"{err.object[err.start]:#04x}, {err.reason}") from None
+        except csv.Error as err:
+            raise SchemaMismatchError(f"{path}, line {reader.line_num}: {err}") from None
+    return ParsedTable(*(np.concatenate(parts) for parts in zip(*blocks)))
 
 
 @dataclass(frozen=True)
@@ -302,15 +341,11 @@ class PreprocessorState:
         return tuple(n for n, mn, mx in zip(numeric, self.minima, self.maxima) if mn == mx)
 
 
-def fit_preprocessor(records: list[RawRecord], schema: DatasetSchema) -> PreprocessorState:
-    """Scan training records for per-numeric-feature minima and maxima."""
-    if not records:
+def fit_preprocessor(table: ParsedTable, schema: DatasetSchema) -> PreprocessorState:
+    """Per-numeric-feature minima and maxima of the training table."""
+    if not len(table):
         raise EmptyDatasetError("cannot fit a preprocessor on zero records")
-    numeric_idx = [i for i, f in enumerate(schema.features) if f.kind == "numeric"]
-    mat = np.array([[rec.values[i] for i in numeric_idx] for rec in records], dtype=np.float64)
-    minima = mat.min(axis=0) if numeric_idx else np.zeros(0)
-    maxima = mat.max(axis=0) if numeric_idx else np.zeros(0)
-    state = PreprocessorState(schema, minima, maxima)
+    state = PreprocessorState(schema, table.numeric.min(axis=0), table.numeric.max(axis=0))
     for name in state.degenerate_features():
         warnings.warn(f"feature {name} is constant on the fitting data; "
                       "it will encode as 0", DegenerateFeatureWarning, stacklevel=2)
@@ -349,50 +384,29 @@ class EncodedDataset:
         return {name: int(np.sum(self.labels == i)) for i, name in enumerate(self.class_names)}
 
 
-def encode_dataset(records: list[RawRecord], state: PreprocessorState,
-                   unseen: dict[str, int] | None = None) -> EncodedDataset:
-    """Encode records column by column: min-max scale numerics, one-hot categoricals.
+def encode_dataset(table: ParsedTable, state: PreprocessorState) -> EncodedDataset:
+    """Encode a table column by column: min-max scale numerics, one-hot categoricals.
 
     Numerics are clipped into [0,1]; a degenerate feature (min == max on the
-    fitting data) encodes as 0. The literal value "-" in a categorical
-    yields an all-zero block, as does any value outside the vocabulary (the
-    latter with a warning, and tallied per feature name into `unseen`).
+    fitting data) encodes as 0. A code of -1 (the mask value "-", or a value
+    outside the vocabulary) yields an all-zero block.
     """
-    if not records:
+    if not len(table):
         raise EmptyDatasetError("no records to encode")
     schema = state.schema
-    names = [rec.label for rec in records]
-    codes = {name: schema.class_index(name) for name in dict.fromkeys(names)
-             if name is not None}
-    labels = np.array([UNLABELED if name is None else codes[name] for name in names],
-                      dtype=np.int64)
-    x = np.zeros((len(records), schema.encoded_width))
-    num_i = 0
-    for col, (f, start, _) in enumerate(schema.block_spans()):
-        values = [rec.values[col] for rec in records]
-        if f.kind == "numeric":
-            mn, mx = state.minima[num_i], state.maxima[num_i]
-            num_i += 1
-            if mx > mn:
-                # Selections, not np.clip or np.fmax (whose vector loops can
-                # keep -0.0): -0.0 and NaN become +0.0, as with max(0.0, v).
-                scaled = (np.array(values, dtype=np.float64) - mn) / (mx - mn)
-                scaled = np.where(scaled > 0.0, scaled, 0.0)
-                x[:, start] = np.where(scaled < 1.0, scaled, 1.0)
-            continue
-        index = {v.lower(): k for k, v in enumerate(f.vocabulary)}
-        for row, value in enumerate(values):
-            if value == MASK_VALUE:
-                continue
-            hit = index.get(value.lower())
-            if hit is not None:
-                x[row, start + hit] = 1.0
-                continue
-            if unseen is not None:
-                unseen[f.name] = unseen.get(f.name, 0) + 1
-            warnings.warn(f"feature {f.name}: unseen category {value!r} zero-masked",
-                          UnseenCategoryWarning, stacklevel=2)
-    return EncodedDataset(x, labels, schema.class_names)
+    x = np.zeros((len(table), schema.encoded_width))
+    numeric = zip(schema.starts("numeric"), state.minima, state.maxima)
+    for j, (start, mn, mx) in enumerate(numeric):
+        if mx > mn:
+            # Selections, not np.clip or np.fmax (whose vector loops can
+            # keep -0.0): -0.0 and NaN become +0.0, as with max(0.0, v).
+            scaled = (table.numeric[:, j] - mn) / (mx - mn)
+            scaled = np.where(scaled > 0.0, scaled, 0.0)
+            x[:, start] = np.where(scaled < 1.0, scaled, 1.0)
+    categorical = np.array(schema.starts("categorical"), dtype=np.int64)
+    rows, cols = np.nonzero(table.codes >= 0)
+    x[rows, categorical[cols] + table.codes[rows, cols]] = 1.0
+    return EncodedDataset(x, table.labels.copy(), schema.class_names)
 
 
 def _round_count(x: float) -> int:

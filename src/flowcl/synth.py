@@ -9,15 +9,19 @@ seconds.
 from __future__ import annotations
 
 import csv
+from collections import namedtuple
 
-from .dataio import DatasetSchema, Feature, RawRecord
+from .dataio import DatasetSchema, Feature
 from .errors import ConfigError
 from .seeding import substream
 
-__all__ = ["blob_schema", "generate_blobs", "subset_schema", "write_csv"]
+__all__ = ["Record", "blob_schema", "generate_blobs", "subset_schema", "write_csv"]
 
 _CENTERS = (0.3, 0.7)
 _NOISE = 0.1
+
+
+Record = namedtuple("Record", ["values", "label"])  # values in schema order; label or None
 
 
 def blob_schema(n_features: int = 16) -> DatasetSchema:
@@ -29,7 +33,7 @@ def blob_schema(n_features: int = 16) -> DatasetSchema:
                          description="synthetic two-blob benchmark")
 
 
-def generate_blobs(schema: DatasetSchema, n_per_class: int, seed: int) -> list[RawRecord]:
+def generate_blobs(schema: DatasetSchema, n_per_class: int, seed: int) -> list[Record]:
     """n_per_class records of each class, uniform noise around the centers."""
     if n_per_class < 1:
         raise ConfigError(f"n_per_class must be positive, got {n_per_class}")
@@ -40,7 +44,7 @@ def generate_blobs(schema: DatasetSchema, n_per_class: int, seed: int) -> list[R
         center = _CENTERS[class_idx % 2]
         noise = rng.uniform(-_NOISE, _NOISE, size=(n_per_class, width))
         for row in noise:
-            records.append(RawRecord(tuple(float(center + v) for v in row), name))
+            records.append(Record(tuple(float(center + v) for v in row), name))
     return records
 
 
@@ -56,7 +60,7 @@ def subset_schema(schema: DatasetSchema, keep_names) -> DatasetSchema:
                          label_aliases=schema.label_aliases)
 
 
-def write_csv(path: str, schema: DatasetSchema, records: list[RawRecord]) -> None:
+def write_csv(path: str, schema: DatasetSchema, records: list[Record]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f.name for f in schema.features] + [schema.label_column])

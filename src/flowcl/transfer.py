@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DatasetSchema, EncodedDataset, PreprocessorState, RawRecord, fit_preprocessor
+from .dataio import DatasetSchema, EncodedDataset, ParsedTable, PreprocessorState, fit_preprocessor
 from .errors import ConfigError, InvalidShapeError, NoSharedFeaturesError
 from .model import EncoderBlock, ProjectionHead
 from .sscl import HeadConfig, HeadStageResult, run_head_stage
@@ -123,20 +123,16 @@ def align_matrix(x, amap: FeatureAlignmentMap) -> np.ndarray:
     return out
 
 
-def _numeric_starts(schema: DatasetSchema) -> list[int]:
-    return [start for feature, start, _ in schema.block_spans() if feature.kind == "numeric"]
-
-
 def fit_transfer_preprocessor(original_state: PreprocessorState,
-                              target_records: list[RawRecord],
+                              target_table: ParsedTable,
                               target_schema: DatasetSchema,
                               amap: FeatureAlignmentMap) -> PreprocessorState:
     """Fit on the target, then pin each numeric `amap` maps to its original scale."""
-    state = fit_preprocessor(target_records, target_schema)
+    state = fit_preprocessor(target_table, target_schema)
     # Target position of each original numeric; build_alignment maps numerics to numerics.
-    positions = amap.source_positions[_numeric_starts(original_state.schema)]
+    positions = amap.source_positions[original_state.schema.starts("numeric")]
     mapped = positions >= 0
-    target = np.searchsorted(_numeric_starts(target_schema), positions[mapped])
+    target = np.searchsorted(target_schema.starts("numeric"), positions[mapped])
     minima, maxima = state.minima.copy(), state.maxima.copy()
     minima[target] = original_state.minima[mapped]
     maxima[target] = original_state.maxima[mapped]

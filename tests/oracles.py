@@ -16,7 +16,6 @@ from flowcl.dataio import (
     MASK_VALUE,
     UNLABELED,
     PreprocessorState,
-    RawRecord,
     UnseenCategoryWarning,
 )
 from flowcl import numgrad as ng
@@ -27,6 +26,7 @@ from flowcl.errors import (
 )
 from flowcl.model import Conv
 from flowcl.numgrad import Tensor
+from flowcl.synth import Record
 
 
 def fd_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -186,7 +186,7 @@ def pair_loss(i: int, j: int, s: SimilarityMatrix, temperature: float) -> float:
     return float(lse - row[j])
 
 
-def naive_encode(record: RawRecord, state: PreprocessorState,
+def naive_encode(record: Record, state: PreprocessorState,
                  unseen: dict[str, int] | None = None) -> tuple[np.ndarray, int]:
     """Encode one record with scalar Python arithmetic, feature by feature.
 

@@ -28,10 +28,6 @@ def sha(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-class Rows(list):
-    """load_csv's rows in a list that, unlike a plain list, can be weakly referenced."""
-
-
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """One preprocessed + pretrained synthetic workspace shared by the module."""
@@ -107,13 +103,13 @@ class TestPreprocess:
         assert sha(out / "train.npz") == sha(workspace / "prep" / "train.npz")
 
     def test_each_split_is_freed_before_the_next(self, workspace, tmp_path, monkeypatch):
-        """A split's parsed rows are gone when it is saved, its matrix when the next is read."""
+        """A split's parsed table is gone when it is saved, its matrix when the next is read."""
         rows, matrices, events = [], [], []
         real_load, real_save = cli.load_csv, cli.save_encoded
 
-        def load(path, schema):
+        def load(path, schema, unseen):
             events.append(("load", [ref() is None for ref in matrices]))
-            loaded = Rows(real_load(path, schema))
+            loaded = real_load(path, schema, unseen)
             rows.append(weakref.ref(loaded))
             return loaded
 
@@ -193,6 +189,28 @@ class TestPreprocess:
                     + [str(part) for pair in csvs.items() for part in pair]) == 4
         feature = lines[0].split(",")[2]
         assert f"row 5: feature {feature}: '{cell}'" in caplog.text
+
+    def test_unknown_label_exits_5_and_writes_nothing(self, workspace, tmp_path, caplog):
+        text = (workspace / "blobs.csv").read_text(encoding="utf-8")
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text.replace(",attack\n", ",zombie\n", 1), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["preprocess", "--schema", str(workspace / "blobs.json"),
+                     "--train-csv", str(bad), "--out-dir", str(out)]) == 5
+        assert "'zombie'" in caplog.text
+        assert not out.exists()
+
+    def test_repeated_header_name_fits_the_first_column(self, workspace, tmp_path):
+        """A second f00 column, third in the header, is not read: pandas keeps the first."""
+        rows = [line.split(",") for line in
+                (workspace / "blobs.csv").read_text(encoding="utf-8").splitlines()]
+        doubled = tmp_path / "doubled.csv"
+        doubled.write_text("\n".join(",".join(row[:2] + ["f00" if k == 0 else "9.0"] + row[2:])
+                                     for k, row in enumerate(rows)) + "\n", encoding="utf-8")
+        assert main(["preprocess", "--schema", str(workspace / "blobs.json"),
+                     "--train-csv", str(doubled), "--out-dir", str(tmp_path / "out")]) == 0
+        for name in ("preprocessor.json", "train.npz"):
+            assert sha(tmp_path / "out" / name) == sha(workspace / "prep" / name)
 
 
 class TestPretrain:
@@ -573,8 +591,8 @@ class TestTransferEval:
         rows, freed = [], []
         real_load, real_evaluate = cli.load_csv, cli.transfer_evaluate
 
-        def load(path, schema):
-            loaded = Rows(real_load(path, schema))
+        def load(path, schema, unseen):
+            loaded = real_load(path, schema, unseen)
             rows.append(weakref.ref(loaded))
             return loaded
 
@@ -621,6 +639,32 @@ class TestTransferEval:
         doc = json.loads((out).read_text())
         assert doc["alignment"] == {"mapped": 16, "masked": 0, "omitted": 0}
         assert schema.encoded_width == 16
+
+
+class TestCsvDefects:
+    """Defects of the CSV file itself exit 4 with the file named, in both readers of CSVs."""
+
+    @pytest.mark.parametrize("command", ["preprocess", "transfer-eval"])
+    @pytest.mark.parametrize("defect, message", [
+        (lambda text: text.encode("utf-8").replace(b",attack\n", b",Web Attack \x96 XSS\n", 1),
+         "is not UTF-8 text: byte 0x96"),
+        (lambda text: text.replace(",attack\n", "," + "a" * 131073 + "\n", 1).encode("utf-8"),
+         "line 202: field larger than field limit (131072)"),
+    ], ids=["non-utf8", "long-field"])
+    def test_defect_is_parse_error(self, workspace, tmp_path, caplog, command, defect, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(defect((workspace / "blobs.csv").read_text(encoding="utf-8")))
+        if command == "preprocess":
+            args = ["--schema", str(workspace / "blobs.json"), "--train-csv", str(bad),
+                    "--out-dir", str(tmp_path / "out")]
+        else:
+            args = ["--target-csv", str(bad), "--target-schema", str(workspace / "blobs.json"),
+                    "--original-schema", str(workspace / "blobs.json"),
+                    "--original-state", str(workspace / "prep" / "preprocessor.json"),
+                    "--encoder", str(workspace / "enc.npz"),
+                    "--out", str(tmp_path / "t.json")] + HEAD_FLAGS
+        assert main([command] + args) == 4
+        assert f"{bad}" in caplog.text and message in caplog.text
 
 
 class TestParser:

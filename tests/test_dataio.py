@@ -1,16 +1,18 @@
 """Schema handling, CSV parsing, encoding, and the split/subsample rules."""
 
+import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from flowcl import dataio
 from flowcl.dataio import (
     DatasetSchema,
     EncodedDataset,
     Feature,
     PreprocessorState,
-    RawRecord,
     UNLABELED,
     UnseenCategoryWarning,
     binarize,
@@ -38,6 +40,9 @@ from flowcl.errors import (
     SchemaMismatchError,
     UnknownClassError,
 )
+
+from flowcl.synth import Record
+from flowcl.synth import write_csv as synth_write_csv
 
 from oracles import naive_encode
 
@@ -110,6 +115,13 @@ class TestSchema:
         assert schema.class_index("Backdoor") == schema.class_names.index("Backdoors")
 
 
+def parse(tmp_path, rows, unseen=None):
+    """load_csv of (size, proto, rate, verdict) rows under tiny_schema; a None verdict is empty."""
+    path = str(tmp_path / "rows.csv")
+    synth_write_csv(path, tiny_schema(), [Record(row[:3], row[3]) for row in rows])
+    return load_csv(path, tiny_schema(), unseen)
+
+
 class TestLoadCsv:
     def test_well_formed_file(self, tmp_path):
         path = write_csv(tmp_path / "d.csv",
@@ -117,20 +129,28 @@ class TestLoadCsv:
                          "1.0,tcp,0.5,ok\n"
                          "2.0,udp,0.25,bad\n"
                          "3.0,icmp,0.125,ok\n")
-        records = load_csv(path, tiny_schema())
-        assert len(records) == 3
-        assert records[0] == RawRecord((1.0, "tcp", 0.5), "ok")
+        table = load_csv(path, tiny_schema())
+        assert len(table) == 3
+        np.testing.assert_array_equal(table.numeric, [[1.0, 0.5], [2.0, 0.25], [3.0, 0.125]])
+        np.testing.assert_array_equal(table.codes, [[0], [1], [2]])
+        np.testing.assert_array_equal(table.labels, [0, 1, 0])
 
     def test_header_order_is_irrelevant(self, tmp_path):
         path = write_csv(tmp_path / "d.csv",
                          "verdict,rate,proto,size\nok,0.5,tcp,1.0\n")
-        records = load_csv(path, tiny_schema())
-        assert records[0].values == (1.0, "tcp", 0.5)
+        table = load_csv(path, tiny_schema())
+        np.testing.assert_array_equal(table.numeric, [[1.0, 0.5]])
+        np.testing.assert_array_equal(table.codes, [[0]])
 
     def test_extra_columns_ignored(self, tmp_path):
         path = write_csv(tmp_path / "d.csv",
                          "id,size,proto,rate,verdict\n7,1.0,tcp,0.5,ok\n")
         assert len(load_csv(path, tiny_schema())) == 1
+
+    def test_repeated_header_name_reads_the_first_column(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv",
+                         "size,proto,Size,rate,verdict\n1.0,tcp,9.0,0.5,ok\n")
+        np.testing.assert_array_equal(load_csv(path, tiny_schema()).numeric, [[1.0, 0.5]])
 
     def test_missing_label_column_rejected(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "size,proto,rate\n1.0,tcp,0.5\n")
@@ -149,101 +169,146 @@ class TestLoadCsv:
             load_csv(path, tiny_schema())
         assert err.value.row == 2
 
-    def test_empty_label_becomes_none(self, tmp_path):
-        path = write_csv(tmp_path / "d.csv", "size,proto,rate,verdict\n1.0,tcp,0.5,\n")
-        assert load_csv(path, tiny_schema())[0].label is None
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 512])
+    def test_first_bad_row_is_named_across_blocks(self, tmp_path, monkeypatch, block_rows):
+        """Row numbers count blank lines; an earlier bad cell beats a later short row."""
+        monkeypatch.setattr(dataio, "PARSE_BLOCK_ROWS", block_rows)
+        path = write_csv(tmp_path / "d.csv",
+                         "size,proto,rate,verdict\n1.0,tcp,0.5,ok\n\n"
+                         "2.0,tcp,0.5,ok\n3.0,tcp,inf,ok\nzap,tcp,0.5,ok\n4.0,tcp\n")
+        with pytest.raises(RowParseError, match="row 4: feature rate: 'inf'"):
+            load_csv(path, tiny_schema())
+        path = write_csv(tmp_path / "d.csv", "size,proto,rate,verdict\n1.0,tcp,0.5,ok\n"
+                         "\n2.0,tcp,0.5,ok\n4.0,tcp\nzap,tcp,0.5,ok\n")
+        with pytest.raises(RowParseError, match="row 4: expected 4 fields"):
+            load_csv(path, tiny_schema())
+        path = write_csv(tmp_path / "d.csv", "size,proto,rate,verdict\n"
+                         + "".join(f"{k}.0,udp,0.5,bad\n" for k in range(7)))
+        table = load_csv(path, tiny_schema())
+        np.testing.assert_array_equal(table.numeric[:, 0], np.arange(7.0))
+        assert table.codes.ravel().tolist() == [1] * 7 and table.labels.tolist() == [1] * 7
+
+    def test_non_utf8_text_names_the_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"size,proto,rate,verdict\n1.0,tcp,0.5,Web Attack \x96 XSS\n")
+        with pytest.raises(SchemaMismatchError, match="d.csv is not UTF-8 text: byte 0x96"):
+            load_csv(str(path), tiny_schema())
+
+    def test_csv_module_error_names_the_line(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "size,proto,rate,verdict\n1.0,tcp,0.5,ok\n"
+                         + "2.0,tcp,0.5," + "x" * 131073 + "\n")
+        with pytest.raises(SchemaMismatchError, match="d.csv, line 3: field larger"):
+            load_csv(path, tiny_schema())
+
+    def test_empty_label_is_unlabeled(self, tmp_path):
+        assert parse(tmp_path, [(1.0, "tcp", 0.5, None)]).labels.tolist() == [UNLABELED]
+
+    def test_unknown_label_rejected_at_parse(self, tmp_path):
+        with pytest.raises(UnknownClassError, match="'meh'"):
+            parse(tmp_path, [(1.0, "tcp", 0.5, "ok"), (1.0, "tcp", 0.5, "meh")])
+
+    def test_categories_coded_case_insensitively_with_mask(self, tmp_path):
+        table = parse(tmp_path, [(1.0, " UDP ", 0.5, "ok"), (1.0, "-", 0.5, "BAD")])
+        assert table.codes.ravel().tolist() == [1, -1]
+        assert table.labels.tolist() == [0, 1]
+
+    def test_unseen_categories_coded_and_tallied_at_parse(self, tmp_path):
+        unseen = {}
+        with pytest.warns(UnseenCategoryWarning, match="unseen category"):
+            table = parse(tmp_path, [(1.0, "gre", 15.0, "ok"), (1.0, "GRE", 15.0, "ok")],
+                          unseen)
+        assert table.codes.ravel().tolist() == [-1, -1]
+        assert unseen == {"proto": 2}
 
 
 class TestPreprocessor:
-    def test_min_max_fit(self):
-        records = [RawRecord((v, "tcp", v + 1.0), "ok") for v in (4.0, 2.0, 10.0)]
-        state = fit_preprocessor(records, tiny_schema())
+    def test_min_max_fit(self, tmp_path):
+        table = parse(tmp_path, [(v, "tcp", v + 1.0, "ok") for v in (4.0, 2.0, 10.0)])
+        state = fit_preprocessor(table, tiny_schema())
         assert state.minima[0] == 2.0 and state.maxima[0] == 10.0
 
-    def test_constant_feature_flagged_degenerate(self):
-        records = [RawRecord((5.0, "tcp", 1.0), "ok"), RawRecord((5.0, "udp", 2.0), "ok")]
+    def test_constant_feature_flagged_degenerate(self, tmp_path):
+        table = parse(tmp_path, [(5.0, "tcp", 1.0, "ok"), (5.0, "udp", 2.0, "ok")])
         with pytest.warns(UserWarning, match="constant"):
-            state = fit_preprocessor(records, tiny_schema())
+            state = fit_preprocessor(table, tiny_schema())
         assert state.degenerate_features() == ("size",)
 
-    def test_single_record_is_all_degenerate(self):
+    def test_single_record_is_all_degenerate(self, tmp_path):
         with pytest.warns(UserWarning):
-            state = fit_preprocessor([RawRecord((1.0, "tcp", 2.0), "ok")], tiny_schema())
+            state = fit_preprocessor(parse(tmp_path, [(1.0, "tcp", 2.0, "ok")]), tiny_schema())
         assert set(state.degenerate_features()) == {"size", "rate"}
 
-    def test_empty_input_rejected(self):
+    def test_empty_input_rejected(self, tmp_path):
         with pytest.raises(EmptyDatasetError):
-            fit_preprocessor([], tiny_schema())
+            fit_preprocessor(parse(tmp_path, []), tiny_schema())
 
 
-def encode_one(record, state, unseen=None):
-    """encode_dataset on a one-record list: (encoded row, class index)."""
-    ds = encode_dataset([record], state, unseen)
+def encode_one(tmp_path, row, state):
+    """encode_dataset on a one-row table: (encoded row, class index)."""
+    ds = encode_dataset(parse(tmp_path, [row]), state)
     return ds.x[0], int(ds.labels[0])
 
 
 class TestTransform:
     @pytest.fixture()
-    def state(self):
-        records = [RawRecord((0.0, "tcp", 10.0), "ok"), RawRecord((4.0, "udp", 30.0), "bad")]
-        return fit_preprocessor(records, tiny_schema())
+    def state(self, tmp_path):
+        table = parse(tmp_path, [(0.0, "tcp", 10.0, "ok"), (4.0, "udp", 30.0, "bad")])
+        return fit_preprocessor(table, tiny_schema())
 
-    def test_endpoints_map_to_zero_and_one(self, state):
-        lo, _ = encode_one(RawRecord((0.0, "tcp", 10.0), "ok"), state)
-        hi, _ = encode_one(RawRecord((4.0, "tcp", 30.0), "ok"), state)
+    def test_endpoints_map_to_zero_and_one(self, tmp_path, state):
+        lo, _ = encode_one(tmp_path, (0.0, "tcp", 10.0, "ok"), state)
+        hi, _ = encode_one(tmp_path, (4.0, "tcp", 30.0, "ok"), state)
         assert lo[0] == 0.0 and hi[0] == 1.0
         assert lo[4] == 0.0 and hi[4] == 1.0
 
-    def test_midpoint_maps_to_half(self, state):
-        mid, _ = encode_one(RawRecord((2.0, "tcp", 20.0), "ok"), state)
+    def test_midpoint_maps_to_half(self, tmp_path, state):
+        mid, _ = encode_one(tmp_path, (2.0, "tcp", 20.0, "ok"), state)
         assert mid[0] == 0.5 and mid[4] == 0.5
 
-    def test_out_of_range_values_clipped(self, state):
-        row, _ = encode_one(RawRecord((-3.0, "tcp", 99.0), "ok"), state)
+    def test_out_of_range_values_clipped(self, tmp_path, state):
+        row, _ = encode_one(tmp_path, (-3.0, "tcp", 99.0, "ok"), state)
         assert row[0] == 0.0 and row[4] == 1.0
 
-    def test_one_hot_block(self, state):
-        row, label = encode_one(RawRecord((1.0, "udp", 15.0), "bad"), state)
+    def test_one_hot_block(self, tmp_path, state):
+        row, label = encode_one(tmp_path, (1.0, "udp", 15.0, "bad"), state)
         np.testing.assert_array_equal(row[1:4], [0.0, 1.0, 0.0])
         assert label == 1
 
-    def test_dash_masks_categorical_block(self, state):
-        row, _ = encode_one(RawRecord((1.0, "-", 15.0), "ok"), state)
+    def test_dash_masks_categorical_block(self, tmp_path, state):
+        row, _ = encode_one(tmp_path, (1.0, "-", 15.0, "ok"), state)
         np.testing.assert_array_equal(row[1:4], [0.0, 0.0, 0.0])
 
-    def test_unseen_category_masked_and_counted(self, state):
+    def test_unseen_category_masked_and_counted(self, tmp_path, state):
         unseen = {}
         with pytest.warns(UnseenCategoryWarning):
-            row, _ = encode_one(RawRecord((1.0, "gre", 15.0), "ok"), state, unseen)
-        np.testing.assert_array_equal(row[1:4], [0.0, 0.0, 0.0])
+            ds = encode_dataset(parse(tmp_path, [(1.0, "gre", 15.0, "ok")], unseen), state)
+        np.testing.assert_array_equal(ds.x[0, 1:4], [0.0, 0.0, 0.0])
         assert unseen == {"proto": 1}
 
-    def test_degenerate_feature_encodes_to_zero(self):
+    def test_degenerate_feature_encodes_to_zero(self, tmp_path):
+        table = parse(tmp_path, [(5.0, "tcp", 1.0, "ok"), (5.0, "tcp", 3.0, "ok")])
         with pytest.warns(UserWarning):
-            state = fit_preprocessor([RawRecord((5.0, "tcp", 1.0), "ok"),
-                                      RawRecord((5.0, "tcp", 3.0), "ok")], tiny_schema())
-        row, _ = encode_one(RawRecord((7.0, "tcp", 2.0), "ok"), state)
+            state = fit_preprocessor(table, tiny_schema())
+        row, _ = encode_one(tmp_path, (7.0, "tcp", 2.0, "ok"), state)
         assert row[0] == 0.0
 
-    def test_deterministic_and_in_unit_box(self, state):
+    def test_deterministic_and_in_unit_box(self, tmp_path, state):
         rng = np.random.default_rng(3)
-        for _ in range(25):
-            rec = RawRecord((float(rng.normal(2, 5)), "udp", float(rng.normal(20, 30))), "ok")
-            a, _ = encode_one(rec, state)
-            b, _ = encode_one(rec, state)
-            np.testing.assert_array_equal(a, b)
-            assert a.min() >= 0.0 and a.max() <= 1.0
+        table = parse(tmp_path, [(float(rng.normal(2, 5)), "udp", float(rng.normal(20, 30)), "ok")
+                                 for _ in range(25)])
+        a, b = encode_dataset(table, state).x, encode_dataset(table, state).x
+        np.testing.assert_array_equal(a, b)
+        assert a.min() >= 0.0 and a.max() <= 1.0
 
-    def test_fit_then_transform_spans_unit_interval(self):
+    def test_fit_then_transform_spans_unit_interval(self, tmp_path):
         rng = np.random.default_rng(11)
-        records = [RawRecord((float(rng.uniform(-5, 5)), "tcp", float(rng.uniform(0, 9))), "ok")
-                   for _ in range(40)]
-        state = fit_preprocessor(records, tiny_schema())
-        ds = encode_dataset(records, state)
+        table = parse(tmp_path, [(float(rng.uniform(-5, 5)), "tcp", float(rng.uniform(0, 9)), "ok")
+                                 for _ in range(40)])
+        ds = encode_dataset(table, fit_preprocessor(table, tiny_schema()))
         assert ds.x[:, 0].min() == 0.0 and ds.x[:, 0].max() == 1.0
         assert ds.x[:, 4].min() == 0.0 and ds.x[:, 4].max() == 1.0
 
-    def test_matches_per_record_reference_bit_for_bit(self):
+    def test_matches_per_record_reference_bit_for_bit(self, tmp_path):
         inf, nan = float("inf"), float("nan")
         schema = DatasetSchema(
             (Feature("size", "numeric"),
@@ -256,15 +321,23 @@ class TestTransform:
         cells = [-0.0, 0.0, nan, inf, -inf, -5.0, 9.0, 2.0, 1e308, -1e308]
         protos = ["tcp", "udp", "Udp", "ICMP", "-", "gre", "Tcp", "GRE", "x", "udp"]
         labels = ["ok", "bad", "Malicious", None, "OK", "malicious", "bad", None, "ok", "Bad"]
-        records = [RawRecord((size, proto, rate), label)
+        records = [Record((size, proto, rate), label)
                    for size, proto, rate, label in zip(
                        cells, protos, reversed(cells), labels)]
-        records += [RawRecord((-0.0, "-", -0.0), None), RawRecord((nan, "tcp", -inf), "ok")]
+        records += [Record((-0.0, "-", -0.0), None), Record((nan, "tcp", -inf), "ok")]
         records *= 8  # long enough columns for numpy's vectorised loops
+        # load_csv rejects non-finite cells: the CSV carries 0.0 in their place,
+        # and the table gets the true numerics directly.
+        path = str(tmp_path / "cells.csv")
+        synth_write_csv(path, schema, [
+            Record(tuple(v if not isinstance(v, float) or math.isfinite(v) else 0.0
+                         for v in rec.values), rec.label) for rec in records])
+        numeric = np.array([[rec.values[0], rec.values[2]] for rec in records])
         got_unseen, want_unseen = {}, {}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = encode_dataset(records, state, got_unseen)
+            table = replace(load_csv(path, schema, got_unseen), numeric=numeric)
+            got = encode_dataset(table, state)
             want = [naive_encode(rec, state, want_unseen) for rec in records]
         want_x = np.array([row for row, _ in want])
         assert got.x.tobytes() == want_x.tobytes()
@@ -373,9 +446,9 @@ class TestClassFiltering:
 
 class TestArtifacts:
     def test_state_roundtrip_is_exact(self, tmp_path):
-        records = [RawRecord((v, "tcp", v * np.pi), "ok") for v in (0.1, 0.7, 1e-9)]
+        table = parse(tmp_path, [(v, "tcp", v * np.pi, "ok") for v in (0.1, 0.7, 1e-9)])
         schema = tiny_schema()
-        state = fit_preprocessor(records, schema)
+        state = fit_preprocessor(table, schema)
         path = str(tmp_path / "state.json")
         save_state(path, state)
         loaded = load_state(path, schema)
@@ -384,8 +457,8 @@ class TestArtifacts:
 
     def test_state_rejects_wrong_schema(self, tmp_path):
         schema = tiny_schema()
-        state = fit_preprocessor([RawRecord((1.0, "tcp", 2.0), "ok"),
-                                  RawRecord((2.0, "tcp", 4.0), "ok")], schema)
+        state = fit_preprocessor(parse(tmp_path, [(1.0, "tcp", 2.0, "ok"),
+                                                  (2.0, "tcp", 4.0, "ok")]), schema)
         path = str(tmp_path / "state.json")
         save_state(path, state)
         other = DatasetSchema((Feature("size", "numeric"),), "verdict", ("ok", "bad"))

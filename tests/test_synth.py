@@ -36,7 +36,9 @@ def test_csv_roundtrip_is_exact(tmp_path):
     records = generate_blobs(schema, 5, seed=2)
     path = tmp_path / "blobs.csv"
     write_csv(str(path), schema, records)
-    assert load_csv(str(path), schema) == records  # repr() serialization
+    table = load_csv(str(path), schema)  # repr() serialization
+    assert table.numeric.tobytes() == np.array([r.values for r in records]).tobytes()
+    assert table.labels.tolist() == [schema.class_index(r.label) for r in records]
 
 
 def test_subset_schema_keeps_order_and_rejects_unknown():

@@ -8,14 +8,15 @@ import pytest
 from flowcl.dataio import (
     DatasetSchema,
     Feature,
-    RawRecord,
+    ParsedTable,
     encode_dataset,
     fit_preprocessor,
+    load_csv,
 )
 from flowcl.errors import ConfigError, InvalidShapeError, NoSharedFeaturesError
 from flowcl.model import Conv, EncoderConfig, MaxPool, build_encoder
 from flowcl.sscl import ContrastiveConfig, HeadConfig, pretrain, run_head_stage
-from flowcl.synth import blob_schema, generate_blobs, subset_schema
+from flowcl.synth import blob_schema, generate_blobs, subset_schema, write_csv
 from flowcl.transfer import (
     FeatureAlignmentMap,
     align_matrix,
@@ -178,23 +179,23 @@ class TestAliasTable:
 
 
 class TestTransferPreprocessor:
-    def test_shared_numerics_keep_original_scale(self):
+    def test_shared_numerics_keep_original_scale(self, tmp_path):
         schema = blob_schema(3)
-        original_records = generate_blobs(schema, 50, seed=1)
-        original_state = fit_preprocessor(original_records, schema)
+        original_table = blob_table(tmp_path, schema, 50, seed=1)
+        original_state = fit_preprocessor(original_table, schema)
         target_schema = subset_schema(schema, ["f00", "f01"])
-        target_records = [RawRecord(r.values[:2], r.label) for r in original_records]
-        state = fit_transfer_preprocessor(original_state, target_records, target_schema,
+        target_table = replace(original_table, numeric=original_table.numeric[:, :2])
+        state = fit_transfer_preprocessor(original_state, target_table, target_schema,
                                           build_alignment(schema, target_schema))
         np.testing.assert_array_equal(state.minima, original_state.minima[:2])
         np.testing.assert_array_equal(state.maxima, original_state.maxima[:2])
 
     def test_alias_applies_to_scale_pinning(self):
         original = DatasetSchema((Feature("dur", "numeric"),), "y", ("a", "b"))
-        original_state = fit_preprocessor(_records([(0.0,), (10.0,)]), original)
+        original_state = fit_preprocessor(_table([(0.0,), (10.0,)]), original)
         target = DatasetSchema((Feature("duration_ms", "numeric"),), "y", ("a", "b"))
         state = fit_transfer_preprocessor(
-            original_state, _records([(3.0,), (4.0,)]), target,
+            original_state, _table([(3.0,), (4.0,)]), target,
             build_alignment(original, target, (("dur", "duration_ms"),)))
         assert state.minima[0] == 0.0 and state.maxima[0] == 10.0
 
@@ -202,8 +203,7 @@ class TestTransferPreprocessor:
     def test_pins_exactly_what_the_alignment_maps(self):
         # Reordered numerics, a categorical in between, and a kind clash on "dur".
         original_state = fit_preprocessor(
-            [RawRecord((0.0, "tcp", 100.0), "ok"), RawRecord((10.0, "udp", 300.0), "bad")],
-            mixed_schema())
+            _table([(0.0, 100.0), (10.0, 300.0)], codes=[(0,), (1,)]), mixed_schema())
         target = DatasetSchema(
             (Feature("bytes", "numeric"), Feature("alpha", "numeric"),
              Feature("proto", "categorical", ("udp", "tcp")),
@@ -211,28 +211,39 @@ class TestTransferPreprocessor:
             "y", ("ok", "bad"))
         amap = build_alignment(mixed_schema(), target)
         state = fit_transfer_preprocessor(
-            original_state, [RawRecord((150.0, 7.0, "tcp", "short"), "ok"),
-                             RawRecord((250.0, 9.0, "udp", "long"), "ok")], target, amap)
+            original_state, _table([(150.0, 7.0), (250.0, 9.0)], codes=[(1, 0), (0, 1)]),
+            target, amap)
         np.testing.assert_array_equal(state.minima, [100.0, 7.0])
         np.testing.assert_array_equal(state.maxima, [300.0, 9.0])
 
 
-def _records(rows):
-    return [RawRecord(tuple(r), "a") for r in rows]
+def _table(numeric, codes=None):
+    """A table built directly: numeric rows, optional categorical codes, class 0 labels."""
+    n = len(numeric)
+    return ParsedTable(np.array(numeric, dtype=np.float64),
+                       np.array(codes if codes is not None else np.zeros((n, 0)), dtype=np.int64),
+                       np.zeros(n, dtype=np.int64))
+
+
+def blob_table(root, schema, n_per_class, seed):
+    """Blob rows written with write_csv and parsed back with load_csv."""
+    path = str(root / f"blobs-{seed}.csv")
+    write_csv(path, schema, generate_blobs(schema, n_per_class, seed=seed))
+    return load_csv(path, schema)
 
 
 @pytest.fixture(scope="module")
-def trained_pipeline():
+def trained_pipeline(tmp_path_factory):
     """One pretrained tiny encoder over 300 blob records, shared by the suite."""
     schema = blob_schema(16)
-    records = generate_blobs(schema, 150, seed=3)
-    state = fit_preprocessor(records, schema)
-    dataset = encode_dataset(records, state)
+    table = blob_table(tmp_path_factory.mktemp("blobs"), schema, 150, seed=3)
+    state = fit_preprocessor(table, schema)
+    dataset = encode_dataset(table, state)
     config = EncoderConfig((Conv(8), MaxPool(2), Conv(16)), 16, context_dim=8)
     encoder, projector = build_encoder(config, seed=4)
     pretrain(encoder, projector, dataset.x,
              ContrastiveConfig(batch_size=16, epochs=15, seed=5))
-    return schema, records, state, dataset, encoder, projector
+    return schema, table, state, dataset, encoder, projector
 
 
 HEAD = HeadConfig(epochs=40, lr=0.05, seed=6)
@@ -249,26 +260,28 @@ class TestTransferEvaluate:
         assert result.train_count == plain.train_count
 
     def test_dropping_a_fifth_of_features_stays_close(self, trained_pipeline):
-        schema, records, state, dataset, encoder, projector = trained_pipeline
+        schema, table, state, dataset, encoder, projector = trained_pipeline
         baseline = run_head_stage(encoder, projector, dataset, HEAD).report.accuracy
         keep = [f.name for f in schema.features][:13]  # drop 3 of 16
         target_schema = subset_schema(schema, keep)
         amap = build_alignment(schema, target_schema)
-        target_state = fit_transfer_preprocessor(state, records, target_schema, amap)
-        target = encode_dataset(records, target_state)
+        target_table = replace(table, numeric=table.numeric[:, :13])
+        target_state = fit_transfer_preprocessor(state, target_table, target_schema, amap)
+        target = encode_dataset(target_table, target_state)
         result = transfer_evaluate(encoder, projector, amap, target, HEAD)
         assert amap.masked == 3
         assert abs(result.report.accuracy - baseline) <= 0.10
 
     def test_degradation_is_graceful_as_masking_grows(self, trained_pipeline):
-        schema, records, state, dataset, encoder, projector = trained_pipeline
+        schema, table, state, dataset, encoder, projector = trained_pipeline
         names = [f.name for f in schema.features]
         accuracies = []
         for n_masked in (0, 2, 5, 8):
             target_schema = subset_schema(schema, names[:16 - n_masked])
             amap = build_alignment(schema, target_schema)
-            target_state = fit_transfer_preprocessor(state, records, target_schema, amap)
-            target = encode_dataset(records, target_state)
+            target_table = replace(table, numeric=table.numeric[:, :16 - n_masked])
+            target_state = fit_transfer_preprocessor(state, target_table, target_schema, amap)
+            target = encode_dataset(target_table, target_state)
             result = transfer_evaluate(encoder, projector, amap, target, HEAD)
             assert amap.masked == n_masked
             accuracies.append(result.report.accuracy)
