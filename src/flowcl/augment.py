@@ -5,9 +5,9 @@ k = round(ratio * width), chosen uniformly without replacement. Two
 independent views of one sample form a positive pair for the contrastive
 objective. Masking happens after encoding, so a masked position may be a
 single one-hot bit or a scaled numeric; given feature blocks, whole blocks
-are masked instead of individual positions. Masking has no seed of its own:
-the caller passes the rng (pretraining's is keyed by the run seed, epoch
-and sample).
+are masked instead of individual positions. A whole batch is masked in one
+draw. Masking has no seed of its own: the caller passes the rng
+(pretraining's is keyed by the run seed, epoch and batch offset).
 """
 
 from __future__ import annotations
@@ -44,37 +44,40 @@ def mask_count(ratio: float, width: int) -> int:
 
 def mask_view(x, config: MaskingConfig, rng: np.random.Generator,
               groups: Sequence[tuple[int, int]] | None = None) -> np.ndarray:
-    """Return a copy of ``x`` with k = round(ratio*width) positions zeroed.
+    """Return a copy of a sample (width,) or a batch (batch, width) with k =
+    round(ratio * width) positions zeroed in every row.
 
-    Positions are drawn uniformly without replacement; a position that is
-    already zero still counts as masked when selected. With ``groups``
-    given as (start, stop) spans, round(ratio * n_groups) whole spans are
-    zeroed instead.
+    Each row zeroes the positions of its k smallest uniform keys, so every
+    k-subset is equally likely; a position already zero still counts as
+    masked. With ``groups`` given as (start, stop) spans, each row draws one
+    key per span and round(ratio * n_groups) whole spans are zeroed instead.
     """
     view = np.array(x, dtype=np.float64, copy=True)
-    if view.ndim != 1 or view.size < 1:
-        raise ConfigError(f"expected a 1-D sample of width >= 1, got shape {view.shape}")
-    if groups is not None:
-        k = mask_count(config.ratio, len(groups))
-        if k > 0:
-            chosen = rng.choice(len(groups), size=k, replace=False)
-            for g in chosen:
-                start, stop = groups[g]
-                view[start:stop] = 0.0
-        return view
-    k = mask_count(config.ratio, view.size)
+    if view.ndim not in (1, 2) or view.shape[-1] < 1:
+        raise ConfigError(f"expected a sample (width,) or a batch (batch, width) of "
+                          f"width >= 1, got shape {view.shape}")
+    rows = view.reshape(-1, view.shape[-1])
+    n_keys = rows.shape[1] if groups is None else len(groups)
+    k = mask_count(config.ratio, n_keys)
     if k > 0:
-        positions = rng.choice(view.size, size=k, replace=False)
-        view[positions] = 0.0
+        keys = rng.random((rows.shape[0], n_keys))
+        hit = np.zeros(keys.shape, dtype=bool)
+        np.put_along_axis(hit, np.argpartition(keys, k - 1, axis=1)[:, :k], True, axis=1)
+        if groups is not None:
+            member = np.zeros((n_keys, rows.shape[1]))
+            for g, (start, stop) in enumerate(groups):
+                member[g, start:stop] = 1.0
+            hit = hit @ member > 0.0
+        rows[hit] = 0.0
     return view
 
 
 def augment_pair(x, config: MaskingConfig, rng: np.random.Generator,
                  groups: Sequence[tuple[int, int]] | None = None) -> ViewPair:
-    """Two independently masked views of the same sample.
+    """Two independently masked views of the same sample or batch.
 
     Both draws come from the one stream passed in, so a pair is reproducible
-    from (seed, epoch, sample index) and the views are independent of each
-    other. They may coincide by chance.
+    from the stream's key and the views are independent of each other. They
+    may coincide by chance.
     """
     return ViewPair(mask_view(x, config, rng, groups), mask_view(x, config, rng, groups))

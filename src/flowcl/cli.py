@@ -36,7 +36,9 @@ import json
 import logging
 import os
 import platform
+import shutil
 import sys
+import tempfile
 from dataclasses import fields
 from typing import Any, NamedTuple
 
@@ -237,33 +239,45 @@ def cmd_preprocess(cfg: dict) -> None:
     """Fit on the train split, then encode and save each split in turn.
 
     A split's parsed table and matrix both go before the next split is read.
+    Outputs are written to a staging directory inside the out-dir and moved
+    into place only once every split is encoded, so a split that fails leaves
+    the out-dir as it was.
     """
     schema = _schema_by_name_or_path(cfg["schema"])
-    state_path = os.path.join(cfg["out_dir"], "preprocessor.json")
+    out_dir = cfg["out_dir"]
+    state_path = os.path.join(out_dir, "preprocessor.json")
     state, unseen, inputs, outputs = None, {}, [], [state_path]
-    for split in ("train", "test"):
-        csv_path = cfg[split + "_csv"]
-        if csv_path is None:
-            continue
-        table = load_csv(csv_path, schema, unseen)
-        if state is None:
-            state = fit_preprocessor(table, schema)
-            os.makedirs(cfg["out_dir"], exist_ok=True)
-            save_state(state_path, state)
-            logger.info("encoded width %d", schema.encoded_width)
-        dataset = encode_dataset(table, state)
-        del table
-        path = os.path.join(cfg["out_dir"], split + ".npz")
-        save_encoded(path, dataset, schema.fingerprint())
-        inputs.append(csv_path)
-        outputs.append(path)
-        logger.info("%s class counts: %s", split,
-                    json.dumps(dataset.class_counts(), sort_keys=True))
-        del dataset
+    made_dir = not os.path.isdir(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    staging = tempfile.mkdtemp(prefix=".preprocess-", dir=out_dir)
+    try:
+        for split in ("train", "test"):
+            csv_path = cfg[split + "_csv"]
+            if csv_path is None:
+                continue
+            table = load_csv(csv_path, schema, unseen)
+            if state is None:
+                state = fit_preprocessor(table, schema)
+                save_state(os.path.join(staging, "preprocessor.json"), state)
+                logger.info("encoded width %d", schema.encoded_width)
+            dataset = encode_dataset(table, state)
+            del table
+            save_encoded(os.path.join(staging, split + ".npz"), dataset, schema.fingerprint())
+            inputs.append(csv_path)
+            outputs.append(os.path.join(out_dir, split + ".npz"))
+            logger.info("%s class counts: %s", split,
+                        json.dumps(dataset.class_counts(), sort_keys=True))
+            del dataset
+        for path in outputs:
+            os.replace(os.path.join(staging, os.path.basename(path)), path)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+        if made_dir and not os.listdir(out_dir):
+            os.rmdir(out_dir)
     if unseen:
         logger.warning("unseen categories encoded as all-zero blocks: %s",
                        json.dumps(unseen, sort_keys=True))
-    _write_manifest(os.path.join(cfg["out_dir"], "manifest.json"),
+    _write_manifest(os.path.join(out_dir, "manifest.json"),
                     "preprocess", cfg, inputs, outputs)
 
 

@@ -252,9 +252,9 @@ def _row_error(numeric: list[tuple[Feature, int]], width: int,
                 return RowParseError(row_idx, f"feature {f.name}: {raw!r} is not a finite number")
 
 
-def _block_arrays(schema: DatasetSchema, cols: dict[str, int], width: int,
+def _block_arrays(path: str, schema: DatasetSchema, cols: dict[str, int], width: int,
                   unseen: dict[str, int] | None, rows: list[tuple[int, list[str]]]):
-    """Numeric, code and label arrays of (row number, cells) pairs."""
+    """Numeric, code and label arrays of (row number, cells) pairs read from `path`."""
     numeric = [(f, cols[f.name]) for f in schema.features if f.kind == "numeric"]
     try:
         values = np.array([[float(row[c]) for _, c in numeric] for _, row in rows],
@@ -277,7 +277,13 @@ def _block_arrays(schema: DatasetSchema, cols: dict[str, int], width: int,
         if unseen is not None and missed:
             unseen[f.name] = unseen.get(f.name, 0) + len(missed)
     names = [row[cols[schema.label_column]].strip() for _, row in rows]
-    label_of = {n: schema.class_index(n) if n else UNLABELED for n in dict.fromkeys(names)}
+    label_of = {}
+    for name in dict.fromkeys(names):
+        try:
+            label_of[name] = schema.class_index(name) if name else UNLABELED
+        except UnknownClassError as err:  # data row N is line N + 1, under the header
+            line = rows[names.index(name)][0] + 1
+            raise UnknownClassError(f"{path}, line {line}: {err}") from None
     return values, codes, np.array([label_of[n] for n in names], dtype=np.int64)
 
 
@@ -308,9 +314,9 @@ def load_csv(path: str, schema: DatasetSchema,
                 if row:  # blank lines are skipped
                     rows.append((row_idx, row))
                 if len(rows) == PARSE_BLOCK_ROWS:
-                    blocks.append(_block_arrays(schema, cols, len(header), unseen, rows))
+                    blocks.append(_block_arrays(path, schema, cols, len(header), unseen, rows))
                     rows = []
-            blocks.append(_block_arrays(schema, cols, len(header), unseen, rows))
+            blocks.append(_block_arrays(path, schema, cols, len(header), unseen, rows))
         except UnicodeDecodeError as err:
             raise SchemaMismatchError(f"{path} is not UTF-8 text: byte "
                                       f"{err.object[err.start]:#04x}, {err.reason}") from None

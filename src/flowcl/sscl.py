@@ -139,15 +139,12 @@ def batch_loss(z: Tensor, temperature: float) -> Tensor:
     return ng.record_op(out, [zt], rule)
 
 
-def _paired_views(data: np.ndarray, indices, config: ContrastiveConfig, stream_label: str,
-                  epoch: int, groups) -> np.ndarray:
-    views = np.empty((2 * len(indices), data.shape[1]))
-    for k, idx in enumerate(indices):
-        rng = substream(config.seed, stream_label, epoch, int(idx))
-        pair = augment_pair(data[idx], config.masking, rng, groups)
-        views[2 * k] = pair.x_i
-        views[2 * k + 1] = pair.x_j
-    return views
+def _paired_views(batch: np.ndarray, config: ContrastiveConfig, stream_label: str,
+                  epoch: int, start: int, groups) -> np.ndarray:
+    """Both views of every row, interleaved; one stream per batch, keyed by its offset."""
+    rng = substream(config.seed, stream_label, epoch, start)
+    pair = augment_pair(batch, config.masking, rng, groups)
+    return np.stack(pair, axis=1).reshape(-1, batch.shape[1])
 
 
 def holdout_loss(encoder: EncoderBlock, projector: ProjectionHead, holdout,
@@ -156,9 +153,9 @@ def holdout_loss(encoder: EncoderBlock, projector: ProjectionHead, holdout,
     """Contrastive loss on held-out samples, eval-mode forward, no learning.
 
     Augmentation draws come from the "holdout-augment" stream of
-    `config.seed`, keyed by (epoch, row), so the number reported for an
-    epoch is reproducible. Returns None when fewer than 2 held-out samples
-    exist.
+    `config.seed`, one per batch, keyed by (epoch, batch offset in the
+    holdout rows), so the number reported for an epoch is reproducible.
+    Returns None when fewer than 2 held-out samples exist.
     """
     data = np.asarray(holdout, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 2:
@@ -166,14 +163,14 @@ def holdout_loss(encoder: EncoderBlock, projector: ProjectionHead, holdout,
     total = 0.0
     weight = 0
     for start in range(0, data.shape[0], config.batch_size):
-        rows = np.arange(start, min(start + config.batch_size, data.shape[0]))
-        if rows.size < 2:
+        batch = data[start:start + config.batch_size]
+        if batch.shape[0] < 2:
             break
-        views = _paired_views(data, rows, config, "holdout-augment", epoch, groups)
+        views = _paired_views(batch, config, "holdout-augment", epoch, start, groups)
         latents = _eval_latents(encoder, projector, views)
         loss = batch_loss(Tensor(latents), config.temperature)
-        total += float(loss.data) * rows.size
-        weight += rows.size
+        total += float(loss.data) * batch.shape[0]
+        weight += batch.shape[0]
     return total / weight if weight else None
 
 
@@ -189,10 +186,10 @@ def pretrain(encoder: EncoderBlock, projector: ProjectionHead, x,
     """Run the self-supervised loop in place; return the loss history.
 
     Every epoch reshuffles from its own seed substream, the trailing partial
-    batch is dropped, and each sample's two views come from an rng stream
-    keyed by (seed, epoch, sample index), so the whole trajectory is a pure
-    function of (parameters, data, config). The learning rate decays as
-    lr * lr_gamma ** epoch. With `holdout` given, each history entry also
+    batch is dropped, and each batch's views come from one rng stream keyed
+    by (seed, epoch, batch offset in the epoch order), so the whole
+    trajectory is a pure function of (parameters, data, config). The
+    learning rate decays as lr * lr_gamma ** epoch. With `holdout` given, each history entry also
     carries the held-out contrastive loss.
     """
     data = np.asarray(x, dtype=np.float64)
@@ -210,8 +207,8 @@ def pretrain(encoder: EncoderBlock, projector: ProjectionHead, x,
         order = substream(config.seed, "pretrain-shuffle", epoch).permutation(n)
         epoch_losses = []
         for start in range(0, n - config.batch_size + 1, config.batch_size):
-            batch_idx = order[start:start + config.batch_size]
-            views = _paired_views(data, batch_idx, config, "augment", epoch, groups)
+            batch = data[order[start:start + config.batch_size]]
+            views = _paired_views(batch, config, "augment", epoch, start, groups)
             with Tape() as tape:
                 h = encode(encoder, views, training=True)
                 z = project(projector, h)

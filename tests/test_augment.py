@@ -129,3 +129,52 @@ class TestAugmentPair:
         np.testing.assert_array_equal(a.x_j, b.x_j)
         c = augment_pair(x, config, substream(10, "augment", 3, 8))
         assert not (np.array_equal(a.x_i, c.x_i) and np.array_equal(a.x_j, c.x_j))
+
+
+class TestBatchMasking:
+    def test_every_row_has_exactly_k_zeros(self):
+        x = np.random.default_rng(2).uniform(0.1, 1.0, size=(64, 196))
+        out = mask_view(x, MaskingConfig(ratio=0.3), substream(11, "augment", 0, 0))
+        assert out.shape == x.shape
+        assert (np.sum(out == 0.0, axis=1) == mask_count(0.3, 196)).all()
+        kept = out != 0.0
+        np.testing.assert_array_equal(out[kept], x[kept])
+
+    def test_rows_of_one_batch_get_different_masks(self):
+        out = mask_view(np.ones((32, 16)), MaskingConfig(ratio=0.3),
+                        substream(12, "augment", 0, 0))
+        assert len({tuple(np.flatnonzero(row == 0.0)) for row in out}) > 24
+
+    def test_marginal_frequency_matches_ratio(self):
+        config = MaskingConfig(ratio=0.25)
+        rng = substream(13, "augment", 0, 0)
+        hits = np.zeros(8)
+        for _ in range(1_000):
+            hits += (mask_view(np.ones((100, 8)), config, rng) == 0.0).sum(axis=0)
+        assert np.all(np.abs(hits / 100_000 - 0.25) < 0.01)
+
+    def test_group_mode_zeroes_whole_spans_in_every_row(self):
+        groups = [(0, 1), (1, 4), (4, 7), (7, 9)]
+        out = mask_view(np.ones((50, 9)), MaskingConfig(ratio=0.5),
+                        substream(14, "augment", 0, 0), groups=groups)
+        for row in out:
+            zero = [np.all(row[a:b] == 0.0) for a, b in groups]
+            live = [np.all(row[a:b] == 1.0) for a, b in groups]
+            assert sum(zero) == 2 and all(z or l for z, l in zip(zero, live))
+        assert len({tuple(row) for row in out}) > 1
+
+    def test_stream_reproduces_the_batch_pair_and_start_changes_it(self):
+        x = np.random.default_rng(3).uniform(size=(32, 16))
+        config = MaskingConfig(ratio=0.3)
+        a = augment_pair(x, config, substream(15, "augment", 2, 64))
+        b = augment_pair(x, config, substream(15, "augment", 2, 64))
+        c = augment_pair(x, config, substream(15, "augment", 2, 96))
+        np.testing.assert_array_equal(a.x_i, b.x_i)
+        np.testing.assert_array_equal(a.x_j, b.x_j)
+        assert not np.array_equal(a.x_i, a.x_j)
+        assert not np.array_equal(a.x_i, c.x_i) and not np.array_equal(a.x_j, c.x_j)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (4, 0), ()])
+    def test_other_shapes_rejected(self, shape):
+        with pytest.raises(ConfigError):
+            mask_view(np.ones(shape), MaskingConfig(), substream(16, "augment", 0, 0))

@@ -17,10 +17,17 @@ import pytest
 import flowcl
 from flowcl import cli
 from flowcl.cli import build_parser, main
-from flowcl.dataio import load_encoded, load_schema, load_state, save_schema
+from flowcl.dataio import (
+    DatasetSchema,
+    Feature,
+    load_encoded,
+    load_schema,
+    load_state,
+    save_schema,
+)
 from flowcl.model import build_encoder, load_encoder
 from flowcl.numgrad import load_arrays, save_arrays
-from flowcl.synth import blob_schema, generate_blobs, subset_schema, write_csv
+from flowcl.synth import Record, blob_schema, generate_blobs, subset_schema, write_csv
 
 
 def sha(path):
@@ -200,6 +207,28 @@ class TestPreprocess:
         assert "'zombie'" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("defect, code", [
+        (lambda text: text.replace(",attack\n", ",zombie\n", 1).encode("utf-8"), 5),
+        (lambda text: text.replace(",attack\n", "\n", 1).encode("utf-8"), 4),
+        (lambda text: text.encode("utf-8").replace(b",attack\n", b",\x96\n", 1), 4),
+    ], ids=["unknown-label", "short-row", "non-utf8"])
+    def test_bad_test_csv_leaves_the_out_dir_as_it_was(self, workspace, tmp_path, caplog,
+                                                       defect, code):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(defect((workspace / "blobs.csv").read_text(encoding="utf-8")))
+        base = ["preprocess", "--schema", str(workspace / "blobs.json"),
+                "--train-csv", str(workspace / "blobs.csv")]
+        fresh = tmp_path / "fresh"
+        assert main(base + ["--test-csv", str(bad), "--out-dir", str(fresh)]) == code
+        assert not fresh.exists()
+        out = tmp_path / "out"
+        assert main(base + ["--out-dir", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(base + ["--test-csv", str(bad), "--out-dir", str(out)]) == code
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        if code == 5:
+            assert f"{bad}, line 202: label 'zombie'" in caplog.text
+
     def test_repeated_header_name_fits_the_first_column(self, workspace, tmp_path):
         """A second f00 column, third in the header, is not read: pandas keeps the first."""
         rows = [line.split(",") for line in
@@ -229,6 +258,33 @@ class TestPretrain:
             assert sha(tmp_path / f"{run}.npz") == sha(workspace / "enc.npz")
             assert (sha(tmp_path / f"{run}-history.json")
                     == sha(workspace / "enc-history.json"))
+
+    def test_group_mask_rerun_is_byte_identical(self, workspace, tmp_path):
+        """`pretrain --group-mask --schema` masks whole one-hot blocks: a finite
+        history, a checkpoint unlike the per-position run's, and identical reruns."""
+        blobs = blob_schema(4)
+        schema = DatasetSchema(blobs.features + (Feature("proto", "categorical",
+                                                         ("tcp", "udp", "icmp")),),
+                               blobs.label_column, blobs.class_names)
+        save_schema(str(tmp_path / "proto.json"), schema)
+        records = [Record(r.values + (("tcp", "udp", "icmp")[k % 3],), r.label)
+                   for k, r in enumerate(generate_blobs(blobs, 40, seed=5))]
+        write_csv(str(tmp_path / "proto.csv"), schema, records)
+        assert main(["preprocess", "--schema", str(tmp_path / "proto.json"),
+                     "--train-csv", str(tmp_path / "proto.csv"),
+                     "--out-dir", str(tmp_path / "prep")]) == 0
+        base = ["pretrain", "--config", str(workspace / "arch.json"), "--epochs", "3",
+                "--data", str(tmp_path / "prep" / "train.npz")]
+        for run in ("a", "b"):
+            assert main(base + ["--group-mask", "--schema", str(tmp_path / "proto.json"),
+                                "--out", str(tmp_path / f"{run}.npz")]) == 0
+        assert main(base + ["--out", str(tmp_path / "plain.npz")]) == 0
+        assert sha(tmp_path / "a.npz") == sha(tmp_path / "b.npz")
+        assert sha(tmp_path / "a-history.json") == sha(tmp_path / "b-history.json")
+        assert sha(tmp_path / "a.npz") != sha(tmp_path / "plain.npz")
+        history = json.loads((tmp_path / "a-history.json").read_text())["history"]
+        assert len(history) == 3
+        assert all(np.isfinite([h["loss"], h["holdout_loss"]]).all() for h in history)
 
     def test_history_written_with_holdout(self, workspace):
         history_path = os.path.splitext(str(workspace / "enc.npz"))[0] + "-history.json"

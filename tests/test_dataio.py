@@ -207,6 +207,15 @@ class TestLoadCsv:
         with pytest.raises(UnknownClassError, match="'meh'"):
             parse(tmp_path, [(1.0, "tcp", 0.5, "ok"), (1.0, "tcp", 0.5, "meh")])
 
+    def test_unknown_label_names_the_file_and_line(self, tmp_path):
+        labels = ["ok"] * (dataio.PARSE_BLOCK_ROWS + 2) + ["meh"]
+        rows = "".join(f"1.0,tcp,0.5,{label}\n" for label in labels)
+        path = write_csv(tmp_path / "d.csv", "size,proto,rate,verdict\n\n" + rows)
+        # Header on line 1, a blank line 2, then the rows: 'meh' is in the second block.
+        with pytest.raises(UnknownClassError,
+                           match=f"d.csv, line {dataio.PARSE_BLOCK_ROWS + 5}: label 'meh'"):
+            load_csv(path, tiny_schema())
+
     def test_categories_coded_case_insensitively_with_mask(self, tmp_path):
         table = parse(tmp_path, [(1.0, " UDP ", 0.5, "ok"), (1.0, "-", 0.5, "BAD")])
         assert table.codes.ravel().tolist() == [1, -1]

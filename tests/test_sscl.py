@@ -9,7 +9,8 @@ import pytest
 
 import flowcl
 
-from flowcl.augment import MaskingConfig
+from flowcl import sscl
+from flowcl.augment import MaskingConfig, augment_pair
 from flowcl.errors import (
     ConfigError,
     DegenerateVectorError,
@@ -27,6 +28,7 @@ from flowcl.model import (
     project,
 )
 from flowcl.numgrad import Tape, Tensor, backward
+from flowcl.seeding import substream
 from flowcl.sscl import (
     ContrastiveConfig,
     HeadConfig,
@@ -234,6 +236,26 @@ class TestPretrain:
         assert hist_a == hist_b
         for ta, tb in zip(param_checksum(enc_a, proj_a), param_checksum(enc_b, proj_b)):
             np.testing.assert_array_equal(ta, tb)
+
+    def test_one_view_stream_per_batch_keyed_by_its_offset(self, monkeypatch):
+        labels, real = [], sscl.substream
+        monkeypatch.setattr(sscl, "substream",
+                            lambda seed, *path: labels.append(path) or real(seed, *path))
+        x, _ = blob_data(np.random.default_rng(4), 12)
+        config = ContrastiveConfig(batch_size=8, epochs=2, seed=5)
+        pretrain(*tiny_encoder(seed=1), x, config, holdout=x[:10])
+        assert [path for path in labels if path[0] != "pretrain-shuffle"] == [
+            (label, epoch, start) for epoch in (0, 1)
+            for label, starts in (("augment", (0, 8, 16)), ("holdout-augment", (0, 8)))
+            for start in starts]
+
+    def test_views_interleave_the_batch_pair(self):
+        x, _ = blob_data(np.random.default_rng(5), 4)
+        config = ContrastiveConfig(batch_size=8, seed=5)
+        views = sscl._paired_views(x, config, "augment", 3, 16, None)
+        pair = augment_pair(x, config.masking, substream(5, "augment", 3, 16))
+        np.testing.assert_array_equal(views[0::2], pair.x_i)
+        np.testing.assert_array_equal(views[1::2], pair.x_j)
 
     def test_loss_history_shape_and_lr_decay(self):
         x, _ = blob_data(np.random.default_rng(2), 16)
