@@ -2,7 +2,8 @@
 
 An encoder is a declarative stack of Conv/MaxPool specs. Every Conv means:
 kernel width 2, stride 1, bias, batch norm, ReLU, run as one fused
-channels-last op (`numgrad.conv_bn_relu`). The encoded flow record enters as
+channels-last unit (`numgrad.conv_bn_relu`) together with the MaxPool right
+after it, if any. The encoded flow record enters as
 a single-channel 1D signal, activations stay (batch, width, channels), and a
 global max pool after the last layer collapses whatever spatial width
 remains, so the hidden vector h is always exactly hidden_dim wide regardless
@@ -300,8 +301,9 @@ def encode(block: EncoderBlock, x, training: bool = False) -> Tensor:
     """Forward a [batch, width] batch through e to h of shape [batch, hidden].
 
     Activations stay channels-last, (batch, width, channels), with the input
-    read as one channel. Each Conv is one fused conv/BN/ReLU op and each pool
-    one op, so a taped pass records one entry per layer plus the global pool.
+    read as one channel. Each Conv is one fused conv/BN/ReLU op that also runs
+    the MaxPool right after it; a pool with no conv just before it is its own
+    op. A taped pass records one entry per unit plus the global pool.
     Eval mode reads the frozen BN running stats and mutates nothing; train
     mode normalizes by batch statistics and updates the running stats.
     """
@@ -314,12 +316,14 @@ def encode(block: EncoderBlock, x, training: bool = False) -> Tensor:
             f"configured width {block.config.input_width}")
     out = xt
     conv_iter = iter(block.convs)
-    for spec in block.config.layers:
+    specs = tuple(block.config.layers)
+    for prev, spec, nxt in zip((None,) + specs[:-1], specs, specs[1:] + (None,)):
         if isinstance(spec, Conv):
             layer = next(conv_iter)
             out = ng.conv_bn_relu(out, layer.kernel, layer.bias, layer.gamma, layer.beta,
-                                  layer.running_mean, layer.running_var, training=training)
-        else:
+                                  layer.running_mean, layer.running_var, training=training,
+                                  pool=nxt.window if isinstance(nxt, MaxPool) else None)
+        elif not isinstance(prev, Conv):
             out = ng.maxpool_cl(out, spec.window)
     return ng.global_maxpool_cl(out)
 

@@ -8,18 +8,24 @@ one documented exception).
 The encoder's conv, batch norm and max pool math exists once, as kernels over
 channels-last activations: (batch, width, channels) arrays whose rows are
 contiguous channel vectors, so the width-2 conv is one flat GEMM and batch
-norm reduces over rows. The encoder runs them through `conv_bn_relu`,
-`maxpool_cl` and `global_maxpool_cl`, one tape entry each. The
-(batch, channels, width) primitives `conv1d`, `batchnorm1d`, `maxpool1d` and
-`global_maxpool1d` are transposing wrappers over the same kernels.
+norm reduces over rows. The encoder runs in units: `conv_bn_relu` is one
+conv, batch norm and ReLU plus an optional max pool, one tape entry each,
+and `maxpool_cl` and `global_maxpool_cl` cover the pools with no conv just
+before them. The (batch, channels, width) primitives `conv1d`,
+`batchnorm1d`, `maxpool1d` and `global_maxpool1d` are transposing wrappers
+over the same kernels.
 
-Eval mode, which every frozen-feature pass uses, folds batch norm into the
-conv: `_bn_eval_map` turns the running statistics, gamma, beta and the conv
-bias into one per-channel scale and shift, so `conv_bn_relu` runs one GEMM
-against the scaled kernel, one pass adding the shift, and ReLU in place. Its
-backward is exact and never divides by gamma. Pools keep only the running
-max in the forward; their backward rule finds each window's first maximum
-from the input it holds, so an untaped pass builds no routing arrays.
+Adding a per-channel shift and ReLU both preserve order, so a unit pools
+first and shifts and rectifies the pooled array. Train-mode batch norm
+leaves out the conv bias, which the batch mean cancels, keeps the centred
+conv output, and folds gamma / sqrt(var + BN_EPS) into the backward GEMMs'
+small operands. Eval mode, which every frozen-feature pass uses, folds batch
+norm into the conv: `_bn_eval_map` turns the running statistics, gamma,
+beta and the conv bias into one per-channel scale and shift, so the unit
+runs one GEMM against the scaled kernel. Its backward is exact and never
+divides by gamma. Pools keep only the running max in the forward; their
+backward rule finds each window's first maximum from the input it holds,
+so an untaped pass builds no routing arrays.
 """
 
 from __future__ import annotations
@@ -45,10 +51,12 @@ def _channels_last(data: np.ndarray) -> np.ndarray:
     return data if data.ndim == 3 else data[:, :, None]
 
 
-def _conv(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray):
-    """Width-2 valid conv of channels-last x (B, W, Cin) as one flat GEMM.
+def _conv(x: np.ndarray, kernel: np.ndarray):
+    """Width-2 valid conv of channels-last x (B, W, Cin) as one flat GEMM, no bias.
 
-    Returns z (B, W-1, Cout) and the rule dz -> (dx, dkernel, dbias).
+    Returns z (B, W-1, Cout) and the rule (u, scale) -> (dx, dkernel) for the
+    output gradient dz = u * scale: the per-output-channel scale is folded
+    into the two GEMMs' small operands instead of a pass over u.
     """
     _require(kernel.ndim == 3 and kernel.shape[2] == 2,
              f"conv1d kernel must be (out_ch, in_ch, 2), got {kernel.shape}")
@@ -57,24 +65,23 @@ def _conv(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray):
     _require(width >= 2, f"conv1d needs width >= 2, got {width}")
     _require(kernel.shape[1] == in_ch,
              f"conv1d channel mismatch: input has {in_ch}, kernel expects {kernel.shape[1]}")
-    _require(bias.shape == (out_ch,), f"conv1d bias must be ({out_ch},), got {bias.shape}")
 
     # im2col: row (b, t) of x2 is x[b, t] then x[b, t+1], and
     # k2[tap * in_ch + i, o] = kernel[o, i, tap].
     x2 = np.concatenate((x[:, :-1], x[:, 1:]), axis=2).reshape(-1, 2 * in_ch)
     k2 = kernel.transpose(2, 1, 0).reshape(2 * in_ch, out_ch)
     z = x2 @ k2
-    z += bias
 
-    def back(dz: np.ndarray):
-        dz = dz.reshape(-1, out_ch)
-        dk = (x2.T @ dz).reshape(2, in_ch, out_ch).transpose(2, 1, 0)
-        dx2 = (dz @ k2.T).reshape(batch, width - 1, 2 * in_ch)
+    def back(u: np.ndarray, scale=1.0):
+        u = u.reshape(-1, out_ch)
+        dk2 = x2.T @ u
+        dk2 *= scale
+        dx2 = (u @ (k2 * scale).T).reshape(batch, width - 1, 2 * in_ch)
         dx = np.empty((batch, width, in_ch))
         dx[:, :-1] = dx2[:, :, :in_ch]
         dx[:, -1] = 0.0
         dx[:, 1:] += dx2[:, :, in_ch:]
-        return dx, dk, dz.sum(axis=0)
+        return dx, dk2.reshape(2, in_ch, out_ch).transpose(2, 1, 0)
 
     return z.reshape(batch, width - 1, out_ch), back
 
@@ -102,55 +109,57 @@ def _bn_eval_map(gamma: np.ndarray, beta: np.ndarray, running_mean: np.ndarray,
     return scale, shift, back
 
 
-def _batchnorm(z: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-               running_mean: np.ndarray, running_var: np.ndarray, training: bool):
-    """Per-channel batch norm over the rows of z (N, C).
+def _tiled(a: np.ndarray, v: np.ndarray):
+    """a (B, W, C) viewed as (B, W*C), and the per-channel v tiled to W*C.
 
-    Train mode overwrites z with xhat; eval mode reads z and applies
-    `_bn_eval_map`. Returns the output and the rule dy -> (dz, dgamma, dbeta).
+    An elementwise op between the two is one flat pass; broadcasting v over
+    the (B*W, C) rows costs up to twice as much at C <= 128.
     """
-    n, ch = z.shape
-    _require(gamma.shape == (ch,) and beta.shape == (ch,),
-             f"batchnorm1d affine params must be ({ch},)")
-    _require(n >= 1, "batchnorm1d needs at least one element per channel")
-    if not training:
-        scale, shift, map_back = _bn_eval_map(gamma, beta, running_mean, running_var,
-                                              np.zeros(ch))
-        out = z * scale
-        out += shift
+    return a.reshape(len(a), -1), np.tile(v, a.shape[1])
 
-        def eval_back(dy: np.ndarray):
-            dgamma, dbeta, _ = map_back(np.einsum("ij,ij->j", dy, z), dy.sum(axis=0))
-            return dy * scale, dgamma, dbeta
 
-        return out, eval_back
+def _batchnorm(z: np.ndarray, gamma: np.ndarray, bias: np.ndarray,
+               running_mean: np.ndarray, running_var: np.ndarray):
+    """Train-mode batch norm of z + bias over the rows of z (B, W, C), before beta.
 
+    The batch mean cancels the per-channel bias, so the bias only enters the
+    running mean. z is centred in place and kept; the output is
+    z * scale with scale = gamma * inv_std, and the caller adds beta (after
+    any max pool, which commutes with adding a per-channel constant).
+    Returns the output, scale and the rule (dy, dbeta) -> (u, dgamma) with
+    dz = u * scale, so the caller folds scale into its conv GEMMs. The rule
+    writes u over dy, which must be a C-order array of z's size that the
+    caller owns.
+    """
+    batch, width, ch = z.shape
+    n = batch * width
+    _require(gamma.shape == bias.shape == (ch,), f"batchnorm1d affine params must be ({ch},)")
     _require(n >= 2, "batchnorm1d train mode needs >= 2 elements per channel")
-    mean = z.mean(axis=0)
-    z -= mean
-    var = np.einsum("ij,ij->j", z, z) / n
+    rows = z.reshape(n, ch)
+    mean = rows.mean(axis=0)
+    flat, tiled = _tiled(z, mean)
+    flat -= tiled
+    var = np.einsum("ij,ij->j", rows, rows) / n
     running_mean *= 1.0 - BN_MOMENTUM
-    running_mean += BN_MOMENTUM * mean
+    running_mean += BN_MOMENTUM * (mean + bias)
     running_var *= 1.0 - BN_MOMENTUM
     running_var += BN_MOMENTUM * var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    z *= inv_std
-    xhat = z
-    out = xhat * gamma
-    out += beta
+    scale = gamma * inv_std
+    out = np.multiply(*_tiled(z, scale))
 
-    def back(dy: np.ndarray):
-        dgamma = np.einsum("ij,ij->j", dy, xhat)
-        dbeta = dy.sum(axis=0)
-        # Closed form with s1 = gamma * dbeta and s2 = gamma * dgamma:
-        # dz = inv_std / n * (n * gamma * dy - s1 - xhat * s2).
-        dz = xhat * (dgamma / n)
-        dz += dbeta / n
-        np.subtract(dy, dz, out=dz)
-        dz *= gamma * inv_std
-        return dz, dgamma, dbeta
+    def back(dy: np.ndarray, dbeta: np.ndarray):
+        # With xhat = z * inv_std: dgamma = sum(dy * xhat) and
+        # dz = scale * (dy - dbeta / n - xhat * dgamma / n).
+        dgamma = np.einsum("ij,ij->j", dy.reshape(n, ch), rows)
+        dgamma *= inv_std
+        centred = np.multiply(*_tiled(z, dgamma * inv_std / n))
+        centred += _tiled(z, dbeta / n)[1]
+        u = dy.reshape(batch, -1)
+        u -= centred
+        return u.reshape(n, ch), dgamma
 
-    return out, back
+    return out.reshape(z.shape), scale, back
 
 
 def _maxpool(x: np.ndarray, window: int):
@@ -173,15 +182,15 @@ def _maxpool(x: np.ndarray, window: int):
     def back(g: np.ndarray):
         dx = np.empty((batch, width, ch))
         dtiles = dx[:, : out_w * window].reshape(batch, out_w, window, ch)
-        # Slots whose first maximum no earlier tap has taken; hit <= free,
-        # so xor clears the slots a tap takes.
+        # Every tap that equals its window's maximum, then only the first:
+        # free marks the slots no earlier tap has taken; a tap's hits are
+        # within free, so xor clears the slots it takes.
+        hit = tiles == out[:, :, None]
         free = np.ones(out.shape, dtype=bool)
-        hit = np.empty(out.shape, dtype=bool)
         for j in range(window):
-            np.equal(tiles[:, :, j], out, out=hit)
-            hit &= free
-            free ^= hit
-            np.multiply(g, hit, out=dtiles[:, :, j])
+            hit[:, :, j] &= free
+            free ^= hit[:, :, j]
+        np.multiply(g[:, :, None], hit, out=dtiles)
         dx[:, out_w * window:] = 0.0
         return dx
 
@@ -197,46 +206,61 @@ def conv_bn_relu(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
+    pool: int | None = None,
 ) -> Tensor:
-    """One encoder unit, relu(batchnorm1d(conv1d(x))), as a single taped op.
+    """One encoder unit, relu(batchnorm1d(conv1d(x))), then an optional max pool.
 
     Channels-last: x (B, W, C_in), or (B, W) as one input channel, maps to
-    (B, W-1, C_out). Same semantics as the three primitives in sequence,
-    running statistics included. Train mode runs batch norm and ReLU in place
-    on the conv output. Eval mode folds batch norm and the conv bias into the
-    GEMM (`_bn_eval_map`): one GEMM with kernel columns scaled by
-    gamma / sqrt(running_var + BN_EPS), one pass adding the per-channel shift,
-    and ReLU in place. Backward keeps only the conv's input rows, xhat (train
-    mode) and the output.
+    (B, W-1, C_out), or to (B, (W-1) // pool, C_out) with a pool window. Same
+    semantics as the primitives in sequence, running statistics included,
+    and one tape entry. The pool runs on the conv output scaled by
+    gamma / sqrt(var + BN_EPS) (the batch's variance in train mode, the
+    running one in eval mode); the per-channel shift and ReLU then apply to
+    the pooled array. Backward keeps the conv's input rows, the centred conv
+    output (train mode), the pool's input and the output.
     """
     x, kernel, bias, gamma, beta = (as_tensor(t) for t in (x, kernel, bias, gamma, beta))
     if training:
-        z, conv_back = _conv(_channels_last(x.data), kernel.data, bias.data)
-        out, bn_back = _batchnorm(z.reshape(-1, z.shape[2]), gamma.data, beta.data,
-                                  running_mean, running_var, True)
+        z, conv_back = _conv(_channels_last(x.data), kernel.data)
+        _require(beta.shape == (z.shape[2],), f"batchnorm1d affine params must be ({z.shape[2]},)")
+        y, scale, bn_back = _batchnorm(z, gamma.data, bias.data, running_mean, running_var)
+        shift = beta.data
 
-        def rule(g: np.ndarray):
-            # The masked gradient is a temporary, freed before conv_back runs.
-            dz, dgamma, dbeta = bn_back(g.reshape(out.shape) * (out > 0))
-            dx, dk, db = conv_back(dz)
-            return dx.reshape(x.shape), dk, db, dgamma, dbeta
+        def param_back(dy: np.ndarray, dshift: np.ndarray):
+            u, dgamma = bn_back(dy, dshift)
+            dx, dk = conv_back(u, scale)
+            # The train-mode output does not depend on the bias at all.
+            return dx, dk, np.zeros(scale.size), dgamma, dshift
     else:
         scale, shift, map_back = _bn_eval_map(gamma.data, beta.data, running_mean,
                                               running_var, bias.data)
         _require(kernel.data.ndim == 3 and kernel.shape[0] == scale.size,
                  f"conv1d kernel must be ({scale.size}, in_ch, 2), got {kernel.shape}")
-        # The conv of the scaled kernel, with the shift as its bias; its
-        # gradients map back through scale = gamma * inv_std and shift.
-        z, conv_back = _conv(_channels_last(x.data), kernel.data * scale[:, None, None], shift)
-        out = z.reshape(-1, z.shape[2])
+        # The conv of the scaled kernel, shifted below; its gradients map
+        # back through scale = gamma * inv_std and shift.
+        y, conv_back = _conv(_channels_last(x.data), kernel.data * scale[:, None, None])
 
-        def rule(g: np.ndarray):
-            dx, dfolded, dshift = conv_back(g.reshape(out.shape) * (out > 0))
+        def param_back(dy: np.ndarray, dshift: np.ndarray):
+            dx, dfolded = conv_back(dy)
             dgamma, dbeta, db = map_back(np.einsum("oit,oit->o", dfolded, kernel.data), dshift)
-            return dx.reshape(x.shape), dfolded * scale[:, None, None], db, dgamma, dbeta
+            return dx, dfolded * scale[:, None, None], db, dgamma, dbeta
 
+    if pool is None:
+        out = y
+        flat, tiled = _tiled(out, shift)
+        flat += tiled
+    else:
+        pooled, pool_back = _maxpool(y, pool)
+        out = pooled + shift
     np.maximum(out, 0.0, out=out)
-    return record_op(Tensor(out.reshape(z.shape)), (x, kernel, bias, gamma, beta), rule)
+
+    def rule(g: np.ndarray):
+        g = g * (out > 0)
+        dx, dk, db, dgamma, dbeta = param_back(g if pool is None else pool_back(g),
+                                               g.sum(axis=(0, 1)))
+        return dx.reshape(x.shape), dk, db, dgamma, dbeta
+
+    return record_op(Tensor(out), (x, kernel, bias, gamma, beta), rule)
 
 
 def maxpool_cl(x: Tensor, window: int) -> Tensor:
@@ -262,11 +286,14 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """
     x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     _require(x.data.ndim == 3, f"conv1d input must be (batch, ch, width), got {x.shape}")
-    z, back = _conv(x.data.transpose(0, 2, 1), kernel.data, bias.data)
+    z, back = _conv(x.data.transpose(0, 2, 1), kernel.data)
+    _require(bias.shape == (z.shape[2],), f"conv1d bias must be ({z.shape[2]},), got {bias.shape}")
+    z += bias.data
 
     def rule(g: np.ndarray):
-        dx, dk, db = back(g.transpose(0, 2, 1))
-        return dx.transpose(0, 2, 1), dk, db
+        dz = g.transpose(0, 2, 1)
+        dx, dk = back(dz)
+        return dx.transpose(0, 2, 1), dk, dz.sum(axis=(0, 1))
 
     return record_op(Tensor(z.transpose(0, 2, 1)), (x, kernel, bias), rule)
 
@@ -308,16 +335,37 @@ def batchnorm1d(
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     _require(x.data.ndim == 3, f"batchnorm1d input must be (batch, ch, width), got {x.shape}")
     batch, ch, width = x.shape
-    # A C-order copy: the kernel normalizes its rows in place.
-    rows = np.array(x.data.transpose(0, 2, 1), order="C").reshape(-1, ch)
-    out, back = _batchnorm(rows, gamma.data, beta.data, running_mean, running_var, training)
+    _require(gamma.shape == (ch,) and beta.shape == (ch,),
+             f"batchnorm1d affine params must be ({ch},)")
+    # A C-order (B, W, C) copy: the train-mode kernel centres it in place.
+    rows = np.array(x.data.transpose(0, 2, 1), order="C")
+    if training:
+        out, scale, bn_back = _batchnorm(rows, gamma.data, np.zeros(ch),
+                                         running_mean, running_var)
+        out += beta.data
+
+        def back(dy: np.ndarray):
+            dbeta = dy.sum(axis=0)
+            u, dgamma = bn_back(dy, dbeta)
+            u *= scale
+            return u, dgamma, dbeta
+    else:
+        scale, shift, map_back = _bn_eval_map(gamma.data, beta.data, running_mean,
+                                              running_var, np.zeros(ch))
+        out = rows * scale
+        out += shift
+
+        def back(dy: np.ndarray):
+            dgamma, dbeta, _ = map_back(np.einsum("ij,ij->j", dy, rows.reshape(-1, ch)),
+                                        dy.sum(axis=0))
+            return dy * scale, dgamma, dbeta
 
     def rule(g: np.ndarray):
-        dx, dgamma, dbeta = back(g.transpose(0, 2, 1).reshape(-1, ch))
+        # A C-order (B, W, C) copy: the train-mode rule overwrites it.
+        dx, dgamma, dbeta = back(np.array(g.transpose(0, 2, 1), order="C").reshape(-1, ch))
         return dx.reshape(batch, width, ch).transpose(0, 2, 1), dgamma, dbeta
 
-    return record_op(Tensor(out.reshape(batch, width, ch).transpose(0, 2, 1)),
-                     (x, gamma, beta), rule)
+    return record_op(Tensor(out.transpose(0, 2, 1)), (x, gamma, beta), rule)
 
 
 def relu(x: Tensor) -> Tensor:

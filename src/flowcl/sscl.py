@@ -252,7 +252,7 @@ class HeadConfig:
             raise ConfigError(f"label_fraction must lie in (0, 1], got {self.label_fraction!r}")
 
 
-FEATURE_CHUNK_ROWS = 256
+FEATURE_CHUNK_ROWS = 64
 
 
 def representation_features(encoder: EncoderBlock, projector: ProjectionHead,

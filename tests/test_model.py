@@ -160,15 +160,19 @@ class TestBuildAndEncode:
             assert np.all(np.isfinite(p.grad))
 
 
-def _taped_pass(encode_fn, config, x, training, data_stats=False):
+def _taped_pass(encode_fn, config, x, training, data_stats=False, bn_params=()):
     """h, loss, the input and parameter gradients, and the BN running stats.
 
-    With `data_stats`, untaped train-mode passes over x first carry the
+    `bn_params` replaces the (gamma, beta) of the first convs. With
+    `data_stats`, untaped train-mode passes over x first carry the
     running statistics from their initial (0, 1) to x's own: at momentum 0.1
     one pass moves them a tenth of the way, and 50 leave 0.9**50 < 1% of
     the start.
     """
     block, proj = build_encoder(config, seed=5)
+    for layer, (gamma, beta) in zip(block.convs, bn_params):
+        layer.gamma.data[:] = gamma
+        layer.beta.data[:] = beta
     for _ in range(50 if data_stats else 0):
         encode_fn(block, x, training=True)
     xt = Tensor(x, requires_grad=True)
@@ -191,15 +195,32 @@ def _assert_scaled_close(got, want, what):
 
 # Pool windows 2, 3 and 4 each with a width remainder (66 -> 65 -> 32 r1 ->
 # 31 -> 10 r1 -> 9 -> 2 r1 -> 1), a one-channel conv feeding another, a pool
-# before the first conv, ties in every pool window, and a full preset.
+# before the first conv, a pool after a fused conv and pool (23 -> 22 -> 11
+# -> 5 r1 -> 4 -> 1 r1), ties in every pool window, signed gammas, and a full
+# preset.
 FUSED_CASES = {
     "ties": EncoderConfig((Conv(3), MaxPool(2)), 5, context_dim=2),
     "pools-2-3-4": EncoderConfig((Conv(4), MaxPool(2), Conv(6), MaxPool(3), Conv(5),
                                   MaxPool(4), Conv(3)), 66, context_dim=4),
     "one-channel": EncoderConfig((Conv(1), Conv(3), MaxPool(2), Conv(2)), 9, context_dim=3),
     "pool-first": EncoderConfig((MaxPool(3), Conv(4), MaxPool(2), Conv(3)), 20, context_dim=3),
+    "pool-after-pool": EncoderConfig((Conv(4), MaxPool(2), MaxPool(2), Conv(3), MaxPool(3)),
+                                     23, context_dim=3),
+    "signed-gamma": EncoderConfig((Conv(4), MaxPool(3), Conv(4), MaxPool(2), Conv(3)), 30,
+                                  context_dim=3),
     "smaller-pack": preset_config("smaller-pack", 40),
 }
+
+
+# (gamma, beta) of the first convs of "signed-gamma", per channel: a zero
+# gamma makes a constant channel, live (beta > 0) or dead (beta < 0), whose
+# pool windows all tie; a negative gamma flips which tap is each window's
+# maximum; a negative beta leaves whole windows negative before the ReLU,
+# and beta -50 leaves a channel dead everywhere.
+SIGNED_GAMMA_BN = (
+    ([1.2, 0.0, -0.7, 0.9], [0.1, 0.3, -1.0, -50.0]),
+    ([-1.0, 0.5, 0.0, 1.1], [-0.8, 0.2, -0.1, 0.0]),
+)
 
 
 # Gradients that are analytically zero come back as rounding noise of a few
@@ -215,11 +236,20 @@ def _assert_paths_match(case, training, data_stats=False):
         # A constant row makes every conv output of that row equal, so
         # both pools see ties and both paths must pick the same maximum.
         x[:] = x[:, :1]
-    h, loss, grads, stats, entries = _taped_pass(encode, config, x, training, data_stats)
+    bn_params = SIGNED_GAMMA_BN if case == "signed-gamma" else ()
+    h, loss, grads, stats, entries = _taped_pass(encode, config, x, training, data_stats,
+                                                 bn_params)
     h_ref, loss_ref, grads_ref, stats_ref, _ = _taped_pass(composed_encode, config, x,
-                                                           training, data_stats)
-    # One entry per conv or pool, the global pool, the projection and the loss.
-    assert entries == len(config.layers) + 3
+                                                           training, data_stats, bn_params)
+    # One entry per fused unit (a conv with the pool right after it, if any,
+    # or a pool with no conv just before it), the global pool, the
+    # projection and the loss.
+    specs = config.layers
+    units = sum(1 for prev, spec in zip((None,) + specs[:-1], specs)
+                if isinstance(spec, Conv) or not isinstance(prev, Conv))
+    assert entries == units + 3
+    if case == "smaller-pack":
+        assert entries == 8  # 11 with one entry per conv and per pool
     _assert_scaled_close(h, h_ref, "h")
     assert abs(loss - loss_ref) <= 1e-10 * abs(loss_ref)
     for i, (got, want) in enumerate(zip(stats, stats_ref)):
@@ -240,15 +270,26 @@ def _assert_paths_match(case, training, data_stats=False):
         return
     for name, want in grads_ref.items():
         got = grads[name]
-        if training and name.startswith("bias"):
-            # Train-mode BN subtracts the batch mean, which cancels the
-            # conv bias: both gradients are rounding noise next to the
-            # kernel's.
-            kernel_scale = np.max(np.abs(grads_ref["kernel" + name[4:]]))
+        if training and _analytically_zero(case, name):
+            # Both gradients are rounding noise next to the layer's kernel's.
+            layer = name[len(name.rstrip("0123456789")):]
+            kernel_scale = np.max(np.abs(grads_ref["kernel" + layer]))
             assert np.max(np.abs(got)) <= 1e-10 * kernel_scale, name
             assert np.max(np.abs(want)) <= 1e-10 * kernel_scale, name
         else:
             _assert_scaled_close(got, want, name)
+
+
+def _analytically_zero(case, name):
+    """Train-mode gradients that are exactly 0 whatever the parameters."""
+    if name.startswith("bias"):
+        # Train-mode BN subtracts the batch mean, which cancels the conv bias.
+        return True
+    # In pools-2-3-4, every pooled unit of layer 2 is positive, so beta2
+    # moves Conv3's whole width-2 input by a per-channel constant. Each input
+    # position feeds the single output once per tap, so that is a per-channel
+    # constant on Conv3's output, which its train-mode BN cancels.
+    return case == "pools-2-3-4" and name == "beta2"
 
 
 class TestFusedEncoder:

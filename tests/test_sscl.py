@@ -30,6 +30,7 @@ from flowcl.model import (
 from flowcl.numgrad import Tape, Tensor, backward
 from flowcl.seeding import substream
 from flowcl.sscl import (
+    FEATURE_CHUNK_ROWS,
     ContrastiveConfig,
     HeadConfig,
     batch_loss,
@@ -386,7 +387,8 @@ class TestRepresentationFeatures:
         encoder, projector = build_encoder(preset_config(preset, 40), seed=3)
         rng = np.random.default_rng(27)
         encode(encoder, rng.uniform(size=(8, 40)), training=True)  # move the BN stats
-        x = rng.uniform(size=(600, 40))  # three chunks, the last one partial
+        x = rng.uniform(size=(600, 40))  # ten chunks of 64 rows, the last one partial
+        assert len(x) // FEATURE_CHUNK_ROWS >= 2 and len(x) % FEATURE_CHUNK_ROWS
         h = encode(encoder, x, training=False)
         got = representation_features(encoder, projector, x, "hidden")
         assert got.tobytes() == h.data.tobytes()

@@ -318,16 +318,23 @@ class TestBatchNorm1d:
 
 
 class TestConvBnRelu:
-    @pytest.mark.parametrize("training,gamma", [
-        pytest.param(True, None, id="True"),
-        pytest.param(False, None, id="False"),
+    @pytest.mark.parametrize("training,gamma,pool", [
+        pytest.param(True, None, None, id="True"),
+        pytest.param(False, None, None, id="False"),
         # Eval mode scales each kernel column by gamma / sqrt(running_var +
         # eps): a zero column (channel 1, whose beta keeps it live) and sign
         # flips must leave every gradient exact, dgamma included.
-        pytest.param(False, [-0.8, 0.0, -1.2, 0.7], id="eval-zero-and-negative-gamma"),
-        pytest.param(False, [0.0, 0.9, -0.4, -1.1], id="eval-zero-gamma-dead-channel"),
+        pytest.param(False, [-0.8, 0.0, -1.2, 0.7], None, id="eval-zero-and-negative-gamma"),
+        pytest.param(False, [0.0, 0.9, -0.4, -1.1], None, id="eval-zero-gamma-dead-channel"),
+        # The pool runs before the shift and the ReLU: width 4 pools to 2
+        # (window 2) or to 1 with a remainder (window 3). A zero gamma would
+        # make its channel's windows tie, where max has no derivative.
+        pytest.param(True, None, 2, id="True-pool2"),
+        pytest.param(True, [-0.8, 0.6, -1.2, 0.7], 3, id="True-negative-gamma-pool3"),
+        pytest.param(False, None, 3, id="False-pool3"),
+        pytest.param(False, [-0.8, 0.9, -0.4, -1.1], 2, id="eval-negative-gamma-pool2"),
     ])
-    def test_gradients_match_finite_differences(self, training, gamma):
+    def test_gradients_match_finite_differences(self, training, gamma, pool):
         rng = np.random.default_rng(29)
         x0 = rng.normal(size=(3, 5, 2))  # channels-last (batch, width, ch)
         k0 = rng.normal(size=(4, 2, 2))
@@ -338,16 +345,22 @@ class TestConvBnRelu:
         be0 = rng.normal(size=4)
         rm0 = rng.normal(size=4)
         rv0 = rng.uniform(0.5, 2.0, size=4)
-        weight = rng.normal(size=(3, 4, 4))
+        weight = rng.normal(size=(3, 4 // (pool or 1), 4))
         values = [x0, k0, kb0, g0, be0]
 
         def forward(*args):
-            return conv_bn_relu(*args, rm0.copy(), rv0.copy(), training=training)
+            return conv_bn_relu(*args, rm0.copy(), rv0.copy(), training=training, pool=pool)
 
-        # Central differences are only valid away from the ReLU kink.
+        # Central differences are only valid away from the ReLU kink and,
+        # with a pool, away from a tie for a window's maximum.
         pre = batchnorm1d(conv1d(Tensor(x0.transpose(0, 2, 1)), Tensor(k0), Tensor(kb0)),
                           Tensor(g0), Tensor(be0), rm0.copy(), rv0.copy(), training=training)
-        assert np.min(np.abs(pre.data)) > 1e-3
+        if pool is None:
+            assert np.min(np.abs(pre.data)) > 1e-3
+        else:
+            windows = np.sort(pre.data[:, :, :pool * (4 // pool)].reshape(3, 4, -1, pool))
+            assert np.min(np.abs(windows[..., -1])) > 1e-3
+            assert np.min(windows[..., -1] - windows[..., -2]) > 1e-3
 
         params = [Tensor(v, requires_grad=True) for v in values]
         with Tape() as tape:
@@ -365,6 +378,84 @@ class TestConvBnRelu:
                 assert np.max(np.abs(p.grad)) < 1e-12 and np.max(np.abs(numeric)) < 1e-8
             else:
                 assert rel_error(p.grad, numeric) < 1e-6, f"input {i}"
+
+
+def _composed_unit(x, kernel, bias, gamma, beta, running_mean, running_var, training, pool):
+    """conv1d, batchnorm1d, relu and maxpool1d on the (batch, ch, width) layout."""
+    out = conv1d(_transposed(x), kernel, bias)
+    out = relu(batchnorm1d(out, gamma, beta, running_mean, running_var, training=training))
+    return _transposed(maxpool1d(out, pool))
+
+
+def _transposed(t: Tensor) -> Tensor:
+    """Differentiable swap of the last two axes of a 3-D tensor."""
+    from flowcl.numgrad.tensor import record_op
+
+    return record_op(Tensor(t.data.transpose(0, 2, 1)), (t,),
+                     lambda g: (g.transpose(0, 2, 1),))
+
+
+class TestConvBnReluPool:
+    """`conv_bn_relu(pool=k)` against the composed (batch, ch, width) primitives.
+
+    Per channel: gamma 0 with a live beta makes a constant channel, so every
+    pool window ties; negative gammas flip which tap is each window's
+    maximum; a negative beta leaves whole windows negative before the ReLU,
+    and beta -50 leaves a channel dead everywhere. "ties" also makes every
+    row constant along the width, so every window ties in every channel.
+    """
+
+    GAMMA = np.array([1.2, 0.0, -0.7, 0.9, -1.5])
+    BETA = np.array([0.1, 0.3, -1.0, -50.0, 0.4])
+
+    @pytest.mark.parametrize("data", ["random", "ties"])
+    @pytest.mark.parametrize("window,width", [(2, 10), (3, 12), (4, 15)])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_matches_composed_primitives(self, training, window, width, data):
+        rng = np.random.default_rng(31)
+        x0 = rng.normal(size=(6, width, 3))
+        if data == "ties":
+            x0[:] = x0[:, :1]
+        kernel = rng.normal(size=(5, 3, 2))
+        bias = rng.normal(size=5)
+        if training:
+            running_mean, running_var = rng.normal(size=5), rng.uniform(0.5, 2.0, size=5)
+        else:
+            # Eval mode with statistics of the data: every channel gets its
+            # own scale and shift, and the windows straddle zero.
+            z = conv1d(Tensor(x0.transpose(0, 2, 1)), Tensor(kernel), Tensor(bias)).data
+            running_mean, running_var = z.mean(axis=(0, 2)), z.var(axis=(0, 2)) + 0.1
+        weight = rng.normal(size=(6, (width - 1) // window, 5))
+        values = [x0, kernel, bias, self.GAMMA, self.BETA]
+
+        def taped(unit):
+            params = [Tensor(v, requires_grad=True) for v in values]
+            stats = [running_mean.copy(), running_var.copy()]
+            with Tape() as tape:
+                out = unit(*params, *stats, training=training, pool=window)
+                loss = _weighted_sum(out, weight)
+            backward(loss, tape)
+            return out.data, [p.grad for p in params], stats, len(tape)
+
+        out, grads, stats, entries = taped(conv_bn_relu)
+        out_ref, grads_ref, stats_ref, _ = taped(_composed_unit)
+        assert entries == 2  # the fused unit and the weighted sum
+        assert np.any(out[:, :, 2] == 0.0) and np.all(out[:, :, 3] == 0.0)
+        _assert_close_to_scale(out, out_ref, "output")
+        for i, (got, want) in enumerate(zip(stats, stats_ref)):
+            _assert_close_to_scale(got, want, f"running stat {i}")
+        for i, (got, want) in enumerate(zip(grads, grads_ref)):
+            if training and i == 2:
+                # Train-mode batch norm cancels the conv bias: the fused unit
+                # returns exact zeros, the composed chain rounding noise.
+                assert np.all(got == 0.0)
+                assert np.max(np.abs(want)) <= 1e-10 * np.max(np.abs(grads_ref[1]))
+            else:
+                _assert_close_to_scale(got, want, f"input {i}")
+
+
+def _assert_close_to_scale(got, want, what):
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), what
 
 
 class TestRelu:
