@@ -13,6 +13,7 @@ from .ops import (
     maxpool_cl,
     relu,
     softmax_cross_entropy,
+    softmax_regression_grads,
 )
 from .optim import AdamW
 from .tensor import Tape, Tensor, as_tensor, backward, record_op
@@ -38,4 +39,5 @@ __all__ = [
     "relu",
     "save_arrays",
     "softmax_cross_entropy",
+    "softmax_regression_grads",
 ]

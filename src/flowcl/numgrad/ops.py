@@ -26,6 +26,11 @@ runs one GEMM against the scaled kernel. Its backward is exact and never
 divides by gamma. Pools keep only the running max in the forward; their
 backward rule finds each window's first maximum from the input it holds,
 so an untaped pass builds no routing arrays.
+
+The linear head's math likewise exists once: `_affine` and
+`_softmax_ce_grad` serve the taped `affine` and `softmax_cross_entropy` and
+also `softmax_regression_grads`, the untaped closed-form gradient that head
+training takes once per step.
 """
 
 from __future__ import annotations
@@ -379,6 +384,33 @@ def relu(x: Tensor) -> Tensor:
     return record_op(out, (x,), rule)
 
 
+def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
+    """out = x @ weight.T + bias and the rule g -> (dweight, dbias) of the parameters."""
+    def back(g: np.ndarray):
+        return g.T @ x, g.sum(axis=0)
+
+    return x @ weight.T + bias, back
+
+
+def _row_shift(z: np.ndarray):
+    """Each row's max m (batch, 1) and z - m, so exp never overflows."""
+    m = z.max(axis=1, keepdims=True)
+    return m, z - m
+
+
+def _softmax_ce_grad(shifted: np.ndarray, labels: np.ndarray, scale: float) -> np.ndarray:
+    """scale * (softmax - one_hot(labels)) from row-shifted logits, as a new array.
+
+    With scale = 1 / batch this is the gradient of the mean cross entropy
+    with respect to the logits. Labels are not checked here.
+    """
+    p = np.exp(shifted)
+    p /= p.sum(axis=1, keepdims=True)
+    p[np.arange(len(labels)), labels] -= 1.0
+    p *= scale
+    return p
+
+
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """out = x @ weight.T + bias; x (B, In), weight (Out, In), bias (Out,)."""
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
@@ -388,12 +420,12 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
              f"affine dim mismatch: input {x.shape[1]} vs weight {weight.shape[1]}")
     _require(bias.shape == (weight.shape[0],),
              f"affine bias must be ({weight.shape[0]},), got {bias.shape}")
-    out = Tensor(x.data @ weight.data.T + bias.data)
+    out, back = _affine(x.data, weight.data, bias.data)
 
     def rule(g: np.ndarray):
-        return g @ weight.data, g.T @ x.data, g.sum(axis=0)
+        return (g @ weight.data, *back(g))
 
-    return record_op(out, (x, weight, bias), rule)
+    return record_op(Tensor(out), (x, weight, bias), rule)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -411,19 +443,28 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
         raise InvalidLabelError(f"labels must lie in [0, {k})")
 
     z = logits.data
-    m = z.max(axis=1, keepdims=True)
-    shifted = z - m
+    m, shifted = _row_shift(z)
     lse = m[:, 0] + np.log(np.exp(shifted).sum(axis=1))
     picked = z[np.arange(batch), y]
     out = Tensor(np.mean(lse - picked))
 
     def rule(g: np.ndarray):
-        p = np.exp(shifted)
-        p /= p.sum(axis=1, keepdims=True)
-        p[np.arange(batch), y] -= 1.0
-        return (p * (float(g) / batch),)
+        return (_softmax_ce_grad(shifted, y, float(g) / batch),)
 
     return record_op(out, (logits,), rule)
+
+
+def softmax_regression_grads(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                             labels: np.ndarray):
+    """(dweight, dbias) of softmax_cross_entropy(affine(x, weight, bias), labels).
+
+    The taped pair's float64 operations in the same order, so the gradients
+    are bit-identical, but with no tape, no loss value and no gradient for x.
+    Labels must already lie in [0, classes): they are not checked here.
+    """
+    z, back = _affine(x, weight, bias)
+    _, shifted = _row_shift(z)
+    return back(_softmax_ce_grad(shifted, labels, 1.0 / len(labels)))
 
 
 def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:

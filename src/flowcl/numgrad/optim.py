@@ -60,12 +60,12 @@ class AdamW:
             g = np.concatenate([p.grad.ravel() for p in self.params])
             spans = [slice(None)]
         else:
-            g = np.empty_like(self._w)
+            g = np.zeros_like(self._w)  # skipped slices stay finite
             for p, s in live:
                 g[s] = p.grad.ravel()
             spans = [s for _, s in live]
-        if not all(np.all(np.isfinite(g[s])) for s in spans):
-            bad = next(p for p, s in live if not np.all(np.isfinite(g[s])))
+        if not np.isfinite(g).all():
+            bad = next(p for p, s in live if not np.isfinite(g[s]).all())
             raise NonFiniteGradientError(
                 f"non-finite gradient for parameter of shape {bad.shape}")
         scratch = np.empty_like(g)

@@ -35,6 +35,7 @@ from .errors import (
     DegenerateVectorError,
     InsufficientDataError,
     InvalidBatchError,
+    InvalidLabelError,
     InvalidShapeError,
     MissingLabelError,
 )
@@ -286,7 +287,10 @@ def train_head(encoder: EncoderBlock, projector: ProjectionHead, x, labels,
     """Fit a classification head on frozen features; the encoder never moves.
 
     Partial batches are kept: label-efficiency runs can have fewer labeled
-    samples than one batch.
+    samples than one batch. Labels are checked once, before any step. Each
+    step is `ng.softmax_regression_grads` and one AdamW update, with no tape:
+    the same arithmetic as taping `softmax_cross_entropy(head.logits(x), y)`,
+    so the head is bit-identical to a taped fit.
     """
     y = np.asarray(labels, dtype=np.int64).ravel()
     data = np.asarray(x, dtype=np.float64)
@@ -296,6 +300,8 @@ def train_head(encoder: EncoderBlock, projector: ProjectionHead, x, labels,
         raise InsufficientDataError("no labeled samples to train on")
     if np.any(y < 0):
         raise MissingLabelError("head training needs a label on every sample")
+    if np.any(y >= n_classes):
+        raise InvalidLabelError(f"labels must lie in [0, {n_classes})")
     features = representation_features(encoder, projector, data, config.representation)
     head = build_classification_head(features.shape[1], n_classes, config.seed)
     opt = AdamW(head.parameters(), lr=config.lr, weight_decay=config.weight_decay)
@@ -304,12 +310,10 @@ def train_head(encoder: EncoderBlock, projector: ProjectionHead, x, labels,
         order = substream(config.seed, "head-shuffle", epoch).permutation(n)
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            with Tape() as tape:
-                logits = head.logits(Tensor(features[batch]))
-                loss = ng.softmax_cross_entropy(logits, y[batch])
-            backward(loss, tape)
+            head.weight.grad, head.bias.grad = ng.softmax_regression_grads(
+                features[batch], head.weight.data, head.bias.data, y[batch])
             opt.step()
-            opt.zero_grad()
+    opt.zero_grad()
     return head
 
 

@@ -24,8 +24,9 @@ from flowcl.errors import (
     InvalidBatchError,
     InvalidShapeError,
 )
-from flowcl.model import Conv
-from flowcl.numgrad import Tensor
+from flowcl.model import Conv, build_classification_head
+from flowcl.numgrad import AdamW, Tape, Tensor, backward
+from flowcl.seeding import substream
 from flowcl.synth import Record
 
 
@@ -96,6 +97,29 @@ def composed_encode(block, x, training: bool = False) -> Tensor:
         else:
             out = ng.maxpool1d(out, spec.window)
     return ng.global_maxpool1d(out)
+
+
+def taped_train_head(features: np.ndarray, labels: np.ndarray, n_classes: int, config):
+    """The head-training loop with one Tape per step: affine, then the loss, then backward.
+
+    The slow reference for `sscl.train_head`, which must give the same bytes:
+    same initial head, same per-epoch shuffle, same AdamW updates.
+    """
+    y = np.asarray(labels, dtype=np.int64)
+    head = build_classification_head(features.shape[1], n_classes, config.seed)
+    opt = AdamW(head.parameters(), lr=config.lr, weight_decay=config.weight_decay)
+    n = features.shape[0]
+    for epoch in range(config.epochs):
+        order = substream(config.seed, "head-shuffle", epoch).permutation(n)
+        for start in range(0, n, config.batch_size):
+            batch = order[start:start + config.batch_size]
+            with Tape() as tape:
+                logits = head.logits(Tensor(features[batch]))
+                loss = ng.softmax_cross_entropy(logits, y[batch])
+            backward(loss, tape)
+            opt.step()
+            opt.zero_grad()
+    return head
 
 
 def naive_cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -96,6 +96,34 @@ class TestAdamW:
             opt.step()
             np.testing.assert_allclose(p.data, want, rtol=1e-13, atol=1e-15)
 
+    def test_bytes_match_per_parameter_reference(self):
+        """60 random steps, some parameters skipped: every update is bit-exact.
+
+        The reference updates each parameter on its own, with the float64
+        operations of `AdamW.step`'s formula in the order the flat update uses.
+        """
+        rng = np.random.default_rng(11)
+        shapes = [(3, 4), (5,), (2, 2, 2), (1,)]
+        ps = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        opt = AdamW(ps, lr=0.03, weight_decay=0.02)
+        ref = [{"w": p.data.copy(), "m": np.zeros(p.shape), "v": np.zeros(p.shape), "t": 0}
+               for p in ps]
+        for _ in range(60):
+            for p, r in zip(ps, ref):
+                p.grad = None
+                if rng.random() < 0.75:
+                    p.grad = rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 6)
+                    g = p.grad
+                    r["m"] = r["m"] * 0.9 + g * (1.0 - 0.9)
+                    r["v"] = r["v"] * 0.999 + (g * g) * (1.0 - 0.999)
+                    t = opt.step_count + 1
+                    den = np.sqrt(r["v"] / (1.0 - 0.999**t)) + 1e-8
+                    upd = (r["m"] / (1.0 - 0.9**t)) / den + r["w"] * 0.02
+                    r["w"] = r["w"] - upd * 0.03
+            opt.step()
+            for p, r in zip(ps, ref):
+                assert p.data.tobytes() == r["w"].tobytes()
+
     def test_missing_gradient_skips_parameter(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         q = Tensor(np.array([1.0]), requires_grad=True)

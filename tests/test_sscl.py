@@ -16,12 +16,16 @@ from flowcl.errors import (
     DegenerateVectorError,
     InsufficientDataError,
     InvalidBatchError,
+    InvalidLabelError,
     MissingLabelError,
+    NonFiniteGradientError,
 )
+from flowcl import numgrad
 from flowcl.model import (
     Conv,
     EncoderConfig,
     MaxPool,
+    build_classification_head,
     build_encoder,
     encode,
     preset_config,
@@ -48,6 +52,7 @@ from oracles import (
     pair_loss,
     rel_error,
     similarity_matrix,
+    taped_train_head,
 )
 
 
@@ -361,6 +366,101 @@ class TestHeadStage:
         y[0] = -1
         with pytest.raises(MissingLabelError):
             evaluate_head(encoder, projector, head, x, y, "hidden")
+
+
+# (rows, classes, HeadConfig overrides): ragged and sub-batch row counts, K = 5,
+# the context representation and non-default optimizer settings.
+_TAPED_CASES = {
+    "k2": (64, 2, {}),
+    "k5": (64, 5, {}),
+    "ragged-last-batch": (45, 2, {}),
+    "fewer-rows-than-one-batch": (7, 3, {}),
+    "context": (40, 2, {"representation": "context"}),
+    "lr-and-decay": (50, 4, {"lr": 0.003, "weight_decay": 0.2, "batch_size": 16}),
+}
+
+
+class TestHeadStep:
+    """`train_head`'s untaped step against the taped loop in `oracles`."""
+
+    @pytest.mark.parametrize("case", list(_TAPED_CASES))
+    def test_same_bytes_as_taped_loop(self, case):
+        rows, k, overrides = _TAPED_CASES[case]
+        rng = np.random.default_rng(30)
+        x = rng.uniform(size=(rows, 16))
+        y = rng.integers(0, k, size=rows)
+        y[:k] = np.arange(k)
+        encoder, projector = tiny_encoder(seed=31)
+        config = HeadConfig(epochs=4, seed=32, **overrides)
+        got = train_head(encoder, projector, x, y, k, config)
+        features = representation_features(encoder, projector, x, config.representation)
+        want = taped_train_head(features, y, k, config)
+        assert got.weight.data.tobytes() == want.weight.data.tobytes()
+        assert got.bias.data.tobytes() == want.bias.data.tobytes()
+
+    def test_label_equal_to_class_count_rejected(self):
+        rng = np.random.default_rng(33)
+        x, y = blob_data(rng, 8)
+        y[5] = 2
+        encoder, projector = tiny_encoder(seed=34)
+        with pytest.raises(InvalidLabelError, match=r"\[0, 2\)"):
+            train_head(encoder, projector, x, y, 2, HeadConfig(epochs=1))
+
+    def test_bad_label_rejected_without_any_step(self):
+        rng = np.random.default_rng(35)
+        x, y = blob_data(rng, 8)
+        y[0] = 7
+        encoder, projector = tiny_encoder(seed=36)
+        with pytest.raises(InvalidLabelError):
+            train_head(encoder, projector, x, y, 2, HeadConfig(epochs=0))
+
+    def test_nan_features_raise_before_the_head_moves(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        x, y = blob_data(rng, 8)
+        x[3, 4] = np.nan
+        encoder, projector = tiny_encoder(seed=38)
+        built = []
+
+        def build(*args):
+            built.append(build_classification_head(*args))
+            return built[-1]
+
+        monkeypatch.setattr(sscl, "build_classification_head", build)
+        with pytest.raises(NonFiniteGradientError):
+            train_head(encoder, projector, x, y, 2, HeadConfig(epochs=2, seed=39))
+        fresh = build_classification_head(built[0].input_dim, 2, 39)
+        assert built[0].weight.data.tobytes() == fresh.weight.data.tobytes()
+        assert built[0].bias.data.tobytes() == fresh.bias.data.tobytes()
+
+    def test_records_no_tape_entries(self, monkeypatch):
+        """Neither a Tape nor `record_op` is touched while the head trains."""
+        rng = np.random.default_rng(40)
+        x, y = blob_data(rng, 24)
+        encoder, projector = tiny_encoder(seed=41)
+        config = HeadConfig(epochs=2, seed=42)
+        features = representation_features(encoder, projector, x, config.representation)
+        # Encoding calls record_op (untaped); only the training loop is under test.
+        monkeypatch.setattr(sscl, "representation_features", lambda *args: features)
+        calls = []
+        record_op = numgrad.tensor.record_op
+
+        def counted_record_op(*args):
+            calls.append("record_op")
+            return record_op(*args)
+
+        for module in (numgrad, numgrad.ops, numgrad.tensor):
+            monkeypatch.setattr(module, "record_op", counted_record_op)
+        enter = Tape.__enter__
+
+        def counted_enter(self):
+            calls.append("Tape.__enter__")
+            return enter(self)
+
+        monkeypatch.setattr(Tape, "__enter__", counted_enter)
+        train_head(encoder, projector, x, y, 2, config)
+        assert calls == []
+        taped_train_head(features, y, 2, config)  # the counters do see a taped loop
+        assert "Tape.__enter__" in calls and "record_op" in calls
 
 
 # Prints the peak RSS (KB) of frozen features over argv[1] rows; with a
