@@ -82,7 +82,8 @@ from .model import (
     save_encoder,
     save_head,
 )
-from .sscl import ContrastiveConfig, HeadConfig, evaluate_head, head_split, pretrain, train_head
+from .sscl import (REPRESENTATIONS, ContrastiveConfig, HeadConfig, evaluate_head, head_split,
+                   pretrain, train_head)
 from .transfer import (
     build_alignment,
     fit_transfer_preprocessor,
@@ -349,7 +350,7 @@ HEAD_STAGE_SETTINGS = {
     "task": Setting("binary", choices=("binary", "multiclass")),
     "classes": Setting(help="comma-separated class names to keep (multiclass)"),
     "normal_class": Setting("Normal", "class treated as benign for --task binary"),
-    "representation": Setting(HeadConfig.representation, choices=("hidden", "context")),
+    "representation": Setting(HeadConfig.representation, choices=REPRESENTATIONS),
     **_config_defaults(HeadConfig, "label_fraction", "split_fraction", "epochs", "batch_size",
                        "lr", "weight_decay", "seed"),
 }

@@ -483,10 +483,10 @@ def filter_classes(dataset: EncodedDataset, keep: list[str]) -> EncodedDataset:
         if name not in dataset.class_names:
             raise UnknownClassError(f"class {name!r} not among {dataset.class_names}")
     old_indices = [dataset.class_names.index(name) for name in keep]
-    remap = {old: new for new, old in enumerate(old_indices)}
+    lookup = np.zeros(len(dataset.class_names), dtype=np.int64)
+    lookup[old_indices] = np.arange(len(keep))
     rows = np.flatnonzero(np.isin(dataset.labels, old_indices))
-    labels = np.array([remap[int(l)] for l in dataset.labels[rows]], dtype=np.int64)
-    return EncodedDataset(dataset.x[rows], labels, tuple(keep))
+    return EncodedDataset(dataset.x[rows], lookup[dataset.labels[rows]], tuple(keep))
 
 
 def binarize(dataset: EncodedDataset, normal_class: str = "Normal") -> EncodedDataset:

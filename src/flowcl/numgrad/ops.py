@@ -22,10 +22,12 @@ conv output, and folds gamma / sqrt(var + BN_EPS) into the backward GEMMs'
 small operands. Eval mode, which every frozen-feature pass uses, folds batch
 norm into the conv: `_bn_eval_map` turns the running statistics, gamma,
 beta and the conv bias into one per-channel scale and shift, so the unit
-runs one GEMM against the scaled kernel. Its backward is exact and never
-divides by gamma. Pools keep only the running max in the forward; their
-backward rule finds each window's first maximum from the input it holds,
-so an untaped pass builds no routing arrays.
+runs one GEMM against the scaled kernel. Eval mode is forward-only: a
+backward that reaches an eval-mode unit raises ConfigError, since only
+pretraining takes gradients and it tapes training-mode passes. Pools keep
+only the running max in the forward; their backward rule finds each
+window's first maximum from the input it holds, so an untaped pass builds
+no routing arrays.
 
 The linear head's math likewise exists once: `_affine` and
 `_softmax_ce_grad` serve the taped `affine` and `softmax_cross_entropy` and
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DegenerateVectorError, InvalidLabelError, InvalidShapeError
+from ..errors import ConfigError, DegenerateVectorError, InvalidLabelError, InvalidShapeError
 from .tensor import Tensor, as_tensor, record_op
 
 
@@ -95,23 +97,21 @@ def _bn_eval_map(gamma: np.ndarray, beta: np.ndarray, running_mean: np.ndarray,
                  running_var: np.ndarray, bias: np.ndarray):
     """Eval-mode batch norm of z + bias as one per-channel map, z * scale + shift.
 
-    scale = gamma * inv_std and shift = (bias - running_mean) * scale + beta,
-    with inv_std = 1 / sqrt(running_var + BN_EPS). Returns scale, shift and
-    the rule (dscale, dshift) -> (dgamma, dbeta, dbias), which never divides
-    by gamma.
+    Returns scale = gamma * inv_std and shift = (bias - running_mean) * scale
+    + beta, with inv_std = 1 / sqrt(running_var + BN_EPS).
     """
     _require(gamma.shape == beta.shape == bias.shape == running_mean.shape == running_var.shape,
              f"batchnorm1d affine params must be {running_mean.shape}")
     inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
     scale = gamma * inv_std
-    centre = bias - running_mean
-    shift = centre * scale
+    shift = (bias - running_mean) * scale
     shift += beta
+    return scale, shift
 
-    def back(dscale: np.ndarray, dshift: np.ndarray):
-        return inv_std * (dscale + centre * dshift), dshift, scale * dshift
 
-    return scale, shift, back
+def _no_eval_gradient(g: np.ndarray):
+    """The rule every eval-mode batch norm records: eval mode is forward-only."""
+    raise ConfigError("eval-mode batch norm has no gradient; tape a training-mode pass")
 
 
 def _tiled(a: np.ndarray, v: np.ndarray):
@@ -221,8 +221,9 @@ def conv_bn_relu(
     and one tape entry. The pool runs on the conv output scaled by
     gamma / sqrt(var + BN_EPS) (the batch's variance in train mode, the
     running one in eval mode); the per-channel shift and ReLU then apply to
-    the pooled array. Backward keeps the conv's input rows, the centred conv
-    output (train mode), the pool's input and the output.
+    the pooled array. Eval mode is forward-only. The train-mode backward
+    keeps the conv's input rows, the centred conv output, the pool's input
+    and the output.
     """
     x, kernel, bias, gamma, beta = (as_tensor(t) for t in (x, kernel, bias, gamma, beta))
     if training:
@@ -230,25 +231,12 @@ def conv_bn_relu(
         _require(beta.shape == (z.shape[2],), f"batchnorm1d affine params must be ({z.shape[2]},)")
         y, scale, bn_back = _batchnorm(z, gamma.data, bias.data, running_mean, running_var)
         shift = beta.data
-
-        def param_back(dy: np.ndarray, dshift: np.ndarray):
-            u, dgamma = bn_back(dy, dshift)
-            dx, dk = conv_back(u, scale)
-            # The train-mode output does not depend on the bias at all.
-            return dx, dk, np.zeros(scale.size), dgamma, dshift
     else:
-        scale, shift, map_back = _bn_eval_map(gamma.data, beta.data, running_mean,
-                                              running_var, bias.data)
+        scale, shift = _bn_eval_map(gamma.data, beta.data, running_mean, running_var, bias.data)
         _require(kernel.data.ndim == 3 and kernel.shape[0] == scale.size,
                  f"conv1d kernel must be ({scale.size}, in_ch, 2), got {kernel.shape}")
-        # The conv of the scaled kernel, shifted below; its gradients map
-        # back through scale = gamma * inv_std and shift.
-        y, conv_back = _conv(_channels_last(x.data), kernel.data * scale[:, None, None])
-
-        def param_back(dy: np.ndarray, dshift: np.ndarray):
-            dx, dfolded = conv_back(dy)
-            dgamma, dbeta, db = map_back(np.einsum("oit,oit->o", dfolded, kernel.data), dshift)
-            return dx, dfolded * scale[:, None, None], db, dgamma, dbeta
+        # The conv of the scaled kernel, shifted below.
+        y, _ = _conv(_channels_last(x.data), kernel.data * scale[:, None, None])
 
     if pool is None:
         out = y
@@ -258,12 +246,17 @@ def conv_bn_relu(
         pooled, pool_back = _maxpool(y, pool)
         out = pooled + shift
     np.maximum(out, 0.0, out=out)
+    if not training:
+        return record_op(Tensor(out), (x, kernel, bias, gamma, beta), _no_eval_gradient)
 
     def rule(g: np.ndarray):
         g = g * (out > 0)
-        dx, dk, db, dgamma, dbeta = param_back(g if pool is None else pool_back(g),
-                                               g.sum(axis=(0, 1)))
-        return dx.reshape(x.shape), dk, db, dgamma, dbeta
+        dy = g if pool is None else pool_back(g)
+        dshift = g.sum(axis=(0, 1))
+        u, dgamma = bn_back(dy, dshift)
+        dx, dk = conv_back(u, scale)
+        # The train-mode output does not depend on the bias at all.
+        return dx.reshape(x.shape), dk, np.zeros(scale.size), dgamma, dshift
 
     return record_op(Tensor(out), (x, kernel, bias, gamma, beta), rule)
 
@@ -335,7 +328,7 @@ def batchnorm1d(
     x (B, C, W). Train mode normalizes by the batch's per-channel mean and
     (population) variance and folds them into the running estimates by
     exponential moving average, in place. Eval mode reads the running
-    estimates and mutates nothing.
+    estimates, mutates nothing and is forward-only.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     _require(x.data.ndim == 3, f"batchnorm1d input must be (batch, ch, width), got {x.shape}")
@@ -344,31 +337,22 @@ def batchnorm1d(
              f"batchnorm1d affine params must be ({ch},)")
     # A C-order (B, W, C) copy: the train-mode kernel centres it in place.
     rows = np.array(x.data.transpose(0, 2, 1), order="C")
-    if training:
-        out, scale, bn_back = _batchnorm(rows, gamma.data, np.zeros(ch),
-                                         running_mean, running_var)
-        out += beta.data
-
-        def back(dy: np.ndarray):
-            dbeta = dy.sum(axis=0)
-            u, dgamma = bn_back(dy, dbeta)
-            u *= scale
-            return u, dgamma, dbeta
-    else:
-        scale, shift, map_back = _bn_eval_map(gamma.data, beta.data, running_mean,
-                                              running_var, np.zeros(ch))
+    if not training:
+        scale, shift = _bn_eval_map(gamma.data, beta.data, running_mean, running_var,
+                                    np.zeros(ch))
         out = rows * scale
         out += shift
-
-        def back(dy: np.ndarray):
-            dgamma, dbeta, _ = map_back(np.einsum("ij,ij->j", dy, rows.reshape(-1, ch)),
-                                        dy.sum(axis=0))
-            return dy * scale, dgamma, dbeta
+        return record_op(Tensor(out.transpose(0, 2, 1)), (x, gamma, beta), _no_eval_gradient)
+    out, scale, bn_back = _batchnorm(rows, gamma.data, np.zeros(ch), running_mean, running_var)
+    out += beta.data
 
     def rule(g: np.ndarray):
-        # A C-order (B, W, C) copy: the train-mode rule overwrites it.
-        dx, dgamma, dbeta = back(np.array(g.transpose(0, 2, 1), order="C").reshape(-1, ch))
-        return dx.reshape(batch, width, ch).transpose(0, 2, 1), dgamma, dbeta
+        # A C-order (B, W, C) copy, which bn_back overwrites.
+        dy = np.array(g.transpose(0, 2, 1), order="C").reshape(-1, ch)
+        dbeta = dy.sum(axis=0)
+        u, dgamma = bn_back(dy, dbeta)
+        u *= scale
+        return u.reshape(batch, width, ch).transpose(0, 2, 1), dgamma, dbeta
 
     return record_op(Tensor(out.transpose(0, 2, 1)), (x, gamma, beta), rule)
 

@@ -18,10 +18,9 @@ class AdamW:
     At construction the optimizer copies every parameter into one flat
     float64 buffer and makes each Tensor's `data` a view of its slice, so a
     step is one elementwise update over all parameters, and the first and
-    second moments are one array each. Parameters whose .grad is None at
-    step() time are left untouched (weight decay included), matching the
-    convention that a frozen or unused parameter is simply skipped: the same
-    update then runs on the slices of the others.
+    second moments are one array each. Every parameter needs a gradient at
+    step() time: a missing one raises ConfigError rather than leaving that
+    parameter silently untrained.
     """
 
     def __init__(self, params, lr: float = 2e-4, weight_decay: float = 0.01):
@@ -37,9 +36,8 @@ class AdamW:
         self.step_count = 0
         self._w = np.concatenate([p.data.ravel() for p in self.params])
         ends = np.cumsum([p.data.size for p in self.params]).tolist()
-        self._slices = [slice(lo, hi) for lo, hi in zip([0] + ends[:-1], ends)]
-        for p, s in zip(self.params, self._slices):
-            p.data = self._w[s].reshape(p.data.shape)
+        for p, lo, hi in zip(self.params, [0] + ends[:-1], ends):
+            p.data = self._w[lo:hi].reshape(p.data.shape)
         self._m = np.zeros_like(self._w)
         self._v = np.zeros_like(self._w)
 
@@ -48,37 +46,24 @@ class AdamW:
             p.grad = None
 
     def step(self) -> None:
-        """One decoupled-weight-decay Adam update of every parameter with a gradient.
+        """One decoupled-weight-decay Adam update of every parameter.
 
         w <- w - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * w)
         with bias-corrected moments m_hat = m/(1-b1^t), v_hat = v/(1-b2^t).
-        A non-finite gradient raises before any parameter moves.
+        A missing or non-finite gradient raises before any state changes.
         """
-        self.step_count += 1
-        live = [(p, s) for p, s in zip(self.params, self._slices) if p.grad is not None]
-        if len(live) == len(self.params):
-            g = np.concatenate([p.grad.ravel() for p in self.params])
-            spans = [slice(None)]
-        else:
-            g = np.zeros_like(self._w)  # skipped slices stay finite
-            for p, s in live:
-                g[s] = p.grad.ravel()
-            spans = [s for _, s in live]
+        for p in self.params:
+            if p.grad is None:
+                raise ConfigError(f"no gradient for parameter of shape {p.shape}")
+        g = np.concatenate([p.grad.ravel() for p in self.params])
         if not np.isfinite(g).all():
-            bad = next(p for p, s in live if not np.isfinite(g[s]).all())
+            bad = next(p for p in self.params if not np.isfinite(p.grad).all())
             raise NonFiniteGradientError(
                 f"non-finite gradient for parameter of shape {bad.shape}")
-        scratch = np.empty_like(g)
-        for s in spans:
-            self._update(self._w[s], g[s], self._m[s], self._v[s], scratch[s])
-
-    def _update(self, w: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
-                scratch: np.ndarray) -> None:
-        """`step`'s update of one span, in place, overwriting g and scratch.
-
-        Each element sees the same float64 operations as the formula in
-        `step`'s docstring, in the same order.
-        """
+        self.step_count += 1
+        # In place over the flat buffers, overwriting g and scratch; each
+        # element sees the formula's float64 operations in the same order.
+        m, v, scratch = self._m, self._v, np.empty_like(g)
         m *= ADAM_BETA1
         np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
         m += scratch
@@ -91,7 +76,7 @@ class AdamW:
         scratch += ADAM_EPS
         np.divide(m, 1.0 - ADAM_BETA1**self.step_count, out=g)
         np.divide(g, scratch, out=scratch)
-        np.multiply(w, self.weight_decay, out=g)
+        np.multiply(self._w, self.weight_decay, out=g)
         scratch += g
         scratch *= self.lr
-        w -= scratch
+        self._w -= scratch

@@ -52,6 +52,7 @@ from .numgrad import AdamW, Tape, Tensor, backward
 from .seeding import substream
 
 __all__ = [
+    "REPRESENTATIONS",
     "ContrastiveConfig",
     "HeadConfig",
     "HeadStageResult",
@@ -226,6 +227,16 @@ def pretrain(encoder: EncoderBlock, projector: ProjectionHead, x,
     return history
 
 
+# The features a head stage can read: the encoder's h, or z = g(h).
+REPRESENTATIONS = ("hidden", "context")
+
+
+def _check_representation(representation) -> None:
+    if representation not in REPRESENTATIONS:
+        raise ConfigError(f"representation must be {' or '.join(map(repr, REPRESENTATIONS))}, "
+                          f"got {representation!r}")
+
+
 @dataclass(frozen=True)
 class HeadConfig:
     """Supervised head stage: a linear probe on frozen features."""
@@ -240,9 +251,7 @@ class HeadConfig:
     label_fraction: float = 1.0
 
     def __post_init__(self):
-        if self.representation not in ("hidden", "context"):
-            raise ConfigError(
-                f"representation must be 'hidden' or 'context', got {self.representation!r}")
+        _check_representation(self.representation)
         if not isinstance(self.epochs, int) or self.epochs < 0:
             raise ConfigError(f"epochs must be a non-negative int, got {self.epochs!r}")
         if not isinstance(self.batch_size, int) or self.batch_size < 1:
@@ -267,9 +276,7 @@ def representation_features(encoder: EncoderBlock, projector: ProjectionHead,
     running statistics, so every row's features are independent of its
     chunk and equal, bit for bit, to a single-batch pass.
     """
-    if representation not in ("hidden", "context"):
-        raise ConfigError(
-            f"representation must be 'hidden' or 'context', got {representation!r}")
+    _check_representation(representation)
     data = np.asarray(x, dtype=np.float64)
     features = None
     # An empty input still makes one encode call, which rejects it.

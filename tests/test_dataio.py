@@ -439,6 +439,16 @@ class TestClassFiltering:
         with pytest.raises(UnknownClassError):
             filter_classes(ds, ["nope"])
 
+    def test_reordered_keep_list_with_unlabeled_rows(self):
+        labels = np.array([3, -1, 0, 2, 3, 1, -1, 0, 3], dtype=np.int64)
+        x = np.arange(len(labels), dtype=np.float64)[:, None]
+        ds = EncodedDataset(x, labels, ("c0", "c1", "c2", "c3"))
+        out = filter_classes(ds, ["c3", "c0", "c2"])
+        assert out.class_names == ("c3", "c0", "c2")
+        assert out.labels.dtype == np.int64
+        np.testing.assert_array_equal(out.x[:, 0], [0, 2, 3, 4, 7, 8])
+        np.testing.assert_array_equal(out.labels, [0, 1, 2, 0, 1, 0])
+
     def test_binarize_normal_vs_rest(self):
         ds = EncodedDataset(np.zeros((6, 2)),
                             np.array([0, 1, 2, 2, 1, 0], dtype=np.int64),

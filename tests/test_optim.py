@@ -97,7 +97,7 @@ class TestAdamW:
             np.testing.assert_allclose(p.data, want, rtol=1e-13, atol=1e-15)
 
     def test_bytes_match_per_parameter_reference(self):
-        """60 random steps, some parameters skipped: every update is bit-exact.
+        """60 random steps over parameters of mixed shapes: every update is bit-exact.
 
         The reference updates each parameter on its own, with the float64
         operations of `AdamW.step`'s formula in the order the flat update uses.
@@ -106,32 +106,54 @@ class TestAdamW:
         shapes = [(3, 4), (5,), (2, 2, 2), (1,)]
         ps = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
         opt = AdamW(ps, lr=0.03, weight_decay=0.02)
-        ref = [{"w": p.data.copy(), "m": np.zeros(p.shape), "v": np.zeros(p.shape), "t": 0}
+        ref = [{"w": p.data.copy(), "m": np.zeros(p.shape), "v": np.zeros(p.shape)}
                for p in ps]
-        for _ in range(60):
+        for t in range(1, 61):
             for p, r in zip(ps, ref):
-                p.grad = None
-                if rng.random() < 0.75:
-                    p.grad = rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 6)
-                    g = p.grad
-                    r["m"] = r["m"] * 0.9 + g * (1.0 - 0.9)
-                    r["v"] = r["v"] * 0.999 + (g * g) * (1.0 - 0.999)
-                    t = opt.step_count + 1
-                    den = np.sqrt(r["v"] / (1.0 - 0.999**t)) + 1e-8
-                    upd = (r["m"] / (1.0 - 0.9**t)) / den + r["w"] * 0.02
-                    r["w"] = r["w"] - upd * 0.03
+                p.grad = rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 6)
+                g = p.grad
+                r["m"] = r["m"] * 0.9 + g * (1.0 - 0.9)
+                r["v"] = r["v"] * 0.999 + (g * g) * (1.0 - 0.999)
+                den = np.sqrt(r["v"] / (1.0 - 0.999**t)) + 1e-8
+                upd = (r["m"] / (1.0 - 0.9**t)) / den + r["w"] * 0.02
+                r["w"] = r["w"] - upd * 0.03
             opt.step()
             for p, r in zip(ps, ref):
                 assert p.data.tobytes() == r["w"].tobytes()
 
-    def test_missing_gradient_skips_parameter(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        q = Tensor(np.array([1.0]), requires_grad=True)
+    @staticmethod
+    def _state(opt):
+        return (opt.step_count, opt._m.tobytes(), opt._v.tobytes(),
+                [p.data.tobytes() for p in opt.params])
+
+    def test_missing_gradient_raises_and_changes_nothing(self):
+        p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        q = Tensor(np.array([3.0]), requires_grad=True)
         opt = AdamW([p, q], lr=0.1, weight_decay=0.5)
-        p.grad = np.zeros(1)
+        p.grad, q.grad = np.array([0.5, 1.0]), np.array([2.0])
         opt.step()
-        assert q.data[0] == 1.0  # untouched, decay included
-        assert p.data[0] != 1.0
+        before = self._state(opt)
+        p.grad, q.grad = np.array([0.5, 1.0]), None
+        with pytest.raises(ConfigError, match=r"shape \(1,\)"):
+            opt.step()
+        assert self._state(opt) == before
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejected_step_leaves_the_next_one_unchanged(self, bad):
+        """After a non-finite gradient the next step is a fresh optimizer's first."""
+        def fresh():
+            return AdamW([Tensor(np.array([1.0, 2.0]), requires_grad=True)], lr=0.1)
+
+        rejected, clean = fresh(), fresh()
+        before = self._state(rejected)
+        rejected.params[0].grad = np.array([bad, 1.0])
+        with pytest.raises(NonFiniteGradientError):
+            rejected.step()
+        assert self._state(rejected) == before
+        for opt in (rejected, clean):
+            opt.params[0].grad = np.array([1.0, -1.0])
+            opt.step()
+        assert self._state(rejected) == self._state(clean)
 
     def test_non_finite_gradient_rejected(self):
         p = Tensor(np.array([1.0]), requires_grad=True)

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from flowcl.errors import DegenerateVectorError, InvalidLabelError, InvalidShapeError
+from flowcl.errors import (
+    ConfigError,
+    DegenerateVectorError,
+    InvalidLabelError,
+    InvalidShapeError,
+)
 from flowcl.numgrad import (
     Tape,
     Tensor,
@@ -284,13 +289,24 @@ class TestBatchNorm1d:
         np.testing.assert_allclose(rm, 0.1 * x.mean(axis=(0, 2)), rtol=1e-12)
         np.testing.assert_allclose(rv, 0.9 + 0.1 * x.var(axis=(0, 2)), rtol=1e-12)
 
+    def test_eval_mode_has_no_gradient(self):
+        rm, rv = self._stats(2)
+        x = Tensor(np.ones((2, 2, 3)), requires_grad=True)
+        with Tape() as tape:
+            out = batchnorm1d(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv,
+                              training=False)
+            loss = _weighted_sum(out, np.ones(out.shape))
+        with pytest.raises(ConfigError, match="eval-mode batch norm has no gradient"):
+            backward(loss, tape)
+
     def test_single_element_train_rejected(self):
         rm, rv = self._stats(1)
         with pytest.raises(InvalidShapeError):
             batchnorm1d(Tensor(np.ones((1, 1, 1))), Tensor(np.ones(1)), Tensor(np.zeros(1)),
                         rm, rv, training=True)
 
-    @pytest.mark.parametrize("training", [True, False])
+    # Train mode only: eval mode is forward-only (see test_eval_mode_has_no_gradient).
+    @pytest.mark.parametrize("training", [True])
     def test_gradients_match_finite_differences(self, training):
         rng = np.random.default_rng(19)
         x0 = rng.normal(size=(3, 2, 4))
@@ -318,23 +334,17 @@ class TestBatchNorm1d:
 
 
 class TestConvBnRelu:
-    @pytest.mark.parametrize("training,gamma,pool", [
-        pytest.param(True, None, None, id="True"),
-        pytest.param(False, None, None, id="False"),
-        # Eval mode scales each kernel column by gamma / sqrt(running_var +
-        # eps): a zero column (channel 1, whose beta keeps it live) and sign
-        # flips must leave every gradient exact, dgamma included.
-        pytest.param(False, [-0.8, 0.0, -1.2, 0.7], None, id="eval-zero-and-negative-gamma"),
-        pytest.param(False, [0.0, 0.9, -0.4, -1.1], None, id="eval-zero-gamma-dead-channel"),
+    """Train-mode gradients of one unit against central differences."""
+
+    @pytest.mark.parametrize("gamma,pool", [
+        pytest.param(None, None, id="True"),
         # The pool runs before the shift and the ReLU: width 4 pools to 2
         # (window 2) or to 1 with a remainder (window 3). A zero gamma would
         # make its channel's windows tie, where max has no derivative.
-        pytest.param(True, None, 2, id="True-pool2"),
-        pytest.param(True, [-0.8, 0.6, -1.2, 0.7], 3, id="True-negative-gamma-pool3"),
-        pytest.param(False, None, 3, id="False-pool3"),
-        pytest.param(False, [-0.8, 0.9, -0.4, -1.1], 2, id="eval-negative-gamma-pool2"),
+        pytest.param(None, 2, id="True-pool2"),
+        pytest.param([-0.8, 0.6, -1.2, 0.7], 3, id="True-negative-gamma-pool3"),
     ])
-    def test_gradients_match_finite_differences(self, training, gamma, pool):
+    def test_gradients_match_finite_differences(self, gamma, pool):
         rng = np.random.default_rng(29)
         x0 = rng.normal(size=(3, 5, 2))  # channels-last (batch, width, ch)
         k0 = rng.normal(size=(4, 2, 2))
@@ -349,12 +359,12 @@ class TestConvBnRelu:
         values = [x0, k0, kb0, g0, be0]
 
         def forward(*args):
-            return conv_bn_relu(*args, rm0.copy(), rv0.copy(), training=training, pool=pool)
+            return conv_bn_relu(*args, rm0.copy(), rv0.copy(), training=True, pool=pool)
 
         # Central differences are only valid away from the ReLU kink and,
         # with a pool, away from a tie for a window's maximum.
         pre = batchnorm1d(conv1d(Tensor(x0.transpose(0, 2, 1)), Tensor(k0), Tensor(kb0)),
-                          Tensor(g0), Tensor(be0), rm0.copy(), rv0.copy(), training=training)
+                          Tensor(g0), Tensor(be0), rm0.copy(), rv0.copy(), training=True)
         if pool is None:
             assert np.min(np.abs(pre.data)) > 1e-3
         else:
@@ -373,11 +383,23 @@ class TestConvBnRelu:
                 return float((forward(*args).data * weight).sum())
 
             numeric = fd_gradient(run, v.copy())
-            if training and i == 2:
+            if i == 2:
                 # Train-mode batch norm cancels the conv bias exactly.
                 assert np.max(np.abs(p.grad)) < 1e-12 and np.max(np.abs(numeric)) < 1e-8
             else:
                 assert rel_error(p.grad, numeric) < 1e-6, f"input {i}"
+
+    @pytest.mark.parametrize("pool", [None, 2])
+    def test_eval_mode_has_no_gradient(self, pool):
+        rng = np.random.default_rng(29)
+        params = [Tensor(rng.normal(size=shape), requires_grad=True)
+                  for shape in ((3, 5, 2), (4, 2, 2), (4,), (4,), (4,))]
+        with Tape() as tape:
+            out = conv_bn_relu(*params, np.zeros(4), np.ones(4), training=False, pool=pool)
+            loss = _weighted_sum(out, np.ones(out.shape))
+        with pytest.raises(ConfigError, match="eval-mode batch norm has no gradient"):
+            backward(loss, tape)
+        assert all(p.grad is None for p in params)
 
 
 def _composed_unit(x, kernel, bias, gamma, beta, running_mean, running_var, training, pool):
@@ -425,14 +447,28 @@ class TestConvBnReluPool:
             # own scale and shift, and the windows straddle zero.
             z = conv1d(Tensor(x0.transpose(0, 2, 1)), Tensor(kernel), Tensor(bias)).data
             running_mean, running_var = z.mean(axis=(0, 2)), z.var(axis=(0, 2)) + 0.1
-        weight = rng.normal(size=(6, (width - 1) // window, 5))
         values = [x0, kernel, bias, self.GAMMA, self.BETA]
+        if not training:
+            # Eval mode is forward-only: the output, and running statistics
+            # left untouched.
+            def untaped(unit):
+                stats = [running_mean.copy(), running_var.copy()]
+                out = unit(*(Tensor(v) for v in values), *stats, training=False, pool=window)
+                np.testing.assert_array_equal(stats[0], running_mean)
+                np.testing.assert_array_equal(stats[1], running_var)
+                return out.data
+
+            out = untaped(conv_bn_relu)
+            assert np.any(out[:, :, 2] == 0.0) and np.all(out[:, :, 3] == 0.0)
+            _assert_close_to_scale(out, untaped(_composed_unit), "output")
+            return
+        weight = rng.normal(size=(6, (width - 1) // window, 5))
 
         def taped(unit):
             params = [Tensor(v, requires_grad=True) for v in values]
             stats = [running_mean.copy(), running_var.copy()]
             with Tape() as tape:
-                out = unit(*params, *stats, training=training, pool=window)
+                out = unit(*params, *stats, training=True, pool=window)
                 loss = _weighted_sum(out, weight)
             backward(loss, tape)
             return out.data, [p.grad for p in params], stats, len(tape)
@@ -445,7 +481,7 @@ class TestConvBnReluPool:
         for i, (got, want) in enumerate(zip(stats, stats_ref)):
             _assert_close_to_scale(got, want, f"running stat {i}")
         for i, (got, want) in enumerate(zip(grads, grads_ref)):
-            if training and i == 2:
+            if i == 2:
                 # Train-mode batch norm cancels the conv bias: the fused unit
                 # returns exact zeros, the composed chain rounding noise.
                 assert np.all(got == 0.0)
