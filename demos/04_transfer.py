@@ -3,7 +3,9 @@
 Pretrains on an "original" dataset, then evaluates the frozen encoder
 on a "target" dataset that dropped some features and renamed another.
 Shared features are matched by name (plus an alias table), missing
-ones are masked to zero, extra target features are omitted.
+ones are masked to zero, extra target features are omitted. The target
+rows are encoded once, straight into the encoder's layout, on the
+original dataset's scale.
 
 Run: python3 demos/04_transfer.py  (takes ~15 seconds)
 """
@@ -21,12 +23,7 @@ from flowcl.dataio import (
 from flowcl.model import Conv, EncoderConfig, MaxPool, build_encoder
 from flowcl.sscl import ContrastiveConfig, HeadConfig, pretrain, run_head_stage
 from flowcl.synth import blob_schema, generate_blobs, subset_schema, write_csv
-from flowcl.transfer import (
-    build_alignment,
-    fit_transfer_preprocessor,
-    parse_alias_table,
-    transfer_evaluate,
-)
+from flowcl.transfer import build_alignment, encode_aligned, parse_alias_table
 
 
 def parsed(schema, records):
@@ -73,12 +70,8 @@ amap = build_alignment(original, target, aliases)
 print(f"alignment: {amap.mapped} mapped, {amap.masked} masked,"
       f" {amap.omitted} omitted (of target width {amap.target_width})")
 
-target_state = fit_transfer_preprocessor(state, target_table, target, amap)
-result = transfer_evaluate(
-    encoder, projector, amap,
-    encode_dataset(target_table, target_state),
-    head,
-)
+result = run_head_stage(encoder, projector,
+                        encode_aligned(target_table, target, state, amap), head)
 print(f"transfer accuracy with 3/16 features missing: {result.report.accuracy:.4f}")
 print("  per-class recall: "
       + ", ".join(f"{n}={m.recall:.3f}"

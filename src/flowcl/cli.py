@@ -83,13 +83,8 @@ from .model import (
     save_head,
 )
 from .sscl import (REPRESENTATIONS, ContrastiveConfig, HeadConfig, evaluate_head, head_split,
-                   pretrain, train_head)
-from .transfer import (
-    build_alignment,
-    fit_transfer_preprocessor,
-    parse_alias_table,
-    transfer_evaluate,
-)
+                   pretrain, run_head_stage, train_head)
+from .transfer import build_alignment, encode_aligned, parse_alias_table
 
 logger = logging.getLogger("flowcl")
 
@@ -471,14 +466,13 @@ def cmd_transfer_eval(cfg: dict) -> None:
                 amap.mapped, amap.masked, amap.omitted)
     unseen: dict[str, int] = {}
     target_table = load_csv(cfg["target_csv"], target_schema, unseen)
-    state = fit_transfer_preprocessor(original_state, target_table, target_schema, amap)
-    target_ds = encode_dataset(target_table, state)
+    target_ds = encode_aligned(target_table, target_schema, original_state, amap)
     del target_table  # free the parsed table before scoring
     if unseen:
         logger.warning("unseen categories in target data: %s",
                        json.dumps(unseen, sort_keys=True))
     task_ds = _apply_task(target_ds, cfg["task"], cfg["classes"], cfg["normal_class"])
-    result = transfer_evaluate(encoder, projector, amap, task_ds, _config_from(HeadConfig, cfg))
+    result = run_head_stage(encoder, projector, task_ds, _config_from(HeadConfig, cfg))
     doc = _report_doc(cfg, result.train_count, result.test_count, result.report,
                       task_ds.class_names)
     doc["alignment"] = {"mapped": amap.mapped, "masked": amap.masked,

@@ -1,15 +1,12 @@
 """Cross-schema reuse of a frozen encoder.
 
-The encoder expects its original input layout. A target dataset with a
-different schema is adapted position by position: features both schemas
-share are copied into their original slots, original-only positions are
-zeroed (the encoder sees them masked), and target-only features are simply
-never read. Matching is by feature name and, inside one-hot blocks, by
-category string, both case-insensitive; an alias table covers renames.
-
-Shared numeric features are rescaled with the ORIGINAL dataset's min/max,
-because that is the scale the encoder was trained on. Refitting on the
-target would silently shift every shared feature.
+The encoder expects its original input layout, so target rows are rewritten
+into it: shared features fill their original slots, original-only features
+are masked (they encode as zeros), target-only features are never read.
+Matching is by feature name and, inside one-hot blocks, by category string,
+both case-insensitive; an alias table covers renames. Nothing is fitted on
+the target: the rewritten rows are encoded under the ORIGINAL preprocessor
+state, the scale the encoder was trained on.
 """
 
 from __future__ import annotations
@@ -18,18 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DatasetSchema, EncodedDataset, ParsedTable, PreprocessorState, fit_preprocessor
+from .dataio import DatasetSchema, EncodedDataset, ParsedTable, PreprocessorState, encode_dataset
 from .errors import ConfigError, InvalidShapeError, NoSharedFeaturesError
-from .model import EncoderBlock, ProjectionHead
-from .sscl import HeadConfig, HeadStageResult, run_head_stage
 
 __all__ = [
     "FeatureAlignmentMap",
-    "align_matrix",
     "build_alignment",
-    "fit_transfer_preprocessor",
+    "encode_aligned",
     "parse_alias_table",
-    "transfer_evaluate",
 ]
 
 
@@ -62,7 +55,7 @@ class FeatureAlignmentMap:
 
     @property
     def omitted(self) -> int:
-        return self.target_width - self.mapped
+        return np.setdiff1d(np.arange(self.target_width), self.source_positions).size
 
 
 def parse_alias_table(text: str) -> tuple[tuple[str, str], ...]:
@@ -85,9 +78,17 @@ def parse_alias_table(text: str) -> tuple[tuple[str, str], ...]:
 def build_alignment(original: DatasetSchema, target: DatasetSchema,
                     aliases: tuple[tuple[str, str], ...] = ()) -> FeatureAlignmentMap:
     """Name-match the schemas into a positional map original <- target."""
-    rename = {orig.lower(): tgt.lower() for orig, tgt in aliases}
+    originals = {feature.name.lower() for feature in original.features}
     targets = {feature.name.lower(): (feature, start)
                for feature, start, _ in target.block_spans()}
+    rename: dict[str, str] = {}
+    for orig, tgt in aliases:
+        problem = (f"the original schema has no feature {orig!r}" if orig.lower() not in originals
+                   else f"the target schema has no feature {tgt!r}" if tgt.lower() not in targets
+                   else f"{orig!r} is already renamed" if orig.lower() in rename else None)
+        if problem:
+            raise ConfigError(f"alias '{orig} = {tgt}': {problem}")
+        rename[orig.lower()] = tgt.lower()
     positions = np.full(original.encoded_width, -1, dtype=np.int64)
     for feature, start, stop in original.block_spans():
         wanted = rename.get(feature.name.lower(), feature.name.lower())
@@ -111,43 +112,34 @@ def build_alignment(original: DatasetSchema, target: DatasetSchema,
     return amap
 
 
-def align_matrix(x, amap: FeatureAlignmentMap) -> np.ndarray:
-    """Rearrange target rows into the original layout; one row is x[None]."""
-    xd = np.asarray(x, dtype=np.float64)
-    if xd.ndim != 2 or xd.shape[1] != amap.target_width:
-        raise InvalidShapeError(
-            f"expected [rows, {amap.target_width}] target data, got {xd.shape}")
-    out = np.zeros((xd.shape[0], amap.width))
-    live = amap.source_positions >= 0
-    out[:, live] = xd[:, amap.source_positions[live]]
-    return out
+def encode_aligned(table: ParsedTable, target_schema: DatasetSchema,
+                   original_state: PreprocessorState,
+                   amap: FeatureAlignmentMap) -> EncodedDataset:
+    """Encode parsed target rows in the original layout, under `original_state`.
 
-
-def fit_transfer_preprocessor(original_state: PreprocessorState,
-                              target_table: ParsedTable,
-                              target_schema: DatasetSchema,
-                              amap: FeatureAlignmentMap) -> PreprocessorState:
-    """Fit on the target, then pin each numeric `amap` maps to its original scale."""
-    state = fit_preprocessor(target_table, target_schema)
-    # Target position of each original numeric; build_alignment maps numerics to numerics.
-    positions = amap.source_positions[original_state.schema.starts("numeric")]
-    mapped = positions >= 0
-    target = np.searchsorted(target_schema.starts("numeric"), positions[mapped])
-    minima, maxima = state.minima.copy(), state.maxima.copy()
-    minima[target] = original_state.minima[mapped]
-    maxima[target] = original_state.maxima[mapped]
-    return PreprocessorState(target_schema, minima, maxima)
-
-
-def transfer_evaluate(encoder: EncoderBlock, projector: ProjectionHead,
-                      amap: FeatureAlignmentMap, target: EncodedDataset,
-                      config: HeadConfig) -> HeadStageResult:
-    """Align the target data, then run the standard supervised head stage.
-
-    With an identity alignment this collapses to the plain pipeline: the
-    aligned matrix is equal to the input, and every random draw downstream
-    depends only on the head config, so the metrics agree exactly.
+    A masked numeric reads the original minimum, so it encodes as +0.0. A
+    category without a counterpart, the code -1 and a masked block encode as
+    all zeros. Labels and class names stay the target's.
     """
-    aligned = EncodedDataset(align_matrix(target.x, amap), target.labels.copy(),
-                             target.class_names)
-    return run_head_stage(encoder, projector, aligned, config)
+    original = original_state.schema
+    if (amap.width, amap.target_width) != (original.encoded_width, target_schema.encoded_width):
+        raise InvalidShapeError("the alignment was not built for these two schemas")
+    positions = amap.source_positions
+    t_numeric = target_schema.starts("numeric")
+    numeric = np.repeat(original_state.minima[None], len(table), axis=0)
+    for j, start in enumerate(original.starts("numeric")):
+        if positions[start] >= 0:
+            numeric[:, j] = table.numeric[:, t_numeric.index(positions[start])]
+    t_blocks, blocks = ([(start, stop) for f, start, stop in schema.block_spans()
+                         if f.kind == "categorical"] for schema in (target_schema, original))
+    codes = np.full((len(table), len(blocks)), -1, dtype=np.int64)
+    for j, (start, stop) in enumerate(blocks):
+        live = np.flatnonzero(positions[start:stop] >= 0)
+        if live.size:  # build_alignment maps a whole block to one target block, k
+            k = sum(t_start <= positions[start + live[0]] for t_start, _ in t_blocks) - 1
+            t_start, t_stop = t_blocks[k]
+            lookup = np.full(t_stop - t_start + 1, -1, dtype=np.int64)  # [-1] serves code -1
+            lookup[positions[start + live] - t_start] = live
+            codes[:, j] = lookup[table.codes[:, k]]
+    encoded = encode_dataset(ParsedTable(numeric, codes, table.labels), original_state)
+    return EncodedDataset(encoded.x, encoded.labels, target_schema.class_names)

@@ -15,8 +15,12 @@ import numpy as np
 from flowcl.dataio import (
     MASK_VALUE,
     UNLABELED,
+    DegenerateFeatureWarning,
+    EncodedDataset,
     PreprocessorState,
     UnseenCategoryWarning,
+    encode_dataset,
+    fit_preprocessor,
 )
 from flowcl import numgrad as ng
 from flowcl.errors import (
@@ -282,3 +286,29 @@ def spread_values(rng: np.random.Generator, shape: tuple[int, ...],
     n = int(np.prod(shape))
     base = np.linspace(-scale, scale, n)
     return rng.permutation(base).reshape(shape)
+
+
+def fit_pin_encode_align(table, target_schema, original_state, amap) -> EncodedDataset:
+    """Target rows through the earlier four-step transfer pipeline.
+
+    Fit min-max on the target rows, pin every mapped numeric to the
+    original's extrema, encode at the target's width, then copy each mapped
+    column into a zeroed matrix at the original's width. `encode_aligned`
+    must reproduce this byte for byte without the fit or the second matrix.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateFeatureWarning)
+        fitted = fit_preprocessor(table, target_schema)
+    minima, maxima = fitted.minima.copy(), fitted.maxima.copy()
+    target_numerics = target_schema.starts("numeric")
+    for j, start in enumerate(original_state.schema.starts("numeric")):
+        position = amap.source_positions[start]
+        if position >= 0:
+            k = target_numerics.index(position)
+            minima[k], maxima[k] = original_state.minima[j], original_state.maxima[j]
+    encoded = encode_dataset(table, PreprocessorState(target_schema, minima, maxima)).x
+    out = np.zeros((len(table), amap.width))
+    for i, position in enumerate(amap.source_positions):
+        if position >= 0:
+            out[:, i] = encoded[:, position]
+    return EncodedDataset(out, table.labels.copy(), target_schema.class_names)

@@ -645,19 +645,19 @@ class TestTransferEval:
 
     def test_target_rows_are_freed_before_scoring(self, workspace, tmp_path, monkeypatch):
         rows, freed = [], []
-        real_load, real_evaluate = cli.load_csv, cli.transfer_evaluate
+        real_load, real_score = cli.load_csv, cli.run_head_stage
 
         def load(path, schema, unseen):
             loaded = real_load(path, schema, unseen)
             rows.append(weakref.ref(loaded))
             return loaded
 
-        def evaluate(*args):
+        def score(*args):
             freed.append([ref() is None for ref in rows])
-            return real_evaluate(*args)
+            return real_score(*args)
 
         monkeypatch.setattr(cli, "load_csv", load)
-        monkeypatch.setattr(cli, "transfer_evaluate", evaluate)
+        monkeypatch.setattr(cli, "run_head_stage", score)
         assert self.run_transfer(workspace, workspace / "target13.json",
                                  workspace / "target13.csv", tmp_path / "t.json") == 0
         assert freed == [[True]]
@@ -695,6 +695,19 @@ class TestTransferEval:
         doc = json.loads((out).read_text())
         assert doc["alignment"] == {"mapped": 16, "masked": 0, "omitted": 0}
         assert schema.encoded_width == 16
+
+    @pytest.mark.parametrize("text, message", [
+        ("f00 = feature_00\n", "the target schema has no feature 'feature_00'"),
+        ("duration = f00\n", "the original schema has no feature 'duration'"),
+        ("f00 = f01\nF00 = f02\n", "'F00' is already renamed"),
+    ], ids=["unknown-target", "unknown-original", "repeated-original"])
+    def test_bad_alias_is_config_error(self, workspace, tmp_path, caplog, text, message):
+        alias_path = tmp_path / "alias.txt"
+        alias_path.write_text(text, encoding="utf-8")
+        assert self.run_transfer(workspace, workspace / "blobs.json", workspace / "blobs.csv",
+                                 tmp_path / "t.json", extra=["--alias", str(alias_path)]) == 2
+        assert message in caplog.text
+        assert not (tmp_path / "t.json").exists()
 
 
 class TestCsvDefects:

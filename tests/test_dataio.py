@@ -325,7 +325,7 @@ class TestTransform:
              Feature("rate", "numeric")),
             label_column="label", class_names=("ok", "bad"),
             label_aliases=(("malicious", "bad"),))
-        # Pinned finite extrema, as fit_transfer_preprocessor leaves them.
+        # Hand-set finite extrema, which the target rows below overshoot both ways.
         state = PreprocessorState(schema, np.array([0.0, -2.0]), np.array([4.0, 8.0]))
         cells = [-0.0, 0.0, nan, inf, -inf, -5.0, 9.0, 2.0, 1e308, -1e308]
         protos = ["tcp", "udp", "Udp", "ICMP", "-", "gre", "Tcp", "GRE", "x", "udp"]

@@ -1,5 +1,6 @@
 """Schema alignment and frozen-encoder transfer."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,11 +8,14 @@ import pytest
 
 from flowcl.dataio import (
     DatasetSchema,
+    DegenerateFeatureWarning,
     Feature,
     ParsedTable,
+    PreprocessorState,
     encode_dataset,
     fit_preprocessor,
     load_csv,
+    packaged_schema,
 )
 from flowcl.errors import ConfigError, InvalidShapeError, NoSharedFeaturesError
 from flowcl.model import Conv, EncoderConfig, MaxPool, build_encoder
@@ -19,12 +23,12 @@ from flowcl.sscl import ContrastiveConfig, HeadConfig, pretrain, run_head_stage
 from flowcl.synth import blob_schema, generate_blobs, subset_schema, write_csv
 from flowcl.transfer import (
     FeatureAlignmentMap,
-    align_matrix,
     build_alignment,
-    fit_transfer_preprocessor,
+    encode_aligned,
     parse_alias_table,
-    transfer_evaluate,
 )
+
+from oracles import fit_pin_encode_align
 
 
 def mixed_schema():
@@ -106,55 +110,114 @@ class TestBuildAlignment:
         with pytest.raises(NoSharedFeaturesError):
             build_alignment(mixed_schema(), target)
 
+    def test_omitted_counts_each_target_position_once(self):
+        # Two aliases read f00's column as well: three originals, one target position.
+        original = blob_schema(4)
+        target = subset_schema(original, ["f00", "f01"])
+        amap = build_alignment(original, target, (("f02", "f00"), ("f03", "f00")))
+        np.testing.assert_array_equal(amap.source_positions, [0, 1, 0, 0])
+        assert amap.mapped == 4 and amap.masked == 0 and amap.omitted == 0
+        amap = build_alignment(original, target, (("f02", "f00"),))
+        assert amap.mapped == 3 and amap.masked == 1 and amap.omitted == 0
 
-def align_sample(x, amap):
-    """One encoded target sample through align_matrix."""
-    return align_matrix(np.asarray(x)[None], amap)[0]
+    @pytest.mark.parametrize("aliases, message", [
+        ((("dur", "duration"),), "alias 'dur = duration': the target schema has no "
+                                 "feature 'duration'"),
+        ((("duration", "dur"),), "alias 'duration = dur': the original schema has no "
+                                 "feature 'duration'"),
+        ((("dur", "bytes"), ("DUR", "dur")), "alias 'DUR = dur': 'DUR' is already renamed"),
+    ], ids=["unknown-target", "unknown-original", "repeated-original"])
+    def test_alias_must_name_features_once(self, aliases, message):
+        with pytest.raises(ConfigError) as err:
+            build_alignment(mixed_schema(), mixed_schema(), aliases)
+        assert str(err.value) == message
+
+
+def encode_target(table, target_schema, original_state, aliases=()):
+    """Target rows through build_alignment and encode_aligned."""
+    amap = build_alignment(original_state.schema, target_schema, aliases)
+    return encode_aligned(table, target_schema, original_state, amap).x
+
+
+MIXED_STATE = PreprocessorState(mixed_schema(), np.array([0.0, 100.0]), np.array([10.0, 300.0]))
 
 
 class TestAlignSample:
+    """Target rows rewritten into the original layout by encode_aligned."""
+
     def test_identity_map_is_identity(self):
-        schema = mixed_schema()
-        amap = build_alignment(schema, schema)
-        x = np.array([0.5, 1.0, 0.0, 0.0, 0.25])
-        np.testing.assert_array_equal(align_sample(x, amap), x)
+        table = _table([(5.0, 150.0), (-1.0, 900.0), (10.0, 300.0)], codes=[(0,), (2,), (-1,)])
+        plain = encode_dataset(table, MIXED_STATE)
+        got = encode_aligned(table, mixed_schema(), MIXED_STATE,
+                             build_alignment(mixed_schema(), mixed_schema()))
+        np.testing.assert_array_equal(got.x, plain.x)
+        np.testing.assert_array_equal(got.labels, plain.labels)
+        assert got.class_names == plain.class_names
 
     def test_all_masked_map_yields_zero_vector(self):
+        schema = blob_schema(4)
+        state = PreprocessorState(schema, np.full(4, -2.0), np.full(4, 3.0))
+        target = subset_schema(schema, ["f00", "f01", "f02"])
         amap = FeatureAlignmentMap(np.full(4, -1, dtype=np.int64), target_width=3)
-        np.testing.assert_array_equal(align_sample(np.ones(3), amap), np.zeros(4))
+        x = encode_aligned(_table([(1.0, 2.0, 3.0)] * 2), target, state, amap).x
+        np.testing.assert_array_equal(x, np.zeros((2, 4)))
+        assert not np.signbit(x).any()
 
     def test_half_overlap_copies_then_zeroes(self):
         original = DatasetSchema(
             tuple(Feature(f"f{i}", "numeric") for i in range(4)), "y", ("a", "b"))
+        state = PreprocessorState(original, np.zeros(4), np.full(4, 10.0))
         target = subset_schema(original, ["f0", "f1"])
-        amap = build_alignment(original, target)
-        out = align_sample(np.array([0.3, 0.9]), amap)
-        np.testing.assert_array_equal(out, [0.3, 0.9, 0.0, 0.0])
+        x = encode_target(_table([(3.0, 9.0)]), target, state)
+        np.testing.assert_array_equal(x, [[0.3, 0.9, 0.0, 0.0]])
 
     def test_width_mismatch_rejected(self):
-        amap = FeatureAlignmentMap(np.array([0, 1]), target_width=2)
+        table = _table([(1.0, 2.0)], codes=[(0,)])
         with pytest.raises(InvalidShapeError):
-            align_sample(np.ones(3), amap)
+            encode_aligned(table, mixed_schema(), MIXED_STATE,
+                           FeatureAlignmentMap(np.arange(4), target_width=5))
         with pytest.raises(InvalidShapeError):
-            align_matrix(np.ones(2), amap)
+            encode_aligned(table, mixed_schema(), MIXED_STATE,
+                           FeatureAlignmentMap(np.arange(5), target_width=6))
 
     def test_matrix_form_matches_rowwise(self):
-        schema = mixed_schema()
+        # Nothing is fitted on the target, so a row encodes the same alone or in a table.
         target = subset_schema_mixed()
-        amap = build_alignment(schema, target)
         rng = np.random.default_rng(0)
-        x = rng.uniform(size=(6, target.encoded_width))
-        got = align_matrix(x, amap)
+        table = _table(rng.uniform(-50.0, 400.0, size=(6, 1)),
+                       codes=rng.integers(-1, 3, size=(6, 1)))
+        got = encode_target(table, target, MIXED_STATE)
         for i in range(6):
-            np.testing.assert_array_equal(got[i], align_sample(x[i], amap))
+            row = ParsedTable(table.numeric[i:i + 1], table.codes[i:i + 1], table.labels[i:i + 1])
+            np.testing.assert_array_equal(got[i], encode_target(row, target, MIXED_STATE)[0])
 
     def test_never_invents_values(self):
-        schema = mixed_schema()
+        # Every value is a one-hot bit, a masked zero, or a target cell on the original scale.
         target = subset_schema_mixed()
-        amap = build_alignment(schema, target)
-        x = np.random.default_rng(1).uniform(0.5, 1.0, size=target.encoded_width)
-        out = align_sample(x, amap)
-        assert all(v == 0.0 or v in x for v in out)
+        rng = np.random.default_rng(1)
+        table = _table(rng.uniform(150.0, 250.0, size=(5, 1)),
+                       codes=rng.integers(0, 3, size=(5, 1)))
+        got = encode_target(table, target, MIXED_STATE)
+        scaled = [(v - 100.0) / 200.0 for v in table.numeric[:, 0]]
+        assert all(v in (0.0, 1.0) or v in scaled for v in got.ravel())
+        np.testing.assert_array_equal(got[:, 4], scaled)
+
+    def test_categories_match_through_the_target_vocabulary(self):
+        # Target proto is (udp, gre, tcp): gre has no original slot, icmp no target one.
+        target = DatasetSchema(
+            (Feature("proto", "categorical", ("UDP", "gre", "tcp")),), "y", ("ok", "bad"))
+        x = encode_target(_table([()] * 4, codes=[(0,), (1,), (2,), (-1,)]), target,
+                          MIXED_STATE)
+        np.testing.assert_array_equal(x[:, 1:4], [[0, 1, 0], [0, 0, 0], [1, 0, 0], [0, 0, 0]])
+        np.testing.assert_array_equal(x[:, [0, 4]], np.zeros((4, 2)))
+
+    def test_masked_block_is_all_zero(self):
+        target = DatasetSchema(
+            (Feature("bytes", "numeric"), Feature("proto", "categorical", ("gre", "sctp"))),
+            "y", ("ok", "bad"))
+        x = encode_target(_table([(200.0,), (300.0,)], codes=[(0,), (1,)]), target,
+                          MIXED_STATE)
+        np.testing.assert_array_equal(x, [[0, 0, 0, 0, 0.5], [0, 0, 0, 0, 1.0]])
 
 
 def subset_schema_mixed():
@@ -179,42 +242,90 @@ class TestAliasTable:
 
 
 class TestTransferPreprocessor:
+    """Target numerics encode under the original preprocessor state; nothing is fitted."""
+
     def test_shared_numerics_keep_original_scale(self, tmp_path):
         schema = blob_schema(3)
         original_table = blob_table(tmp_path, schema, 50, seed=1)
         original_state = fit_preprocessor(original_table, schema)
         target_schema = subset_schema(schema, ["f00", "f01"])
         target_table = replace(original_table, numeric=original_table.numeric[:, :2])
-        state = fit_transfer_preprocessor(original_state, target_table, target_schema,
-                                          build_alignment(schema, target_schema))
-        np.testing.assert_array_equal(state.minima, original_state.minima[:2])
-        np.testing.assert_array_equal(state.maxima, original_state.maxima[:2])
+        x = encode_target(target_table, target_schema, original_state)
+        plain = encode_dataset(original_table, original_state).x
+        np.testing.assert_array_equal(x[:, :2], plain[:, :2])
+        np.testing.assert_array_equal(x[:, 2], 0.0)
 
     def test_alias_applies_to_scale_pinning(self):
         original = DatasetSchema((Feature("dur", "numeric"),), "y", ("a", "b"))
         original_state = fit_preprocessor(_table([(0.0,), (10.0,)]), original)
         target = DatasetSchema((Feature("duration_ms", "numeric"),), "y", ("a", "b"))
-        state = fit_transfer_preprocessor(
-            original_state, _table([(3.0,), (4.0,)]), target,
-            build_alignment(original, target, (("dur", "duration_ms"),)))
-        assert state.minima[0] == 0.0 and state.maxima[0] == 10.0
-
+        x = encode_target(_table([(3.0,), (4.0,)]), target, original_state,
+                          (("dur", "duration_ms"),))
+        np.testing.assert_array_equal(x, [[0.3], [0.4]])
 
     def test_pins_exactly_what_the_alignment_maps(self):
         # Reordered numerics, a categorical in between, and a kind clash on "dur".
-        original_state = fit_preprocessor(
-            _table([(0.0, 100.0), (10.0, 300.0)], codes=[(0,), (1,)]), mixed_schema())
         target = DatasetSchema(
             (Feature("bytes", "numeric"), Feature("alpha", "numeric"),
              Feature("proto", "categorical", ("udp", "tcp")),
              Feature("dur", "categorical", ("short", "long"))),
             "y", ("ok", "bad"))
-        amap = build_alignment(mixed_schema(), target)
-        state = fit_transfer_preprocessor(
-            original_state, _table([(150.0, 7.0), (250.0, 9.0)], codes=[(1, 0), (0, 1)]),
-            target, amap)
-        np.testing.assert_array_equal(state.minima, [100.0, 7.0])
-        np.testing.assert_array_equal(state.maxima, [300.0, 9.0])
+        x = encode_target(_table([(150.0, 7.0), (250.0, 9.0)], codes=[(1, 0), (0, 1)]),
+                          target, MIXED_STATE)
+        np.testing.assert_array_equal(x, [[0, 1, 0, 0, 0.25], [0, 0, 1, 0, 0.75]])
+
+    def test_constant_mapped_column_encodes_on_the_original_scale(self):
+        # A fit on these target rows would call dur degenerate and encode it as 0.
+        table = _table([(5.0, 120.0), (5.0, 280.0)], codes=[(0,), (1,)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegenerateFeatureWarning)
+            x = encode_target(table, mixed_schema(), MIXED_STATE)
+        np.testing.assert_array_equal(x[:, 0], [0.5, 0.5])
+
+
+def random_table(schema, n_rows, rng, spread):
+    """Heavy-tailed numerics with exact and negative zeros, codes with -1, any labels."""
+    width = len(schema.starts("numeric"))
+    numeric = np.exp(rng.normal(2.0, spread, size=(n_rows, width)))
+    numeric[rng.random((n_rows, width)) < 0.2] = 0.0
+    numeric[rng.random((n_rows, width)) < 0.05] = -0.0
+    numeric[rng.random((n_rows, width)) < 0.05] *= -1.0
+    codes = np.array([rng.integers(-1, f.width, size=n_rows)
+                      for f in schema.features if f.kind == "categorical"],
+                     dtype=np.int64).reshape(-1, n_rows).T
+    labels = rng.integers(-1, len(schema.class_names), size=n_rows)
+    return ParsedTable(numeric, codes, labels)
+
+
+class TestMatchesFormerPipeline:
+    """encode_aligned against fit -> pin -> encode -> align, byte for byte."""
+
+    def check(self, table, target, original_state, amap):
+        got = encode_aligned(table, target, original_state, amap)
+        want = fit_pin_encode_align(table, target, original_state, amap)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert got.class_names == want.class_names == target.class_names
+
+    @pytest.mark.parametrize("original_name, target_name", [
+        ("unsw_nb15_smaller", "unsw_nb15_larger"),
+        ("unsw_nb15_larger", "unsw_nb15_smaller"),
+        ("unsw_nb15_smaller", "unsw_nb15_smaller"),
+        ("unsw_nb15_smaller", "bot_iot"),
+        ("unsw_nb15_smaller", "cidds_001"),
+    ])
+    def test_packaged_schema_pairs(self, original_name, target_name):
+        original, target = packaged_schema(original_name), packaged_schema(target_name)
+        rng = np.random.default_rng(7)
+        original_state = fit_preprocessor(random_table(original, 3000, rng, 1.5), original)
+        # A wider spread, so target values fall outside the original extrema.
+        table = random_table(target, 3000, rng, 2.5)
+        self.check(table, target, original_state, build_alignment(original, target))
+
+    def test_constant_mapped_column(self):
+        table = _table([(5.0, 150.0), (5.0, 90.0), (5.0, 700.0)], codes=[(0,), (-1,), (2,)])
+        self.check(table, mixed_schema(), MIXED_STATE,
+                   build_alignment(mixed_schema(), mixed_schema()))
 
 
 def _table(numeric, codes=None):
@@ -250,11 +361,14 @@ HEAD = HeadConfig(epochs=40, lr=0.05, seed=6)
 
 
 class TestTransferEvaluate:
+    """encode_aligned followed by the shared run_head_stage protocol."""
+
     def test_identity_transfer_reproduces_plain_metrics_exactly(self, trained_pipeline):
-        schema, _, _, dataset, encoder, projector = trained_pipeline
+        schema, table, state, dataset, encoder, projector = trained_pipeline
         plain = run_head_stage(encoder, projector, dataset, HEAD)
         amap = build_alignment(schema, schema)
-        result = transfer_evaluate(encoder, projector, amap, dataset, HEAD)
+        target = encode_aligned(table, schema, state, amap)
+        result = run_head_stage(encoder, projector, target, HEAD)
         assert result.report == plain.report
         assert amap.mapped == 16 and amap.masked == 0
         assert result.train_count == plain.train_count
@@ -266,9 +380,8 @@ class TestTransferEvaluate:
         target_schema = subset_schema(schema, keep)
         amap = build_alignment(schema, target_schema)
         target_table = replace(table, numeric=table.numeric[:, :13])
-        target_state = fit_transfer_preprocessor(state, target_table, target_schema, amap)
-        target = encode_dataset(target_table, target_state)
-        result = transfer_evaluate(encoder, projector, amap, target, HEAD)
+        target = encode_aligned(target_table, target_schema, state, amap)
+        result = run_head_stage(encoder, projector, target, HEAD)
         assert amap.masked == 3
         assert abs(result.report.accuracy - baseline) <= 0.10
 
@@ -280,19 +393,17 @@ class TestTransferEvaluate:
             target_schema = subset_schema(schema, names[:16 - n_masked])
             amap = build_alignment(schema, target_schema)
             target_table = replace(table, numeric=table.numeric[:, :16 - n_masked])
-            target_state = fit_transfer_preprocessor(state, target_table, target_schema, amap)
-            target = encode_dataset(target_table, target_state)
-            result = transfer_evaluate(encoder, projector, amap, target, HEAD)
+            target = encode_aligned(target_table, target_schema, state, amap)
+            result = run_head_stage(encoder, projector, target, HEAD)
             assert amap.masked == n_masked
             accuracies.append(result.report.accuracy)
         for earlier, later in zip(accuracies, accuracies[1:]):
             assert later <= earlier + 0.02
 
     def test_label_fraction_shrinks_the_training_side(self, trained_pipeline):
-        schema, _, _, dataset, encoder, projector = trained_pipeline
-        amap = build_alignment(schema, schema)
-        full = transfer_evaluate(encoder, projector, amap, dataset, HEAD)
-        tiny = transfer_evaluate(encoder, projector, amap, dataset,
-                                 replace(HEAD, label_fraction=0.05))
+        schema, table, state, _, encoder, projector = trained_pipeline
+        target = encode_aligned(table, schema, state, build_alignment(schema, schema))
+        full = run_head_stage(encoder, projector, target, HEAD)
+        tiny = run_head_stage(encoder, projector, target, replace(HEAD, label_fraction=0.05))
         assert full.train_count == 240 and full.test_count == 60
         assert tiny.train_count == 12  # 5% of 120 per class, both classes
