@@ -24,10 +24,15 @@ norm into the conv: `_bn_eval_map` turns the running statistics, gamma,
 beta and the conv bias into one per-channel scale and shift, so the unit
 runs one GEMM against the scaled kernel. Eval mode is forward-only: a
 backward that reaches an eval-mode unit raises ConfigError, since only
-pretraining takes gradients and it tapes training-mode passes. Pools keep
-only the running max in the forward; their backward rule finds each
-window's first maximum from the input it holds, so an untaped pass builds
-no routing arrays.
+pretraining takes gradients and it tapes training-mode passes. A train-mode
+unit builds its pool's first-maximum routing in the forward, while the pool
+input is hot in cache, and keeps only that bool mask for its backward, not
+the pool input or the pooled max. Eval units and the standalone pools keep
+only the running max; the standalone pools' rules find each window's first
+maximum from the input they hold, so an untaped pass builds no routing
+arrays. Each backward rule runs once, as `backward` consumes its tape, so
+the train-mode conv and batch-norm rules write their results over the
+buffers they saved once those are dead.
 
 The linear head's math likewise exists once: `_affine` and
 `_softmax_ce_grad` serve the taped `affine` and `softmax_cross_entropy` and
@@ -63,7 +68,8 @@ def _conv(x: np.ndarray, kernel: np.ndarray):
 
     Returns z (B, W-1, Cout) and the rule (u, scale) -> (dx, dkernel) for the
     output gradient dz = u * scale: the per-output-channel scale is folded
-    into the two GEMMs' small operands instead of a pass over u.
+    into the two GEMMs' small operands instead of a pass over u. The rule
+    writes over the im2col rows it keeps, so it runs once.
     """
     _require(kernel.ndim == 3 and kernel.shape[2] == 2,
              f"conv1d kernel must be (out_ch, in_ch, 2), got {kernel.shape}")
@@ -83,7 +89,8 @@ def _conv(x: np.ndarray, kernel: np.ndarray):
         u = u.reshape(-1, out_ch)
         dk2 = x2.T @ u
         dk2 *= scale
-        dx2 = (u @ (k2 * scale).T).reshape(batch, width - 1, 2 * in_ch)
+        # x2 is dead once dk2 is out, so dx2 takes its buffer.
+        dx2 = np.matmul(u, (k2 * scale).T, out=x2).reshape(batch, width - 1, 2 * in_ch)
         dx = np.empty((batch, width, in_ch))
         dx[:, :-1] = dx2[:, :, :in_ch]
         dx[:, -1] = 0.0
@@ -134,7 +141,7 @@ def _batchnorm(z: np.ndarray, gamma: np.ndarray, bias: np.ndarray,
     Returns the output, scale and the rule (dy, dbeta) -> (u, dgamma) with
     dz = u * scale, so the caller folds scale into its conv GEMMs. The rule
     writes u over dy, which must be a C-order array of z's size that the
-    caller owns.
+    caller owns, and its centring term over z, so it runs once.
     """
     batch, width, ch = z.shape
     n = batch * width
@@ -158,24 +165,53 @@ def _batchnorm(z: np.ndarray, gamma: np.ndarray, bias: np.ndarray,
         # dz = scale * (dy - dbeta / n - xhat * dgamma / n).
         dgamma = np.einsum("ij,ij->j", dy.reshape(n, ch), rows)
         dgamma *= inv_std
-        centred = np.multiply(*_tiled(z, dgamma * inv_std / n))
-        centred += _tiled(z, dbeta / n)[1]
+        # z is dead once dgamma is out, so the centring term takes its buffer.
+        flat, tiled = _tiled(z, dgamma * inv_std / n)
+        flat *= tiled
+        flat += _tiled(z, dbeta / n)[1]
         u = dy.reshape(batch, -1)
-        u -= centred
+        u -= flat
         return u.reshape(n, ch), dgamma
 
     return out.reshape(z.shape), scale, back
 
 
-def _maxpool(x: np.ndarray, window: int):
+def _first_max(tiles: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Bool mask over tiles (B, W', window, C) of each window's first maximum.
+
+    Every tap that equals its window's maximum, then only the first: free
+    marks the slots no earlier tap has taken; a tap's hits are within free,
+    so xor clears the slots it takes.
+    """
+    hit = tiles == out[:, :, None]
+    free = np.ones(out.shape, dtype=bool)
+    for j in range(tiles.shape[2]):
+        hit[:, :, j] &= free
+        free ^= hit[:, :, j]
+    return hit
+
+
+def _routed(g: np.ndarray, hit: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
+    """The pool's dx of shape (B, W, C): g at each window's first maximum, else 0."""
+    dx = np.empty(shape)
+    used = hit.shape[1] * hit.shape[2]
+    np.multiply(g[:, :, None], hit, out=dx[:, :used].reshape(hit.shape))
+    dx[:, used:] = 0.0
+    return dx
+
+
+def _maxpool(x: np.ndarray, window: int, route: bool = False):
     """Non-overlapping max pool over the width of channels-last x (B, W, C).
 
-    Stride == window, trailing remainder dropped. The forward keeps only the
-    running max; the rule g -> dx finds each window's first maximum (ties go
-    to the first, as with argmax) from x and the max when it runs, so a pass
-    without a tape builds no routing. Returns (B, W // window, C) and the rule.
+    Stride == window, trailing remainder dropped; the gradient goes to each
+    window's first maximum (ties go to the first, as with argmax). With
+    `route`, the forward also builds that routing as a bool mask while x is
+    hot in cache, and the rule keeps only the mask. Without it the forward
+    keeps only the running max and the rule g -> dx finds the routing from x
+    and the max when it runs, so a pass without a tape builds none. Returns
+    (B, W // window, C) and the rule.
     """
-    batch, width, ch = x.shape
+    batch, width, ch = shape = x.shape
     _require(window >= 1, f"pool window must be >= 1, got {window}")
     _require(window <= width, f"pool window {window} exceeds width {width}")
     out_w = width // window
@@ -183,23 +219,11 @@ def _maxpool(x: np.ndarray, window: int):
     out = tiles[:, :, 0].copy()
     for j in range(1, window):
         np.maximum(out, tiles[:, :, j], out=out)
-
-    def back(g: np.ndarray):
-        dx = np.empty((batch, width, ch))
-        dtiles = dx[:, : out_w * window].reshape(batch, out_w, window, ch)
-        # Every tap that equals its window's maximum, then only the first:
-        # free marks the slots no earlier tap has taken; a tap's hits are
-        # within free, so xor clears the slots it takes.
-        hit = tiles == out[:, :, None]
-        free = np.ones(out.shape, dtype=bool)
-        for j in range(window):
-            hit[:, :, j] &= free
-            free ^= hit[:, :, j]
-        np.multiply(g[:, :, None], hit, out=dtiles)
-        dx[:, out_w * window:] = 0.0
-        return dx
-
-    return out, back
+    if route:
+        # Neither x nor the max: the rule closes over the mask alone.
+        hit = _first_max(tiles, out)
+        return out, lambda g: _routed(g, hit, shape)
+    return out, lambda g: _routed(g, _first_max(tiles, out), shape)
 
 
 def conv_bn_relu(
@@ -222,8 +246,8 @@ def conv_bn_relu(
     gamma / sqrt(var + BN_EPS) (the batch's variance in train mode, the
     running one in eval mode); the per-channel shift and ReLU then apply to
     the pooled array. Eval mode is forward-only. The train-mode backward
-    keeps the conv's input rows, the centred conv output, the pool's input
-    and the output.
+    keeps the conv's input rows, the centred conv output, the pool's
+    routing mask and the output, and overwrites the first two as it runs.
     """
     x, kernel, bias, gamma, beta = (as_tensor(t) for t in (x, kernel, bias, gamma, beta))
     if training:
@@ -243,7 +267,7 @@ def conv_bn_relu(
         flat, tiled = _tiled(out, shift)
         flat += tiled
     else:
-        pooled, pool_back = _maxpool(y, pool)
+        pooled, pool_back = _maxpool(y, pool, route=training)
         out = pooled + shift
     np.maximum(out, 0.0, out=out)
     if not training:

@@ -10,6 +10,9 @@ from .tensor import Tensor
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Elements per block of the update: a block of the flat buffers and the
+# scratch (5 x 128 KB) stays in L2 across the formula's passes.
+ADAMW_BLOCK = 16384
 
 
 class AdamW:
@@ -17,10 +20,11 @@ class AdamW:
 
     At construction the optimizer copies every parameter into one flat
     float64 buffer and makes each Tensor's `data` a view of its slice, so a
-    step is one elementwise update over all parameters, and the first and
-    second moments are one array each. Every parameter needs a gradient at
-    step() time: a missing one raises ConfigError rather than leaving that
-    parameter silently untrained.
+    step is one elementwise update over all parameters, run one block of
+    ADAMW_BLOCK elements at a time, and the first and second moments are one
+    array each. Every parameter needs a gradient at step() time: a missing
+    one raises ConfigError rather than leaving that parameter silently
+    untrained.
     """
 
     def __init__(self, params, lr: float = 2e-4, weight_decay: float = 0.01):
@@ -40,6 +44,13 @@ class AdamW:
             p.data = self._w[lo:hi].reshape(p.data.shape)
         self._m = np.zeros_like(self._w)
         self._v = np.zeros_like(self._w)
+        # Per block: its slice, views of w, m and v, and the scratch it uses.
+        scratch = np.empty(min(self._w.size, ADAMW_BLOCK))
+        self._blocks = []
+        for lo in range(0, self._w.size, ADAMW_BLOCK):
+            block = slice(lo, lo + ADAMW_BLOCK)
+            w = self._w[block]
+            self._blocks.append((block, w, self._m[block], self._v[block], scratch[:w.size]))
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -61,22 +72,26 @@ class AdamW:
             raise NonFiniteGradientError(
                 f"non-finite gradient for parameter of shape {bad.shape}")
         self.step_count += 1
-        # In place over the flat buffers, overwriting g and scratch; each
-        # element sees the formula's float64 operations in the same order.
-        m, v, scratch = self._m, self._v, np.empty_like(g)
-        m *= ADAM_BETA1
-        np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
-        m += scratch
-        v *= ADAM_BETA2
-        np.multiply(g, g, out=scratch)
-        scratch *= 1.0 - ADAM_BETA2
-        v += scratch
-        np.divide(v, 1.0 - ADAM_BETA2**self.step_count, out=scratch)
-        np.sqrt(scratch, out=scratch)
-        scratch += ADAM_EPS
-        np.divide(m, 1.0 - ADAM_BETA1**self.step_count, out=g)
-        np.divide(g, scratch, out=scratch)
-        np.multiply(self._w, self.weight_decay, out=g)
-        scratch += g
-        scratch *= self.lr
-        self._w -= scratch
+        bias1 = 1.0 - ADAM_BETA1**self.step_count
+        bias2 = 1.0 - ADAM_BETA2**self.step_count
+        # In place over each block of the flat buffers, overwriting g and the
+        # scratch; each element sees the formula's float64 operations in the
+        # same order.
+        for block, w, m, v, scratch in self._blocks:
+            gb = g[block]
+            m *= ADAM_BETA1
+            np.multiply(gb, 1.0 - ADAM_BETA1, out=scratch)
+            m += scratch
+            v *= ADAM_BETA2
+            np.multiply(gb, gb, out=scratch)
+            scratch *= 1.0 - ADAM_BETA2
+            v += scratch
+            np.divide(v, bias2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += ADAM_EPS
+            np.divide(m, bias1, out=gb)
+            np.divide(gb, scratch, out=scratch)
+            np.multiply(w, self.weight_decay, out=gb)
+            scratch += gb
+            scratch *= self.lr
+            w -= scratch

@@ -5,7 +5,9 @@ forward result in NumPy float64 and, while a Tape is active, append a record
 holding the output, the inputs, and a closure that turns the output gradient
 into input gradients. Records are appended in execution order, which is
 already a topological order, so one reverse sweep over the tape is a complete
-backward pass.
+backward pass. The sweep consumes the tape: it drops each record once its
+rule has run, so what an operation saved for its backward dies as soon as
+its gradient is out, and a rule may overwrite the arrays it saved.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import InvalidShapeError
+from ..errors import ConfigError, InvalidShapeError
 
 # Gradient rule: maps dL/d(output) to one dL/d(input) per input (None = skip).
 BackwardRule = Callable[[np.ndarray], Sequence[np.ndarray | None]]
@@ -66,15 +68,19 @@ class Tape:
         backward(loss, tape)
 
     Only operations whose inputs are grad-connected (a `requires_grad` leaf
-    or the output of an earlier recorded operation) are recorded.
+    or the output of an earlier recorded operation) are recorded. `backward`
+    consumes the tape, so it takes one backward pass; `len` stays the number
+    of operations recorded.
     """
 
     def __init__(self):
         self._entries: list[tuple[Tensor, tuple[Tensor, ...], BackwardRule]] = []
         self._connected: set[int] = set()
+        self._recorded = 0
+        self._consumed = False
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._recorded
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -90,6 +96,7 @@ class Tape:
     def record(self, output: Tensor, inputs: tuple[Tensor, ...], rule: BackwardRule) -> None:
         self._entries.append((output, inputs, rule))
         self._connected.add(id(output))
+        self._recorded += 1
 
 
 _TAPE_STACK: list[Tape] = []
@@ -115,19 +122,28 @@ def record_op(output: Tensor, inputs: Sequence[Tensor], rule: BackwardRule) -> T
 def backward(loss: Tensor, tape: Tape) -> None:
     """Populate `grad` on every requires_grad tensor reachable from `loss`.
 
-    Walks the tape once in reverse. Gradients fan-in by summation: a tensor
-    consumed by several operations accumulates one contribution per use.
-    Gradients are held by reference and every sum is a new array, so no
-    rule may mutate the gradient it receives or the ones it returns.
+    Walks the tape once in reverse and consumes it: each record is dropped
+    as its rule runs, and a rule may overwrite the arrays it saved, so a
+    second backward over the same tape raises ConfigError, even after a rule
+    raised part-way. Gradients fan-in by summation: a tensor consumed by
+    several operations accumulates one contribution per use. Gradients are
+    held by reference and every sum is a new array, so no rule may mutate
+    the gradient it receives or the ones it returns.
     """
     if loss.size != 1:
         raise InvalidShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+    if tape._consumed:
+        raise ConfigError("this tape was consumed by an earlier backward; "
+                          "record a new one")
+    tape._consumed = True
     # id -> (tensor, accumulated gradient); keyed by identity because the
     # same value object can appear as input to many recorded operations.
     pending: dict[int, tuple[Tensor, np.ndarray]] = {
         id(loss): (loss, np.ones_like(loss.data))
     }
-    for output, inputs, rule in reversed(tape._entries):
+    entries = tape._entries
+    while entries:
+        output, inputs, rule = entries.pop()
         got = pending.pop(id(output), None)
         if got is None:
             continue  # this output never influenced the loss

@@ -77,15 +77,23 @@ def parse_alias_table(text: str) -> tuple[tuple[str, str], ...]:
 
 def build_alignment(original: DatasetSchema, target: DatasetSchema,
                     aliases: tuple[tuple[str, str], ...] = ()) -> FeatureAlignmentMap:
-    """Name-match the schemas into a positional map original <- target."""
-    originals = {feature.name.lower() for feature in original.features}
+    """Name-match the schemas into a positional map original <- target.
+
+    A name match of different kinds stays masked. An alias must rename an
+    original feature, at most once, to a target feature of the same kind;
+    any other alias raises ConfigError.
+    """
+    originals = {feature.name.lower(): feature for feature in original.features}
     targets = {feature.name.lower(): (feature, start)
                for feature, start, _ in target.block_spans()}
     rename: dict[str, str] = {}
     for orig, tgt in aliases:
-        problem = (f"the original schema has no feature {orig!r}" if orig.lower() not in originals
-                   else f"the target schema has no feature {tgt!r}" if tgt.lower() not in targets
-                   else f"{orig!r} is already renamed" if orig.lower() in rename else None)
+        source, hit = originals.get(orig.lower()), targets.get(tgt.lower())
+        problem = (f"the original schema has no feature {orig!r}" if source is None
+                   else f"the target schema has no feature {tgt!r}" if hit is None
+                   else f"{orig!r} is already renamed" if orig.lower() in rename
+                   else f"{orig!r} is {source.kind} but {tgt!r} is {hit[0].kind}"
+                   if source.kind != hit[0].kind else None)
         if problem:
             raise ConfigError(f"alias '{orig} = {tgt}': {problem}")
         rename[orig.lower()] = tgt.lower()

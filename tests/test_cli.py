@@ -709,6 +709,30 @@ class TestTransferEval:
         assert message in caplog.text
         assert not (tmp_path / "t.json").exists()
 
+    def test_alias_across_kinds_is_config_error(self, workspace, tmp_path, caplog):
+        from flowcl.dataio import DatasetSchema, Feature
+
+        # The blobs features with f00 replaced by a categorical proto.
+        feats = tuple(Feature("proto", "categorical", ("tcp", "udp")) if f.name == "f00"
+                      else f for f in load_schema(str(workspace / "blobs.json")).features)
+        target_path = tmp_path / "proto.json"
+        save_schema(str(target_path), DatasetSchema(feats, "label", ("normal", "attack")))
+        csv_path = tmp_path / "proto.csv"
+        lines = (workspace / "blobs.csv").read_text(encoding="utf-8").splitlines()
+        csv_path.write_text("\n".join([lines[0].replace("f00", "proto", 1)]
+                                      + ["tcp" + line[line.index(","):] for line in lines[1:]])
+                            + "\n", encoding="utf-8")
+        alias_path = tmp_path / "alias.txt"
+        alias_path.write_text("f00 = proto\n", encoding="utf-8")
+        assert self.run_transfer(workspace, target_path, csv_path, tmp_path / "t.json",
+                                 extra=["--alias", str(alias_path)]) == 2
+        assert "alias 'f00 = proto': 'f00' is numeric but 'proto' is categorical" in caplog.text
+        assert not (tmp_path / "t.json").exists()
+        # Without the alias the name never matches, so f00 is masked and the run goes on.
+        assert self.run_transfer(workspace, target_path, csv_path, tmp_path / "t.json") == 0
+        doc = json.loads((tmp_path / "t.json").read_text())
+        assert doc["alignment"] == {"mapped": 15, "masked": 1, "omitted": 2}
+
 
 class TestCsvDefects:
     """Defects of the CSV file itself exit 4 with the file named, in both readers of CSVs."""

@@ -1,5 +1,7 @@
 """Encoder construction, shape algebra, parameter counts, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from flowcl.model import (
     save_encoder,
     save_head,
 )
-from flowcl.numgrad import Tape, Tensor, backward
+from flowcl.numgrad import AdamW, Tape, Tensor, backward
 from flowcl.sscl import batch_loss
 
 from oracles import composed_encode
@@ -320,6 +322,34 @@ class TestFusedEncoder:
         # Eval mode folds batch norm into the conv GEMM; running statistics
         # taken from data give every channel its own scale and shift.
         _assert_paths_match(case, training=False, data_stats=True)
+
+
+class TestTrainStepMemory:
+    """What a taped smaller-pack step at UNSW width keeps alive (tracemalloc)."""
+
+    def test_forward_keeps_only_what_backward_reads_until_it_runs(self):
+        # Each unit keeps its im2col rows, its centred conv output, its
+        # output and, if pooled, a bool routing mask: about 95 MB for 64
+        # views at width 196 (about 130 MB while pooled units also kept their
+        # pool input and pooled max). The consumed tape then holds nothing.
+        encoder, projector = build_encoder(preset_config("smaller-pack", 196), seed=0)
+        opt = AdamW(list(encoder.parameters()) + list(projector.parameters()))
+        x = np.random.default_rng(0).uniform(size=(64, 196))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                loss = batch_loss(project(projector, encode(encoder, x, training=True)), 0.5)
+            saved = tracemalloc.get_traced_memory()[0] - before
+            backward(loss, tape)
+            opt.step()
+            opt.zero_grad()
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 8
+        assert saved <= 110 * 2**20, f"the forward left {saved / 2**20:.1f} MB"
+        assert abs(left) <= 2 * 2**20, f"the step left {left / 2**20:.1f} MB"
 
 
 class TestProjectAndHead:

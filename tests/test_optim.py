@@ -6,6 +6,7 @@ import pytest
 from flowcl.errors import ConfigError, NonFiniteGradientError
 from flowcl.model import Conv, EncoderConfig, build_encoder
 from flowcl.numgrad import AdamW, Tensor
+from flowcl.numgrad.optim import ADAMW_BLOCK
 from flowcl.sscl import ContrastiveConfig, pretrain
 
 
@@ -101,9 +102,17 @@ class TestAdamW:
 
         The reference updates each parameter on its own, with the float64
         operations of `AdamW.step`'s formula in the order the flat update uses.
+        The second set's 16389, 16383 and 8193 elements make three blocks of
+        the update, the last one ragged, and its first two parameters each
+        cross a block boundary.
         """
+        for shapes in ([(3, 4), (5,), (2, 2, 2), (1,)],
+                       [(ADAMW_BLOCK + 5,), (3, ADAMW_BLOCK // 3), (ADAMW_BLOCK // 2 + 1,)]):
+            self._assert_bytes_match_reference(shapes)
+
+    @staticmethod
+    def _assert_bytes_match_reference(shapes):
         rng = np.random.default_rng(11)
-        shapes = [(3, 4), (5,), (2, 2, 2), (1,)]
         ps = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
         opt = AdamW(ps, lr=0.03, weight_decay=0.02)
         ref = [{"w": p.data.copy(), "m": np.zeros(p.shape), "v": np.zeros(p.shape)}

@@ -19,6 +19,7 @@ from flowcl.numgrad import (
     conv_bn_relu,
     cosine_similarity,
     global_maxpool1d,
+    global_maxpool_cl,
     maxpool1d,
     relu,
     softmax_cross_entropy,
@@ -82,6 +83,39 @@ class TestTapeMechanics:
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         y = relu(x)
         assert y.grad is None and x.grad is None
+
+    def test_second_backward_on_a_tape_raises(self):
+        # Rules may overwrite what they saved, so a tape takes one backward.
+        x = Tensor(np.array([[1.0, -2.0, 3.0]]), requires_grad=True)
+        with Tape() as tape:
+            loss = affine(relu(x), Tensor(np.ones((1, 3))), Tensor(np.zeros(1)))
+        backward(loss, tape)
+        first = x.grad.copy()
+        with pytest.raises(ConfigError, match="consumed by an earlier backward"):
+            backward(loss, tape)
+        np.testing.assert_array_equal(x.grad, first)
+
+    def test_tape_is_consumed_when_a_rule_raises_part_way(self):
+        # The pool and affine rules run before the eval-mode unit's rule raises.
+        rng = np.random.default_rng(3)
+        params = [Tensor(rng.normal(size=shape), requires_grad=True)
+                  for shape in ((1, 5, 1), (3, 1, 2), (3,), (3,), (3,))]
+        with Tape() as tape:
+            h = global_maxpool_cl(conv_bn_relu(*params, np.zeros(3), np.ones(3),
+                                               training=False))
+            loss = affine(h, Tensor(np.ones((1, 3))), Tensor(np.zeros(1)))
+        with pytest.raises(ConfigError, match="eval-mode batch norm has no gradient"):
+            backward(loss, tape)
+        with pytest.raises(ConfigError, match="consumed by an earlier backward"):
+            backward(loss, tape)
+
+    def test_len_counts_recorded_entries_after_backward(self):
+        x = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+        with Tape() as tape:
+            loss = affine(relu(relu(x)), Tensor(np.ones((1, 2))), Tensor(np.zeros(1)))
+        assert len(tape) == 3
+        backward(loss, tape)
+        assert len(tape) == 3
 
 
 def _stack2(a: Tensor, b: Tensor) -> Tensor:

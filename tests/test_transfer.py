@@ -132,6 +132,25 @@ class TestBuildAlignment:
             build_alignment(mixed_schema(), mixed_schema(), aliases)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("aliases, message", [
+        ((("dur", "proto"),), "alias 'dur = proto': 'dur' is numeric but 'proto' is "
+                              "categorical"),
+        ((("proto", "bytes"),), "alias 'proto = bytes': 'proto' is categorical but "
+                                "'bytes' is numeric"),
+    ], ids=["numeric-to-categorical", "categorical-to-numeric"])
+    def test_alias_must_pair_features_of_one_kind(self, aliases, message):
+        # Without the check the first alias masked dur silently: positions [-1, 2].
+        original = DatasetSchema((Feature("dur", "numeric"), Feature("bytes", "numeric")),
+                                 "y", ("ok", "bad"))
+        target = DatasetSchema(
+            (Feature("proto", "categorical", ("tcp", "udp")), Feature("bytes", "numeric")),
+            "y", ("ok", "bad"))
+        if aliases[0][0] == "proto":
+            original, target = target, original
+        with pytest.raises(ConfigError) as err:
+            build_alignment(original, target, aliases)
+        assert str(err.value) == message
+
 
 def encode_target(table, target_schema, original_state, aliases=()):
     """Target rows through build_alignment and encode_aligned."""
