@@ -46,7 +46,8 @@ print(f"\nencoder+projection parameters: {count_parameters(encoder, projector)}"
 
 # Hold out 20% of the unlabeled pool to watch generalization of the
 # contrastive objective itself.
-train, hold = random_split(dataset, 0.8, seed=0)
+train_idx, hold_idx = random_split(len(dataset), 0.8, seed=0)
+train, hold = dataset.subset(train_idx), dataset.subset(hold_idx)
 history = pretrain(
     encoder,
     projector,

@@ -320,8 +320,9 @@ def cmd_pretrain(cfg: dict) -> None:
     if not 0.0 <= holdout_fraction < 1.0:
         raise ConfigError(f"holdout_fraction must lie in [0, 1), got {holdout_fraction}")
     if holdout_fraction > 0.0:
-        train, hold = random_split(dataset, 1.0 - holdout_fraction, cfg["seed"])
-        holdout_x = hold.x if len(hold) >= 2 else None
+        train_idx, hold_idx = random_split(len(dataset), 1.0 - holdout_fraction, cfg["seed"])
+        train = dataset.subset(train_idx)
+        holdout_x = dataset.subset(hold_idx).x if hold_idx.size >= 2 else None
     else:
         train, holdout_x = dataset, None
     history = pretrain(encoder, projector, train.x, contrastive,
@@ -378,7 +379,7 @@ def cmd_train_head(cfg: dict) -> None:
     encoder, projector, task_ds = _load_task_data(
         cfg["encoder"], cfg["data"], cfg["task"], cfg["classes"], cfg["normal_class"])
     config = _config_from(HeadConfig, cfg)
-    train, _ = head_split(task_ds, config)
+    train = task_ds.subset(head_split(task_ds.labels, config)[0])
     logger.info("training on %d labeled samples: %s", len(train),
                 json.dumps(train.class_counts(), sort_keys=True))
     head = train_head(encoder, projector, train.x, train.labels,
@@ -429,7 +430,7 @@ def cmd_evaluate(cfg: dict) -> None:
         raise SchemaMismatchError(
             f"dataset classes {list(task_ds.class_names)} do not match the "
             f"head's classes {classes}")
-    _, test = head_split(task_ds, config)
+    test = task_ds.subset(head_split(task_ds.labels, config)[1])
     report = evaluate_head(encoder, projector, head, test.x, test.labels,
                            config.representation)
     write_json(cfg["out"], _report_doc(protocol, train_count, len(test),

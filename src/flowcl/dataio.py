@@ -381,11 +381,6 @@ class EncodedDataset:
     def subset(self, indices: np.ndarray) -> "EncodedDataset":
         return EncodedDataset(self.x[indices], self.labels[indices], self.class_names)
 
-    def require_labels(self) -> None:
-        if np.any(self.labels == UNLABELED):
-            n = int(np.sum(self.labels == UNLABELED))
-            raise MissingLabelError(f"{n} unlabeled rows where labels are required")
-
     def class_counts(self) -> dict[str, int]:
         return {name: int(np.sum(self.labels == i)) for i, name in enumerate(self.class_names)}
 
@@ -422,6 +417,9 @@ def _round_count(x: float) -> int:
 def _stratified_indices(labels: np.ndarray, fraction: float,
                         rng: np.random.Generator) -> np.ndarray:
     """Per class: round(fraction*size) indices, minimum 1, uniform w/o replacement."""
+    unlabeled = int(np.sum(labels == UNLABELED))
+    if unlabeled:
+        raise MissingLabelError(f"{unlabeled} unlabeled rows where labels are required")
     picked = []
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
@@ -430,44 +428,39 @@ def _stratified_indices(labels: np.ndarray, fraction: float,
     return np.sort(np.concatenate(picked))
 
 
-def stratified_subsample(dataset: EncodedDataset, fraction: float, seed: int) -> EncodedDataset:
-    """Keep round(fraction x class size) rows per class (at least one each).
+def stratified_subsample(labels: np.ndarray, fraction: float, seed: int) -> np.ndarray:
+    """Sorted indices of round(fraction x class size) rows per class (at least one each).
 
     Selection is uniform without replacement under the seed's "head-set"
-    subsample stream and deterministic; surviving rows keep their original
-    order.
+    subsample stream and deterministic.
     """
     if not 0 < fraction <= 1:
         raise SchemaMismatchError(f"fraction must lie in (0, 1], got {fraction}")
-    dataset.require_labels()
     rng = substream(seed, "stratified-subsample", "head-set")
-    return dataset.subset(_stratified_indices(dataset.labels, fraction, rng))
+    return _stratified_indices(labels, fraction, rng)
 
 
-def stratified_split(dataset: EncodedDataset, fraction: float,
+def stratified_split(labels: np.ndarray, fraction: float,
                      seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stratified (selected, remainder) index pair; selected gets the fraction."""
-    dataset.require_labels()
+    """Stratified (selected, remainder) sorted index pair; selected gets the fraction."""
     rng = substream(seed, "stratified-split", "head-set")
-    take = _stratified_indices(dataset.labels, fraction, rng)
-    mask = np.ones(len(dataset), dtype=bool)
+    take = _stratified_indices(labels, fraction, rng)
+    mask = np.ones(labels.size, dtype=bool)
     mask[take] = False
     return take, np.flatnonzero(mask)
 
 
-def random_split(dataset: EncodedDataset, fraction: float,
-                 seed: int) -> tuple[EncodedDataset, EncodedDataset]:
-    """Unstratified split: round(fraction*n) rows in the first part.
+def random_split(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unstratified sorted index pair over n rows: round(fraction*n) in the first.
 
     The permutation comes from the seed's "pretrain-split" stream, the split
     that holds out pretraining rows.
     """
     if not 0 < fraction <= 1:
         raise SchemaMismatchError(f"fraction must lie in (0, 1], got {fraction}")
-    n = len(dataset)
     take = _round_count(fraction * n)
     perm = substream(seed, "pretrain-split").permutation(n)
-    return dataset.subset(np.sort(perm[:take])), dataset.subset(np.sort(perm[take:]))
+    return np.sort(perm[:take]), np.sort(perm[take:])
 
 
 def filter_classes(dataset: EncodedDataset, keep: list[str]) -> EncodedDataset:

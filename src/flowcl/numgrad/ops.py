@@ -89,8 +89,9 @@ def _conv(x: np.ndarray, kernel: np.ndarray):
         u = u.reshape(-1, out_ch)
         dk2 = x2.T @ u
         dk2 *= scale
-        # x2 is dead once dk2 is out, so dx2 takes its buffer.
-        dx2 = np.matmul(u, (k2 * scale).T, out=x2).reshape(batch, width - 1, 2 * in_ch)
+        # x2 is dead once dk2 is out, so dx2 takes its buffer. A C-ordered
+        # kernel operand keeps OpenBLAS from threading this small GEMM.
+        dx2 = np.matmul(u, (k2 * scale).T.copy(), out=x2).reshape(batch, width - 1, 2 * in_ch)
         dx = np.empty((batch, width, in_ch))
         dx[:, :-1] = dx2[:, :, :in_ch]
         dx[:, -1] = 0.0

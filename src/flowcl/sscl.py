@@ -333,23 +333,21 @@ class HeadStageResult:
     class_names: tuple
 
 
-def head_split(dataset: EncodedDataset,
-               config: HeadConfig) -> tuple[EncodedDataset, EncodedDataset]:
-    """Stratified (train, test) split under the head seed, train side label-subsampled.
+def head_split(labels: np.ndarray, config: HeadConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Stratified sorted (train, test) row indices under the head seed.
 
     The train side is `split_fraction` of the rows, of which the head sees
-    `label_fraction`. The test side depends only on (dataset, split_fraction,
+    `label_fraction`. The test side depends only on (labels, split_fraction,
     seed), so evaluate re-derives exactly the rows a saved head never trained on.
     """
-    train_idx, test_idx = stratified_split(dataset, config.split_fraction, config.seed)
-    train = dataset.subset(train_idx)
+    train, test = stratified_split(labels, config.split_fraction, config.seed)
     if config.label_fraction != 1.0:
-        train = stratified_subsample(train, config.label_fraction, config.seed)
-    return train, dataset.subset(test_idx)
+        train = train[stratified_subsample(labels[train], config.label_fraction, config.seed)]
+    return train, test
 
 
 def run_head_stage(encoder: EncoderBlock, projector: ProjectionHead,
-                   dataset, config: HeadConfig) -> HeadStageResult:
+                   dataset: EncodedDataset, config: HeadConfig) -> HeadStageResult:
     """The supervised protocol shared by plain evaluation and transfer.
 
     `head_split` under the head seed, head fit on the training side, metrics
@@ -357,12 +355,15 @@ def run_head_stage(encoder: EncoderBlock, projector: ProjectionHead,
     function of (dataset, config), which is what makes an identity-aligned
     transfer reproduce these numbers bit for bit.
     """
-    train, test = head_split(dataset, config)
+    train_idx, test_idx = head_split(dataset.labels, config)
+    train = dataset.subset(train_idx)
     head = train_head(encoder, projector, train.x, train.labels,
                       len(dataset.class_names), config)
+    del train
+    test = dataset.subset(test_idx)
     report = evaluate_head(encoder, projector, head, test.x, test.labels,
                            config.representation)
-    return HeadStageResult(head, report, len(train), len(test), dataset.class_names)
+    return HeadStageResult(head, report, train_idx.size, test_idx.size, dataset.class_names)
 
 
 def predict(encoder: EncoderBlock, projector: ProjectionHead,

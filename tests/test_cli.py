@@ -19,6 +19,7 @@ from flowcl import cli
 from flowcl.cli import build_parser, main
 from flowcl.dataio import (
     DatasetSchema,
+    EncodedDataset,
     Feature,
     load_encoded,
     load_schema,
@@ -433,6 +434,27 @@ class TestHeadAndEvaluate:
         _, meta = load_head(str(head))
         assert meta["train_count"] == 4  # 1% of 160 per class -> 2 each
         assert meta["label_fraction"] == 0.01
+
+    def test_each_stage_gathers_only_the_rows_it_uses(self, workspace, tmp_path, monkeypatch):
+        """train-head copies its labelled training rows, evaluate its test rows, nothing else."""
+        gathered = []
+        real_subset = EncodedDataset.subset
+
+        def subset(self, indices):
+            gathered.append(len(indices))
+            return real_subset(self, indices)
+
+        monkeypatch.setattr(EncodedDataset, "subset", subset)
+        head, report = tmp_path / "head.npz", tmp_path / "report.json"
+        assert main(["train-head", "--data", str(workspace / "prep" / "train.npz"),
+                     "--encoder", str(workspace / "enc.npz"), "--out", str(head),
+                     "--label-fraction", "0.1"] + HEAD_FLAGS) == 0
+        assert main(["evaluate", "--data", str(workspace / "prep" / "train.npz"),
+                     "--encoder", str(workspace / "enc.npz"),
+                     "--head", str(head), "--out", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert (doc["train_count"], doc["test_count"]) == (32, 80)
+        assert gathered == [doc["train_count"], doc["test_count"]]
 
     def test_config_int_fraction_gives_the_same_head(self, workspace, trained_head, tmp_path):
         config = tmp_path / "fraction.json"

@@ -365,59 +365,60 @@ def labeled_dataset(counts: dict[int, int], n_classes=3, width=4, seed=0) -> Enc
 class TestStratifiedSubsample:
     def test_fraction_one_is_identity(self):
         ds = labeled_dataset({0: 10, 1: 5})
-        out = stratified_subsample(ds, 1.0, seed=1)
-        np.testing.assert_array_equal(out.x, ds.x)
-        np.testing.assert_array_equal(out.labels, ds.labels)
+        idx = stratified_subsample(ds.labels, 1.0, seed=1)
+        np.testing.assert_array_equal(idx, np.arange(len(ds)))
 
     def test_five_percent_of_200_is_10(self):
         ds = labeled_dataset({0: 200, 1: 40})
-        out = stratified_subsample(ds, 0.05, seed=2)
-        assert int(np.sum(out.labels == 0)) == 10
+        idx = stratified_subsample(ds.labels, 0.05, seed=2)
+        assert int(np.sum(ds.labels[idx] == 0)) == 10
 
     def test_minimum_of_one_per_class(self):
         ds = labeled_dataset({0: 40, 1: 200})
-        out = stratified_subsample(ds, 0.01, seed=3)
-        assert int(np.sum(out.labels == 0)) == 1
-        assert int(np.sum(out.labels == 1)) == 2
+        labels = ds.labels[stratified_subsample(ds.labels, 0.01, seed=3)]
+        assert int(np.sum(labels == 0)) == 1
+        assert int(np.sum(labels == 1)) == 2
 
     def test_deterministic_under_seed(self):
         ds = labeled_dataset({0: 50, 1: 50, 2: 50})
-        a = stratified_subsample(ds, 0.2, seed=9)
-        b = stratified_subsample(ds, 0.2, seed=9)
-        np.testing.assert_array_equal(a.x, b.x)
-        c = stratified_subsample(ds, 0.2, seed=10)
-        assert not np.array_equal(a.x, c.x)
+        a = stratified_subsample(ds.labels, 0.2, seed=9)
+        b = stratified_subsample(ds.labels, 0.2, seed=9)
+        np.testing.assert_array_equal(a, b)
+        assert np.all(np.diff(a) > 0)
+        c = stratified_subsample(ds.labels, 0.2, seed=10)
+        assert not np.array_equal(a, c)
 
     def test_unlabeled_rows_rejected(self):
         ds = labeled_dataset({0: 5, 1: 5})
         ds.labels[3] = UNLABELED
         with pytest.raises(MissingLabelError):
-            stratified_subsample(ds, 0.5, seed=1)
+            stratified_subsample(ds.labels, 0.5, seed=1)
+        with pytest.raises(MissingLabelError):
+            stratified_split(ds.labels, 0.5, seed=1)
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(SchemaMismatchError):
-            stratified_subsample(labeled_dataset({0: 5, 1: 5}), 0.0, seed=1)
+            stratified_subsample(labeled_dataset({0: 5, 1: 5}).labels, 0.0, seed=1)
 
 
 class TestSplits:
     def test_stratified_split_partitions_everything(self):
         ds = labeled_dataset({0: 30, 1: 20, 2: 10})
-        train, test = stratified_split(ds, 0.8, seed=4)
+        train, test = stratified_split(ds.labels, 0.8, seed=4)
         assert sorted(np.concatenate([train, test]).tolist()) == list(range(60))
         train_labels = ds.labels[train]
         assert int(np.sum(train_labels == 0)) == 24
         assert int(np.sum(train_labels == 2)) == 8
 
     def test_random_split_sizes(self):
-        ds = labeled_dataset({0: 25, 1: 25})
-        a, b = random_split(ds, 0.8, seed=5)
+        a, b = random_split(50, 0.8, seed=5)
         assert len(a) == 40 and len(b) == 10
+        assert sorted(np.concatenate([a, b]).tolist()) == list(range(50))
 
     def test_random_split_deterministic(self):
-        ds = labeled_dataset({0: 30})
-        a1, _ = random_split(ds, 0.5, seed=6)
-        a2, _ = random_split(ds, 0.5, seed=6)
-        np.testing.assert_array_equal(a1.x, a2.x)
+        a1, _ = random_split(30, 0.5, seed=6)
+        a2, _ = random_split(30, 0.5, seed=6)
+        np.testing.assert_array_equal(a1, a2)
 
 
 class TestClassFiltering:

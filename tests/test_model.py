@@ -110,6 +110,24 @@ class TestBuildAndEncode:
             h = encode(block, np.zeros((2, width)))
             assert h.data.shape == (2, 512)
 
+    @pytest.mark.parametrize("preset, width, read", [("smaller-pack", 196, 180),
+                                                     ("larger-pack", 200, 199)])
+    def test_eval_features_read_only_the_receptive_field(self, preset, width, read):
+        """Valid width-2 convs and floor pooling leave the positions from `read` on unread.
+
+        At width 196 those are the last 16 unsw_nb15_smaller numerics (smean ...
+        is_sm_ips_ports).
+        """
+        block, _ = build_encoder(preset_config(preset, width), seed=1)
+        x = np.random.default_rng(0).uniform(size=(4, width))
+        h = encode(block, x).data
+        tail = x.copy()
+        tail[:, read:] = 1.0 - tail[:, read:]
+        assert encode(block, tail).data.tobytes() == h.tobytes()
+        last = x.copy()
+        last[:, read - 1] = 1.0 - last[:, read - 1]
+        assert not np.array_equal(encode(block, last).data, h)
+
     def test_zero_input_is_finite(self):
         block, _ = build_encoder(small_config(), seed=2)
         h = encode(block, np.zeros((3, 12)))
