@@ -314,6 +314,8 @@ def encode(block: EncoderBlock, x, training: bool = False) -> Tensor:
         raise InvalidShapeError(
             f"input width {xt.data.shape[1]} does not match the encoder's "
             f"configured width {block.config.input_width}")
+    if xt.data.shape[0] == 0:
+        raise InvalidShapeError(f"cannot encode an empty batch (shape {xt.data.shape})")
     out = xt
     conv_iter = iter(block.convs)
     specs = tuple(block.config.layers)

@@ -79,19 +79,19 @@ def _conv(x: np.ndarray, kernel: np.ndarray):
     _require(kernel.shape[1] == in_ch,
              f"conv1d channel mismatch: input has {in_ch}, kernel expects {kernel.shape[1]}")
 
-    # im2col: row (b, t) of x2 is x[b, t] then x[b, t+1], and
-    # k2[tap * in_ch + i, o] = kernel[o, i, tap].
+    # im2col: row (b, t) of x2 is x[b, t] then x[b, t+1], and the GEMM's
+    # (2 * in_ch, out_ch) kernel operand holds kernel[o, i, tap] at row tap * in_ch + i.
     x2 = np.concatenate((x[:, :-1], x[:, 1:]), axis=2).reshape(-1, 2 * in_ch)
-    k2 = kernel.transpose(2, 1, 0).reshape(2 * in_ch, out_ch)
-    z = x2 @ k2
+    z = x2 @ kernel.transpose(2, 1, 0).reshape(2 * in_ch, out_ch)
 
     def back(u: np.ndarray, scale=1.0):
         u = u.reshape(-1, out_ch)
         dk2 = x2.T @ u
         dk2 *= scale
-        # x2 is dead once dk2 is out, so dx2 takes its buffer. A C-ordered
-        # kernel operand keeps OpenBLAS from threading this small GEMM.
-        dx2 = np.matmul(u, (k2 * scale).T.copy(), out=x2).reshape(batch, width - 1, 2 * in_ch)
+        # x2 is dead once dk2 is out, so dx2 takes its buffer. A C-ordered kernel
+        # operand, built in the kernel's own order, keeps OpenBLAS from threading.
+        kt = np.multiply(kernel.transpose(0, 2, 1), np.reshape(scale, (-1, 1, 1)), order="C")
+        dx2 = np.matmul(u, kt.reshape(out_ch, -1), out=x2).reshape(batch, width - 1, -1)
         dx = np.empty((batch, width, in_ch))
         dx[:, :-1] = dx2[:, :, :in_ch]
         dx[:, -1] = 0.0

@@ -169,16 +169,11 @@ def holdout_loss(encoder: EncoderBlock, projector: ProjectionHead, holdout,
         if batch.shape[0] < 2:
             break
         views = _paired_views(batch, config, "holdout-augment", epoch, start, groups)
-        latents = _eval_latents(encoder, projector, views)
+        latents = representation_features(encoder, projector, views, "context")
         loss = batch_loss(Tensor(latents), config.temperature)
         total += float(loss.data) * batch.shape[0]
         weight += batch.shape[0]
     return total / weight if weight else None
-
-
-def _eval_latents(encoder: EncoderBlock, projector: ProjectionHead,
-                  views: np.ndarray) -> np.ndarray:
-    return project(projector, encode(encoder, views, training=False)).data
 
 
 def pretrain(encoder: EncoderBlock, projector: ProjectionHead, x,
@@ -265,26 +260,26 @@ class HeadConfig:
 FEATURE_CHUNK_ROWS = 64
 
 
-def representation_features(encoder: EncoderBlock, projector: ProjectionHead,
-                            x, representation: str) -> np.ndarray:
-    """Frozen eval-mode features: h, or z = g(h) when representation is context.
+def _feature_chunks(encoder: EncoderBlock, projector: ProjectionHead, x, representation: str):
+    """Yield (start, eval-mode features) of x's rows, FEATURE_CHUNK_ROWS at a time.
 
-    Rows go through the encoder FEATURE_CHUNK_ROWS at a time, so memory stays
-    bounded however many rows there are, and each chunk's features are copied
-    into one output array allocated at the first chunk, so no chunk results
-    pile up between the encoder's temporaries. Eval-mode batch norm reads the
-    running statistics, so every row's features are independent of its
-    chunk and equal, bit for bit, to a single-batch pass.
+    The module's one eval-mode forward loop. Eval-mode batch norm reads the
+    running statistics, so each row's features equal, bit for bit, those of a
+    single-batch pass. An empty input still makes one encode call, which rejects it.
     """
     _check_representation(representation)
     data = np.asarray(x, dtype=np.float64)
-    features = None
-    # An empty input still makes one encode call, which rejects it.
     for start in range(0, max(len(data), 1), FEATURE_CHUNK_ROWS):
         h = encode(encoder, data[start:start + FEATURE_CHUNK_ROWS], training=False)
-        chunk = (h if representation == "hidden" else project(projector, h)).data
-        if features is None:
-            features = np.empty((len(data), chunk.shape[1]))
+        yield start, (h if representation == "hidden" else project(projector, h)).data
+
+
+def representation_features(encoder: EncoderBlock, projector: ProjectionHead,
+                            x, representation: str) -> np.ndarray:
+    """Frozen eval-mode features: h, or z = g(h) when representation is context."""
+    width = encoder.hidden_dim if representation == "hidden" else projector.context_dim
+    features = np.empty((len(x), width))
+    for start, chunk in _feature_chunks(encoder, projector, x, representation):
         features[start:start + len(chunk)] = chunk
     return features
 
@@ -368,9 +363,11 @@ def run_head_stage(encoder: EncoderBlock, projector: ProjectionHead,
 
 def predict(encoder: EncoderBlock, projector: ProjectionHead,
             head: ClassificationHead, x, representation: str) -> np.ndarray:
-    features = representation_features(encoder, projector, x, representation)
-    logits = head.logits(Tensor(features))
-    return np.argmax(logits.data, axis=1)
+    """The head's class for every row, chunk by chunk; no feature matrix is kept."""
+    preds = np.empty(len(x), dtype=np.int64)
+    for start, chunk in _feature_chunks(encoder, projector, x, representation):
+        preds[start:start + len(chunk)] = np.argmax(head.logits(Tensor(chunk)).data, axis=1)
+    return preds
 
 
 def evaluate_head(encoder: EncoderBlock, projector: ProjectionHead,

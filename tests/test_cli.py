@@ -26,7 +26,7 @@ from flowcl.dataio import (
     load_state,
     save_schema,
 )
-from flowcl.model import build_encoder, load_encoder
+from flowcl.model import Conv, EncoderConfig, MaxPool, build_encoder, load_encoder, save_encoder
 from flowcl.numgrad import load_arrays, save_arrays
 from flowcl.synth import Record, blob_schema, generate_blobs, subset_schema, write_csv
 
@@ -780,6 +780,53 @@ class TestCsvDefects:
                     "--out", str(tmp_path / "t.json")] + HEAD_FLAGS
         assert main([command] + args) == 4
         assert f"{bad}" in caplog.text and message in caplog.text
+
+
+class TestEmptyTestSide:
+    """2 rows per class all land on the training side at split 0.8; scoring the
+    empty test side is a shape error (exit 5), not a numpy traceback."""
+
+    @pytest.fixture(scope="class")
+    def tiny(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("tiny")
+        schema = blob_schema(16)
+        save_schema(str(root / "blobs.json"), schema)
+        write_csv(str(root / "blobs.csv"), schema, generate_blobs(schema, 2, seed=5))
+        assert main(["preprocess", "--schema", str(root / "blobs.json"),
+                     "--train-csv", str(root / "blobs.csv"), "--out-dir", str(root / "prep")]) == 0
+        width = load_encoded(str(root / "prep" / "train.npz"))[0].width
+        config = EncoderConfig((Conv(4), MaxPool(2), Conv(8)), width, 4)
+        save_encoder(str(root / "enc.npz"), *build_encoder(config, seed=0))
+        assert main(["train-head", "--data", str(root / "prep" / "train.npz"),
+                     "--encoder", str(root / "enc.npz"), "--out", str(root / "head.npz")]
+                    + HEAD_FLAGS) == 0
+        return root
+
+    def run_cli(self, *args):
+        src = os.path.dirname(os.path.dirname(flowcl.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        return subprocess.run([sys.executable, "-m", "flowcl.cli", *map(str, args)],
+                              env=env, capture_output=True, text=True, timeout=300)
+
+    def assert_empty_batch_error(self, done):
+        assert done.returncode == 5
+        assert "Traceback" not in done.stderr
+        assert "cannot encode an empty batch" in done.stderr.splitlines()[-1]
+
+    def test_evaluate_exits_5(self, tiny):
+        self.assert_empty_batch_error(self.run_cli(
+            "evaluate", "--data", tiny / "prep" / "train.npz", "--encoder", tiny / "enc.npz",
+            "--head", tiny / "head.npz", "--out", tiny / "report.json"))
+        assert not (tiny / "report.json").exists()
+
+    def test_transfer_eval_exits_5(self, tiny):
+        self.assert_empty_batch_error(self.run_cli(
+            "transfer-eval", "--target-csv", tiny / "blobs.csv",
+            "--target-schema", tiny / "blobs.json", "--original-schema", tiny / "blobs.json",
+            "--original-state", tiny / "prep" / "preprocessor.json",
+            "--encoder", tiny / "enc.npz", "--out", tiny / "transfer.json", *HEAD_FLAGS))
+        assert not (tiny / "transfer.json").exists()
 
 
 class TestParser:

@@ -168,6 +168,12 @@ class TestBuildAndEncode:
         with pytest.raises(InvalidShapeError):
             encode(block, np.zeros((2, 13)))
 
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_empty_batch_rejected(self, training):
+        block, _ = build_encoder(small_config(width=12), seed=5)
+        with pytest.raises(InvalidShapeError, match="empty batch"):
+            encode(block, np.zeros((0, 12)), training=training)
+
     def test_gradient_reaches_all_encoder_parameters(self):
         block, proj = build_encoder(small_config(), seed=6)
         x = np.random.default_rng(3).uniform(size=(4, 12))

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -511,3 +512,41 @@ def _feature_peak_kb(rows: int, *extra: str) -> int:
     done = subprocess.run([sys.executable, "-c", _FEATURE_RSS_SCRIPT, str(rows), *extra],
                           env=env, capture_output=True, text=True, check=True, timeout=300)
     return int(done.stdout.split()[-1])
+
+
+class TestStreamedPredict:
+    """`predict` turns each feature chunk into logits and an argmax."""
+
+    @pytest.mark.parametrize("rows", [600, 641], ids=["ragged", "one-row-tail"])
+    @pytest.mark.parametrize("k", [2, 5])
+    @pytest.mark.parametrize("representation", ["hidden", "context"])
+    def test_equals_argmax_over_one_feature_matrix(self, representation, k, rows):
+        encoder, projector = build_encoder(preset_config("smaller-pack", 40), seed=5)
+        rng = np.random.default_rng(43)
+        encode(encoder, rng.uniform(size=(8, 40)), training=True)  # move the BN stats
+        x = rng.uniform(size=(rows, 40))
+        assert rows % FEATURE_CHUNK_ROWS in (24, 1)
+        features = representation_features(encoder, projector, x, representation)
+        head = build_classification_head(features.shape[1], k, seed=44)
+        logits = head.logits(Tensor(features)).data
+        # Chunked logits may differ from one GEMM in the last bits; a clear
+        # top-two gap on every row keeps a routing bug from hiding in a tie.
+        top_two = np.sort(logits, axis=1)[:, -2:]
+        assert np.min(top_two[:, 1] - top_two[:, 0]) > 1e-9
+        preds = predict(encoder, projector, head, x, representation)
+        assert preds.dtype == np.int64
+        np.testing.assert_array_equal(preds, np.argmax(logits, axis=1))
+
+    def test_peak_memory_keeps_no_feature_matrix(self):
+        """8,192 rows of 512 `hidden` features would be a 32 MiB matrix."""
+        rows, hidden = 8192, 512
+        encoder, projector = build_encoder(EncoderConfig((Conv(hidden),), 4, 8), seed=6)
+        head = build_classification_head(hidden, 2, seed=7)
+        x = np.random.default_rng(45).uniform(size=(rows, 4))
+        tracemalloc.start()
+        try:
+            predict(encoder, projector, head, x, "hidden")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * hidden * 8 / 2
