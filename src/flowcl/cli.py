@@ -416,6 +416,8 @@ def cmd_evaluate(cfg: dict) -> None:
         requested = _config_value("requested_classes", head_meta.get("requested_classes"),
                                   HEAD_STAGE_SETTINGS["classes"])
         classes = checked(head_meta["classes"], list, "classes", ConfigError, of=str)
+        if len(classes) != head.n_classes:
+            raise ConfigError(f"{len(classes)} class names for a {head.n_classes}-class head")
         train_count = checked(head_meta["train_count"], int, "train_count", ConfigError)
         if train_count < 0:
             raise ConfigError(f"train_count must be non-negative, got {train_count}")

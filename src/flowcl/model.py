@@ -246,20 +246,27 @@ class ClassificationHead:
         return ng.affine(features, self.weight, self.bias)
 
 
-def _kaiming_uniform(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+def _param(*shape: int) -> Tensor:
+    return Tensor(np.zeros(shape), requires_grad=True)
 
 
-def _bias_uniform(rng: np.random.Generator, size: int, fan_in: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=size)
+def _skeleton(config: EncoderConfig) -> tuple[EncoderBlock, ProjectionHead]:
+    """e and g zero-filled, at exactly the shapes `config` implies."""
+    block = EncoderBlock(config)
+    in_channels = 1
+    for c in (s.channels for s in config.layers if isinstance(s, Conv)):
+        block.convs.append(_ConvLayer(_param(c, in_channels, KERNEL_WIDTH), _param(c),
+                                      _param(c), _param(c), np.zeros(c), np.zeros(c)))
+        in_channels = c
+    return block, ProjectionHead(_param(config.context_dim, config.hidden_dim),
+                                 _param(config.context_dim))
 
 
-def _affine_params(rng: np.random.Generator, in_dim: int, out_dim: int) -> tuple[Tensor, Tensor]:
-    w = Tensor(_kaiming_uniform(rng, (out_dim, in_dim), in_dim), requires_grad=True)
-    b = Tensor(_bias_uniform(rng, out_dim, in_dim), requires_grad=True)
-    return w, b
+def _draw_affine(rng: np.random.Generator, weight: Tensor, bias: Tensor) -> None:
+    """Kaiming-uniform weight, then a bias uniform in +-1/sqrt(fan_in), written in place."""
+    fan_in = weight.data[0].size
+    for t, bound in ((weight, np.sqrt(6.0 / fan_in)), (bias, 1.0 / np.sqrt(fan_in))):
+        t.data[...] = rng.uniform(-bound, bound, size=t.data.shape)
 
 
 def build_encoder(config: EncoderConfig, seed: int) -> tuple[EncoderBlock, ProjectionHead]:
@@ -269,32 +276,21 @@ def build_encoder(config: EncoderConfig, seed: int) -> tuple[EncoderBlock, Proje
     order, so the same (config, seed) always yields the same parameters.
     """
     rng = substream(seed, "encoder-init")
-    block = EncoderBlock(config)
-    in_channels = 1
-    for spec in config.layers:
-        if not isinstance(spec, Conv):
-            continue
-        c = spec.channels
-        fan_in = in_channels * KERNEL_WIDTH
-        kernel = Tensor(_kaiming_uniform(rng, (c, in_channels, KERNEL_WIDTH), fan_in),
-                        requires_grad=True)
-        bias = Tensor(_bias_uniform(rng, c, fan_in), requires_grad=True)
-        block.convs.append(_ConvLayer(
-            kernel=kernel, bias=bias,
-            gamma=Tensor(np.ones(c), requires_grad=True),
-            beta=Tensor(np.zeros(c), requires_grad=True),
-            running_mean=np.zeros(c), running_var=np.ones(c)))
-        in_channels = c
-    proj_w, proj_b = _affine_params(rng, config.hidden_dim, config.context_dim)
-    return block, ProjectionHead(proj_w, proj_b)
+    block, proj = _skeleton(config)
+    for layer in block.convs:
+        _draw_affine(rng, layer.kernel, layer.bias)
+        layer.gamma.data[...] = 1.0
+        layer.running_var[...] = 1.0
+    _draw_affine(rng, proj.weight, proj.bias)
+    return block, proj
 
 
 def build_classification_head(input_dim: int, n_classes: int, seed: int) -> ClassificationHead:
     if n_classes < 2:
         raise ConfigError(f"a classification head needs >= 2 classes, got {n_classes}")
-    rng = substream(seed, "head-init")
-    w, b = _affine_params(rng, input_dim, n_classes)
-    return ClassificationHead(w, b)
+    head = ClassificationHead(_param(n_classes, input_dim), _param(n_classes))
+    _draw_affine(substream(seed, "head-init"), head.weight, head.bias)
+    return head
 
 
 def encode(block: EncoderBlock, x, training: bool = False) -> Tensor:
@@ -338,17 +334,19 @@ def count_parameters(*blocks) -> int:
     return sum(int(t.data.size) for block in blocks for t in block.parameters())
 
 
+# Checkpoint key of each _ConvLayer field; conv layer i's keys end in i.
+_LAYER_KEYS = {"kernel": "kernel", "bias": "bias", "gamma": "gamma", "beta": "beta",
+               "running_mean": "rmean", "running_var": "rvar"}
+
+
 def _encoder_arrays(block: EncoderBlock, proj: ProjectionHead) -> dict[str, np.ndarray]:
-    arrays: dict[str, np.ndarray] = {}
+    """Checkpoint key -> live array of e and g (a Tensor's data, not a copy)."""
+    arrays = {}
     for i, layer in enumerate(block.convs):
-        arrays[f"kernel{i}"] = layer.kernel.data
-        arrays[f"bias{i}"] = layer.bias.data
-        arrays[f"gamma{i}"] = layer.gamma.data
-        arrays[f"beta{i}"] = layer.beta.data
-        arrays[f"rmean{i}"] = layer.running_mean
-        arrays[f"rvar{i}"] = layer.running_var
-    arrays["proj_w"] = proj.weight.data
-    arrays["proj_b"] = proj.bias.data
+        for name, key in _LAYER_KEYS.items():
+            value = getattr(layer, name)
+            arrays[f"{key}{i}"] = value.data if isinstance(value, Tensor) else value
+    arrays["proj_w"], arrays["proj_b"] = proj.weight.data, proj.bias.data
     return arrays
 
 
@@ -369,21 +367,14 @@ def load_encoder(path: str) -> tuple[EncoderBlock, ProjectionHead, dict]:
         config = config_from_dict(meta.get("config"))
     except ConfigError as err:
         raise CheckpointError(f"encoder checkpoint {path}: {err}") from None
-    block = EncoderBlock(config)
-    n_convs = sum(1 for s in config.layers if isinstance(s, Conv))
-    try:
-        for i in range(n_convs):
-            block.convs.append(_ConvLayer(
-                kernel=Tensor(arrays[f"kernel{i}"], requires_grad=True),
-                bias=Tensor(arrays[f"bias{i}"], requires_grad=True),
-                gamma=Tensor(arrays[f"gamma{i}"], requires_grad=True),
-                beta=Tensor(arrays[f"beta{i}"], requires_grad=True),
-                running_mean=np.array(arrays[f"rmean{i}"], copy=True),
-                running_var=np.array(arrays[f"rvar{i}"], copy=True)))
-        proj = ProjectionHead(Tensor(arrays["proj_w"], requires_grad=True),
-                              Tensor(arrays["proj_b"], requires_grad=True))
-    except KeyError as missing:
-        raise CheckpointError(f"encoder checkpoint {path} lacks array {missing}") from None
+    block, proj = _skeleton(config)
+    for key, live in _encoder_arrays(block, proj).items():
+        if key not in arrays:
+            raise CheckpointError(f"encoder checkpoint {path} lacks array {key!r}")
+        if arrays[key].shape != live.shape:
+            raise CheckpointError(f"encoder checkpoint {path}: array {key!r} has shape "
+                                  f"{arrays[key].shape}, its config needs {live.shape}")
+        live[...] = arrays[key]
     return block, proj, meta
 
 
@@ -404,4 +395,7 @@ def load_head(path: str) -> tuple[ClassificationHead, dict]:
                                   Tensor(arrays["bias"], requires_grad=True))
     except KeyError as missing:
         raise CheckpointError(f"head checkpoint {path} lacks array {missing}") from None
+    if head.weight.data.ndim != 2 or head.bias.data.shape != (head.n_classes,):
+        raise CheckpointError(f"head checkpoint {path}: weight of shape {head.weight.data.shape} "
+                              f"and bias of shape {head.bias.data.shape} do not make a head")
     return head, meta

@@ -334,8 +334,12 @@ def head_split(labels: np.ndarray, config: HeadConfig) -> tuple[np.ndarray, np.n
     The train side is `split_fraction` of the rows, of which the head sees
     `label_fraction`. The test side depends only on (labels, split_fraction,
     seed), so evaluate re-derives exactly the rows a saved head never trained on.
+    An empty test side fails here, before any features are computed.
     """
     train, test = stratified_split(labels, config.split_fraction, config.seed)
+    if test.size == 0:
+        raise InsufficientDataError(f"split_fraction {config.split_fraction} leaves no "
+                                    f"held-out rows among {labels.size}")
     if config.label_fraction != 1.0:
         train = train[stratified_subsample(labels[train], config.label_fraction, config.seed)]
     return train, test

@@ -782,51 +782,118 @@ class TestCsvDefects:
         assert f"{bad}" in caplog.text and message in caplog.text
 
 
+def run_cli(*args):
+    """The flowcl command in a child process, so its stderr shows any traceback."""
+    src = os.path.dirname(os.path.dirname(flowcl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "flowcl.cli", *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def assert_error_exit(done, code, text):
+    """Exit `code` without a traceback, the last stderr line naming `text`."""
+    assert done.returncode == code
+    assert "Traceback" not in done.stderr
+    assert text in done.stderr.splitlines()[-1]
+
+
 class TestEmptyTestSide:
-    """2 rows per class all land on the training side at split 0.8; scoring the
-    empty test side is a shape error (exit 5), not a numpy traceback."""
+    """2 rows per class all land on the training side at split 0.8: every head
+    stage fails at the split (exit 5), before any features are computed."""
 
     @pytest.fixture(scope="class")
     def tiny(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("tiny")
         schema = blob_schema(16)
         save_schema(str(root / "blobs.json"), schema)
-        write_csv(str(root / "blobs.csv"), schema, generate_blobs(schema, 2, seed=5))
-        assert main(["preprocess", "--schema", str(root / "blobs.json"),
-                     "--train-csv", str(root / "blobs.csv"), "--out-dir", str(root / "prep")]) == 0
-        width = load_encoded(str(root / "prep" / "train.npz"))[0].width
+        for name, per_class in (("blobs", 2), ("larger", 20)):
+            write_csv(str(root / f"{name}.csv"), schema,
+                      generate_blobs(schema, per_class, seed=5))
+            assert main(["preprocess", "--schema", str(root / "blobs.json"),
+                         "--train-csv", str(root / f"{name}.csv"),
+                         "--out-dir", str(root / name)]) == 0
+        width = load_encoded(str(root / "blobs" / "train.npz"))[0].width
         config = EncoderConfig((Conv(4), MaxPool(2), Conv(8)), width, 4)
         save_encoder(str(root / "enc.npz"), *build_encoder(config, seed=0))
-        assert main(["train-head", "--data", str(root / "prep" / "train.npz"),
+        # A head for the same classes, trained on a file large enough to split.
+        assert main(["train-head", "--data", str(root / "larger" / "train.npz"),
                      "--encoder", str(root / "enc.npz"), "--out", str(root / "head.npz")]
                     + HEAD_FLAGS) == 0
         return root
 
-    def run_cli(self, *args):
-        src = os.path.dirname(os.path.dirname(flowcl.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        return subprocess.run([sys.executable, "-m", "flowcl.cli", *map(str, args)],
-                              env=env, capture_output=True, text=True, timeout=300)
-
-    def assert_empty_batch_error(self, done):
-        assert done.returncode == 5
-        assert "Traceback" not in done.stderr
-        assert "cannot encode an empty batch" in done.stderr.splitlines()[-1]
+    def test_train_head_exits_5(self, tiny):
+        done = run_cli("train-head", "--data", tiny / "blobs" / "train.npz",
+                       "--encoder", tiny / "enc.npz", "--out", tiny / "tiny-head.npz",
+                       *HEAD_FLAGS)
+        assert_error_exit(done, 5, "leaves no held-out rows")
+        assert done.stderr.count("\n") == 1
+        assert not (tiny / "tiny-head.npz").exists()
 
     def test_evaluate_exits_5(self, tiny):
-        self.assert_empty_batch_error(self.run_cli(
-            "evaluate", "--data", tiny / "prep" / "train.npz", "--encoder", tiny / "enc.npz",
-            "--head", tiny / "head.npz", "--out", tiny / "report.json"))
+        assert_error_exit(run_cli(
+            "evaluate", "--data", tiny / "blobs" / "train.npz", "--encoder", tiny / "enc.npz",
+            "--head", tiny / "head.npz", "--out", tiny / "report.json"),
+            5, "leaves no held-out rows")
         assert not (tiny / "report.json").exists()
 
     def test_transfer_eval_exits_5(self, tiny):
-        self.assert_empty_batch_error(self.run_cli(
+        assert_error_exit(run_cli(
             "transfer-eval", "--target-csv", tiny / "blobs.csv",
             "--target-schema", tiny / "blobs.json", "--original-schema", tiny / "blobs.json",
-            "--original-state", tiny / "prep" / "preprocessor.json",
-            "--encoder", tiny / "enc.npz", "--out", tiny / "transfer.json", *HEAD_FLAGS))
+            "--original-state", tiny / "blobs" / "preprocessor.json",
+            "--encoder", tiny / "enc.npz", "--out", tiny / "transfer.json", *HEAD_FLAGS),
+            5, "leaves no held-out rows")
         assert not (tiny / "transfer.json").exists()
+
+
+class TestCheckpointMismatch:
+    """Checkpoints that contradict themselves fail at load, with exit 7."""
+
+    @pytest.fixture(scope="class")
+    def mixed_encoder(self, workspace, tmp_path_factory):
+        """The workspace encoder's meta over Conv6-Pool2-Conv10 arrays."""
+        root = tmp_path_factory.mktemp("mixed")
+        other = EncoderConfig((Conv(6), MaxPool(2), Conv(10)), 16, 8)
+        save_encoder(str(root / "other.npz"), *build_encoder(other, seed=0))
+        arrays, _ = load_arrays(str(root / "other.npz"))
+        _, meta = load_arrays(str(workspace / "enc.npz"))
+        save_arrays(str(root / "mixed.npz"), arrays, meta=meta)
+        return root / "mixed.npz"
+
+    @pytest.mark.parametrize("command", ["train-head", "evaluate", "transfer-eval"])
+    def test_encoder_arrays_off_config_exit_7(self, workspace, trained_head, mixed_encoder,
+                                              tmp_path, command):
+        data = ["--data", workspace / "prep" / "train.npz"]
+        args = {"train-head": [*data, "--out", tmp_path / "h.npz", *HEAD_FLAGS],
+                "evaluate": [*data, "--head", trained_head, "--out", tmp_path / "r.json"],
+                "transfer-eval": ["--target-csv", workspace / "blobs.csv",
+                                  "--target-schema", workspace / "blobs.json",
+                                  "--original-schema", workspace / "blobs.json",
+                                  "--original-state", workspace / "prep" / "preprocessor.json",
+                                  "--out", tmp_path / "t.json", *HEAD_FLAGS]}[command]
+        done = run_cli(command, "--encoder", mixed_encoder, *args)
+        assert_error_exit(done, 7, "array 'kernel0' has shape (6, 1, 2), "
+                                   "its config needs (8, 1, 2)")
+        assert done.stderr.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("rows, bias, message", [
+        (2, 3, "do not make a head"), (3, 3, "2 class names for a 3-class head")],
+        ids=["long-bias", "extra-class"])
+    def test_head_shape_disagreement_exits_7(self, workspace, trained_head, tmp_path, caplog,
+                                             rows, bias, message):
+        """A bias of the wrong length, or a class the meta does not name, fails at load."""
+        arrays, meta = load_arrays(str(trained_head))
+        arrays = {"weight": np.resize(arrays["weight"], (rows, arrays["weight"].shape[1])),
+                  "bias": np.resize(arrays["bias"], bias)}
+        broken = tmp_path / "broken-head.npz"
+        save_arrays(str(broken), arrays, meta=meta)
+        assert main(["evaluate", "--data", str(workspace / "prep" / "train.npz"),
+                     "--encoder", str(workspace / "enc.npz"),
+                     "--head", str(broken), "--out", str(tmp_path / "r.json")]) == 7
+        assert message in caplog.text
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestParser:

@@ -24,7 +24,7 @@ from flowcl.model import (
     save_encoder,
     save_head,
 )
-from flowcl.numgrad import AdamW, Tape, Tensor, backward
+from flowcl.numgrad import AdamW, Tape, Tensor, backward, load_arrays, save_arrays
 from flowcl.sscl import batch_loss
 
 from oracles import composed_encode
@@ -436,6 +436,59 @@ class TestCheckpoints:
         save_encoder(enc_path, block, proj)
         with pytest.raises(CheckpointError):
             load_head(enc_path)
+
+    @staticmethod
+    def saved_arrays(tmp_path, config, seed=9):
+        path = str(tmp_path / "source.npz")
+        save_encoder(path, *build_encoder(config, seed=seed))
+        return load_arrays(path)
+
+    def test_arrays_of_another_config_rejected(self, tmp_path):
+        """Conv6-Pool2-Conv10 arrays under a Conv4-Pool2-Conv8 config: kernel0 is named."""
+        arrays, _ = self.saved_arrays(tmp_path, EncoderConfig((Conv(6), MaxPool(2), Conv(10)),
+                                                              12, context_dim=5))
+        _, meta = self.saved_arrays(tmp_path, small_config())
+        path = str(tmp_path / "mixed.npz")
+        save_arrays(path, arrays, meta=meta)
+        with pytest.raises(CheckpointError, match=r"array 'kernel0' has shape \(6, 1, 2\), "
+                                                  r"its config needs \(4, 1, 2\)"):
+            load_encoder(path)
+
+    def test_truncated_running_stat_rejected(self, tmp_path):
+        arrays, meta = self.saved_arrays(tmp_path, small_config())
+        arrays["rvar1"] = arrays["rvar1"][:-1]
+        path = str(tmp_path / "short.npz")
+        save_arrays(path, arrays, meta=meta)
+        with pytest.raises(CheckpointError, match=r"'rvar1' has shape \(7,\)"):
+            load_encoder(path)
+
+    def test_missing_array_named(self, tmp_path):
+        arrays, meta = self.saved_arrays(tmp_path, small_config())
+        del arrays["beta1"]
+        path = str(tmp_path / "missing.npz")
+        save_arrays(path, arrays, meta=meta)
+        with pytest.raises(CheckpointError, match="lacks array 'beta1'"):
+            load_encoder(path)
+
+    @pytest.mark.parametrize("preset", ["smaller-pack", "larger-pack"])
+    def test_save_load_save_is_byte_identical(self, tmp_path, preset):
+        block, proj = build_encoder(preset_config(preset, 40), seed=2)
+        encode(block, np.random.default_rng(3).uniform(size=(5, 40)), training=True)
+        first, second = str(tmp_path / "first.npz"), str(tmp_path / "second.npz")
+        save_encoder(first, block, proj, extra_meta={"root_seed": 2})
+        loaded_block, loaded_proj, meta = load_encoder(first)
+        save_encoder(second, loaded_block, loaded_proj, extra_meta=meta)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+
+    @pytest.mark.parametrize("weight, bias", [((6,), (1,)), ((4, 6), (3,)), ((4, 6), (4, 1))],
+                             ids=["1d-weight", "short-bias", "2d-bias"])
+    def test_inconsistent_head_rejected(self, tmp_path, weight, bias):
+        path = str(tmp_path / "head.npz")
+        save_arrays(path, {"weight": np.zeros(weight), "bias": np.zeros(bias)},
+                    meta={"kind": "head"})
+        with pytest.raises(CheckpointError, match="do not make a head"):
+            load_head(path)
 
 
 def _sum_all(t: Tensor) -> Tensor:
