@@ -18,7 +18,7 @@ from flowcl.model import Conv, EncoderConfig, MaxPool, build_encoder, count_para
 from flowcl.seeding import substream
 from flowcl.sscl import ContrastiveConfig, pretrain
 from flowcl.synth import blob_schema, generate_blobs, write_csv
-from flowcl.dataio import encode_dataset, fit_preprocessor, load_csv, random_split
+from flowcl.dataio import encode_dataset, fit_preprocessor, load_csv
 
 schema = blob_schema(16)
 with tempfile.TemporaryDirectory() as tmp:
@@ -46,17 +46,14 @@ print(f"\nencoder+projection parameters: {count_parameters(encoder, projector)}"
 
 # Hold out 20% of the unlabeled pool to watch generalization of the
 # contrastive objective itself.
-train_idx, hold_idx = random_split(len(dataset), 0.8, seed=0)
-train, hold = dataset.subset(train_idx), dataset.subset(hold_idx)
 history = pretrain(
     encoder,
     projector,
-    train.x,
+    dataset.x,
     ContrastiveConfig(batch_size=32, temperature=0.5, epochs=8,
-                      masking=masking, seed=0),
-    holdout=hold.x,
+                      masking=masking, seed=0, holdout_fraction=0.2),
 )
-print(f"\npretraining on {train.x.shape[0]} samples, {hold.x.shape[0]} held out")
+print(f"\npretraining on {len(dataset)} samples, 20% of them held out")
 for row in history:
     print(f"  epoch {row['epoch']:2d}  loss {row['loss']:.4f}"
           f"  holdout {row['holdout_loss']:.4f}  lr {row['lr']:.2e}")

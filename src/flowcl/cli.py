@@ -55,7 +55,6 @@ from .dataio import (
     load_schema,
     load_state,
     packaged_schema,
-    random_split,
     save_encoded,
     save_state,
     write_json,
@@ -316,17 +315,7 @@ def cmd_pretrain(cfg: dict) -> None:
     encoder, projector = build_encoder(config, cfg["seed"])
     logger.info("encoder+projection parameters: %d",
                 count_parameters(encoder, projector))
-    holdout_fraction = cfg["holdout_fraction"]
-    if not 0.0 <= holdout_fraction < 1.0:
-        raise ConfigError(f"holdout_fraction must lie in [0, 1), got {holdout_fraction}")
-    if holdout_fraction > 0.0:
-        train_idx, hold_idx = random_split(len(dataset), 1.0 - holdout_fraction, cfg["seed"])
-        train = dataset.subset(train_idx)
-        holdout_x = dataset.subset(hold_idx).x if hold_idx.size >= 2 else None
-    else:
-        train, holdout_x = dataset, None
-    history = pretrain(encoder, projector, train.x, contrastive,
-                       groups=groups, holdout=holdout_x)
+    history = pretrain(encoder, projector, dataset.x, contrastive, groups=groups)
     if history:
         logger.info("epoch 0 loss %.6f -> final loss %.6f",
                     history[0]["loss"], history[-1]["loss"])
@@ -457,8 +446,11 @@ def cmd_transfer_eval(cfg: dict) -> None:
     original_state = load_state(cfg["original_state"], original_schema)
     aliases = ()
     if cfg["alias"] is not None:
-        with open(cfg["alias"], "r", encoding="utf-8") as fh:
-            aliases = parse_alias_table(fh.read())
+        try:
+            with open(cfg["alias"], "r", encoding="utf-8") as fh:
+                aliases = parse_alias_table(fh.read())
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{cfg['alias']} is not UTF-8 text: {err}") from None
     encoder, projector, _ = load_encoder(cfg["encoder"])
     amap = build_alignment(original_schema, target_schema, aliases)
     if encoder.config.input_width != amap.width:

@@ -548,10 +548,12 @@ def load_encoded(path: str) -> tuple[EncodedDataset, dict]:
     if meta.get("kind") != "encoded-dataset":
         raise SchemaMismatchError(f"{path} is not an encoded dataset artifact")
     try:
-        dataset = EncodedDataset(np.asarray(arrays["x"], dtype=np.float64),
-                                 np.asarray(arrays["labels"], dtype=np.int64),
-                                 checked(meta["class_names"], list, f"{path}: class_names",
-                                         SchemaMismatchError, of=str))
+        x, labels = arrays["x"], arrays["labels"]
+        class_names = checked(meta["class_names"], list, f"{path}: class_names",
+                              SchemaMismatchError, of=str)
     except KeyError as exc:
         raise SchemaMismatchError(f"{path} is an encoded dataset without {exc}") from None
-    return dataset, meta
+    if x.dtype != np.float64 or labels.dtype != np.int64:
+        raise SchemaMismatchError(f"{path}: x must be float64 and labels int64, "
+                                  f"got {x.dtype} and {labels.dtype}")
+    return EncodedDataset(x, labels, class_names), meta

@@ -1,4 +1,4 @@
-"""Self-describing checkpoints: named float64 arrays plus a JSON metadata blob.
+"""Self-describing checkpoints: named float64/int64 arrays plus a JSON metadata blob.
 
 The container is a standard .npz (readable with np.load), but written by hand
 so the bytes are deterministic: entries are sorted, stored uncompressed, and
@@ -67,5 +67,14 @@ def load_arrays(path: str) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
         if version != FORMAT_VERSION:
             raise CheckpointError(
                 f"unsupported checkpoint format version {version!r} (expected {FORMAT_VERSION})")
-        arrays = {k[len(_ARRAY_PREFIX):]: z[k] for k in z.files if k.startswith(_ARRAY_PREFIX)}
+        arrays = {}
+        for key in (k for k in z.files if k.startswith(_ARRAY_PREFIX)):
+            name = key[len(_ARRAY_PREFIX):]
+            try:
+                arrays[name] = z[key]
+            except ValueError as err:  # an object array, which would need pickle
+                raise CheckpointError(f"{path}: array {name!r} is unreadable: {err}") from None
+            if arrays[name].dtype not in (np.float64, np.int64):
+                raise CheckpointError(f"{path}: array {name!r} has dtype "
+                                      f"{arrays[name].dtype}, not float64 or int64")
     return arrays, checked(header.get("meta"), dict, f"{path} meta", CheckpointError)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import numgrad as ng
 from .augment import MaskingConfig, augment_pair
-from .dataio import EncodedDataset, stratified_split, stratified_subsample
+from .dataio import EncodedDataset, random_split, stratified_split, stratified_subsample
 from .errors import (
     ConfigError,
     DegenerateVectorError,
@@ -68,6 +68,24 @@ __all__ = [
 ]
 
 
+def _check_loop(config) -> None:
+    """The checks both configs share: loop sizes, and finite AdamW rates (NaN fails too)."""
+    if not isinstance(config.batch_size, int) or config.batch_size < 1:
+        raise ConfigError(f"batch_size must be a positive int, got {config.batch_size!r}")
+    if not isinstance(config.epochs, int) or config.epochs < 0:
+        raise ConfigError(f"epochs must be a non-negative int, got {config.epochs!r}")
+    _check_finite(config, "lr")
+    _check_finite(config, "weight_decay", zero_ok=True)
+
+
+def _check_finite(config, name: str, zero_ok: bool = False) -> None:
+    value = getattr(config, name)
+    if not (isinstance(value, (int, float)) and (value >= 0 if zero_ok else value > 0)
+            and value < np.inf):
+        raise ConfigError(f"{name} must be a finite number {'>=' if zero_ok else '>'} 0, "
+                          f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class ContrastiveConfig:
     """Knobs of the pretraining loop; defaults follow the reference setup."""
@@ -80,18 +98,17 @@ class ContrastiveConfig:
     lr_gamma: float = 0.99
     weight_decay: float = 0.01
     seed: int = 0
+    holdout_fraction: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
-            raise ConfigError(f"batch_size must be a positive int, got {self.batch_size!r}")
-        if not (isinstance(self.temperature, (int, float)) and self.temperature > 0):
-            raise ConfigError(f"temperature must be > 0, got {self.temperature!r}")
-        if not isinstance(self.epochs, int) or self.epochs < 0:
-            raise ConfigError(f"epochs must be a non-negative int, got {self.epochs!r}")
+        _check_loop(self)
+        _check_finite(self, "temperature")
         if not isinstance(self.masking, MaskingConfig):
             raise ConfigError("masking must be a MaskingConfig")
         if not 0 < self.lr_gamma <= 1:
             raise ConfigError(f"lr_gamma must lie in (0, 1], got {self.lr_gamma}")
+        if not 0.0 <= self.holdout_fraction < 1.0:
+            raise ConfigError(f"holdout_fraction must lie in [0, 1), got {self.holdout_fraction}")
 
 
 def batch_loss(z: Tensor, temperature: float) -> Tensor:
@@ -178,30 +195,32 @@ def holdout_loss(encoder: EncoderBlock, projector: ProjectionHead, holdout,
 
 def pretrain(encoder: EncoderBlock, projector: ProjectionHead, x,
              config: ContrastiveConfig,
-             groups: Sequence[tuple[int, int]] | None = None,
-             holdout=None) -> list[dict]:
+             groups: Sequence[tuple[int, int]] | None = None) -> list[dict]:
     """Run the self-supervised loop in place; return the loss history.
 
-    Every epoch reshuffles from its own seed substream, the trailing partial
-    batch is dropped, and each batch's views come from one rng stream keyed
-    by (seed, epoch, batch offset in the epoch order), so the whole
-    trajectory is a pure function of (parameters, data, config). The
-    learning rate decays as lr * lr_gamma ** epoch. With `holdout` given, each history entry also
-    carries the held-out contrastive loss.
+    `random_split` under the seed holds out `holdout_fraction` of x's rows;
+    both sides stay row indices and each batch is gathered from x. Every
+    epoch reshuffles the training rows from its own seed substream, the
+    trailing partial batch is dropped, and each batch's views come from one
+    rng stream keyed by (seed, epoch, batch offset in the epoch order), so the
+    whole trajectory is a pure function of (parameters, data, config). The
+    learning rate decays as lr * lr_gamma ** epoch. With 2 or more held-out
+    rows, each history entry also carries their `holdout_loss`.
     """
     data = np.asarray(x, dtype=np.float64)
     if data.ndim != 2:
         raise InvalidShapeError(f"expected a [samples, width] matrix, got {data.shape}")
-    n = data.shape[0]
+    rows, held = random_split(len(data), 1.0 - config.holdout_fraction, config.seed)
+    n = rows.size
     if n < config.batch_size:
         raise InsufficientDataError(
-            f"{n} samples cannot fill one batch of {config.batch_size}")
+            f"{n} training samples cannot fill one batch of {config.batch_size}")
     params = list(encoder.parameters()) + list(projector.parameters())
     opt = AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
     history = []
     for epoch in range(config.epochs):
         opt.lr = config.lr * config.lr_gamma**epoch
-        order = substream(config.seed, "pretrain-shuffle", epoch).permutation(n)
+        order = rows[substream(config.seed, "pretrain-shuffle", epoch).permutation(n)]
         epoch_losses = []
         for start in range(0, n - config.batch_size + 1, config.batch_size):
             batch = data[order[start:start + config.batch_size]]
@@ -215,8 +234,8 @@ def pretrain(encoder: EncoderBlock, projector: ProjectionHead, x,
             opt.zero_grad()
             epoch_losses.append(float(loss.data))
         entry = {"epoch": epoch, "loss": float(np.mean(epoch_losses)), "lr": opt.lr}
-        if holdout is not None:
-            entry["holdout_loss"] = holdout_loss(encoder, projector, holdout,
+        if held.size >= 2:
+            entry["holdout_loss"] = holdout_loss(encoder, projector, data[held],
                                                  config, epoch, groups)
         history.append(entry)
     return history
@@ -247,10 +266,7 @@ class HeadConfig:
 
     def __post_init__(self):
         _check_representation(self.representation)
-        if not isinstance(self.epochs, int) or self.epochs < 0:
-            raise ConfigError(f"epochs must be a non-negative int, got {self.epochs!r}")
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
-            raise ConfigError(f"batch_size must be a positive int, got {self.batch_size!r}")
+        _check_loop(self)
         if not 0.0 < self.split_fraction < 1.0:
             raise ConfigError(f"split_fraction must lie in (0, 1), got {self.split_fraction!r}")
         if not 0.0 < self.label_fraction <= 1.0:

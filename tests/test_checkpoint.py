@@ -116,6 +116,23 @@ class TestCheckpointGuards:
         with pytest.raises(CheckpointError, match="must be an object|unreadable metadata"):
             load_arrays(path)
 
+    @pytest.mark.parametrize("array", [np.array(["0.5"]), np.ones(2, dtype=bool),
+                                       np.ones(2, dtype=np.int32), np.ones(2, dtype=np.float32)],
+                             ids=["str", "bool", "int32", "float32"])
+    def test_other_dtypes_rejected_by_name(self, tmp_path, array):
+        path = str(tmp_path / "odd.npz")
+        save_arrays(path, {"ok": np.ones(2), "odd": array})
+        with pytest.raises(CheckpointError,
+                           match=f"array 'odd' has dtype {array.dtype}, not float64 or int64"):
+            load_arrays(path)
+
+    def test_object_array_rejected_by_name(self, tmp_path):
+        path = str(tmp_path / "pickled.npz")
+        header = json.dumps({"format_version": 1, "meta": {}})
+        np.savez(path, __meta__=np.array(header), **{"a::w": np.array([{}], dtype=object)})
+        with pytest.raises(CheckpointError, match="array 'w' is unreadable"):
+            load_arrays(path)
+
     def test_reserved_name_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):
             save_arrays(str(tmp_path / "x.npz"), {"__meta__": np.ones(1)})

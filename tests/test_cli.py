@@ -8,6 +8,7 @@ import logging
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -24,6 +25,7 @@ from flowcl.dataio import (
     load_encoded,
     load_schema,
     load_state,
+    save_encoded,
     save_schema,
 )
 from flowcl.model import Conv, EncoderConfig, MaxPool, build_encoder, load_encoder, save_encoder
@@ -386,11 +388,59 @@ class TestPretrain:
                      "--out", str(tmp_path / "h.npz")] + HEAD_FLAGS) == 4
         assert "class_names must be a list of strings" in caplog.text
 
+    @pytest.mark.parametrize("key, dtype, code, message", [
+        ("labels", np.float64, 4, "x must be float64 and labels int64, got float64 and float64"),
+        ("x", np.int64, 4, "x must be float64 and labels int64, got int64 and int64"),
+        ("labels", np.int32, 7, "array 'labels' has dtype int32, not float64 or int64")],
+        ids=["float-labels", "int-x", "int32-labels"])
+    def test_mistyped_encoded_arrays_fail(self, workspace, tmp_path, caplog,
+                                          key, dtype, code, message):
+        """Float labels such as 0.5 and 1.5 used to be truncated to classes 0 and 1."""
+        arrays, meta = load_arrays(str(workspace / "prep" / "train.npz"))
+        arrays[key] = arrays[key].astype(dtype) + (0.5 if dtype is np.float64 else 0)
+        broken = tmp_path / "broken.npz"
+        save_arrays(str(broken), arrays, meta=meta)
+        assert main(["train-head", "--data", str(broken), "--encoder", str(workspace / "enc.npz"),
+                     "--out", str(tmp_path / "h.npz")] + HEAD_FLAGS) == code
+        assert message in caplog.text
+        assert not (tmp_path / "h.npz").exists()
+
     def test_oversized_batch_is_data_error(self, workspace, tmp_path):
         assert main(["pretrain", "--config", str(workspace / "arch.json"),
                      "--data", str(workspace / "prep" / "train.npz"),
                      "--out", str(tmp_path / "e.npz"),
                      "--batch-size", "4000", "--epochs", "1"]) == 5
+
+    @pytest.mark.parametrize("flag, value", [("--temperature", "inf"), ("--lr", "nan"),
+                                             ("--weight-decay", "inf")])
+    def test_non_finite_setting_is_config_error(self, workspace, tmp_path, caplog,
+                                                flag, value):
+        """An infinite temperature used to train on zero gradients and exit 0."""
+        out = tmp_path / "e.npz"
+        assert main(["pretrain", "--config", str(workspace / "arch.json"),
+                     "--data", str(workspace / "prep" / "train.npz"),
+                     "--out", str(out), "--epochs", "1", flag, value]) == 2
+        assert f"{flag[2:].replace('-', '_')} must be a finite number" in caplog.text
+        assert not out.exists()
+
+    def test_set_up_holds_one_copy_of_the_rows(self, workspace, tmp_path):
+        """Held-out and training rows stay indices into the loaded matrix.
+
+        Gathering both sides of the default 20% holdout before training used to
+        double the loaded rows.
+        """
+        x = np.random.default_rng(0).random((20000, 64))
+        labels = np.arange(20000, dtype=np.int64) % 2
+        save_encoded(str(tmp_path / "rows.npz"), EncodedDataset(x, labels, ("a", "b")))
+        tracemalloc.start()
+        try:
+            assert main(["pretrain", "--config", str(workspace / "arch.json"),
+                         "--data", str(tmp_path / "rows.npz"),
+                         "--out", str(tmp_path / "e.npz"), "--epochs", "0"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * x.nbytes
 
     def test_flag_overrides_config_file(self, workspace, tmp_path):
         out = tmp_path / "short.npz"
@@ -574,6 +624,17 @@ class TestHeadAndEvaluate:
                      "--out", str(tmp_path / "h.npz"),
                      "--label-fraction", fraction] + HEAD_FLAGS) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"),
+                                             ("--weight-decay", "inf")])
+    def test_non_finite_rate_is_config_error(self, workspace, tmp_path, caplog, flag, value):
+        """A NaN rate used to write a head of NaN weights and exit 0."""
+        out = tmp_path / "h.npz"
+        assert main(["train-head", "--data", str(workspace / "prep" / "train.npz"),
+                     "--encoder", str(workspace / "enc.npz"), "--out", str(out)]
+                    + HEAD_FLAGS + ["--epochs", "1", "--label-fraction", "0.05", flag, value]) == 2
+        assert f"{flag[2:].replace('-', '_')} must be a finite number" in caplog.text
+        assert not out.exists()
+
     def test_wrong_checkpoint_kind_is_checkpoint_error(self, workspace, trained_head, tmp_path):
         assert main(["evaluate", "--data", str(workspace / "prep" / "train.npz"),
                      "--encoder", str(trained_head),
@@ -731,6 +792,14 @@ class TestTransferEval:
         assert message in caplog.text
         assert not (tmp_path / "t.json").exists()
 
+    def test_non_utf8_alias_is_config_error(self, workspace, tmp_path, caplog):
+        alias_path = tmp_path / "alias.txt"
+        alias_path.write_bytes(b"f00 = f\xff00\n")
+        assert self.run_transfer(workspace, workspace / "blobs.json", workspace / "blobs.csv",
+                                 tmp_path / "t.json", extra=["--alias", str(alias_path)]) == 2
+        assert f"{alias_path} is not UTF-8 text" in caplog.text
+        assert not (tmp_path / "t.json").exists()
+
     def test_alias_across_kinds_is_config_error(self, workspace, tmp_path, caplog):
         from flowcl.dataio import DatasetSchema, Feature
 
@@ -877,6 +946,27 @@ class TestCheckpointMismatch:
                                    "its config needs (8, 1, 2)")
         assert done.stderr.count("\n") == 1
         assert os.listdir(tmp_path) == []
+
+    def test_string_encoder_array_exits_7(self, workspace, tmp_path):
+        arrays, meta = load_arrays(str(workspace / "enc.npz"))
+        arrays["gamma0"] = arrays["gamma0"].astype(str)
+        broken = tmp_path / "broken.npz"
+        save_arrays(str(broken), arrays, meta=meta)
+        done = run_cli("train-head", "--data", workspace / "prep" / "train.npz",
+                       "--encoder", broken, "--out", tmp_path / "h.npz", *HEAD_FLAGS)
+        assert_error_exit(done, 7, "array 'gamma0' has dtype <U")
+        assert not (tmp_path / "h.npz").exists()
+
+    def test_string_head_array_exits_7(self, workspace, trained_head, tmp_path):
+        arrays, meta = load_arrays(str(trained_head))
+        arrays["weight"] = arrays["weight"].astype(str)
+        broken = tmp_path / "broken-head.npz"
+        save_arrays(str(broken), arrays, meta=meta)
+        done = run_cli("evaluate", "--data", workspace / "prep" / "train.npz",
+                       "--encoder", workspace / "enc.npz", "--head", broken,
+                       "--out", tmp_path / "r.json")
+        assert_error_exit(done, 7, "array 'weight' has dtype <U")
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("rows, bias, message", [
         (2, 3, "do not make a head"), (3, 3, "2 class names for a 3-class head")],

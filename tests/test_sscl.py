@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from flowcl.errors import (
     NonFiniteGradientError,
 )
 from flowcl import numgrad
+from flowcl.dataio import random_split
 from flowcl.model import (
     Conv,
     EncoderConfig,
@@ -40,6 +42,7 @@ from flowcl.sscl import (
     HeadConfig,
     batch_loss,
     evaluate_head,
+    holdout_loss,
     predict,
     pretrain,
     representation_features,
@@ -248,13 +251,59 @@ class TestPretrain:
         labels, real = [], sscl.substream
         monkeypatch.setattr(sscl, "substream",
                             lambda seed, *path: labels.append(path) or real(seed, *path))
-        x, _ = blob_data(np.random.default_rng(4), 12)
-        config = ContrastiveConfig(batch_size=8, epochs=2, seed=5)
-        pretrain(*tiny_encoder(seed=1), x, config, holdout=x[:10])
+        x, _ = blob_data(np.random.default_rng(4), 20)
+        # 30 training rows make batches at 0, 8 and 16; 10 held-out rows at 0 and 8.
+        config = ContrastiveConfig(batch_size=8, epochs=2, seed=5, holdout_fraction=0.25)
+        pretrain(*tiny_encoder(seed=1), x, config)
         assert [path for path in labels if path[0] != "pretrain-shuffle"] == [
             (label, epoch, start) for epoch in (0, 1)
             for label, starts in (("augment", (0, 8, 16)), ("holdout-augment", (0, 8)))
             for start in starts]
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.03, 0.3], ids=["none", "one-row", "30pc"])
+    def test_holdout_split_equals_the_gathered_protocol(self, fraction):
+        """Splitting by row index inside pretrain changes no number or parameter.
+
+        The reference gathers both sides of `random_split` first, pretrains on
+        the training rows and takes `holdout_loss` over the held-out ones after
+        each epoch (a run of epoch + 1 epochs ends at that epoch's parameters).
+        One held-out row gives no holdout loss.
+        """
+        x, _ = blob_data(np.random.default_rng(6), 20)
+        config = ContrastiveConfig(batch_size=8, epochs=3, seed=5, holdout_fraction=fraction,
+                                   masking=MaskingConfig(ratio=0.3))
+        encoder, projector = tiny_encoder(seed=2)
+        history = pretrain(encoder, projector, x, config)
+        train_idx, hold_idx = random_split(len(x), 1.0 - fraction, config.seed)
+        gathered = replace(config, holdout_fraction=0.0)
+        expected = []
+        for epoch in range(config.epochs):
+            ref_enc, ref_proj = tiny_encoder(seed=2)
+            entry = pretrain(ref_enc, ref_proj, x[train_idx],
+                             replace(gathered, epochs=epoch + 1))[-1]
+            if hold_idx.size >= 2:
+                entry["holdout_loss"] = holdout_loss(ref_enc, ref_proj, x[hold_idx],
+                                                     gathered, epoch)
+            expected.append(entry)
+        assert history == expected
+        assert all(("holdout_loss" in entry) == (hold_idx.size >= 2) for entry in history)
+        for got, want in zip(param_checksum(encoder, projector),
+                             param_checksum(ref_enc, ref_proj)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("field, value", [
+        ("holdout_fraction", -0.1), ("holdout_fraction", 1.0), ("holdout_fraction", np.nan),
+        ("temperature", 0.0), ("temperature", np.inf), ("temperature", np.nan),
+        ("lr", 0.0), ("lr", np.inf), ("lr", np.nan),
+        ("weight_decay", -0.01), ("weight_decay", np.inf), ("weight_decay", np.nan)])
+    def test_out_of_range_values_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ContrastiveConfig(**{field: value})
+
+    def test_range_edges_accepted(self):
+        config = ContrastiveConfig(holdout_fraction=0.99, weight_decay=0.0)
+        assert (config.holdout_fraction, config.weight_decay) == (0.99, 0.0)
+        assert ContrastiveConfig().holdout_fraction == 0.0
 
     def test_views_interleave_the_batch_pair(self):
         x, _ = blob_data(np.random.default_rng(5), 4)
@@ -331,6 +380,14 @@ class TestHeadStage:
     def test_out_of_range_fractions_rejected(self, fractions):
         with pytest.raises(ConfigError, match=next(iter(fractions))):
             HeadConfig(**fractions)
+
+    @pytest.mark.parametrize("field, value", [("lr", 0.0), ("lr", np.inf), ("lr", np.nan),
+                                              ("weight_decay", -0.01),
+                                              ("weight_decay", np.inf),
+                                              ("weight_decay", np.nan)])
+    def test_non_finite_or_negative_rates_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
+            HeadConfig(**{field: value})
 
     def test_unlabeled_sample_rejected(self):
         rng = np.random.default_rng(16)
