@@ -365,9 +365,9 @@ def _report_doc(protocol: dict, train_count: int, test_count: int, report,
 
 
 def cmd_train_head(cfg: dict) -> None:
+    config = _config_from(HeadConfig, cfg)
     encoder, projector, task_ds = _load_task_data(
         cfg["encoder"], cfg["data"], cfg["task"], cfg["classes"], cfg["normal_class"])
-    config = _config_from(HeadConfig, cfg)
     train = task_ds.subset(head_split(task_ds.labels, config)[0])
     logger.info("training on %d labeled samples: %s", len(train),
                 json.dumps(train.class_counts(), sort_keys=True))
@@ -441,6 +441,7 @@ TRANSFER_SETTINGS = {
 
 
 def cmd_transfer_eval(cfg: dict) -> None:
+    config = _config_from(HeadConfig, cfg)
     original_schema = _schema_by_name_or_path(cfg["original_schema"])
     target_schema = _schema_by_name_or_path(cfg["target_schema"])
     original_state = load_state(cfg["original_state"], original_schema)
@@ -467,7 +468,7 @@ def cmd_transfer_eval(cfg: dict) -> None:
         logger.warning("unseen categories in target data: %s",
                        json.dumps(unseen, sort_keys=True))
     task_ds = _apply_task(target_ds, cfg["task"], cfg["classes"], cfg["normal_class"])
-    result = run_head_stage(encoder, projector, task_ds, _config_from(HeadConfig, cfg))
+    result = run_head_stage(encoder, projector, task_ds, config)
     doc = _report_doc(cfg, result.train_count, result.test_count, result.report,
                       task_ds.class_names)
     doc["alignment"] = {"mapped": amap.mapped, "masked": amap.masked,

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the type check every reader uses."""
+"""Exception types shared across the package, and the checks every reader and config uses."""
 
 
 class FlowclError(Exception):
@@ -89,3 +89,14 @@ def checked(value, kind: type, what: str, error: type[FlowclError], of: type | N
         article = "an" if noun[0] in "aeiou" else "a"
         raise error(f"{what} must be {article} {noun}, got {value!r}")
     return float(value) if kind is float else value
+
+
+def check_finite(value, name: str, zero_ok: bool = False) -> None:
+    """Raise ConfigError unless `value` is a finite int or float > 0 (>= 0 with zero_ok).
+
+    NaN fails, as every comparison with it is false.
+    """
+    if not (isinstance(value, (int, float)) and (value >= 0 if zero_ok else value > 0)
+            and value < float("inf")):
+        raise ConfigError(f"{name} must be a finite number {'>=' if zero_ok else '>'} 0, "
+                          f"got {value!r}")

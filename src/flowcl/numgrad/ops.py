@@ -19,10 +19,17 @@ Adding a per-channel shift and ReLU both preserve order, so a unit pools
 first and shifts and rectifies the pooled array. Train-mode batch norm
 leaves out the conv bias, which the batch mean cancels, keeps the centred
 conv output, and folds gamma / sqrt(var + BN_EPS) into the backward GEMMs'
-small operands. Eval mode, which every frozen-feature pass uses, folds batch
-norm into the conv: `_bn_eval_map` turns the running statistics, gamma,
-beta and the conv bias into one per-channel scale and shift, so the unit
-runs one GEMM against the scaled kernel. Eval mode is forward-only: a
+small operands. A train-mode unit keeps no im2col rows: its conv rule reads
+the unit's input, which the tape keeps anyway (the previous unit's output),
+and takes both taps' gradients from a zero-padded output gradient, one zero
+position per batch row, so the flat rows pair with no copies. The unit's
+per-channel sums, the batch mean and dbeta, are ones-vector GEMVs, several
+times faster than numpy's axis-0 reduction.
+
+Eval mode, which every frozen-feature pass uses, folds batch norm into the
+conv: `_bn_eval_map` turns the running statistics, gamma, beta and the conv
+bias into one per-channel scale and shift, so the unit runs one GEMM
+against the scaled kernel. Eval mode is forward-only: a
 backward that reaches an eval-mode unit raises ConfigError, since only
 pretraining takes gradients and it tapes training-mode passes. A train-mode
 unit builds its pool's first-maximum routing in the forward, while the pool
@@ -31,8 +38,9 @@ the pool input or the pooled max. Eval units and the standalone pools keep
 only the running max; the standalone pools' rules find each window's first
 maximum from the input they hold, so an untaped pass builds no routing
 arrays. Each backward rule runs once, as `backward` consumes its tape, so
-the train-mode conv and batch-norm rules write their results over the
-buffers they saved once those are dead.
+the train-mode batch-norm rule writes its centring term over the centred
+conv output it saved, once that is dead. No rule writes into its own
+output: the next unit's conv rule reads it as that unit's input.
 
 The linear head's math likewise exists once: `_affine` and
 `_softmax_ce_grad` serve the taped `affine` and `softmax_cross_entropy` and
@@ -45,7 +53,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, DegenerateVectorError, InvalidLabelError, InvalidShapeError
-from .tensor import Tensor, as_tensor, record_op
+from .tensor import Tensor, as_tensor, record_op, tracked
 
 
 BN_MOMENTUM = 0.1
@@ -66,10 +74,14 @@ def _channels_last(data: np.ndarray) -> np.ndarray:
 def _conv(x: np.ndarray, kernel: np.ndarray):
     """Width-2 valid conv of channels-last x (B, W, Cin) as one flat GEMM, no bias.
 
-    Returns z (B, W-1, Cout) and the rule (u, scale) -> (dx, dkernel) for the
-    output gradient dz = u * scale: the per-output-channel scale is folded
-    into the two GEMMs' small operands instead of a pass over u. The rule
-    writes over the im2col rows it keeps, so it runs once.
+    Returns z (B, W-1, Cout) and the rule (d, scale, need_dx) -> (dx, dkernel).
+    The rule keeps x, not the im2col rows, and reads the output gradient
+    dz = u * scale from a zero-padded buffer d (B, W, Cout): u at the first
+    W-1 positions and zeros at the last. In flat (B*W, C) rows, X[r+1]
+    then pairs with D[r] and dx[r+1] with D[r] with no copies, and a pair
+    that straddles two batch rows meets a zero row of D. The per-output-
+    channel scale is folded into the GEMMs' small operands instead of a pass
+    over d. dx is None when need_dx is false.
     """
     _require(kernel.ndim == 3 and kernel.shape[2] == 2,
              f"conv1d kernel must be (out_ch, in_ch, 2), got {kernel.shape}")
@@ -81,24 +93,45 @@ def _conv(x: np.ndarray, kernel: np.ndarray):
 
     # im2col: row (b, t) of x2 is x[b, t] then x[b, t+1], and the GEMM's
     # (2 * in_ch, out_ch) kernel operand holds kernel[o, i, tap] at row tap * in_ch + i.
+    # The rule does not need x2, so it dies here.
     x2 = np.concatenate((x[:, :-1], x[:, 1:]), axis=2).reshape(-1, 2 * in_ch)
     z = x2 @ kernel.transpose(2, 1, 0).reshape(2 * in_ch, out_ch)
 
-    def back(u: np.ndarray, scale=1.0):
-        u = u.reshape(-1, out_ch)
-        dk2 = x2.T @ u
-        dk2 *= scale
-        # x2 is dead once dk2 is out, so dx2 takes its buffer. A C-ordered kernel
-        # operand, built in the kernel's own order, keeps OpenBLAS from threading.
-        kt = np.multiply(kernel.transpose(0, 2, 1), np.reshape(scale, (-1, 1, 1)), order="C")
-        dx2 = np.matmul(u, kt.reshape(out_ch, -1), out=x2).reshape(batch, width - 1, -1)
-        dx = np.empty((batch, width, in_ch))
-        dx[:, :-1] = dx2[:, :, :in_ch]
-        dx[:, -1] = 0.0
-        dx[:, 1:] += dx2[:, :, in_ch:]
-        return dx, dk2.reshape(2, in_ch, out_ch).transpose(2, 1, 0)
+    def back(d: np.ndarray, scale=1.0, need_dx: bool = True):
+        d = d.reshape(-1, out_ch)
+        rows = x.reshape(-1, in_ch)
+        dk = np.empty((2, in_ch, out_ch))
+        np.matmul(rows.T, d, out=dk[0])
+        np.matmul(rows[1:].T, d[:-1], out=dk[1])
+        dk *= scale
+        dk = dk.transpose(2, 1, 0)
+        if not need_dx:
+            return None, dk
+        # The scaled taps as C-ordered (out_ch, in_ch) operands.
+        kt = np.multiply(kernel.transpose(2, 0, 1), np.reshape(scale, (-1, 1)), order="C")
+        dx = d @ kt[0]
+        dx[1:] += d[:-1] @ kt[1]
+        return dx.reshape(x.shape), dk
 
     return z.reshape(batch, width - 1, out_ch), back
+
+
+def _padded_grad(batch: int, width: int, ch: int):
+    """The conv rule's dz buffer d (B, W+1, C), zero at each batch row's last
+    position, and the view d[:, :-1] of the positions the conv output has."""
+    d = np.empty((batch, width + 1, ch))
+    d[:, -1] = 0.0
+    return d, d[:, :-1]
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """Per-channel sums of a (..., C) as one ones-vector GEMV over its rows.
+
+    Several times faster than numpy's axis-0 reduction at the encoder's
+    (B*W, C) shapes. A C-ordered a is summed with no copy.
+    """
+    rows = a.reshape(-1, a.shape[-1])
+    return np.ones(len(rows)) @ rows
 
 
 def _bn_eval_map(gamma: np.ndarray, beta: np.ndarray, running_mean: np.ndarray,
@@ -139,17 +172,18 @@ def _batchnorm(z: np.ndarray, gamma: np.ndarray, bias: np.ndarray,
     running mean. z is centred in place and kept; the output is
     z * scale with scale = gamma * inv_std, and the caller adds beta (after
     any max pool, which commutes with adding a per-channel constant).
-    Returns the output, scale and the rule (dy, dbeta) -> (u, dgamma) with
-    dz = u * scale, so the caller folds scale into its conv GEMMs. The rule
-    writes u over dy, which must be a C-order array of z's size that the
-    caller owns, and its centring term over z, so it runs once.
+    Returns the output, scale and the rule (dy, dbeta) -> dgamma, which
+    writes u with dz = u * scale over dy, so the caller folds scale into its
+    conv GEMMs. dy is a (B, W, C) array the caller owns, and may be a
+    strided view whose rows are C-ordered; the rule also writes its
+    centring term over z, so it runs once.
     """
     batch, width, ch = z.shape
     n = batch * width
     _require(gamma.shape == bias.shape == (ch,), f"batchnorm1d affine params must be ({ch},)")
     _require(n >= 2, "batchnorm1d train mode needs >= 2 elements per channel")
     rows = z.reshape(n, ch)
-    mean = rows.mean(axis=0)
+    mean = _column_sums(rows) / n
     flat, tiled = _tiled(z, mean)
     flat -= tiled
     var = np.einsum("ij,ij->j", rows, rows) / n
@@ -164,15 +198,14 @@ def _batchnorm(z: np.ndarray, gamma: np.ndarray, bias: np.ndarray,
     def back(dy: np.ndarray, dbeta: np.ndarray):
         # With xhat = z * inv_std: dgamma = sum(dy * xhat) and
         # dz = scale * (dy - dbeta / n - xhat * dgamma / n).
-        dgamma = np.einsum("ij,ij->j", dy.reshape(n, ch), rows)
+        dgamma = np.einsum("bwc,bwc->c", dy, z)
         dgamma *= inv_std
         # z is dead once dgamma is out, so the centring term takes its buffer.
         flat, tiled = _tiled(z, dgamma * inv_std / n)
         flat *= tiled
         flat += _tiled(z, dbeta / n)[1]
-        u = dy.reshape(batch, -1)
-        u -= flat
-        return u.reshape(n, ch), dgamma
+        dy -= z
+        return dgamma
 
     return out.reshape(z.shape), scale, back
 
@@ -192,9 +225,8 @@ def _first_max(tiles: np.ndarray, out: np.ndarray) -> np.ndarray:
     return hit
 
 
-def _routed(g: np.ndarray, hit: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
-    """The pool's dx of shape (B, W, C): g at each window's first maximum, else 0."""
-    dx = np.empty(shape)
+def _routed(g: np.ndarray, hit: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """The pool's dx (B, W, C), written into dx: g at each window's first maximum, else 0."""
     used = hit.shape[1] * hit.shape[2]
     np.multiply(g[:, :, None], hit, out=dx[:, :used].reshape(hit.shape))
     dx[:, used:] = 0.0
@@ -208,9 +240,11 @@ def _maxpool(x: np.ndarray, window: int, route: bool = False):
     window's first maximum (ties go to the first, as with argmax). With
     `route`, the forward also builds that routing as a bool mask while x is
     hot in cache, and the rule keeps only the mask. Without it the forward
-    keeps only the running max and the rule g -> dx finds the routing from x
-    and the max when it runs, so a pass without a tape builds none. Returns
-    (B, W // window, C) and the rule.
+    keeps only the running max and the rule g -> dx finds the routing from
+    x and the max when it runs, so a pass without a tape builds none. The
+    routed rule (g, dx) -> dx instead writes into the caller's dx (B, W, C),
+    which may be a view whose rows are C-ordered. Returns (B, W // window, C)
+    and the rule.
     """
     batch, width, ch = shape = x.shape
     _require(window >= 1, f"pool window must be >= 1, got {window}")
@@ -223,8 +257,8 @@ def _maxpool(x: np.ndarray, window: int, route: bool = False):
     if route:
         # Neither x nor the max: the rule closes over the mask alone.
         hit = _first_max(tiles, out)
-        return out, lambda g: _routed(g, hit, shape)
-    return out, lambda g: _routed(g, _first_max(tiles, out), shape)
+        return out, lambda g, dx: _routed(g, hit, dx)
+    return out, lambda g: _routed(g, _first_max(tiles, out), np.empty(shape))
 
 
 def conv_bn_relu(
@@ -247,8 +281,10 @@ def conv_bn_relu(
     gamma / sqrt(var + BN_EPS) (the batch's variance in train mode, the
     running one in eval mode); the per-channel shift and ReLU then apply to
     the pooled array. Eval mode is forward-only. The train-mode backward
-    keeps the conv's input rows, the centred conv output, the pool's
-    routing mask and the output, and overwrites the first two as it runs.
+    keeps the centred conv output, the pool's routing mask and the output;
+    it reads x, which the tape keeps as an input, in place of im2col rows.
+    It returns no gradient for an x the tape does not track when the unit
+    is recorded, such as the encoder's input.
     """
     x, kernel, bias, gamma, beta = (as_tensor(t) for t in (x, kernel, bias, gamma, beta))
     if training:
@@ -273,15 +309,24 @@ def conv_bn_relu(
     np.maximum(out, 0.0, out=out)
     if not training:
         return record_op(Tensor(out), (x, kernel, bias, gamma, beta), _no_eval_gradient)
+    batch, width, ch = y.shape
+    need_dx = tracked(x)
 
     def rule(g: np.ndarray):
-        g = g * (out > 0)
-        dy = g if pool is None else pool_back(g)
-        dshift = g.sum(axis=(0, 1))
-        u, dgamma = bn_back(dy, dshift)
-        dx, dk = conv_back(u, scale)
+        # Batch norm's output gradient dy goes into the conv rule's padded
+        # buffer, and batch norm's rule turns it into u there.
+        d, dy = _padded_grad(batch, width, ch)
+        if pool is None:
+            np.multiply(g, out > 0, out=dy)
+            dshift = _column_sums(d)
+        else:
+            g = g * (out > 0)
+            dshift = _column_sums(g)
+            pool_back(g, dy)
+        dgamma = bn_back(dy, dshift)
+        dx, dk = conv_back(d, scale, need_dx)
         # The train-mode output does not depend on the bias at all.
-        return dx.reshape(x.shape), dk, np.zeros(scale.size), dgamma, dshift
+        return (None if dx is None else dx.reshape(x.shape)), dk, np.zeros(ch), dgamma, dshift
 
     return record_op(Tensor(out), (x, kernel, bias, gamma, beta), rule)
 
@@ -312,11 +357,14 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     z, back = _conv(x.data.transpose(0, 2, 1), kernel.data)
     _require(bias.shape == (z.shape[2],), f"conv1d bias must be ({z.shape[2]},), got {bias.shape}")
     z += bias.data
+    batch, width, out_ch = z.shape
+    need_dx = tracked(x)
 
     def rule(g: np.ndarray):
-        dz = g.transpose(0, 2, 1)
-        dx, dk = back(dz)
-        return dx.transpose(0, 2, 1), dk, dz.sum(axis=(0, 1))
+        d, dz = _padded_grad(batch, width, out_ch)
+        dz[...] = g.transpose(0, 2, 1)
+        dx, dk = back(d, need_dx=need_dx)
+        return (None if dx is None else dx.transpose(0, 2, 1)), dk, _column_sums(d)
 
     return record_op(Tensor(z.transpose(0, 2, 1)), (x, kernel, bias), rule)
 
@@ -372,12 +420,12 @@ def batchnorm1d(
     out += beta.data
 
     def rule(g: np.ndarray):
-        # A C-order (B, W, C) copy, which bn_back overwrites.
-        dy = np.array(g.transpose(0, 2, 1), order="C").reshape(-1, ch)
-        dbeta = dy.sum(axis=0)
-        u, dgamma = bn_back(dy, dbeta)
-        u *= scale
-        return u.reshape(batch, width, ch).transpose(0, 2, 1), dgamma, dbeta
+        # A C-order (B, W, C) copy, which bn_back overwrites with u.
+        dy = np.array(g.transpose(0, 2, 1), order="C")
+        dbeta = _column_sums(dy)
+        dgamma = bn_back(dy, dbeta)
+        dy *= scale
+        return dy.transpose(0, 2, 1), dgamma, dbeta
 
     return record_op(Tensor(out.transpose(0, 2, 1)), (x, gamma, beta), rule)
 

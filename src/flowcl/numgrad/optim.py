@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError, NonFiniteGradientError
+from ..errors import ConfigError, NonFiniteGradientError, check_finite
 from .tensor import Tensor
 
 ADAM_BETA1 = 0.9
@@ -31,10 +31,8 @@ class AdamW:
         self.params: list[Tensor] = list(params)
         if not self.params:
             raise ConfigError("optimizer needs at least one parameter")
-        if lr <= 0:
-            raise ConfigError(f"lr must be positive, got {lr}")
-        if weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {weight_decay}")
+        check_finite(lr, "lr")
+        check_finite(weight_decay, "weight_decay", zero_ok=True)
         self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0

@@ -106,6 +106,12 @@ def active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
+def tracked(t: Tensor) -> bool:
+    """Whether the active tape, if any, tracks t: a rule recorded now needs t's gradient."""
+    tape = active_tape()
+    return tape is not None and tape.tracks(t)
+
+
 def record_op(output: Tensor, inputs: Sequence[Tensor], rule: BackwardRule) -> Tensor:
     """Attach a backward rule to `output` on the active tape, if any.
 

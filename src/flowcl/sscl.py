@@ -38,6 +38,7 @@ from .errors import (
     InvalidLabelError,
     InvalidShapeError,
     MissingLabelError,
+    check_finite,
 )
 from .metrics import MetricsReport, confusion, metrics
 from .model import (
@@ -74,16 +75,8 @@ def _check_loop(config) -> None:
         raise ConfigError(f"batch_size must be a positive int, got {config.batch_size!r}")
     if not isinstance(config.epochs, int) or config.epochs < 0:
         raise ConfigError(f"epochs must be a non-negative int, got {config.epochs!r}")
-    _check_finite(config, "lr")
-    _check_finite(config, "weight_decay", zero_ok=True)
-
-
-def _check_finite(config, name: str, zero_ok: bool = False) -> None:
-    value = getattr(config, name)
-    if not (isinstance(value, (int, float)) and (value >= 0 if zero_ok else value > 0)
-            and value < np.inf):
-        raise ConfigError(f"{name} must be a finite number {'>=' if zero_ok else '>'} 0, "
-                          f"got {value!r}")
+    check_finite(config.lr, "lr")
+    check_finite(config.weight_decay, "weight_decay", zero_ok=True)
 
 
 @dataclass(frozen=True)
@@ -102,7 +95,7 @@ class ContrastiveConfig:
 
     def __post_init__(self):
         _check_loop(self)
-        _check_finite(self, "temperature")
+        check_finite(self.temperature, "temperature")
         if not isinstance(self.masking, MaskingConfig):
             raise ConfigError("masking must be a MaskingConfig")
         if not 0 < self.lr_gamma <= 1:

@@ -635,6 +635,13 @@ class TestHeadAndEvaluate:
         assert f"{flag[2:].replace('-', '_')} must be a finite number" in caplog.text
         assert not out.exists()
 
+    def test_bad_rate_is_reported_before_data_is_read(self, workspace, tmp_path, caplog):
+        """The head settings are checked before --data is opened: exit 2, not 3."""
+        assert main(["train-head", "--data", str(tmp_path / "missing.npz"),
+                     "--encoder", str(workspace / "enc.npz"), "--out", str(tmp_path / "h.npz")]
+                    + HEAD_FLAGS + ["--lr", "nan"]) == 2
+        assert "lr must be a finite number" in caplog.text
+
     def test_wrong_checkpoint_kind_is_checkpoint_error(self, workspace, trained_head, tmp_path):
         assert main(["evaluate", "--data", str(workspace / "prep" / "train.npz"),
                      "--encoder", str(trained_head),
@@ -680,6 +687,13 @@ class TestTransferEval:
         assert self.run_transfer(workspace, workspace / "blobs.json",
                                  workspace / "blobs.csv", tmp_path / "t.json",
                                  extra=["--label-fraction", fraction]) == 2
+
+    def test_bad_rate_is_reported_before_data_is_read(self, workspace, tmp_path, caplog):
+        """The head settings are checked before any input is opened: exit 2, not 3."""
+        assert self.run_transfer(workspace, workspace / "blobs.json",
+                                 tmp_path / "missing.csv", tmp_path / "t.json",
+                                 extra=["--weight-decay", "inf"]) == 2
+        assert "weight_decay must be a finite number" in caplog.text
 
     @pytest.mark.parametrize("text", ['{"features": [', "[]"], ids=["truncated", "list"])
     @pytest.mark.parametrize("flag", ["--target-schema", "--original-schema",

@@ -197,3 +197,13 @@ class TestAdamW:
             AdamW([p], weight_decay=-1e-3)
         with pytest.raises(ConfigError):
             AdamW([])
+
+    @pytest.mark.parametrize("field,value", [
+        ("lr", float("nan")), ("lr", float("inf")), ("lr", -float("inf")),
+        ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+    ])
+    def test_non_finite_rate_rejected(self, field, value):
+        p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
+            AdamW([p], **{field: value})
+        np.testing.assert_array_equal(p.data, [1.0, 2.0])

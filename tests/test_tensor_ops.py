@@ -440,7 +440,7 @@ def _composed_unit(x, kernel, bias, gamma, beta, running_mean, running_var, trai
     """conv1d, batchnorm1d, relu and maxpool1d on the (batch, ch, width) layout."""
     out = conv1d(_transposed(x), kernel, bias)
     out = relu(batchnorm1d(out, gamma, beta, running_mean, running_var, training=training))
-    return _transposed(maxpool1d(out, pool))
+    return _transposed(out if pool is None else maxpool1d(out, pool))
 
 
 def _transposed(t: Tensor) -> Tensor:
@@ -526,6 +526,86 @@ class TestConvBnReluPool:
 
 def _assert_close_to_scale(got, want, what):
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), what
+
+
+class TestConvBnReluPadding:
+    """The unit's conv rule reads x through a zero-padded output gradient.
+
+    In flat (batch * width) rows, each batch row's last position of the
+    padded gradient is zero, so the rows that pair across a batch boundary
+    add nothing. These shapes make those zero rows a large share: a conv
+    output of width 1, a pool that drops a remainder, one input channel and
+    one batch row.
+    """
+
+    @pytest.mark.parametrize("batch,width,in_ch,pool", [
+        (3, 2, 3, None),  # conv output width 1
+        (4, 2, 2, 1),
+        (5, 9, 2, 3),  # conv output 8: two windows of 3, two positions dropped
+        (4, 7, 1, 4),  # one input channel; conv output 6, two positions dropped
+        (1, 9, 1, 3),  # one batch row
+        (1, 6, 3, None),
+    ])
+    def test_gradients_match_composed_primitives(self, batch, width, in_ch, pool):
+        rng = np.random.default_rng(37)
+        values = [rng.normal(size=(batch, width, in_ch)), rng.normal(size=(4, in_ch, 2)),
+                  rng.normal(size=4), np.array([1.1, -0.8, 0.6, 1.4]), rng.normal(size=4)]
+        stats = rng.normal(size=4), rng.uniform(0.5, 2.0, size=4)
+        out_w = (width - 1) // (pool or 1)
+        weight = rng.normal(size=(batch, out_w, 4))
+
+        def taped(unit, track_x=True):
+            params = [Tensor(v, requires_grad=track_x or i > 0) for i, v in enumerate(values)]
+            with Tape() as tape:
+                out = unit(*params, *(s.copy() for s in stats), training=True, pool=pool)
+                loss = _weighted_sum(out, weight)
+            backward(loss, tape)
+            return out.data, [p.grad for p in params]
+
+        out, grads = taped(conv_bn_relu)
+        out_ref, grads_ref = taped(_composed_unit)
+        _assert_close_to_scale(out, out_ref, "output")
+        for i, (got, want) in enumerate(zip(grads, grads_ref)):
+            if i == 2:
+                assert np.all(got == 0.0)  # batch norm cancels the conv bias
+            else:
+                _assert_close_to_scale(got, want, f"input {i}")
+        # An untracked input, such as the encoder's, gets no gradient, and
+        # skipping it leaves the parameters' gradients exactly as they were.
+        _, untracked = taped(conv_bn_relu, track_x=False)
+        assert untracked[0] is None
+        for got, want in zip(untracked[1:], grads[1:]):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("pool", [None, 2, 3])
+    def test_taped_unit_keeps_no_im2col_rows(self, pool):
+        """A taped unit keeps its centred conv output, its output and its pool mask.
+
+        The im2col rows it used to keep were twice the size of its input,
+        as large again as all three here.
+        """
+        import tracemalloc
+
+        rng = np.random.default_rng(41)
+        batch, width, in_ch, out_ch = 16, 101, 32, 32
+        x = Tensor(rng.normal(size=(batch, width, in_ch)), requires_grad=True)
+        params = [Tensor(rng.normal(size=shape), requires_grad=True)
+                  for shape in ((out_ch, in_ch, 2), (out_ch,), (out_ch,), (out_ch,))]
+        stats = np.zeros(out_ch), np.ones(out_ch)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                conv_bn_relu(x, *params, *stats, training=True, pool=pool)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1
+        out_w = (width - 1) // (pool or 1)
+        centred = batch * (width - 1) * out_ch * 8
+        out = batch * out_w * out_ch * 8
+        mask = 0 if pool is None else batch * out_w * pool * out_ch  # one byte per bool
+        assert kept <= centred + out + mask + 16 * 2**10, f"the unit kept {kept} bytes"
 
 
 class TestRelu:
