@@ -1,5 +1,7 @@
 """Unit tests for the autodiff ops: forward values, shapes, and gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -584,8 +586,6 @@ class TestConvBnReluPadding:
         The im2col rows it used to keep were twice the size of its input,
         as large again as all three here.
         """
-        import tracemalloc
-
         rng = np.random.default_rng(41)
         batch, width, in_ch, out_ch = 16, 101, 32, 32
         x = Tensor(rng.normal(size=(batch, width, in_ch)), requires_grad=True)
