@@ -97,9 +97,11 @@ def _setup_logging() -> None:
 
 
 # glibc mallopt parameters and the values main() sets. Arrays up to 64 MB (the
-# largest encoder activation is a 50.6 MB eval-chunk conv output) come from the
-# heap and are reused; bigger ones, such as whole encoded datasets, are still
-# mmapped and returned on free. Up to 256 MB of free heap top is kept.
+# largest encoder activation at width 196 is a 12.7 MB conv buffer, the
+# 128-channel output of a training step's 64 views or of a 64-row eval chunk)
+# come from the heap and are reused; bigger ones, such as whole encoded
+# datasets, are still mmapped and returned on free. Up to 256 MB of free heap
+# top is kept.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD_BYTES, _TRIM_THRESHOLD_BYTES = 64 << 20, 256 << 20
 
@@ -292,6 +294,9 @@ PRETRAIN_SETTINGS = {
 
 
 def cmd_pretrain(cfg: dict) -> None:
+    # The settings are checked before any file is read.
+    masking = MaskingConfig(ratio=cfg["mask_ratio"])
+    contrastive = _config_from(ContrastiveConfig, cfg, masking=masking)
     dataset, meta = load_encoded(cfg["data"])
     if cfg["layers"] is not None:
         if cfg["context_dim"] is None:
@@ -308,8 +313,6 @@ def cmd_pretrain(cfg: dict) -> None:
             raise SchemaMismatchError(
                 "--schema does not match the schema the data was encoded with")
         groups = [(start, stop) for _, start, stop in schema.block_spans()]
-    masking = MaskingConfig(ratio=cfg["mask_ratio"])
-    contrastive = _config_from(ContrastiveConfig, cfg, masking=masking)
     logger.info("temperature %g, batch size %d, mask ratio %g",
                 contrastive.temperature, contrastive.batch_size, masking.ratio)
     encoder, projector = build_encoder(config, cfg["seed"])

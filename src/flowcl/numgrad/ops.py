@@ -7,40 +7,50 @@ one documented exception).
 
 The encoder's conv, batch norm and max pool math exists once, as kernels over
 channels-last activations: (batch, width, channels) arrays whose rows are
-contiguous channel vectors, so the width-2 conv is one flat GEMM and batch
-norm reduces over rows. The encoder runs in units: `conv_bn_relu` is one
-conv, batch norm and ReLU plus an optional max pool, one tape entry each,
-and `maxpool_cl` and `global_maxpool_cl` cover the pools with no conv just
-before them. The (batch, channels, width) primitives `conv1d`,
-`batchnorm1d`, `maxpool1d` and `global_maxpool1d` are transposing wrappers
-over the same kernels.
+contiguous channel vectors, so batch norm reduces over rows. The encoder
+runs in units: `conv_bn_relu` is one conv, batch norm and ReLU plus an
+optional max pool, one tape entry each, and `maxpool_cl` and
+`global_maxpool_cl` cover the pools with no conv just before them. The
+(batch, channels, width) primitives `conv1d`, `batchnorm1d`, `maxpool1d` and
+`global_maxpool1d` are transposing wrappers over the same kernels.
+
+The width-2 conv reads its input in place, in every pass. In a C-ordered
+(B, W, C_in) input, flat rows r and r+1 are adjacent, so the im2col row of
+position r is a (2 * C_in)-long run of the input itself: two GEMMs over two
+overlapping views write the conv output into a (B, W, C_out) buffer whose
+last position in each batch row is a zero pad (`_conv`). No pass builds
+im2col rows. The same buffer is the conv rule's output gradient: the pads
+make each flat-row pair that straddles two batch rows add nothing, in the
+kernel gradient and in dx, which is the same pair trick in reverse.
 
 Adding a per-channel shift and ReLU both preserve order, so a unit pools
 first and shifts and rectifies the pooled array. Train-mode batch norm
 leaves out the conv bias, which the batch mean cancels, keeps the centred
-conv output, and folds gamma / sqrt(var + BN_EPS) into the backward GEMMs'
-small operands. A train-mode unit keeps no im2col rows: its conv rule reads
-the unit's input, which the tape keeps anyway (the previous unit's output),
-and takes both taps' gradients from a zero-padded output gradient, one zero
-position per batch row, so the flat rows pair with no copies. The unit's
-per-channel sums, the batch mean and dbeta, are ones-vector GEMVs, several
-times faster than numpy's axis-0 reduction.
+conv output in the conv's buffer, with its statistics taken over the
+positions that are not pads, and folds gamma / sqrt(var + BN_EPS) into the
+backward GEMMs' small operands. A train-mode unit's backward writes
+u = dy - z * a - b, its conv output gradient over the scale, over that
+centred output, so the conv rule allocates no gradient buffer: a pooled
+unit takes dgamma from the pooled gradient, the pool's routing mask and the
+centred output in one einsum and then adds the routed gradient into the
+buffer one pool tap at a time, with no routed copy. The unit's per-channel
+sums, the batch mean and dbeta, are ones-vector GEMVs, several times faster
+than numpy's axis-0 reduction.
 
 Eval mode, which every frozen-feature pass uses, folds batch norm into the
 conv: `_bn_eval_map` turns the running statistics, gamma, beta and the conv
-bias into one per-channel scale and shift, so the unit runs one GEMM
-against the scaled kernel. Eval mode is forward-only: a
-backward that reaches an eval-mode unit raises ConfigError, since only
-pretraining takes gradients and it tapes training-mode passes. A train-mode
-unit builds its pool's first-maximum routing in the forward, while the pool
-input is hot in cache, and keeps only that bool mask for its backward, not
-the pool input or the pooled max. Eval units and the standalone pools keep
-only the running max; the standalone pools' rules find each window's first
-maximum from the input they hold, so an untaped pass builds no routing
-arrays. Each backward rule runs once, as `backward` consumes its tape, so
-the train-mode batch-norm rule writes its centring term over the centred
-conv output it saved, once that is dead. No rule writes into its own
-output: the next unit's conv rule reads it as that unit's input.
+bias into one per-channel scale and shift, so the unit runs the conv of the
+scaled kernel. Eval mode is forward-only: a backward that reaches an
+eval-mode unit raises ConfigError, since only pretraining takes gradients
+and it tapes training-mode passes. A train-mode unit builds its pool's
+first-maximum routing in the forward, while the pool input is hot in cache,
+and keeps only that bool mask for its backward, not the pool input or the
+pooled max. Eval units and the standalone pools keep only the running max;
+the standalone pools' rules find each window's first maximum from the input
+they hold, so an untaped pass builds no routing arrays. Each backward rule
+runs once, as `backward` consumes its tape, so a rule may write over the
+arrays it saved once they are dead. No rule writes into its own output: the
+next unit's conv rule reads it as that unit's input.
 
 The linear head's math likewise exists once: `_affine` and
 `_softmax_ce_grad` serve the taped `affine` and `softmax_cross_entropy` and
@@ -71,57 +81,72 @@ def _channels_last(data: np.ndarray) -> np.ndarray:
     return data if data.ndim == 3 else data[:, :, None]
 
 
-def _conv(x: np.ndarray, kernel: np.ndarray):
-    """Width-2 valid conv of channels-last x (B, W, Cin) as one flat GEMM, no bias.
+def _pair_gemm(flat: np.ndarray, k2: np.ndarray, rows: np.ndarray) -> None:
+    """rows[r] = flat[r*c : (r+2)*c] @ k2 for every row r, with c = len(k2) // 2.
 
-    Returns z (B, W-1, Cout) and the rule (d, scale, need_dx) -> (dx, dkernel).
-    The rule keeps x, not the im2col rows, and reads the output gradient
-    dz = u * scale from a zero-padded buffer d (B, W, Cout): u at the first
-    W-1 positions and zeros at the last. In flat (B*W, C) rows, X[r+1]
-    then pairs with D[r] and dx[r+1] with D[r] with no copies, and a pair
-    that straddles two batch rows meets a zero row of D. The per-output-
-    channel scale is folded into the GEMMs' small operands instead of a pass
-    over d. dx is None when need_dx is false.
+    flat is a 1-D C-ordered run of at least len(rows) + 1 rows of c values,
+    so rows r and r+1 are adjacent: the pairs that start at an even r are
+    flat viewed as (., 2c) rows, and those at an odd r the same view shifted
+    by c. Two GEMMs write into the even and the odd rows of rows, which may
+    be a strided view whose rows are C-ordered. Nothing is copied.
+    """
+    c = len(k2) // 2
+    even, odd = (len(rows) + 1) // 2, len(rows) // 2
+    np.matmul(flat[: 2 * c * even].reshape(even, 2 * c), k2, out=rows[0::2])
+    np.matmul(flat[c: c + 2 * c * odd].reshape(odd, 2 * c), k2, out=rows[1::2])
+
+
+def _conv(x: np.ndarray, kernel: np.ndarray):
+    """Width-2 valid conv of channels-last x (B, W, Cin), no bias, read in place.
+
+    Returns z (B, W, Cout) and the rule (scale, need_dx) -> (dx, dkernel).
+    z[:, :W-1] is the conv output and z[:, W-1] is zero, one pad position
+    per batch row: in flat (B*W, Cout) rows, output row r pairs input rows
+    r and r+1 (`_pair_gemm`), so the pair that straddles two batch rows
+    lands on a pad, which is then zeroed.
+
+    z is the rule's buffer too. Before the rule runs, the caller writes u
+    over z's first W-1 positions, where the output gradient is
+    dz = u * scale, and leaves the pads at zero. The rule keeps x and folds
+    the per-output-channel scale into the GEMMs' small operands. In flat
+    rows, X[r+1] pairs with U[r], and dx[r] is the pair (U[r-1], U[r])
+    times the scaled taps stacked in (1, 0) order; a pair across two batch
+    rows meets a pad, and row 0's pair a zero row kept just before z. dx is
+    None when need_dx is false.
     """
     _require(kernel.ndim == 3 and kernel.shape[2] == 2,
              f"conv1d kernel must be (out_ch, in_ch, 2), got {kernel.shape}")
+    x = np.ascontiguousarray(x)
     batch, width, in_ch = x.shape
     out_ch = kernel.shape[0]
     _require(width >= 2, f"conv1d needs width >= 2, got {width}")
     _require(kernel.shape[1] == in_ch,
              f"conv1d channel mismatch: input has {in_ch}, kernel expects {kernel.shape[1]}")
+    n = batch * width
+    buf = np.empty((n + 1, out_ch))
+    z = buf[1:].reshape(batch, width, out_ch)
+    # The (2 * in_ch, out_ch) kernel operand holds kernel[o, i, tap] at row
+    # tap * in_ch + i, the order of an im2col row's values.
+    _pair_gemm(x.reshape(-1), kernel.transpose(2, 1, 0).reshape(2 * in_ch, out_ch), buf[1:-1])
+    z[:, -1] = 0.0
 
-    # im2col: row (b, t) of x2 is x[b, t] then x[b, t+1], and the GEMM's
-    # (2 * in_ch, out_ch) kernel operand holds kernel[o, i, tap] at row tap * in_ch + i.
-    # The rule does not need x2, so it dies here.
-    x2 = np.concatenate((x[:, :-1], x[:, 1:]), axis=2).reshape(-1, 2 * in_ch)
-    z = x2 @ kernel.transpose(2, 1, 0).reshape(2 * in_ch, out_ch)
-
-    def back(d: np.ndarray, scale=1.0, need_dx: bool = True):
-        d = d.reshape(-1, out_ch)
+    def back(scale=1.0, need_dx: bool = True):
+        u = buf[1:]
         rows = x.reshape(-1, in_ch)
         dk = np.empty((2, in_ch, out_ch))
-        np.matmul(rows.T, d, out=dk[0])
-        np.matmul(rows[1:].T, d[:-1], out=dk[1])
+        np.matmul(rows.T, u, out=dk[0])
+        np.matmul(rows[1:].T, u[:-1], out=dk[1])
         dk *= scale
         dk = dk.transpose(2, 1, 0)
         if not need_dx:
             return None, dk
-        # The scaled taps as C-ordered (out_ch, in_ch) operands.
-        kt = np.multiply(kernel.transpose(2, 0, 1), np.reshape(scale, (-1, 1)), order="C")
-        dx = d @ kt[0]
-        dx[1:] += d[:-1] @ kt[1]
+        buf[0] = 0.0
+        kt = np.multiply(kernel.transpose(2, 0, 1)[::-1], np.reshape(scale, (-1, 1)), order="C")
+        dx = np.empty((n, in_ch))
+        _pair_gemm(buf.reshape(-1), kt.reshape(2 * out_ch, in_ch), dx)
         return dx.reshape(x.shape), dk
 
-    return z.reshape(batch, width - 1, out_ch), back
-
-
-def _padded_grad(batch: int, width: int, ch: int):
-    """The conv rule's dz buffer d (B, W+1, C), zero at each batch row's last
-    position, and the view d[:, :-1] of the positions the conv output has."""
-    d = np.empty((batch, width + 1, ch))
-    d[:, -1] = 0.0
-    return d, d[:, :-1]
+    return z, back
 
 
 def _column_sums(a: np.ndarray) -> np.ndarray:
@@ -159,33 +184,40 @@ def _tiled(a: np.ndarray, v: np.ndarray):
     """a (B, W, C) viewed as (B, W*C), and the per-channel v tiled to W*C.
 
     An elementwise op between the two is one flat pass; broadcasting v over
-    the (B*W, C) rows costs up to twice as much at C <= 128.
+    the (B*W, C) rows costs up to twice as much at C <= 128. a may be a view
+    whose rows are C-ordered, such as a padded buffer's first W positions.
+    The tiling is `repeat` on a one-row view, several times cheaper than
+    `np.tile` at the encoder's sizes.
     """
-    return a.reshape(len(a), -1), np.tile(v, a.shape[1])
+    return a.reshape(len(a), -1), v.reshape(1, -1).repeat(a.shape[1], axis=0).reshape(-1)
 
 
 def _batchnorm(z: np.ndarray, gamma: np.ndarray, bias: np.ndarray,
                running_mean: np.ndarray, running_var: np.ndarray):
-    """Train-mode batch norm of z + bias over the rows of z (B, W, C), before beta.
+    """Train-mode batch norm of z + bias over z's rows but the pads, before beta.
 
-    The batch mean cancels the per-channel bias, so the bias only enters the
-    running mean. z is centred in place and kept; the output is
-    z * scale with scale = gamma * inv_std, and the caller adds beta (after
-    any max pool, which commutes with adding a per-channel constant).
-    Returns the output, scale and the rule (dy, dbeta) -> dgamma, which
-    writes u with dz = u * scale over dy, so the caller folds scale into its
-    conv GEMMs. dy is a (B, W, C) array the caller owns, and may be a
-    strided view whose rows are C-ordered; the rule also writes its
-    centring term over z, so it runs once.
+    z (B, W+1, C) is a C-ordered buffer whose last position in each batch
+    row is a zero pad, as `_conv` makes it. The batch mean cancels the
+    per-channel bias, so the bias only enters the running mean. z's
+    (B, W, C) positions are centred in place and kept; the output is a new
+    (B, W, C) array z * scale with scale = gamma * inv_std, and the caller
+    adds beta (after any max pool, which commutes with adding a per-channel
+    constant). Returns the output, scale and the rule (dyz, dbeta) -> dgamma,
+    which takes sum(dy * z) and sum(dy) per channel and writes
+    -(z * a + b) over z's positions, leaving the pads at zero, so that the
+    caller's adding dy there makes u with dz = u * scale. The rule runs once.
     """
     batch, width, ch = z.shape
-    n = batch * width
+    n = batch * (width - 1)
     _require(gamma.shape == bias.shape == (ch,), f"batchnorm1d affine params must be ({ch},)")
     _require(n >= 2, "batchnorm1d train mode needs >= 2 elements per channel")
-    rows = z.reshape(n, ch)
+    rows = z.reshape(-1, ch)
     mean = _column_sums(rows) / n
+    # Whole-buffer passes, then the pads again: a strided in-place pass over
+    # the positions alone costs up to twice as much at the encoder's sizes.
     flat, tiled = _tiled(z, mean)
     flat -= tiled
+    z[:, -1] = 0.0
     var = np.einsum("ij,ij->j", rows, rows) / n
     running_mean *= 1.0 - BN_MOMENTUM
     running_mean += BN_MOMENTUM * (mean + bias)
@@ -193,72 +225,70 @@ def _batchnorm(z: np.ndarray, gamma: np.ndarray, bias: np.ndarray,
     running_var += BN_MOMENTUM * var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     scale = gamma * inv_std
-    out = np.multiply(*_tiled(z, scale))
+    valid = z[:, :-1]
+    out = np.multiply(*_tiled(valid, scale))
 
-    def back(dy: np.ndarray, dbeta: np.ndarray):
+    def back(dyz: np.ndarray, dbeta: np.ndarray):
         # With xhat = z * inv_std: dgamma = sum(dy * xhat) and
-        # dz = scale * (dy - dbeta / n - xhat * dgamma / n).
-        dgamma = np.einsum("bwc,bwc->c", dy, z)
-        dgamma *= inv_std
-        # z is dead once dgamma is out, so the centring term takes its buffer.
-        flat, tiled = _tiled(z, dgamma * inv_std / n)
+        # dz = scale * (dy - dbeta / n - xhat * dgamma / n) = scale * (dy - z * a - b).
+        dgamma = dyz * inv_std
+        flat, tiled = _tiled(z, -(dgamma * inv_std / n))
         flat *= tiled
-        flat += _tiled(z, dbeta / n)[1]
-        dy -= z
+        flat -= _tiled(z, dbeta / n)[1]
+        z[:, -1] = 0.0
         return dgamma
 
-    return out.reshape(z.shape), scale, back
+    return out.reshape(valid.shape), scale, back
 
 
 def _first_max(tiles: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Bool mask over tiles (B, W', window, C) of each window's first maximum.
 
     Every tap that equals its window's maximum, then only the first: free
-    marks the slots no earlier tap has taken; a tap's hits are within free,
-    so xor clears the slots it takes.
+    marks the slots no earlier tap has taken, which after the first tap are
+    those it missed; a tap's hits are within free, so xor clears the slots
+    it takes.
     """
     hit = tiles == out[:, :, None]
-    free = np.ones(out.shape, dtype=bool)
-    for j in range(tiles.shape[2]):
+    free = ~hit[:, :, 0]
+    for j in range(1, tiles.shape[2]):
         hit[:, :, j] &= free
         free ^= hit[:, :, j]
     return hit
 
 
-def _routed(g: np.ndarray, hit: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """The pool's dx (B, W, C), written into dx: g at each window's first maximum, else 0."""
-    used = hit.shape[1] * hit.shape[2]
-    np.multiply(g[:, :, None], hit, out=dx[:, :used].reshape(hit.shape))
-    dx[:, used:] = 0.0
-    return dx
+def _tiles(x: np.ndarray, window: int) -> np.ndarray:
+    """x (B, W, C) viewed as (B, W // window, window, C), the remainder dropped."""
+    batch, width, ch = x.shape
+    return x[:, : width // window * window].reshape(batch, width // window, window, ch)
 
 
 def _maxpool(x: np.ndarray, window: int, route: bool = False):
     """Non-overlapping max pool over the width of channels-last x (B, W, C).
 
     Stride == window, trailing remainder dropped; the gradient goes to each
-    window's first maximum (ties go to the first, as with argmax). With
-    `route`, the forward also builds that routing as a bool mask while x is
-    hot in cache, and the rule keeps only the mask. Without it the forward
-    keeps only the running max and the rule g -> dx finds the routing from
-    x and the max when it runs, so a pass without a tape builds none. The
-    routed rule (g, dx) -> dx instead writes into the caller's dx (B, W, C),
-    which may be a view whose rows are C-ordered. Returns (B, W // window, C)
-    and the rule.
+    window's first maximum (ties go to the first, as with argmax). Returns
+    (B, W // window, C) and, with `route`, that routing as a bool mask over
+    `_tiles(x, window)`, built while x is hot in cache; the caller keeps the
+    mask alone. Without it the forward keeps only the running max, and
+    returns the rule g -> dx, which finds the routing from x and the max when
+    it runs, so a pass without a tape builds none.
     """
-    batch, width, ch = shape = x.shape
     _require(window >= 1, f"pool window must be >= 1, got {window}")
-    _require(window <= width, f"pool window {window} exceeds width {width}")
-    out_w = width // window
-    tiles = x[:, : out_w * window].reshape(batch, out_w, window, ch)
+    _require(window <= x.shape[1], f"pool window {window} exceeds width {x.shape[1]}")
+    tiles = _tiles(x, window)
     out = tiles[:, :, 0].copy()
     for j in range(1, window):
         np.maximum(out, tiles[:, :, j], out=out)
     if route:
-        # Neither x nor the max: the rule closes over the mask alone.
-        hit = _first_max(tiles, out)
-        return out, lambda g, dx: _routed(g, hit, dx)
-    return out, lambda g: _routed(g, _first_max(tiles, out), np.empty(shape))
+        return out, _first_max(tiles, out)
+
+    def back(g: np.ndarray):
+        dx = np.zeros(x.shape)
+        np.multiply(g[:, :, None], _first_max(tiles, out), out=_tiles(dx, window))
+        return dx
+
+    return out, back
 
 
 def conv_bn_relu(
@@ -281,8 +311,9 @@ def conv_bn_relu(
     gamma / sqrt(var + BN_EPS) (the batch's variance in train mode, the
     running one in eval mode); the per-channel shift and ReLU then apply to
     the pooled array. Eval mode is forward-only. The train-mode backward
-    keeps the centred conv output, the pool's routing mask and the output;
-    it reads x, which the tape keeps as an input, in place of im2col rows.
+    keeps the centred conv output in the conv's padded buffer, the pool's
+    routing mask and the output, and writes its conv output gradient over
+    that buffer; the conv rule reads x, which the tape keeps as an input.
     It returns no gradient for an x the tape does not track when the unit
     is recorded, such as the encoder's input.
     """
@@ -296,35 +327,40 @@ def conv_bn_relu(
         scale, shift = _bn_eval_map(gamma.data, beta.data, running_mean, running_var, bias.data)
         _require(kernel.data.ndim == 3 and kernel.shape[0] == scale.size,
                  f"conv1d kernel must be ({scale.size}, in_ch, 2), got {kernel.shape}")
-        # The conv of the scaled kernel, shifted below.
-        y, _ = _conv(_channels_last(x.data), kernel.data * scale[:, None, None])
+        # The conv of the scaled kernel, shifted below; its pads are left out.
+        y = _conv(_channels_last(x.data), kernel.data * scale[:, None, None])[0][:, :-1]
 
     if pool is None:
-        out = y
-        flat, tiled = _tiled(out, shift)
-        flat += tiled
+        # Train mode's y is a new array of its own; eval mode's is a view of
+        # the conv buffer, so the output is a new C-ordered array there.
+        flat, tiled = _tiled(y, shift)
+        out = np.add(flat, tiled, out=flat if training else None).reshape(y.shape)
     else:
-        pooled, pool_back = _maxpool(y, pool, route=training)
-        out = pooled + shift
+        out, hit = _maxpool(y, pool, route=training)
+        out += shift
     np.maximum(out, 0.0, out=out)
     if not training:
         return record_op(Tensor(out), (x, kernel, bias, gamma, beta), _no_eval_gradient)
-    batch, width, ch = y.shape
+    ch = out.shape[2]
     need_dx = tracked(x)
 
     def rule(g: np.ndarray):
-        # Batch norm's output gradient dy goes into the conv rule's padded
-        # buffer, and batch norm's rule turns it into u there.
-        d, dy = _padded_grad(batch, width, ch)
+        # Batch norm's output gradient dy goes into the conv buffer, where
+        # batch norm's rule has left -(z * a + b), to make u there.
+        centred = z[:, :-1]
         if pool is None:
-            np.multiply(g, out > 0, out=dy)
-            dshift = _column_sums(d)
+            dy = g * (out > 0)
+            dshift = _column_sums(dy)
+            dgamma = bn_back(np.einsum("bwc,bwc->c", dy, centred), dshift)
+            centred += dy
         else:
             g = g * (out > 0)
             dshift = _column_sums(g)
-            pool_back(g, dy)
-        dgamma = bn_back(dy, dshift)
-        dx, dk = conv_back(d, scale, need_dx)
+            tiles = _tiles(centred, pool)
+            dgamma = bn_back(np.einsum("bwc,bwjc,bwjc->c", g, hit, tiles), dshift)
+            for j in range(pool):
+                tiles[:, :, j] += g * hit[:, :, j]
+        dx, dk = conv_back(scale, need_dx)
         # The train-mode output does not depend on the bias at all.
         return (None if dx is None else dx.reshape(x.shape)), dk, np.zeros(ch), dgamma, dshift
 
@@ -356,17 +392,16 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     _require(x.data.ndim == 3, f"conv1d input must be (batch, ch, width), got {x.shape}")
     z, back = _conv(x.data.transpose(0, 2, 1), kernel.data)
     _require(bias.shape == (z.shape[2],), f"conv1d bias must be ({z.shape[2]},), got {bias.shape}")
-    z += bias.data
-    batch, width, out_ch = z.shape
+    # A new output array: the conv buffer is the rule's to write.
+    out = z[:, :-1] + bias.data
     need_dx = tracked(x)
 
     def rule(g: np.ndarray):
-        d, dz = _padded_grad(batch, width, out_ch)
-        dz[...] = g.transpose(0, 2, 1)
-        dx, dk = back(d, need_dx=need_dx)
-        return (None if dx is None else dx.transpose(0, 2, 1)), dk, _column_sums(d)
+        z[:, :-1] = g.transpose(0, 2, 1)
+        dx, dk = back(need_dx=need_dx)
+        return (None if dx is None else dx.transpose(0, 2, 1)), dk, _column_sums(z)
 
-    return record_op(Tensor(z.transpose(0, 2, 1)), (x, kernel, bias), rule)
+    return record_op(Tensor(out.transpose(0, 2, 1)), (x, kernel, bias), rule)
 
 
 def maxpool1d(x: Tensor, window: int) -> Tensor:
@@ -408,24 +443,27 @@ def batchnorm1d(
     batch, ch, width = x.shape
     _require(gamma.shape == (ch,) and beta.shape == (ch,),
              f"batchnorm1d affine params must be ({ch},)")
-    # A C-order (B, W, C) copy: the train-mode kernel centres it in place.
-    rows = np.array(x.data.transpose(0, 2, 1), order="C")
+    rows = x.data.transpose(0, 2, 1)
     if not training:
         scale, shift = _bn_eval_map(gamma.data, beta.data, running_mean, running_var,
                                     np.zeros(ch))
         out = rows * scale
         out += shift
         return record_op(Tensor(out.transpose(0, 2, 1)), (x, gamma, beta), _no_eval_gradient)
-    out, scale, bn_back = _batchnorm(rows, gamma.data, np.zeros(ch), running_mean, running_var)
+    # A padded C-order (B, W+1, C) copy, laid out as `_conv` leaves its
+    # output: the train-mode kernel centres it in place.
+    z = np.zeros((batch, width + 1, ch))
+    z[:, :-1] = rows
+    out, scale, bn_back = _batchnorm(z, gamma.data, np.zeros(ch), running_mean, running_var)
     out += beta.data
 
     def rule(g: np.ndarray):
-        # A C-order (B, W, C) copy, which bn_back overwrites with u.
         dy = np.array(g.transpose(0, 2, 1), order="C")
         dbeta = _column_sums(dy)
-        dgamma = bn_back(dy, dbeta)
-        dy *= scale
-        return dy.transpose(0, 2, 1), dgamma, dbeta
+        centred = z[:, :-1]
+        dgamma = bn_back(np.einsum("bwc,bwc->c", dy, centred), dbeta)
+        centred += dy
+        return (centred * scale).transpose(0, 2, 1), dgamma, dbeta
 
     return record_op(Tensor(out.transpose(0, 2, 1)), (x, gamma, beta), rule)
 

@@ -423,6 +423,12 @@ class TestPretrain:
         assert f"{flag[2:].replace('-', '_')} must be a finite number" in caplog.text
         assert not out.exists()
 
+    def test_bad_rate_is_reported_before_data_is_read(self, tmp_path, caplog):
+        """The pretraining settings are checked before --data is opened: exit 2, not 3."""
+        assert main(["pretrain", "--arch", "smaller-pack", "--data", str(tmp_path / "missing.npz"),
+                     "--out", str(tmp_path / "e.npz"), "--lr", "nan"]) == 2
+        assert "lr must be a finite number" in caplog.text
+
     def test_set_up_holds_one_copy_of_the_rows(self, workspace, tmp_path):
         """Held-out and training rows stay indices into the loaded matrix.
 

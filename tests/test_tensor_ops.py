@@ -11,6 +11,7 @@ from flowcl.errors import (
     InvalidLabelError,
     InvalidShapeError,
 )
+from flowcl.model import Conv, MaxPool, build_encoder, encode, preset_config
 from flowcl.numgrad import (
     Tape,
     Tensor,
@@ -26,6 +27,7 @@ from flowcl.numgrad import (
     relu,
     softmax_cross_entropy,
 )
+from flowcl.numgrad.ops import BN_EPS
 
 from oracles import fd_gradient, naive_conv1d, rel_error, spread_values
 
@@ -583,8 +585,10 @@ class TestConvBnReluPadding:
     def test_taped_unit_keeps_no_im2col_rows(self, pool):
         """A taped unit keeps its centred conv output, its output and its pool mask.
 
-        The im2col rows it used to keep were twice the size of its input,
-        as large again as all three here.
+        The centred output lives in the conv's buffer, with one pad position
+        per batch row and one zero row before the first. The im2col rows a
+        unit used to keep were twice the size of its input, as large again
+        as all three here.
         """
         rng = np.random.default_rng(41)
         batch, width, in_ch, out_ch = 16, 101, 32, 32
@@ -602,10 +606,118 @@ class TestConvBnReluPadding:
             tracemalloc.stop()
         assert len(tape) == 1
         out_w = (width - 1) // (pool or 1)
-        centred = batch * (width - 1) * out_ch * 8
+        centred = (batch * width + 1) * out_ch * 8
         out = batch * out_w * out_ch * 8
         mask = 0 if pool is None else batch * out_w * pool * out_ch  # one byte per bool
         assert kept <= centred + out + mask + 16 * 2**10, f"the unit kept {kept} bytes"
+
+
+def _im2col_unit(x, kernel, bias, gamma, beta, running_mean, running_var, pool):
+    """An eval-mode unit with its conv as np.concatenate im2col rows and one GEMM.
+
+    The folded eval path's float64 operations in the same order: the
+    kernel scaled by gamma / sqrt(running_var + BN_EPS), the pool, the
+    shift and the ReLU.
+    """
+    scale = gamma * (1.0 / np.sqrt(running_var + BN_EPS))
+    shift = (bias - running_mean) * scale
+    shift += beta
+    x = x if x.ndim == 3 else x[:, :, None]
+    batch, width, in_ch = x.shape
+    k2 = (kernel * scale[:, None, None]).transpose(2, 1, 0).reshape(2 * in_ch, -1)
+    rows = np.concatenate((x[:, :-1], x[:, 1:]), axis=2).reshape(-1, 2 * in_ch)
+    z = (rows @ k2).reshape(batch, width - 1, -1)
+    if pool is not None:
+        out_w = (width - 1) // pool
+        z = z[:, : out_w * pool].reshape(batch, out_w, pool, -1).max(axis=2)
+    return np.maximum(z + shift, 0.0)
+
+
+def _im2col_encode(block, x):
+    """`model.encode` in eval mode with every unit an `_im2col_unit`."""
+    out = x
+    convs = iter(block.convs)
+    specs = tuple(block.config.layers)
+    for prev, spec, nxt in zip((None,) + specs[:-1], specs, specs[1:] + (None,)):
+        if isinstance(spec, Conv):
+            layer = next(convs)
+            out = _im2col_unit(out, *(t.data for t in (layer.kernel, layer.bias, layer.gamma,
+                                                       layer.beta)),
+                               layer.running_mean, layer.running_var,
+                               nxt.window if isinstance(nxt, MaxPool) else None)
+        elif not isinstance(prev, Conv):
+            out_w = out.shape[1] // spec.window
+            out = out[:, : out_w * spec.window].reshape(len(out), out_w, spec.window, -1).max(axis=2)
+    return out.max(axis=1)
+
+
+def _random_statistics(block, rng):
+    """Give each conv layer of block random batch-norm parameters and running statistics."""
+    for layer in block.convs:
+        ch = layer.gamma.data.size
+        layer.gamma.data[...] = rng.normal(size=ch)
+        layer.beta.data[...] = rng.normal(size=ch)
+        layer.bias.data[...] = rng.normal(size=ch)
+        layer.running_mean[...] = rng.normal(size=ch)
+        layer.running_var[...] = rng.uniform(0.5, 2.0, size=ch)
+
+
+class TestConvPairRows:
+    """The conv reads its input in place: output row r pairs flat input rows r and r+1.
+
+    Eval-mode outputs must equal an im2col reference bit for bit, at the
+    shapes where the pairing has edges: an odd or even number of flat rows
+    (B*W), a conv output of width 1, one input channel, one batch row and a
+    pool that drops a remainder.
+    """
+
+    @pytest.mark.parametrize("batch,width,in_ch,pool", [
+        (3, 5, 2, None),  # B*W odd
+        (4, 5, 3, None),  # B*W even
+        (3, 2, 3, None),  # conv output width 1
+        (5, 2, 1, None),  # conv output width 1, one input channel, B*W odd
+        (4, 9, 1, 3),  # one input channel; conv output 8, two positions dropped
+        (1, 9, 2, 3),  # one batch row; conv output 8, two positions dropped
+        (1, 2, 1, None),  # one batch row of one output position
+        (2, 8, 4, 2),  # conv output 7, one position dropped
+        (6, 37, 8, 3),
+    ])
+    def test_eval_unit_matches_im2col(self, batch, width, in_ch, pool):
+        rng = np.random.default_rng(43)
+        shape = (batch, width) if in_ch == 1 else (batch, width, in_ch)
+        x = rng.normal(size=shape)
+        params = [rng.normal(size=(5, in_ch, 2)), rng.normal(size=5), rng.normal(size=5),
+                  rng.normal(size=5)]
+        stats = rng.normal(size=5), rng.uniform(0.5, 2.0, size=5)
+        out = conv_bn_relu(*(Tensor(v) for v in [x] + params), *stats, training=False,
+                           pool=pool)
+        np.testing.assert_array_equal(out.data, _im2col_unit(x, *params, *stats, pool))
+
+    @pytest.mark.parametrize("preset,width", [("smaller-pack", 196), ("smaller-pack", 37),
+                                              ("larger-pack", 200)])
+    def test_eval_encode_matches_im2col(self, preset, width):
+        rng = np.random.default_rng(47)
+        block, _ = build_encoder(preset_config(preset, width), seed=1)
+        _random_statistics(block, rng)
+        x = rng.uniform(size=(5, width))
+        np.testing.assert_array_equal(encode(block, x).data, _im2col_encode(block, x))
+
+    def test_eval_chunk_builds_no_im2col_rows(self):
+        """A 64-row eval chunk at UNSW width peaks at about 22 MB.
+
+        It peaked at 30.4 MB while each conv built im2col rows beside its
+        output.
+        """
+        block, _ = build_encoder(preset_config("smaller-pack", 196), seed=0)
+        x = np.random.default_rng(0).uniform(size=(64, 196))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            encode(block, x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25 * 2**20, f"the eval chunk peaked at {peak / 2**20:.1f} MB"
 
 
 class TestRelu:
