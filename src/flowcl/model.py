@@ -2,13 +2,15 @@
 
 An encoder is a declarative stack of Conv/MaxPool specs. Every Conv means:
 kernel width 2, stride 1, bias, batch norm, ReLU, run as one fused
-channels-last unit (`numgrad.conv_bn_relu`) together with the MaxPool right
-after it, if any. The encoded flow record enters as
-a single-channel 1D signal, activations stay (batch, width, channels), and a
-global max pool after the last layer collapses whatever spatial width
-remains, so the hidden vector h is always exactly hidden_dim wide regardless
-of the input schema's width. The projection g and the classification heads
-are single affine maps. Kernels keep the (out_ch, in_ch, 2) layout of
+channels-last unit together with the MaxPool specs right after it, if any.
+The encoded flow record enters as a single-channel 1D signal, activations
+stay (batch, width, channels), and a global max pool after the last layer
+collapses whatever spatial width remains, so the hidden vector h is always
+exactly hidden_dim wide regardless of the input schema's width. From the
+first Conv on, the whole stack, global pool included, is one op and one tape
+entry (`numgrad.conv_stack`); a pool before the first Conv is its own
+`numgrad.maxpool_cl`. The projection g and the classification heads are
+single affine maps. Kernels keep the (out_ch, in_ch, 2) layout of
 `numgrad.conv1d`, so checkpoints do not depend on the activation layout.
 
 Two presets mirror the reference architecture pair: "smaller-pack"
@@ -297,11 +299,17 @@ def encode(block: EncoderBlock, x, training: bool = False) -> Tensor:
     """Forward a [batch, width] batch through e to h of shape [batch, hidden].
 
     Activations stay channels-last, (batch, width, channels), with the input
-    read as one channel. Each Conv is one fused conv/BN/ReLU op that also runs
-    the MaxPool right after it; a pool with no conv just before it is its own
-    op. A taped pass records one entry per unit plus the global pool.
-    Eval mode reads the frozen BN running stats and mutates nothing; train
-    mode normalizes by batch statistics and updates the running stats.
+    read as one channel. Each pool before the first Conv is one
+    `maxpool_cl` op; the rest is one `conv_stack` op. In it, each Conv is a
+    fused conv/BN/ReLU unit whose pool window is the product of the MaxPool
+    windows right after it (non-overlapping pools compose), and the global
+    pool widens the last unit's window over its whole pooled width. A taped
+    pass records one entry for the stack. It keeps each unit's centred conv
+    output and, for a pooled unit, its bool routing mask and its output; an
+    unpooled unit's output is rebuilt in the backward, which writes each
+    input gradient over the activation it replaces. Eval mode reads the
+    frozen BN running stats and mutates nothing; train mode normalizes by
+    batch statistics and updates the running stats.
     """
     xt = ng.as_tensor(x)
     if xt.data.ndim != 2:
@@ -312,18 +320,20 @@ def encode(block: EncoderBlock, x, training: bool = False) -> Tensor:
             f"configured width {block.config.input_width}")
     if xt.data.shape[0] == 0:
         raise InvalidShapeError(f"cannot encode an empty batch (shape {xt.data.shape})")
-    out = xt
-    conv_iter = iter(block.convs)
     specs = tuple(block.config.layers)
-    for prev, spec, nxt in zip((None,) + specs[:-1], specs, specs[1:] + (None,)):
+    first = next(i for i, spec in enumerate(specs) if isinstance(spec, Conv))
+    out = xt
+    for spec in specs[:first]:
+        out = ng.maxpool_cl(out, spec.window)
+    windows = []
+    for spec in specs[first:]:
         if isinstance(spec, Conv):
-            layer = next(conv_iter)
-            out = ng.conv_bn_relu(out, layer.kernel, layer.bias, layer.gamma, layer.beta,
-                                  layer.running_mean, layer.running_var, training=training,
-                                  pool=nxt.window if isinstance(nxt, MaxPool) else None)
-        elif not isinstance(prev, Conv):
-            out = ng.maxpool_cl(out, spec.window)
-    return ng.global_maxpool_cl(out)
+            windows.append(None)
+        else:
+            windows[-1] = (windows[-1] or 1) * spec.window
+    units = [(layer.kernel, layer.bias, layer.gamma, layer.beta, layer.running_mean,
+              layer.running_var, window) for layer, window in zip(block.convs, windows)]
+    return ng.conv_stack(out, units, training=training, global_pool=True)
 
 
 def project(head: ProjectionHead, h) -> Tensor:

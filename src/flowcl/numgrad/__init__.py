@@ -6,6 +6,7 @@ from .ops import (
     batchnorm1d,
     conv1d,
     conv_bn_relu,
+    conv_stack,
     cosine_similarity,
     global_maxpool1d,
     global_maxpool_cl,
@@ -29,6 +30,7 @@ __all__ = [
     "batchnorm1d",
     "conv1d",
     "conv_bn_relu",
+    "conv_stack",
     "cosine_similarity",
     "global_maxpool1d",
     "global_maxpool_cl",

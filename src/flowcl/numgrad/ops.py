@@ -7,10 +7,11 @@ one documented exception).
 
 The encoder's conv, batch norm and max pool math exists once, as kernels over
 channels-last activations: (batch, width, channels) arrays whose rows are
-contiguous channel vectors, so batch norm reduces over rows. The encoder
-runs in units: `conv_bn_relu` is one conv, batch norm and ReLU plus an
-optional max pool, one tape entry each, and `maxpool_cl` and
-`global_maxpool_cl` cover the pools with no conv just before them. The
+contiguous channel vectors, so batch norm reduces over rows. The encoder's
+conv stack is one op and one tape entry, `conv_stack`: a run of units, each
+one conv, batch norm and ReLU plus an optional max pool, optionally ending in
+a global max pool. `conv_bn_relu` is its one-unit case; `maxpool_cl` and
+`global_maxpool_cl` cover pools with no conv just before them. The
 (batch, channels, width) primitives `conv1d`, `batchnorm1d`, `maxpool1d` and
 `global_maxpool1d` are transposing wrappers over the same kernels.
 
@@ -19,23 +20,40 @@ The width-2 conv reads its input in place, in every pass. In a C-ordered
 position r is a (2 * C_in)-long run of the input itself: two GEMMs over two
 overlapping views write the conv output into a (B, W, C_out) buffer whose
 last position in each batch row is a zero pad (`_conv`). No pass builds
-im2col rows. The same buffer is the conv rule's output gradient: the pads
+im2col rows; a conv with one input channel makes its 2-value pair rows and
+runs one GEMM. The same buffer is the conv rule's output gradient: the pads
 make each flat-row pair that straddles two batch rows add nothing, in the
 kernel gradient and in dx, which is the same pair trick in reverse.
 
 Adding a per-channel shift and ReLU both preserve order, so a unit pools
-first and shifts and rectifies the pooled array. Train-mode batch norm
-leaves out the conv bias, which the batch mean cancels, keeps the centred
-conv output in the conv's buffer, with its statistics taken over the
-positions that are not pads, and folds gamma / sqrt(var + BN_EPS) into the
-backward GEMMs' small operands. A train-mode unit's backward writes
-u = dy - z * a - b, its conv output gradient over the scale, over that
-centred output, so the conv rule allocates no gradient buffer: a pooled
-unit takes dgamma from the pooled gradient, the pool's routing mask and the
-centred output in one einsum and then adds the routed gradient into the
-buffer one pool tap at a time, with no routed copy. The unit's per-channel
-sums, the batch mean and dbeta, are ones-vector GEMVs, several times faster
-than numpy's axis-0 reduction.
+first and shifts and rectifies the pooled array. Non-overlapping max pools
+compose: the pools after one conv are one window of their product, and a
+global max after the last unit widens that unit's window over the whole
+pooled width, the same function with the same first-of-equals routing.
+Train-mode batch norm leaves out the conv bias, which the batch mean
+cancels, keeps the centred conv output in the conv's buffer, with its
+statistics taken over the positions that are not pads, and folds
+gamma / sqrt(var + BN_EPS) into the backward GEMMs' small operands. A
+pooled train-mode unit scales and pools that buffer a block of batch rows at
+a time (POOL_BLOCK elements) through one scratch array, so no full-size
+scaled copy is made. A unit's backward writes u = dy - z * a - b, its conv
+output gradient over the scale, over that centred output, so the conv rule
+allocates no gradient buffer: a pooled unit takes dgamma from the pooled
+gradient, the pool's routing mask and the centred output in one einsum and
+then adds the routed gradient into the buffer one pool tap at a time, with
+no routed copy. The unit's per-channel sums, the batch mean and dbeta, are
+ones-vector GEMVs, several times faster than numpy's axis-0 reduction. The
+kernel gradient comes back C-ordered in the kernel's layout, so AdamW
+gathers it with one copy.
+
+What a taped stack keeps is each unit's conv buffer, and a pooled unit's
+bool routing mask and output; an unpooled unit's output, which only the
+next unit's conv reads, is dropped in the forward and rebuilt from the
+unit's buffer, with the same bits, just before the next unit's kernel
+gradient. Once a unit has its kernel gradient, it writes its input gradient
+over its input, the previous unit's output, which is dead by then, and
+applies that unit's ReLU mask in place, so no unit but the first allocates
+an input gradient.
 
 Eval mode, which every frozen-feature pass uses, folds batch norm into the
 conv: `_bn_eval_map` turns the running statistics, gamma, beta and the conv
@@ -49,8 +67,8 @@ pooled max. Eval units and the standalone pools keep only the running max;
 the standalone pools' rules find each window's first maximum from the input
 they hold, so an untaped pass builds no routing arrays. Each backward rule
 runs once, as `backward` consumes its tape, so a rule may write over the
-arrays it saved once they are dead. No rule writes into its own output: the
-next unit's conv rule reads it as that unit's input.
+arrays it saved once they are dead. No rule writes into its own input or
+output, which other ops' rules or the caller may still read.
 
 The linear head's math likewise exists once: `_affine` and
 `_softmax_ce_grad` serve the taped `affine` and `softmax_cross_entropy` and
@@ -68,6 +86,10 @@ from .tensor import Tensor, as_tensor, record_op, tracked
 
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
+# Elements per block of a train-mode unit's scale-and-pool pass, which
+# takes whole batch rows (one at least): the block's scaled conv output
+# stands in for a full-size scaled copy.
+POOL_BLOCK = 1 << 17
 
 
 def _require(cond: bool, message: str) -> None:
@@ -88,9 +110,16 @@ def _pair_gemm(flat: np.ndarray, k2: np.ndarray, rows: np.ndarray) -> None:
     so rows r and r+1 are adjacent: the pairs that start at an even r are
     flat viewed as (., 2c) rows, and those at an odd r the same view shifted
     by c. Two GEMMs write into the even and the odd rows of rows, which may
-    be a strided view whose rows are C-ordered. Nothing is copied.
+    be a strided view whose rows are C-ordered. Nothing is copied, except
+    with c == 1: there two GEMMs that each write every other row take about
+    3.5x one GEMM into contiguous rows, so the (n, 2) pair rows are made
+    (16 bytes a row) and multiplied in one GEMM.
     """
     c = len(k2) // 2
+    if c == 1:
+        n = len(rows)
+        np.matmul(np.stack((flat[:n], flat[1: n + 1]), axis=1), k2, out=rows)
+        return
     even, odd = (len(rows) + 1) // 2, len(rows) // 2
     np.matmul(flat[: 2 * c * even].reshape(even, 2 * c), k2, out=rows[0::2])
     np.matmul(flat[c: c + 2 * c * odd].reshape(odd, 2 * c), k2, out=rows[1::2])
@@ -99,20 +128,12 @@ def _pair_gemm(flat: np.ndarray, k2: np.ndarray, rows: np.ndarray) -> None:
 def _conv(x: np.ndarray, kernel: np.ndarray):
     """Width-2 valid conv of channels-last x (B, W, Cin), no bias, read in place.
 
-    Returns z (B, W, Cout) and the rule (scale, need_dx) -> (dx, dkernel).
-    z[:, :W-1] is the conv output and z[:, W-1] is zero, one pad position
-    per batch row: in flat (B*W, Cout) rows, output row r pairs input rows
-    r and r+1 (`_pair_gemm`), so the pair that straddles two batch rows
-    lands on a pad, which is then zeroed.
-
-    z is the rule's buffer too. Before the rule runs, the caller writes u
-    over z's first W-1 positions, where the output gradient is
-    dz = u * scale, and leaves the pads at zero. The rule keeps x and folds
-    the per-output-channel scale into the GEMMs' small operands. In flat
-    rows, X[r+1] pairs with U[r], and dx[r] is the pair (U[r-1], U[r])
-    times the scaled taps stacked in (1, 0) order; a pair across two batch
-    rows meets a pad, and row 0's pair a zero row kept just before z. dx is
-    None when need_dx is false.
+    Returns the (B*W + 1, Cout) buffer and z, its rows after the first
+    viewed as (B, W, Cout). z[:, :W-1] is the conv output and z[:, W-1] is
+    zero, one pad position per batch row: in flat (B*W, Cout) rows, output
+    row r pairs input rows r and r+1 (`_pair_gemm`), so the pair that
+    straddles two batch rows lands on a pad, which is then zeroed. The
+    buffer is the conv rule's too (`_conv_grads`).
     """
     _require(kernel.ndim == 3 and kernel.shape[2] == 2,
              f"conv1d kernel must be (out_ch, in_ch, 2), got {kernel.shape}")
@@ -122,31 +143,44 @@ def _conv(x: np.ndarray, kernel: np.ndarray):
     _require(width >= 2, f"conv1d needs width >= 2, got {width}")
     _require(kernel.shape[1] == in_ch,
              f"conv1d channel mismatch: input has {in_ch}, kernel expects {kernel.shape[1]}")
-    n = batch * width
-    buf = np.empty((n + 1, out_ch))
+    buf = np.empty((batch * width + 1, out_ch))
     z = buf[1:].reshape(batch, width, out_ch)
     # The (2 * in_ch, out_ch) kernel operand holds kernel[o, i, tap] at row
     # tap * in_ch + i, the order of an im2col row's values.
     _pair_gemm(x.reshape(-1), kernel.transpose(2, 1, 0).reshape(2 * in_ch, out_ch), buf[1:-1])
     z[:, -1] = 0.0
+    return buf, z
 
-    def back(scale=1.0, need_dx: bool = True):
-        u = buf[1:]
-        rows = x.reshape(-1, in_ch)
-        dk = np.empty((2, in_ch, out_ch))
-        np.matmul(rows.T, u, out=dk[0])
-        np.matmul(rows[1:].T, u[:-1], out=dk[1])
-        dk *= scale
-        dk = dk.transpose(2, 1, 0)
-        if not need_dx:
-            return None, dk
+
+def _conv_grads(buf: np.ndarray, x: np.ndarray, kernel: np.ndarray, scale=1.0,
+                dx: np.ndarray | None = None) -> np.ndarray:
+    """The conv rule: the kernel gradient, and dx written into dx if given.
+
+    buf is `_conv`'s buffer of the conv of the C-ordered x. Before the rule
+    runs, the caller writes u over its conv output positions, where the
+    output gradient is dz = u * scale, and leaves the pads at zero. The
+    per-output-channel scale is folded into the small operands: the kernel
+    gradient comes back C-ordered in the kernel's (out, in, 2) layout, the
+    scale applied in the pass that transposes it. In flat rows, X[r+1]
+    pairs with U[r], and dx[r] is the pair (U[r-1], U[r]) times the scaled
+    taps stacked in (1, 0) order; a pair across two batch rows meets a pad,
+    and row 0's pair the zero row written into buf[0]. x is read only for
+    the kernel gradient, so dx may be x's own storage.
+    """
+    out_ch, in_ch = kernel.shape[:2]
+    u = buf[1:]
+    rows = x.reshape(-1, in_ch)
+    taps = np.empty((2, in_ch, out_ch))
+    np.matmul(rows.T, u, out=taps[0])
+    np.matmul(rows[1:].T, u[:-1], out=taps[1])
+    dk = np.multiply(taps.transpose(2, 1, 0), np.reshape(scale, (-1, 1, 1)), order="C")
+    if dx is not None:
         buf[0] = 0.0
-        kt = np.multiply(kernel.transpose(2, 0, 1)[::-1], np.reshape(scale, (-1, 1)), order="C")
-        dx = np.empty((n, in_ch))
-        _pair_gemm(buf.reshape(-1), kt.reshape(2 * out_ch, in_ch), dx)
-        return dx.reshape(x.shape), dk
-
-    return z, back
+        # The scaled taps, C-ordered, over the raw kernel gradient, which is dead.
+        kt = taps.reshape(2, out_ch, in_ch)
+        np.multiply(kernel.transpose(2, 0, 1)[::-1], np.reshape(scale, (-1, 1)), out=kt)
+        _pair_gemm(buf.reshape(-1), kt.reshape(2 * out_ch, in_ch), dx.reshape(-1, in_ch))
+    return dk
 
 
 def _column_sums(a: np.ndarray) -> np.ndarray:
@@ -199,11 +233,11 @@ def _batchnorm(z: np.ndarray, gamma: np.ndarray, bias: np.ndarray,
     z (B, W+1, C) is a C-ordered buffer whose last position in each batch
     row is a zero pad, as `_conv` makes it. The batch mean cancels the
     per-channel bias, so the bias only enters the running mean. z's
-    (B, W, C) positions are centred in place and kept; the output is a new
-    (B, W, C) array z * scale with scale = gamma * inv_std, and the caller
-    adds beta (after any max pool, which commutes with adding a per-channel
-    constant). Returns the output, scale and the rule (dyz, dbeta) -> dgamma,
-    which takes sum(dy * z) and sum(dy) per channel and writes
+    (B, W, C) positions are centred in place and kept; the normalized
+    output is z * scale with scale = gamma * inv_std, which the caller
+    makes, and adds beta to (after any max pool, which commutes with adding
+    a per-channel constant). Returns scale and the rule (dyz, dbeta) ->
+    dgamma, which takes sum(dy * z) and sum(dy) per channel and writes
     -(z * a + b) over z's positions, leaving the pads at zero, so that the
     caller's adding dy there makes u with dz = u * scale. The rule runs once.
     """
@@ -225,8 +259,6 @@ def _batchnorm(z: np.ndarray, gamma: np.ndarray, bias: np.ndarray,
     running_var += BN_MOMENTUM * var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     scale = gamma * inv_std
-    valid = z[:, :-1]
-    out = np.multiply(*_tiled(valid, scale))
 
     def back(dyz: np.ndarray, dbeta: np.ndarray):
         # With xhat = z * inv_std: dgamma = sum(dy * xhat) and
@@ -238,23 +270,53 @@ def _batchnorm(z: np.ndarray, gamma: np.ndarray, bias: np.ndarray,
         z[:, -1] = 0.0
         return dgamma
 
-    return out.reshape(valid.shape), scale, back
+    return scale, back
 
 
-def _first_max(tiles: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Bool mask over tiles (B, W', window, C) of each window's first maximum.
+def _scaled(z: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """z[:, :-1] * scale as a new (B, W-1, C) array, z a padded (B, W, C) buffer view."""
+    valid = z[:, :-1]
+    return np.multiply(*_tiled(valid, scale)).reshape(valid.shape)
 
-    Every tap that equals its window's maximum, then only the first: free
-    marks the slots no earlier tap has taken, which after the first tap are
-    those it missed; a tap's hits are within free, so xor clears the slots
-    it takes.
+
+def _shift_relu(y: np.ndarray, shift: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """relu(y + shift) of y (B, W, C) and a per-channel shift.
+
+    Written into out, which may be y itself, or into a new array.
     """
-    hit = tiles == out[:, :, None]
+    flat, tiled = _tiled(y, shift)
+    res = np.add(flat, tiled, out=None if out is None else out.reshape(len(out), -1))
+    np.maximum(res, 0.0, out=res)
+    return res.reshape(y.shape)
+
+
+def _unpooled_output(z: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """relu(z[:, :-1] * scale + shift) as a new array: a train-mode unit's output without a pool.
+
+    The forward makes it, and the next unit's rule makes it again from the
+    same z, with the same bits.
+    """
+    y = _scaled(z, scale)
+    return _shift_relu(y, shift, out=y)
+
+
+def _keep_first(hit: np.ndarray) -> np.ndarray:
+    """Clear every hit of a (B, W', window, C) bool mask but each window's first.
+
+    free marks the slots no earlier tap has taken, which after the first tap
+    are those it missed; a tap's hits are within free, so xor clears the
+    slots it takes.
+    """
     free = ~hit[:, :, 0]
-    for j in range(1, tiles.shape[2]):
+    for j in range(1, hit.shape[2]):
         hit[:, :, j] &= free
         free ^= hit[:, :, j]
     return hit
+
+
+def _first_max(tiles: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Bool mask over tiles (B, W', window, C) of each window's first maximum out."""
+    return _keep_first(tiles == out[:, :, None])
 
 
 def _tiles(x: np.ndarray, window: int) -> np.ndarray:
@@ -263,32 +325,198 @@ def _tiles(x: np.ndarray, window: int) -> np.ndarray:
     return x[:, : width // window * window].reshape(batch, width // window, window, ch)
 
 
-def _maxpool(x: np.ndarray, window: int, route: bool = False):
-    """Non-overlapping max pool over the width of channels-last x (B, W, C).
-
-    Stride == window, trailing remainder dropped; the gradient goes to each
-    window's first maximum (ties go to the first, as with argmax). Returns
-    (B, W // window, C) and, with `route`, that routing as a bool mask over
-    `_tiles(x, window)`, built while x is hot in cache; the caller keeps the
-    mask alone. Without it the forward keeps only the running max, and
-    returns the rule g -> dx, which finds the routing from x and the max when
-    it runs, so a pass without a tape builds none.
-    """
+def _check_window(window: int, width: int) -> None:
+    """A pool window must lie in [1, width]."""
     _require(window >= 1, f"pool window must be >= 1, got {window}")
-    _require(window <= x.shape[1], f"pool window {window} exceeds width {x.shape[1]}")
+    _require(window <= width, f"pool window {window} exceeds width {width}")
+
+
+def _window_max(x: np.ndarray, window: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Each non-overlapping window's max over the width of x (B, W, C).
+
+    Stride == window, trailing remainder dropped; written into out if
+    given, else into a new (B, W // window, C) array.
+    """
     tiles = _tiles(x, window)
-    out = tiles[:, :, 0].copy()
+    if out is None:
+        out = tiles[:, :, 0].copy()
+    else:
+        out[...] = tiles[:, :, 0]
     for j in range(1, window):
         np.maximum(out, tiles[:, :, j], out=out)
-    if route:
-        return out, _first_max(tiles, out)
+    return out
+
+
+def _maxpool(x: np.ndarray, window: int):
+    """Non-overlapping max pool over the width of channels-last x (B, W, C).
+
+    Returns (B, W // window, C) and the rule g -> dx, which sends each
+    window's gradient to its first maximum (ties go to the first, as with
+    argmax). The forward keeps only the running max; the rule finds the
+    routing from x and the max when it runs, so a pass without a tape
+    builds none.
+    """
+    _check_window(window, x.shape[1])
+    out = _window_max(x, window)
 
     def back(g: np.ndarray):
         dx = np.zeros(x.shape)
-        np.multiply(g[:, :, None], _first_max(tiles, out), out=_tiles(dx, window))
+        np.multiply(g[:, :, None], _first_max(_tiles(x, window), out), out=_tiles(dx, window))
         return dx
 
     return out, back
+
+
+def _scaled_pool(z: np.ndarray, scale: np.ndarray, window: int):
+    """Max pool of z[:, :-1] * scale, z a padded (B, W, C) buffer view, and its routing.
+
+    Returns the pooled (B, (W-1) // window, C) array and each window's
+    first maximum as a bool mask over its windows. The scaled values are
+    made a block of whole batch rows at a time, about POOL_BLOCK elements,
+    in one scratch array, with the float64 products of a full-size scaled
+    copy, which is never made.
+    """
+    batch, width, ch = z.shape
+    valid = z[:, :-1]
+    out = np.empty((batch, (width - 1) // window, ch))
+    hit = np.empty((batch, (width - 1) // window, window, ch), dtype=bool)
+    rows = min(batch, max(1, POOL_BLOCK // ((width - 1) * ch)))
+    scratch = np.empty((rows, width - 1, ch))
+    tiled = _tiled(scratch, scale)[1]
+    for lo in range(0, batch, rows):
+        hi = min(lo + rows, batch)
+        s = scratch[: hi - lo]
+        np.multiply(valid[lo:hi].reshape(hi - lo, -1), tiled, out=s.reshape(hi - lo, -1))
+        np.equal(_tiles(s, window), _window_max(s, window, out[lo:hi])[:, :, None],
+                 out=hit[lo:hi])
+    return out, _keep_first(hit)
+
+
+def _eval_unit(x: np.ndarray, kernel: np.ndarray, shift: np.ndarray,
+               window: int | None) -> np.ndarray:
+    """relu(maxpool(conv(x)) + shift) as a new C-ordered array, the kernel's scale folded in.
+
+    The pool, if any, reads the conv's buffer in place; the buffer dies on return.
+    """
+    y = _conv(x, kernel)[1][:, :-1]
+    if window is None:
+        return _shift_relu(y, shift)
+    out = _window_max(y, window)
+    return _shift_relu(out, shift, out=out)
+
+
+def _unit_window(width: int, pool: int | None, global_pool: bool) -> int | None:
+    """The pool window of a unit whose conv output is `width` wide.
+
+    With global_pool the window widens over every window the pool leaves
+    (the whole width without a pool), so one max is the global max of the
+    pooled output, with the same first-of-equals routing.
+    """
+    if pool is not None:
+        _check_window(pool, width)
+    if not global_pool:
+        return pool
+    return width // (pool or 1) * (pool or 1)
+
+
+def conv_stack(x: Tensor, units, training: bool, global_pool: bool = False) -> Tensor:
+    """A run of encoder units, each relu(batchnorm1d(conv1d(.))) and an optional max pool.
+
+    units is a sequence of (kernel, bias, gamma, beta, running_mean,
+    running_var, pool), pool a window or None. Channels-last: x (B, W, C_in),
+    or (B, W) as one input channel; a unit maps (B, W, C) to
+    (B, W-1, C_out), or to (B, (W-1) // pool, C_out) with a pool window.
+    With global_pool a global max pool over the width follows, so the
+    output is (B, C_out) of the last unit; it is folded into the last
+    unit's window (`_unit_window`). Same semantics as the chain of
+    one-unit `conv_bn_relu` ops and `global_maxpool_cl`, running
+    statistics included, and one tape entry. A unit pools its conv output
+    scaled by gamma / sqrt(var + BN_EPS) (the batch's variance in train
+    mode, the running one in eval mode); the per-channel shift and ReLU then
+    apply to the pooled array. Eval mode is forward-only.
+
+    A train-mode unit keeps the centred conv output in the conv's padded
+    buffer and, if pooled, its routing mask and its output; an unpooled
+    unit keeps no output, and the next unit's rule rebuilds it from that
+    buffer with the forward's float64 operations just before its kernel
+    gradient (the last unit's output is the op's own). The rule runs the
+    units in reverse: each writes its conv output gradient over its
+    buffer, takes its kernel gradient, then writes its input gradient over
+    its input, the previous unit's output, which is dead by then, and
+    applies that unit's ReLU mask in place; a unit's arrays are dropped as
+    soon as its gradients are out. The op never writes into x or its
+    output, and returns no gradient for an x the tape does not track when
+    the op is recorded, such as the encoder's input.
+    """
+    x = as_tensor(x)
+    _require(len(units) >= 1, "conv_stack needs at least one unit")
+    units = [tuple(as_tensor(t) for t in unit[:4]) + tuple(unit[4:]) for unit in units]
+    params = [t for unit in units for t in unit[:4]]
+    x_in = np.ascontiguousarray(_channels_last(x.data))
+    a = x_in
+    saved = []
+    for i, (kernel, bias, gamma, beta, running_mean, running_var, pool) in enumerate(units):
+        window = _unit_window(a.shape[1] - 1, pool, global_pool and i == len(units) - 1)
+        if not training:
+            scale, shift = _bn_eval_map(gamma.data, beta.data, running_mean, running_var,
+                                        bias.data)
+            _require(kernel.data.ndim == 3 and kernel.shape[0] == scale.size,
+                     f"conv1d kernel must be ({scale.size}, in_ch, 2), got {kernel.shape}")
+            a = _eval_unit(a, kernel.data * scale[:, None, None], shift, window)
+            continue
+        buf, z = _conv(a, kernel.data)
+        _require(beta.shape == (z.shape[2],), f"batchnorm1d affine params must be ({z.shape[2]},)")
+        scale, bn_back = _batchnorm(z, gamma.data, bias.data, running_mean, running_var)
+        if window is None:
+            a, hit = _unpooled_output(z, scale, beta.data), None
+        else:
+            a, hit = _scaled_pool(z, scale, window)
+            _shift_relu(a, beta.data, out=a)
+        keep = window is not None or i == len(units) - 1
+        saved.append((buf, z, scale, bn_back, window, hit, a if keep else None))
+    out = a[:, 0] if global_pool else a
+    if not training:
+        return record_op(Tensor(out), (x, *params), _no_eval_gradient)
+    need_dx = tracked(x)
+
+    def rule(g: np.ndarray):
+        grads = [None] * len(units)
+        # g is the caller's: the last unit's masked gradient is a new array.
+        last_out = saved[-1][6]
+        dy = g.reshape(last_out.shape) * (last_out > 0)
+        dx = None
+        for i in reversed(range(len(units))):
+            buf, z, scale, bn_back, window, hit, _ = saved[i]
+            saved[i] = None
+            # Batch norm's output gradient dy goes into the conv buffer,
+            # where batch norm's rule has left -(z * a + b), to make u there.
+            centred = z[:, :-1]
+            dshift = _column_sums(dy)
+            if window is None:
+                dgamma = bn_back(np.einsum("bwc,bwc->c", dy, centred), dshift)
+                centred += dy
+            else:
+                tiles = _tiles(centred, window)
+                dgamma = bn_back(np.einsum("bwc,bwjc,bwjc->c", dy, hit, tiles), dshift)
+                for j in range(window):
+                    tiles[:, :, j] += dy * hit[:, :, j]
+            kernel = units[i][0].data
+            if i == 0:
+                dx = np.empty(x_in.shape) if need_dx else None
+                dk = _conv_grads(buf, x_in, kernel, scale, dx)
+            else:
+                _, z_in, scale_in, *_, a_in = saved[i - 1]
+                if a_in is None:
+                    a_in = _unpooled_output(z_in, scale_in, units[i - 1][3].data)
+                live = a_in > 0
+                dk = _conv_grads(buf, a_in, kernel, scale, a_in)
+                np.multiply(a_in, live, out=a_in)
+                dy = a_in
+            # The train-mode output does not depend on the bias at all.
+            grads[i] = (dk, np.zeros(len(scale)), dgamma, dshift)
+        return (None if dx is None else dx.reshape(x.shape)), *(t for unit in grads for t in unit)
+
+    return record_op(Tensor(out), (x, *params), rule)
 
 
 def conv_bn_relu(
@@ -304,67 +532,12 @@ def conv_bn_relu(
 ) -> Tensor:
     """One encoder unit, relu(batchnorm1d(conv1d(x))), then an optional max pool.
 
-    Channels-last: x (B, W, C_in), or (B, W) as one input channel, maps to
-    (B, W-1, C_out), or to (B, (W-1) // pool, C_out) with a pool window. Same
-    semantics as the primitives in sequence, running statistics included,
-    and one tape entry. The pool runs on the conv output scaled by
-    gamma / sqrt(var + BN_EPS) (the batch's variance in train mode, the
-    running one in eval mode); the per-channel shift and ReLU then apply to
-    the pooled array. Eval mode is forward-only. The train-mode backward
-    keeps the centred conv output in the conv's padded buffer, the pool's
-    routing mask and the output, and writes its conv output gradient over
-    that buffer; the conv rule reads x, which the tape keeps as an input.
-    It returns no gradient for an x the tape does not track when the unit
-    is recorded, such as the encoder's input.
+    The one-unit `conv_stack`: x (B, W, C_in), or (B, W) as one input
+    channel, maps to (B, W-1, C_out), or to (B, (W-1) // pool, C_out) with
+    a pool window, in one tape entry.
     """
-    x, kernel, bias, gamma, beta = (as_tensor(t) for t in (x, kernel, bias, gamma, beta))
-    if training:
-        z, conv_back = _conv(_channels_last(x.data), kernel.data)
-        _require(beta.shape == (z.shape[2],), f"batchnorm1d affine params must be ({z.shape[2]},)")
-        y, scale, bn_back = _batchnorm(z, gamma.data, bias.data, running_mean, running_var)
-        shift = beta.data
-    else:
-        scale, shift = _bn_eval_map(gamma.data, beta.data, running_mean, running_var, bias.data)
-        _require(kernel.data.ndim == 3 and kernel.shape[0] == scale.size,
-                 f"conv1d kernel must be ({scale.size}, in_ch, 2), got {kernel.shape}")
-        # The conv of the scaled kernel, shifted below; its pads are left out.
-        y = _conv(_channels_last(x.data), kernel.data * scale[:, None, None])[0][:, :-1]
-
-    if pool is None:
-        # Train mode's y is a new array of its own; eval mode's is a view of
-        # the conv buffer, so the output is a new C-ordered array there.
-        flat, tiled = _tiled(y, shift)
-        out = np.add(flat, tiled, out=flat if training else None).reshape(y.shape)
-    else:
-        out, hit = _maxpool(y, pool, route=training)
-        out += shift
-    np.maximum(out, 0.0, out=out)
-    if not training:
-        return record_op(Tensor(out), (x, kernel, bias, gamma, beta), _no_eval_gradient)
-    ch = out.shape[2]
-    need_dx = tracked(x)
-
-    def rule(g: np.ndarray):
-        # Batch norm's output gradient dy goes into the conv buffer, where
-        # batch norm's rule has left -(z * a + b), to make u there.
-        centred = z[:, :-1]
-        if pool is None:
-            dy = g * (out > 0)
-            dshift = _column_sums(dy)
-            dgamma = bn_back(np.einsum("bwc,bwc->c", dy, centred), dshift)
-            centred += dy
-        else:
-            g = g * (out > 0)
-            dshift = _column_sums(g)
-            tiles = _tiles(centred, pool)
-            dgamma = bn_back(np.einsum("bwc,bwjc,bwjc->c", g, hit, tiles), dshift)
-            for j in range(pool):
-                tiles[:, :, j] += g * hit[:, :, j]
-        dx, dk = conv_back(scale, need_dx)
-        # The train-mode output does not depend on the bias at all.
-        return (None if dx is None else dx.reshape(x.shape)), dk, np.zeros(ch), dgamma, dshift
-
-    return record_op(Tensor(out), (x, kernel, bias, gamma, beta), rule)
+    return conv_stack(x, [(kernel, bias, gamma, beta, running_mean, running_var, pool)],
+                      training)
 
 
 def maxpool_cl(x: Tensor, window: int) -> Tensor:
@@ -390,7 +563,8 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """
     x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     _require(x.data.ndim == 3, f"conv1d input must be (batch, ch, width), got {x.shape}")
-    z, back = _conv(x.data.transpose(0, 2, 1), kernel.data)
+    rows = np.ascontiguousarray(x.data.transpose(0, 2, 1))
+    buf, z = _conv(rows, kernel.data)
     _require(bias.shape == (z.shape[2],), f"conv1d bias must be ({z.shape[2]},), got {bias.shape}")
     # A new output array: the conv buffer is the rule's to write.
     out = z[:, :-1] + bias.data
@@ -398,7 +572,8 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 
     def rule(g: np.ndarray):
         z[:, :-1] = g.transpose(0, 2, 1)
-        dx, dk = back(need_dx=need_dx)
+        dx = np.empty(rows.shape) if need_dx else None
+        dk = _conv_grads(buf, rows, kernel.data, dx=dx)
         return (None if dx is None else dx.transpose(0, 2, 1)), dk, _column_sums(z)
 
     return record_op(Tensor(out.transpose(0, 2, 1)), (x, kernel, bias), rule)
@@ -454,7 +629,8 @@ def batchnorm1d(
     # output: the train-mode kernel centres it in place.
     z = np.zeros((batch, width + 1, ch))
     z[:, :-1] = rows
-    out, scale, bn_back = _batchnorm(z, gamma.data, np.zeros(ch), running_mean, running_var)
+    scale, bn_back = _batchnorm(z, gamma.data, np.zeros(ch), running_mean, running_var)
+    out = _scaled(z, scale)
     out += beta.data
 
     def rule(g: np.ndarray):

@@ -22,9 +22,10 @@ class AdamW:
     float64 buffer and makes each Tensor's `data` a view of its slice, so a
     step is one elementwise update over all parameters, run one block of
     ADAMW_BLOCK elements at a time, and the first and second moments are one
-    array each. Every parameter needs a gradient at step() time: a missing
-    one raises ConfigError rather than leaving that parameter silently
-    untrained.
+    array each. A step gathers the gradients into one flat buffer made at
+    construction, one copy per C-ordered gradient. Every parameter needs a
+    gradient at step() time: a missing one raises ConfigError rather than
+    leaving that parameter silently untrained.
     """
 
     def __init__(self, params, lr: float = 2e-4, weight_decay: float = 0.01):
@@ -42,6 +43,7 @@ class AdamW:
             p.data = self._w[lo:hi].reshape(p.data.shape)
         self._m = np.zeros_like(self._w)
         self._v = np.zeros_like(self._w)
+        self._g = np.empty_like(self._w)
         # Per block: its slice, views of w, m and v, and the scratch it uses.
         scratch = np.empty(min(self._w.size, ADAMW_BLOCK))
         self._blocks = []
@@ -64,7 +66,7 @@ class AdamW:
         for p in self.params:
             if p.grad is None:
                 raise ConfigError(f"no gradient for parameter of shape {p.shape}")
-        g = np.concatenate([p.grad.ravel() for p in self.params])
+        g = np.concatenate([p.grad.ravel() for p in self.params], out=self._g)
         if not np.isfinite(g).all():
             bad = next(p for p in self.params if not np.isfinite(p.grad).all())
             raise NonFiniteGradientError(

@@ -28,7 +28,7 @@ from flowcl.errors import (
     InvalidBatchError,
     InvalidShapeError,
 )
-from flowcl.model import Conv, build_classification_head
+from flowcl.model import Conv, MaxPool, build_classification_head
 from flowcl.numgrad import AdamW, Tape, Tensor, backward
 from flowcl.seeding import substream
 from flowcl.synth import Record
@@ -101,6 +101,28 @@ def composed_encode(block, x, training: bool = False) -> Tensor:
         else:
             out = ng.maxpool1d(out, spec.window)
     return ng.global_maxpool1d(out)
+
+
+def unit_chain_encode(block, x, training: bool = False) -> Tensor:
+    """The encoder as a chain of one-unit channels-last ops, one tape entry each.
+
+    Each Conv is a `conv_bn_relu` that also runs the MaxPool right after it,
+    a pool with no conv just before it is a `maxpool_cl`, and
+    `global_maxpool_cl` ends the chain: the reference that `model.encode`'s
+    single `conv_stack` entry must match.
+    """
+    out = ng.as_tensor(x)
+    conv_iter = iter(block.convs)
+    specs = tuple(block.config.layers)
+    for prev, spec, nxt in zip((None,) + specs[:-1], specs, specs[1:] + (None,)):
+        if isinstance(spec, Conv):
+            layer = next(conv_iter)
+            out = ng.conv_bn_relu(out, layer.kernel, layer.bias, layer.gamma, layer.beta,
+                                  layer.running_mean, layer.running_var, training=training,
+                                  pool=nxt.window if isinstance(nxt, MaxPool) else None)
+        elif not isinstance(prev, Conv):
+            out = ng.maxpool_cl(out, spec.window)
+    return ng.global_maxpool_cl(out)
 
 
 def taped_train_head(features: np.ndarray, labels: np.ndarray, n_classes: int, config):

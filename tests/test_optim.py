@@ -1,5 +1,7 @@
 """AdamW update math and the exponential learning-rate schedule of `pretrain`."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,26 @@ class TestAdamW:
         for shapes in ([(3, 4), (5,), (2, 2, 2), (1,)],
                        [(ADAMW_BLOCK + 5,), (3, ADAMW_BLOCK // 3), (ADAMW_BLOCK // 2 + 1,)]):
             self._assert_bytes_match_reference(shapes)
+
+    def test_step_gathers_gradients_into_its_own_buffer(self):
+        """C-ordered gradients are copied once, into a buffer made at construction.
+
+        The non-finite check's bool mask, an eighth of the gradients' bytes,
+        is the step's largest allocation; the gather used to allocate a
+        gradient-sized array every step.
+        """
+        rng = np.random.default_rng(13)
+        ps = [Tensor(rng.normal(size=s), requires_grad=True) for s in ((64, 512, 2), (512,))]
+        opt = AdamW(ps)
+        for p in ps:
+            p.grad = rng.normal(size=p.shape)
+        tracemalloc.start()
+        try:
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= opt._w.nbytes // 4, f"the step allocated {peak} bytes"
 
     @staticmethod
     def _assert_bytes_match_reference(shapes):

@@ -11,7 +11,7 @@ from flowcl.errors import (
     InvalidLabelError,
     InvalidShapeError,
 )
-from flowcl.model import Conv, MaxPool, build_encoder, encode, preset_config
+from flowcl.model import Conv, EncoderConfig, MaxPool, build_encoder, encode, preset_config
 from flowcl.numgrad import (
     Tape,
     Tensor,
@@ -29,7 +29,7 @@ from flowcl.numgrad import (
 )
 from flowcl.numgrad.ops import BN_EPS
 
-from oracles import fd_gradient, naive_conv1d, rel_error, spread_values
+from oracles import fd_gradient, naive_conv1d, rel_error, spread_values, unit_chain_encode
 
 
 class TestTapeMechanics:
@@ -718,6 +718,76 @@ class TestConvPairRows:
         finally:
             tracemalloc.stop()
         assert peak <= 25 * 2**20, f"the eval chunk peaked at {peak / 2**20:.1f} MB"
+
+
+class TestConvStack:
+    """`model.encode`'s one `conv_stack` entry against the chain of one-unit ops.
+
+    The chain (`unit_chain_encode`) is one `conv_bn_relu` per conv with the
+    pool right after it, a `maxpool_cl` for every other pool and
+    `global_maxpool_cl`. The stack composes each conv's pools into one
+    window, folds the global max into the last unit's, keeps no output of an
+    unpooled unit and writes gradients over dead activations. Eval features,
+    train outputs and running statistics must be bit-identical; gradients
+    may differ by rounding. The cases: both presets at their UNSW widths
+    (larger-pack has three unpooled units), the desk-pipeline encoder, two
+    pools in a row, and a pool before the first conv.
+    """
+
+    CASES = {
+        "smaller-pack-196": preset_config("smaller-pack", 196),
+        "larger-pack-200": preset_config("larger-pack", 200),
+        "desk-16": EncoderConfig((Conv(16), MaxPool(2), Conv(32), MaxPool(2), Conv(64)), 16,
+                                 context_dim=32),
+        "two-pools": EncoderConfig((Conv(4), MaxPool(2), MaxPool(3), Conv(5), MaxPool(2)), 40,
+                                   context_dim=3),
+        "leading-pool": EncoderConfig((MaxPool(2), Conv(4), Conv(3), MaxPool(2), Conv(5)), 30,
+                                      context_dim=3),
+    }
+
+    @staticmethod
+    def _block(config):
+        block, _ = build_encoder(config, seed=2)
+        _random_statistics(block, np.random.default_rng(59))
+        return block
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_chain_of_units(self, case):
+        config = self.CASES[case]
+        rng = np.random.default_rng(53)
+        x0 = rng.uniform(size=(12, config.input_width))
+        block = self._block(config)
+        np.testing.assert_array_equal(encode(block, x0).data,
+                                      unit_chain_encode(block, x0).data)
+        weight = rng.normal(size=(12, config.hidden_dim))
+
+        def taped(encode_fn):
+            block = self._block(config)
+            x = Tensor(x0.copy(), requires_grad=True)
+            with Tape() as tape:
+                h = encode_fn(block, x, training=True)
+                loss = _weighted_sum(h, weight)
+            h_before = h.data.copy()
+            backward(loss, tape)
+            # Neither path writes into its input or its output.
+            np.testing.assert_array_equal(x.data, x0)
+            np.testing.assert_array_equal(h.data, h_before)
+            grads = [x.grad] + [p.grad for p in block.parameters()]
+            stats = [s for layer in block.convs for s in (layer.running_mean, layer.running_var)]
+            return h.data, grads, stats, len(tape)
+
+        h, grads, stats, entries = taped(encode)
+        h_ref, grads_ref, stats_ref, _ = taped(unit_chain_encode)
+        # A maxpool_cl per pool before the first conv, the stack, the weighted sum.
+        leading = next(i for i, spec in enumerate(config.layers) if isinstance(spec, Conv))
+        assert entries == leading + 2
+        np.testing.assert_array_equal(h, h_ref)
+        for got, want in zip(stats, stats_ref):
+            np.testing.assert_array_equal(got, want)
+        for i, (got, want) in enumerate(zip(grads, grads_ref)):
+            # Both paths return exact zeros for the conv biases, which
+            # train-mode batch norm cancels.
+            _assert_close_to_scale(got, want, f"gradient {i}")
 
 
 class TestRelu:
