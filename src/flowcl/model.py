@@ -304,12 +304,13 @@ def encode(block: EncoderBlock, x, training: bool = False) -> Tensor:
     fused conv/BN/ReLU unit whose pool window is the product of the MaxPool
     windows right after it (non-overlapping pools compose), and the global
     pool widens the last unit's window over its whole pooled width. A taped
-    pass records one entry for the stack. It keeps each unit's centred conv
-    output and, for a pooled unit, its bool routing mask and its output; an
-    unpooled unit's output is rebuilt in the backward, which writes each
-    input gradient over the activation it replaces. Eval mode reads the
-    frozen BN running stats and mutates nothing; train mode normalizes by
-    batch statistics and updates the running stats.
+    pass records one entry for the stack. It keeps each pooled unit's and
+    the last unit's centred conv output, output and routing mask; an
+    unpooled unit keeps only its batch statistics and is replayed in the
+    backward, which writes each input gradient over the activation it
+    replaces. Eval mode reads the frozen BN running stats and mutates
+    nothing; train mode normalizes by batch statistics and updates the
+    running stats.
     """
     xt = ng.as_tensor(x)
     if xt.data.ndim != 2:

@@ -5,11 +5,9 @@ from .ops import (
     affine,
     batchnorm1d,
     conv1d,
-    conv_bn_relu,
     conv_stack,
     cosine_similarity,
     global_maxpool1d,
-    global_maxpool_cl,
     maxpool1d,
     maxpool_cl,
     relu,
@@ -29,11 +27,9 @@ __all__ = [
     "backward",
     "batchnorm1d",
     "conv1d",
-    "conv_bn_relu",
     "conv_stack",
     "cosine_similarity",
     "global_maxpool1d",
-    "global_maxpool_cl",
     "load_arrays",
     "maxpool1d",
     "maxpool_cl",

@@ -10,10 +10,10 @@ channels-last activations: (batch, width, channels) arrays whose rows are
 contiguous channel vectors, so batch norm reduces over rows. The encoder's
 conv stack is one op and one tape entry, `conv_stack`: a run of units, each
 one conv, batch norm and ReLU plus an optional max pool, optionally ending in
-a global max pool. `conv_bn_relu` is its one-unit case; `maxpool_cl` and
-`global_maxpool_cl` cover pools with no conv just before them. The
-(batch, channels, width) primitives `conv1d`, `batchnorm1d`, `maxpool1d` and
-`global_maxpool1d` are transposing wrappers over the same kernels.
+a global max pool; `maxpool_cl` covers a pool with no conv just before it.
+The (batch, channels, width) primitives `conv1d`, `batchnorm1d`,
+`maxpool1d` and `global_maxpool1d` are transposing wrappers over the same
+kernels.
 
 The width-2 conv reads its input in place, in every pass. In a C-ordered
 (B, W, C_in) input, flat rows r and r+1 are adjacent, so the im2col row of
@@ -23,7 +23,16 @@ last position in each batch row is a zero pad (`_conv`). No pass builds
 im2col rows; a conv with one input channel makes its 2-value pair rows and
 runs one GEMM. The same buffer is the conv rule's output gradient: the pads
 make each flat-row pair that straddles two batch rows add nothing, in the
-kernel gradient and in dx, which is the same pair trick in reverse.
+kernel gradient and in dx, which is the same pair trick in reverse. The pair
+GEMMs of the forward and of dx run over blocks of rows, each left operand
+about GEMM_BLOCK elements: on more than one thread, OpenBLAS packs the whole
+tall operand of a call, so one call over a whole activation grows the
+process by about that operand's size. Unit 3's dx half GEMM at
+`smaller-pack` width 196, (6208, 256) @ (256, 64), grew it by 15.7 MiB on
+two BLAS threads as one call and by 4.6 MiB as 512-row calls (3.5 MiB
+either way on one thread). A GEMM's rows do not depend on the other rows of
+its call, so the blocks give the bits of one call. The kernel gradient's
+GEMMs sum over the rows, so each stays one call.
 
 Adding a per-channel shift and ReLU both preserve order, so a unit pools
 first and shifts and rectifies the pooled array. Non-overlapping max pools
@@ -46,11 +55,17 @@ ones-vector GEMVs, several times faster than numpy's axis-0 reduction. The
 kernel gradient comes back C-ordered in the kernel's layout, so AdamW
 gathers it with one copy.
 
-What a taped stack keeps is each unit's conv buffer, and a pooled unit's
-bool routing mask and output; an unpooled unit's output, which only the
-next unit's conv reads, is dropped in the forward and rebuilt from the
-unit's buffer, with the same bits, just before the next unit's kernel
-gradient. Once a unit has its kernel gradient, it writes its input gradient
+What a taped stack keeps is, for each pooled unit and the last unit, the
+conv buffer, the output and a pooled unit's bool routing mask; these are its
+checkpoints. Any other unit keeps only its batch mean and scale, and its
+buffer and output are dropped in the forward (activation checkpointing,
+Chen et al. 2016). The first backward turn that reads such a unit's output
+replays it and the dropped units before it from the nearest checkpoint, or
+from the op's input: each conv again, centred by the kept mean, with the
+forward's float64 operations and the same bits, and no running statistic
+touched. The replay costs an unpooled unit's conv and centring pass once
+more; at `smaller-pack` width 196 that is units 1-2, 9.6 MB less kept for 64
+views. Once a unit has its kernel gradient, it writes its input gradient
 over its input, the previous unit's output, which is dead by then, and
 applies that unit's ReLU mask in place, so no unit but the first allocates
 an input gradient.
@@ -90,6 +105,10 @@ BN_EPS = 1e-5
 # takes whole batch rows (one at least): the block's scaled conv output
 # stands in for a full-size scaled copy.
 POOL_BLOCK = 1 << 17
+# Elements of the left operand of each pair GEMM call (`_pair_gemm`): on
+# more than one thread OpenBLAS packs the whole tall operand of a call, so a
+# call over a whole activation grows the process by about that operand's size.
+GEMM_BLOCK = 1 << 17
 
 
 def _require(cond: bool, message: str) -> None:
@@ -114,15 +133,27 @@ def _pair_gemm(flat: np.ndarray, k2: np.ndarray, rows: np.ndarray) -> None:
     with c == 1: there two GEMMs that each write every other row take about
     3.5x one GEMM into contiguous rows, so the (n, 2) pair rows are made
     (16 bytes a row) and multiplied in one GEMM.
+
+    The GEMMs run over blocks of rows, each call a multiple of 4 rows of
+    at most GEMM_BLOCK elements (4 rows at least), so each row gets the
+    bits of one call on all of rows: a GEMM's rows do not depend on each
+    other, and a matrix-vector call (one output column) takes rows 4 at a
+    time from its first. A block shorter than 4 rows would make a one-row
+    call, which numpy hands to GEMV, with other rounding, so a tail that
+    short joins the block before it.
     """
     c = len(k2) // 2
-    if c == 1:
-        n = len(rows)
-        np.matmul(np.stack((flat[:n], flat[1: n + 1]), axis=1), k2, out=rows)
-        return
-    even, odd = (len(rows) + 1) // 2, len(rows) // 2
-    np.matmul(flat[: 2 * c * even].reshape(even, 2 * c), k2, out=rows[0::2])
-    np.matmul(flat[c: c + 2 * c * odd].reshape(odd, 2 * c), k2, out=rows[1::2])
+    n = len(rows)
+    step = max(4, GEMM_BLOCK // (2 * c) // 4 * 4) * (1 if c == 1 else 2)
+    for lo in range(0, max(n - 3, 1), step):
+        hi = lo + step if lo + step + 3 < n else n
+        src, out = flat[lo * c:], rows[lo:hi]
+        if c == 1:
+            np.matmul(np.stack((src[: hi - lo], src[1: hi - lo + 1]), axis=1), k2, out=out)
+            continue
+        even, odd = (hi - lo + 1) // 2, (hi - lo) // 2
+        np.matmul(src[: 2 * c * even].reshape(even, 2 * c), k2, out=out[0::2])
+        np.matmul(src[c: c + 2 * c * odd].reshape(odd, 2 * c), k2, out=out[1::2])
 
 
 def _conv(x: np.ndarray, kernel: np.ndarray):
@@ -226,6 +257,19 @@ def _tiled(a: np.ndarray, v: np.ndarray):
     return a.reshape(len(a), -1), v.reshape(1, -1).repeat(a.shape[1], axis=0).reshape(-1)
 
 
+def _centre(z: np.ndarray, mean: np.ndarray) -> None:
+    """Subtract the per-channel mean from a padded (B, W+1, C) buffer in place, pads left zero.
+
+    Whole-buffer passes, then the pads again: a strided in-place pass over
+    the positions alone costs up to twice as much at the encoder's sizes.
+    The train-mode forward and the backward's replay both centre this way,
+    with the same bits.
+    """
+    flat, tiled = _tiled(z, mean)
+    flat -= tiled
+    z[:, -1] = 0.0
+
+
 def _batchnorm(z: np.ndarray, gamma: np.ndarray, bias: np.ndarray,
                running_mean: np.ndarray, running_var: np.ndarray):
     """Train-mode batch norm of z + bias over z's rows but the pads, before beta.
@@ -233,11 +277,12 @@ def _batchnorm(z: np.ndarray, gamma: np.ndarray, bias: np.ndarray,
     z (B, W+1, C) is a C-ordered buffer whose last position in each batch
     row is a zero pad, as `_conv` makes it. The batch mean cancels the
     per-channel bias, so the bias only enters the running mean. z's
-    (B, W, C) positions are centred in place and kept; the normalized
+    (B, W, C) positions are centred in place (`_centre`); the normalized
     output is z * scale with scale = gamma * inv_std, which the caller
     makes, and adds beta to (after any max pool, which commutes with adding
-    a per-channel constant). Returns scale and the rule (dyz, dbeta) ->
-    dgamma, which takes sum(dy * z) and sum(dy) per channel and writes
+    a per-channel constant). Returns the batch mean, scale and the rule
+    (z, dyz, dbeta) -> dgamma. The rule takes the centred z, this one or a
+    replay of it, and sum(dy * z) and sum(dy) per channel, and writes
     -(z * a + b) over z's positions, leaving the pads at zero, so that the
     caller's adding dy there makes u with dz = u * scale. The rule runs once.
     """
@@ -247,11 +292,7 @@ def _batchnorm(z: np.ndarray, gamma: np.ndarray, bias: np.ndarray,
     _require(n >= 2, "batchnorm1d train mode needs >= 2 elements per channel")
     rows = z.reshape(-1, ch)
     mean = _column_sums(rows) / n
-    # Whole-buffer passes, then the pads again: a strided in-place pass over
-    # the positions alone costs up to twice as much at the encoder's sizes.
-    flat, tiled = _tiled(z, mean)
-    flat -= tiled
-    z[:, -1] = 0.0
+    _centre(z, mean)
     var = np.einsum("ij,ij->j", rows, rows) / n
     running_mean *= 1.0 - BN_MOMENTUM
     running_mean += BN_MOMENTUM * (mean + bias)
@@ -260,7 +301,7 @@ def _batchnorm(z: np.ndarray, gamma: np.ndarray, bias: np.ndarray,
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     scale = gamma * inv_std
 
-    def back(dyz: np.ndarray, dbeta: np.ndarray):
+    def back(z: np.ndarray, dyz: np.ndarray, dbeta: np.ndarray):
         # With xhat = z * inv_std: dgamma = sum(dy * xhat) and
         # dz = scale * (dy - dbeta / n - xhat * dgamma / n) = scale * (dy - z * a - b).
         dgamma = dyz * inv_std
@@ -270,7 +311,7 @@ def _batchnorm(z: np.ndarray, gamma: np.ndarray, bias: np.ndarray,
         z[:, -1] = 0.0
         return dgamma
 
-    return scale, back
+    return mean, scale, back
 
 
 def _scaled(z: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -293,8 +334,8 @@ def _shift_relu(y: np.ndarray, shift: np.ndarray, out: np.ndarray | None = None)
 def _unpooled_output(z: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """relu(z[:, :-1] * scale + shift) as a new array: a train-mode unit's output without a pool.
 
-    The forward makes it, and the next unit's rule makes it again from the
-    same z, with the same bits.
+    The forward makes it, and the backward makes it again, with the same
+    bits, from the unit's replayed buffer.
     """
     y = _scaled(z, scale)
     return _shift_relu(y, shift, out=y)
@@ -428,25 +469,28 @@ def conv_stack(x: Tensor, units, training: bool, global_pool: bool = False) -> T
     (B, W-1, C_out), or to (B, (W-1) // pool, C_out) with a pool window.
     With global_pool a global max pool over the width follows, so the
     output is (B, C_out) of the last unit; it is folded into the last
-    unit's window (`_unit_window`). Same semantics as the chain of
-    one-unit `conv_bn_relu` ops and `global_maxpool_cl`, running
-    statistics included, and one tape entry. A unit pools its conv output
-    scaled by gamma / sqrt(var + BN_EPS) (the batch's variance in train
-    mode, the running one in eval mode); the per-channel shift and ReLU then
-    apply to the pooled array. Eval mode is forward-only.
+    unit's window (`_unit_window`). Same semantics as a chain of one-unit
+    stacks and `maxpool_cl`, running statistics included, and one tape
+    entry. A unit pools its conv output scaled by gamma / sqrt(var + BN_EPS)
+    (the batch's variance in train mode, the running one in eval mode); the
+    per-channel shift and ReLU then apply to the pooled array. Eval mode is
+    forward-only.
 
-    A train-mode unit keeps the centred conv output in the conv's padded
-    buffer and, if pooled, its routing mask and its output; an unpooled
-    unit keeps no output, and the next unit's rule rebuilds it from that
-    buffer with the forward's float64 operations just before its kernel
-    gradient (the last unit's output is the op's own). The rule runs the
-    units in reverse: each writes its conv output gradient over its
-    buffer, takes its kernel gradient, then writes its input gradient over
-    its input, the previous unit's output, which is dead by then, and
-    applies that unit's ReLU mask in place; a unit's arrays are dropped as
-    soon as its gradients are out. The op never writes into x or its
-    output, and returns no gradient for an x the tape does not track when
-    the op is recorded, such as the encoder's input.
+    A train-mode unit that pools, and the last unit, keeps the centred conv
+    output in the conv's padded buffer, its routing mask if pooled, and its
+    output: these are the checkpoints. Any other unit keeps only its batch
+    mean and scale. The first backward turn that reads such units' outputs
+    replays them from the nearest checkpoint before them (a pooled unit's
+    output, or x): each conv again, centred by the kept mean, with the
+    forward's float64 operations and the same bits, and the running
+    statistics untouched. The rule runs the units in reverse: each writes
+    its conv output gradient over its buffer, takes its kernel gradient,
+    then writes its input gradient over its input, the previous unit's
+    output, which is dead by then, and applies that unit's ReLU mask in
+    place; a unit's arrays are dropped as soon as its gradients are out.
+    The op never writes into x or its output, and returns no gradient for
+    an x the tape does not track when the op is recorded, such as the
+    encoder's input.
     """
     x = as_tensor(x)
     _require(len(units) >= 1, "conv_stack needs at least one unit")
@@ -454,6 +498,8 @@ def conv_stack(x: Tensor, units, training: bool, global_pool: bool = False) -> T
     params = [t for unit in units for t in unit[:4]]
     x_in = np.ascontiguousarray(_channels_last(x.data))
     a = x_in
+    # Per unit: [buf, z, output, mean, scale, bn_back, window, hit], the
+    # first three None for a unit the backward replays.
     saved = []
     for i, (kernel, bias, gamma, beta, running_mean, running_var, pool) in enumerate(units):
         window = _unit_window(a.shape[1] - 1, pool, global_pool and i == len(units) - 1)
@@ -466,38 +512,64 @@ def conv_stack(x: Tensor, units, training: bool, global_pool: bool = False) -> T
             continue
         buf, z = _conv(a, kernel.data)
         _require(beta.shape == (z.shape[2],), f"batchnorm1d affine params must be ({z.shape[2]},)")
-        scale, bn_back = _batchnorm(z, gamma.data, bias.data, running_mean, running_var)
+        mean, scale, bn_back = _batchnorm(z, gamma.data, bias.data, running_mean, running_var)
         if window is None:
             a, hit = _unpooled_output(z, scale, beta.data), None
         else:
             a, hit = _scaled_pool(z, scale, window)
             _shift_relu(a, beta.data, out=a)
-        keep = window is not None or i == len(units) - 1
-        saved.append((buf, z, scale, bn_back, window, hit, a if keep else None))
+        kept = [buf, z, a] if window is not None or i == len(units) - 1 else [None] * 3
+        saved.append(kept + [mean, scale, bn_back, window, hit])
+        del buf, z  # a dropped buffer dies now, not once the next conv has run
     out = a[:, 0] if global_pool else a
     if not training:
         return record_op(Tensor(out), (x, *params), _no_eval_gradient)
     need_dx = tracked(x)
 
+    def unit_input(i: int) -> np.ndarray:
+        """Unit i-1's output: kept, or made again from its buffer, replayed first if dropped.
+
+        A replay runs the dropped units from the nearest checkpoint before
+        them, each input dying as its conv returns, before the unit's output
+        is made; only the last output is returned, and the others are made
+        again from their buffers on their own turns: keeping them measured
+        6 MB more peak RSS in the UNSW-width `pretrain`.
+        """
+        if saved[i - 1][0] is None:
+            j = i - 1
+            while j >= 0 and saved[j][0] is None:
+                j -= 1
+            a = x_in if j < 0 else saved[j][2]
+            for k in range(j + 1, i):
+                buf, z = _conv(a, units[k][0].data)
+                del a
+                _centre(z, saved[k][3])
+                a = _unpooled_output(z, saved[k][4], units[k][3].data)
+                saved[k][:2] = buf, z
+            return a
+        if saved[i - 1][2] is None:
+            return _unpooled_output(saved[i - 1][1], saved[i - 1][4], units[i - 1][3].data)
+        return saved[i - 1][2]
+
     def rule(g: np.ndarray):
         grads = [None] * len(units)
         # g is the caller's: the last unit's masked gradient is a new array.
-        last_out = saved[-1][6]
+        last_out = saved[-1][2]
         dy = g.reshape(last_out.shape) * (last_out > 0)
         dx = None
         for i in reversed(range(len(units))):
-            buf, z, scale, bn_back, window, hit, _ = saved[i]
+            buf, z, _, _, scale, bn_back, window, hit = saved[i]
             saved[i] = None
             # Batch norm's output gradient dy goes into the conv buffer,
             # where batch norm's rule has left -(z * a + b), to make u there.
             centred = z[:, :-1]
             dshift = _column_sums(dy)
             if window is None:
-                dgamma = bn_back(np.einsum("bwc,bwc->c", dy, centred), dshift)
+                dgamma = bn_back(z, np.einsum("bwc,bwc->c", dy, centred), dshift)
                 centred += dy
             else:
                 tiles = _tiles(centred, window)
-                dgamma = bn_back(np.einsum("bwc,bwjc,bwjc->c", dy, hit, tiles), dshift)
+                dgamma = bn_back(z, np.einsum("bwc,bwjc,bwjc->c", dy, hit, tiles), dshift)
                 for j in range(window):
                     tiles[:, :, j] += dy * hit[:, :, j]
             kernel = units[i][0].data
@@ -505,9 +577,7 @@ def conv_stack(x: Tensor, units, training: bool, global_pool: bool = False) -> T
                 dx = np.empty(x_in.shape) if need_dx else None
                 dk = _conv_grads(buf, x_in, kernel, scale, dx)
             else:
-                _, z_in, scale_in, *_, a_in = saved[i - 1]
-                if a_in is None:
-                    a_in = _unpooled_output(z_in, scale_in, units[i - 1][3].data)
+                a_in = unit_input(i)
                 live = a_in > 0
                 dk = _conv_grads(buf, a_in, kernel, scale, a_in)
                 np.multiply(a_in, live, out=a_in)
@@ -519,40 +589,11 @@ def conv_stack(x: Tensor, units, training: bool, global_pool: bool = False) -> T
     return record_op(Tensor(out), (x, *params), rule)
 
 
-def conv_bn_relu(
-    x: Tensor,
-    kernel: Tensor,
-    bias: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    training: bool,
-    pool: int | None = None,
-) -> Tensor:
-    """One encoder unit, relu(batchnorm1d(conv1d(x))), then an optional max pool.
-
-    The one-unit `conv_stack`: x (B, W, C_in), or (B, W) as one input
-    channel, maps to (B, W-1, C_out), or to (B, (W-1) // pool, C_out) with
-    a pool window, in one tape entry.
-    """
-    return conv_stack(x, [(kernel, bias, gamma, beta, running_mean, running_var, pool)],
-                      training)
-
-
 def maxpool_cl(x: Tensor, window: int) -> Tensor:
     """`maxpool1d` on channels-last x (B, W, C), or (B, W) as one channel."""
     x = as_tensor(x)
     out, back = _maxpool(_channels_last(x.data), window)
     return record_op(Tensor(out), (x,), lambda g: (back(g).reshape(x.shape),))
-
-
-def global_maxpool_cl(x: Tensor) -> Tensor:
-    """`global_maxpool1d` on channels-last x: (B, W, C) -> (B, C)."""
-    x = as_tensor(x)
-    _require(x.data.ndim == 3, f"global_maxpool_cl input must be 3-D, got {x.shape}")
-    out, back = _maxpool(x.data, x.shape[1])
-    return record_op(Tensor(out[:, 0]), (x,), lambda g: (back(g[:, None]),))
 
 
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
@@ -629,7 +670,7 @@ def batchnorm1d(
     # output: the train-mode kernel centres it in place.
     z = np.zeros((batch, width + 1, ch))
     z[:, :-1] = rows
-    scale, bn_back = _batchnorm(z, gamma.data, np.zeros(ch), running_mean, running_var)
+    _, scale, bn_back = _batchnorm(z, gamma.data, np.zeros(ch), running_mean, running_var)
     out = _scaled(z, scale)
     out += beta.data
 
@@ -637,7 +678,7 @@ def batchnorm1d(
         dy = np.array(g.transpose(0, 2, 1), order="C")
         dbeta = _column_sums(dy)
         centred = z[:, :-1]
-        dgamma = bn_back(np.einsum("bwc,bwc->c", dy, centred), dbeta)
+        dgamma = bn_back(z, np.einsum("bwc,bwc->c", dy, centred), dbeta)
         centred += dy
         return (centred * scale).transpose(0, 2, 1), dgamma, dbeta
 

@@ -103,6 +103,25 @@ def composed_encode(block, x, training: bool = False) -> Tensor:
     return ng.global_maxpool1d(out)
 
 
+def conv_bn_relu(x, kernel, bias, gamma, beta, running_mean, running_var, training: bool,
+                 pool: int | None = None) -> Tensor:
+    """One encoder unit, relu(batchnorm1d(conv1d(x))) and an optional max pool, as a one-unit stack.
+
+    x (B, W, C_in), or (B, W) as one input channel, maps to (B, W-1, C_out),
+    or to (B, (W-1) // pool, C_out) with a pool window, in one tape entry.
+    The one unit is the stack's last, so it keeps its output and the
+    backward replays nothing.
+    """
+    return ng.conv_stack(x, [(kernel, bias, gamma, beta, running_mean, running_var, pool)],
+                         training)
+
+
+def global_maxpool_cl(x) -> Tensor:
+    """Global max pool of channels-last x: (B, W, C) -> (B, C), a `maxpool_cl` over the whole width."""
+    pooled = ng.maxpool_cl(x, x.shape[1])
+    return ng.record_op(Tensor(pooled.data[:, 0]), (pooled,), lambda g: (g[:, None],))
+
+
 def unit_chain_encode(block, x, training: bool = False) -> Tensor:
     """The encoder as a chain of one-unit channels-last ops, one tape entry each.
 
@@ -117,12 +136,12 @@ def unit_chain_encode(block, x, training: bool = False) -> Tensor:
     for prev, spec, nxt in zip((None,) + specs[:-1], specs, specs[1:] + (None,)):
         if isinstance(spec, Conv):
             layer = next(conv_iter)
-            out = ng.conv_bn_relu(out, layer.kernel, layer.bias, layer.gamma, layer.beta,
-                                  layer.running_mean, layer.running_var, training=training,
-                                  pool=nxt.window if isinstance(nxt, MaxPool) else None)
+            out = conv_bn_relu(out, layer.kernel, layer.bias, layer.gamma, layer.beta,
+                               layer.running_mean, layer.running_var, training=training,
+                               pool=nxt.window if isinstance(nxt, MaxPool) else None)
         elif not isinstance(prev, Conv):
             out = ng.maxpool_cl(out, spec.window)
-    return ng.global_maxpool_cl(out)
+    return global_maxpool_cl(out)
 
 
 def taped_train_head(features: np.ndarray, labels: np.ndarray, n_classes: int, config):

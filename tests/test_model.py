@@ -350,18 +350,20 @@ class TestTrainStepMemory:
     """What a taped smaller-pack step at UNSW width keeps alive (tracemalloc)."""
 
     def test_forward_keeps_only_what_backward_reads_until_it_runs(self):
-        # The conv stack is one tape entry. Each unit keeps its centred conv
-        # output in the conv's padded buffer and, if pooled, its output and
-        # a bool routing mask; the unpooled units 1-2 keep no output, and the
-        # global max is folded into the last unit's pool: about 49 MB for 64
-        # views at width 196 (60 MB with one entry per unit). The backward
-        # writes each unit's conv output gradient over its buffer and its
-        # input gradient over its input, and the step peaks at about 55 MB
-        # (72 MB while each rule allocated its input gradient, 83 MB while
-        # each unit's backward also allocated a padded gradient, 93 and
-        # 113 MB while each unit also kept its im2col rows, about 130 MB
-        # forward while pooled units kept their pool input and pooled max).
-        # The consumed tape then holds nothing.
+        # The conv stack is one tape entry. Each pooled unit keeps its
+        # centred conv output in the conv's padded buffer, its output and a
+        # bool routing mask; the unpooled units 1-2 keep only their batch
+        # mean and scale, and the global max is folded into the last unit's
+        # pool: about 40 MB for 64 views at width 196 (49 MB while units 1-2
+        # kept their buffers, 60 MB with one entry per unit). The backward
+        # replays units 1-2 from the input and writes each unit's conv
+        # output gradient over its buffer and its input gradient over its
+        # input: the step peaks at about 46 MB (55 MB while units 1-2 kept
+        # their buffers, 72 MB while each rule allocated its input gradient,
+        # 83 MB while each unit's backward also allocated a padded gradient,
+        # 93 and 113 MB while each unit also kept its im2col rows, about
+        # 130 MB forward while pooled units kept their pool input and pooled
+        # max). The consumed tape then holds nothing.
         encoder, projector = build_encoder(preset_config("smaller-pack", 196), seed=0)
         opt = AdamW(list(encoder.parameters()) + list(projector.parameters()))
         x = np.random.default_rng(0).uniform(size=(64, 196))
@@ -378,8 +380,8 @@ class TestTrainStepMemory:
         finally:
             tracemalloc.stop()
         assert len(tape) == 3  # the conv stack, the projection and the loss
-        assert saved <= 52 * 2**20, f"the forward left {saved / 2**20:.1f} MB"
-        assert peak <= 60 * 2**20, f"the step peaked at {peak / 2**20:.1f} MB"
+        assert saved <= 42 * 2**20, f"the forward left {saved / 2**20:.1f} MB"
+        assert peak <= 48 * 2**20, f"the step peaked at {peak / 2**20:.1f} MB"
         assert abs(left) <= 2 * 2**20, f"the step left {left / 2**20:.1f} MB"
 
 

@@ -19,17 +19,24 @@ from flowcl.numgrad import (
     backward,
     batchnorm1d,
     conv1d,
-    conv_bn_relu,
     cosine_similarity,
     global_maxpool1d,
-    global_maxpool_cl,
     maxpool1d,
     relu,
     softmax_cross_entropy,
 )
+from flowcl.numgrad import ops
 from flowcl.numgrad.ops import BN_EPS
 
-from oracles import fd_gradient, naive_conv1d, rel_error, spread_values, unit_chain_encode
+from oracles import (
+    conv_bn_relu,
+    fd_gradient,
+    global_maxpool_cl,
+    naive_conv1d,
+    rel_error,
+    spread_values,
+    unit_chain_encode,
+)
 
 
 class TestTapeMechanics:
@@ -702,6 +709,48 @@ class TestConvPairRows:
         x = rng.uniform(size=(5, width))
         np.testing.assert_array_equal(encode(block, x).data, _im2col_encode(block, x))
 
+    # GEMM_BLOCK 60 makes each pair GEMM 4 rows in dx (out_ch 5, blocks of 8
+    # flat rows over B*W rows) and 8, 12 or 28 rows in the forward with 3, 2
+    # or 1 input channels (blocks of 16, 24 or 28 over B*W - 1 rows).
+    @pytest.mark.parametrize("batch,width,in_ch", [
+        (3, 11, 2),  # forward 32 rows in 24 + 8; dx 33 rows, a one-row tail
+        (2, 9, 3),  # forward 17 rows, a one-row tail; dx 18 rows, a two-row tail
+        (4, 9, 1),  # one input channel: forward 35 rows in 28 + 7; dx 36, a four-row block
+        (3, 11, 1),  # forward 32 rows, a four-row block; dx 33 rows, a one-row tail
+        (1, 3, 2),  # one block shorter than 4 rows
+    ])
+    def test_row_blocks_match_one_call(self, monkeypatch, batch, width, in_ch):
+        """Row-blocked pair GEMMs give the bits of one GEMM over all the rows.
+
+        A tail shorter than 4 rows joins the block before it, since a
+        one-row GEMM rounds differently; the dx GEMMs with one input
+        channel are matrix-vector calls, whose rows go 4 at a time.
+        """
+        rng = np.random.default_rng(61)
+        x0 = rng.normal(size=(batch, width, in_ch))
+        params = [rng.normal(size=(5, in_ch, 2)), rng.normal(size=5),
+                  np.array([1.1, -0.8, 0.6, 1.4, 0.9]), rng.normal(size=5)]
+        stats = rng.normal(size=5), rng.uniform(0.5, 2.0, size=5)
+        weight = rng.normal(size=(batch, width - 1, 5))
+
+        def passes():
+            buf = ops._conv(x0, params[0])[0][1:]
+            evaluated = conv_bn_relu(*(Tensor(v) for v in [x0] + params), *stats,
+                                     training=False).data
+            x = Tensor(x0.copy(), requires_grad=True)
+            with Tape() as tape:
+                out = conv_bn_relu(x, *(Tensor(v) for v in params),
+                                   *(s.copy() for s in stats), training=True)
+                loss = _weighted_sum(out, weight)
+            backward(loss, tape)
+            return buf, evaluated, out.data, x.grad
+
+        one_call = passes()
+        monkeypatch.setattr(ops, "GEMM_BLOCK", 60)
+        for what, got, want in zip(("conv buffer", "eval output", "train output", "dx"),
+                                   passes(), one_call):
+            np.testing.assert_array_equal(got, want, err_msg=what)
+
     def test_eval_chunk_builds_no_im2col_rows(self):
         """A 64-row eval chunk at UNSW width peaks at about 22 MB.
 
@@ -726,12 +775,16 @@ class TestConvStack:
     The chain (`unit_chain_encode`) is one `conv_bn_relu` per conv with the
     pool right after it, a `maxpool_cl` for every other pool and
     `global_maxpool_cl`. The stack composes each conv's pools into one
-    window, folds the global max into the last unit's, keeps no output of an
-    unpooled unit and writes gradients over dead activations. Eval features,
-    train outputs and running statistics must be bit-identical; gradients
-    may differ by rounding. The cases: both presets at their UNSW widths
-    (larger-pack has three unpooled units), the desk-pipeline encoder, two
-    pools in a row, and a pool before the first conv.
+    window, folds the global max into the last unit's, keeps nothing of an
+    unpooled unit but the last beyond its batch mean and scale, replays such
+    units in the backward from the nearest pooled unit's output or the
+    input, and writes gradients over dead activations. Eval features, train
+    outputs and running statistics must be bit-identical; gradients may
+    differ by rounding. The cases: both presets at their UNSW widths
+    (larger-pack has three leading unpooled units, replayed from the
+    input), the desk-pipeline encoder, two pools in a row, a pool before the
+    first conv, and an unpooled unit after a pooled one, replayed from that
+    unit's output.
     """
 
     CASES = {
@@ -743,6 +796,8 @@ class TestConvStack:
                                    context_dim=3),
         "leading-pool": EncoderConfig((MaxPool(2), Conv(4), Conv(3), MaxPool(2), Conv(5)), 30,
                                       context_dim=3),
+        "unpooled-after-pool": EncoderConfig((Conv(4), MaxPool(2), Conv(5), Conv(6), MaxPool(3),
+                                              Conv(3)), 40, context_dim=3),
     }
 
     @staticmethod
@@ -768,12 +823,16 @@ class TestConvStack:
                 h = encode_fn(block, x, training=True)
                 loss = _weighted_sum(h, weight)
             h_before = h.data.copy()
+            stats = [s for layer in block.convs for s in (layer.running_mean, layer.running_var)]
+            stats_before = [s.copy() for s in stats]
             backward(loss, tape)
-            # Neither path writes into its input or its output.
+            # Neither path writes into its input or its output, and the
+            # backward's replay leaves the running statistics as the forward did.
             np.testing.assert_array_equal(x.data, x0)
             np.testing.assert_array_equal(h.data, h_before)
+            for got, want in zip(stats, stats_before):
+                np.testing.assert_array_equal(got, want)
             grads = [x.grad] + [p.grad for p in block.parameters()]
-            stats = [s for layer in block.convs for s in (layer.running_mean, layer.running_var)]
             return h.data, grads, stats, len(tape)
 
         h, grads, stats, entries = taped(encode)
@@ -788,6 +847,38 @@ class TestConvStack:
             # Both paths return exact zeros for the conv biases, which
             # train-mode batch norm cancels.
             _assert_close_to_scale(got, want, f"gradient {i}")
+
+    def test_taped_forward_keeps_no_buffer_of_unpooled_units(self):
+        """A taped smaller-pack forward keeps the buffers, masks and outputs of units 3-5 only.
+
+        Units 1-2 have no pool, so they keep only their batch mean and
+        scale: their conv buffers, 3.2 and 6.4 MB for 64 views at width 196,
+        are not in what the forward leaves.
+        """
+        block, _ = build_encoder(preset_config("smaller-pack", 196), seed=0)
+        x = np.random.default_rng(0).uniform(size=(64, 196))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                encode(block, x, training=True)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1
+        # Units 3-5 of (Conv(32), Conv(64), Conv(128), MaxPool(3), Conv(256),
+        # MaxPool(2), Conv(512), MaxPool(4)) read inputs 194, 64 and 31 wide;
+        # the last unit's window is the global max over its 28 pooled
+        # positions, so its output is one position wide. The 1 MB of slack
+        # is under a third of unit 1's 3.2 MB buffer.
+        expected = 0
+        for width_in, ch, window, out_w in ((194, 128, 3, 64), (64, 256, 2, 31),
+                                            (31, 512, 28, 1)):
+            buf = (64 * width_in + 1) * ch * 8
+            mask = 64 * out_w * window * ch  # one byte per bool
+            expected += buf + mask + 64 * out_w * ch * 8
+        assert kept <= expected + 2**20, \
+            f"the forward kept {kept / 2**20:.1f} MB, {expected / 2**20:.1f} MB expected"
 
 
 class TestRelu:
