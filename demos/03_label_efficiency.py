@@ -13,7 +13,7 @@ import os
 import tempfile
 from dataclasses import replace
 
-from flowcl.dataio import encode_dataset, fit_preprocessor, load_csv
+from flowcl.dataio import encode_dataset, fit_preprocessor, load_csv, task_rows
 from flowcl.model import Conv, EncoderConfig, MaxPool, build_encoder
 from flowcl.sscl import ContrastiveConfig, HeadConfig, pretrain, run_head_stage
 from flowcl.synth import blob_schema, generate_blobs, write_csv
@@ -36,9 +36,10 @@ pretrain(encoder, projector, dataset.x,
 print("pretrained; encoder is frozen from here on\n")
 print("fraction  labeled  accuracy  f1")
 
+task = task_rows(dataset.labels, dataset.class_names, "multiclass")
 head_config = HeadConfig(representation="hidden", epochs=120, seed=3, split_fraction=0.8)
 for fraction in (1.0, 0.25, 0.05, 0.01):
-    result = run_head_stage(encoder, projector, dataset,
+    result = run_head_stage(encoder, projector, dataset.x, task,
                             replace(head_config, label_fraction=fraction))
     print(f"  {fraction:5.0%}  {result.train_count:7d}"
           f"  {result.report.accuracy:.4f}  {result.report.f1:.4f}")

@@ -19,6 +19,7 @@ from flowcl.dataio import (
     encode_dataset,
     fit_preprocessor,
     load_csv,
+    task_rows,
 )
 from flowcl.model import Conv, EncoderConfig, MaxPool, build_encoder
 from flowcl.sscl import ContrastiveConfig, HeadConfig, pretrain, run_head_stage
@@ -49,7 +50,14 @@ pretrain(encoder, projector, dataset.x,
          ContrastiveConfig(batch_size=32, epochs=12, seed=0))
 head = HeadConfig(epochs=80, seed=5)
 
-baseline = run_head_stage(encoder, projector, dataset, head)
+
+def head_stage(ds):
+    """Fit and score a head on every class of an encoded dataset."""
+    task = task_rows(ds.labels, ds.class_names, "multiclass")
+    return run_head_stage(encoder, projector, ds.x, task, head)
+
+
+baseline = head_stage(dataset)
 print(f"original-domain accuracy: {baseline.report.accuracy:.4f}\n")
 
 # Target dataset: loses f13..f15, and f00 goes by "duration" there.
@@ -70,8 +78,7 @@ amap = build_alignment(original, target, aliases)
 print(f"alignment: {amap.mapped} mapped, {amap.masked} masked,"
       f" {amap.omitted} omitted (of target width {amap.target_width})")
 
-result = run_head_stage(encoder, projector,
-                        encode_aligned(target_table, target, state, amap), head)
+result = head_stage(encode_aligned(target_table, target, state, amap))
 print(f"transfer accuracy with 3/16 features missing: {result.report.accuracy:.4f}")
 print("  per-class recall: "
       + ", ".join(f"{n}={m.recall:.3f}"

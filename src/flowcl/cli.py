@@ -45,9 +45,7 @@ from typing import Any, NamedTuple
 from . import __version__
 from .augment import MaskingConfig
 from .dataio import (
-    binarize,
     encode_dataset,
-    filter_classes,
     fit_preprocessor,
     load_csv,
     load_encoded,
@@ -57,6 +55,7 @@ from .dataio import (
     packaged_schema,
     save_encoded,
     save_state,
+    task_rows,
     write_json,
 )
 from .errors import (
@@ -210,16 +209,6 @@ def _schema_by_name_or_path(value: str):
     return packaged_schema(value)
 
 
-def _apply_task(dataset, task: str, classes, normal_class: str):
-    """Restrict the labeled dataset to the requested classification task."""
-    if task == "binary":
-        return binarize(dataset, normal_class)
-    if task == "multiclass":
-        keep = [c.strip() for c in classes.split(",")] if classes else list(dataset.class_names)
-        return filter_classes(dataset, keep)
-    raise ConfigError(f"task must be 'binary' or 'multiclass', got {task!r}")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -352,10 +341,11 @@ _PROTOCOL_KEYS = ("task", "representation", "label_fraction", "split_fraction", 
 
 def _load_task_data(encoder_path: str, data_path: str, task: str, classes,
                     normal_class: str):
-    """Frozen encoder plus the encoded dataset restricted to the task."""
+    """Frozen encoder, the loaded matrix, and the task's rows of it; no row is copied."""
     encoder, projector, _ = load_encoder(encoder_path)
     dataset, _ = load_encoded(data_path)
-    return encoder, projector, _apply_task(dataset, task, classes, normal_class)
+    return encoder, projector, dataset.x, task_rows(dataset.labels, dataset.class_names,
+                                                    task, classes, normal_class)
 
 
 def _report_doc(protocol: dict, train_count: int, test_count: int, report,
@@ -369,16 +359,16 @@ def _report_doc(protocol: dict, train_count: int, test_count: int, report,
 
 def cmd_train_head(cfg: dict) -> None:
     config = _config_from(HeadConfig, cfg)
-    encoder, projector, task_ds = _load_task_data(
+    encoder, projector, x, task = _load_task_data(
         cfg["encoder"], cfg["data"], cfg["task"], cfg["classes"], cfg["normal_class"])
-    train = task_ds.subset(head_split(task_ds.labels, config)[0])
+    train = task.gather(x, head_split(task.labels, config)[0])
     logger.info("training on %d labeled samples: %s", len(train),
                 json.dumps(train.class_counts(), sort_keys=True))
     head = train_head(encoder, projector, train.x, train.labels,
-                      len(task_ds.class_names), config)
+                      len(task.class_names), config)
     save_head(cfg["out"], head, extra_meta={
         **{key: cfg[key] for key in _PROTOCOL_KEYS},
-        "classes": list(task_ds.class_names),
+        "classes": list(task.class_names),
         "normal_class": cfg["normal_class"],
         "requested_classes": cfg["classes"],
         "train_count": len(train),
@@ -415,20 +405,20 @@ def cmd_evaluate(cfg: dict) -> None:
             raise ConfigError(f"train_count must be non-negative, got {train_count}")
     except ConfigError as err:
         raise CheckpointError(f"head checkpoint {cfg['head']}: {err}") from None
-    encoder, projector, task_ds = _load_task_data(
+    encoder, projector, x, task = _load_task_data(
         cfg["encoder"], cfg["data"], protocol["task"], requested, normal_class)
     if head_meta.get("data_sha256") not in (None, _sha256(cfg["data"])):
         logger.warning("--data differs from the file the head was trained on; "
                        "the train/test split will not line up")
-    if list(task_ds.class_names) != classes:
+    if list(task.class_names) != classes:
         raise SchemaMismatchError(
-            f"dataset classes {list(task_ds.class_names)} do not match the "
+            f"dataset classes {list(task.class_names)} do not match the "
             f"head's classes {classes}")
-    test = task_ds.subset(head_split(task_ds.labels, config)[1])
+    test = task.gather(x, head_split(task.labels, config)[1])
     report = evaluate_head(encoder, projector, head, test.x, test.labels,
                            config.representation)
     write_json(cfg["out"], _report_doc(protocol, train_count, len(test),
-                                       report, task_ds.class_names))
+                                       report, task.class_names))
     logger.info("accuracy %.4f, weighted f1 %.4f", report.accuracy, report.f1)
     _write_manifest(cfg["out"] + ".manifest.json", "evaluate", cfg,
                     [cfg["data"], cfg["encoder"], cfg["head"]], [cfg["out"]])
@@ -470,10 +460,11 @@ def cmd_transfer_eval(cfg: dict) -> None:
     if unseen:
         logger.warning("unseen categories in target data: %s",
                        json.dumps(unseen, sort_keys=True))
-    task_ds = _apply_task(target_ds, cfg["task"], cfg["classes"], cfg["normal_class"])
-    result = run_head_stage(encoder, projector, task_ds, config)
+    task = task_rows(target_ds.labels, target_ds.class_names, cfg["task"], cfg["classes"],
+                     cfg["normal_class"])
+    result = run_head_stage(encoder, projector, target_ds.x, task, config)
     doc = _report_doc(cfg, result.train_count, result.test_count, result.report,
-                      task_ds.class_names)
+                      task.class_names)
     doc["alignment"] = {"mapped": amap.mapped, "masked": amap.masked,
                         "omitted": amap.omitted}
     write_json(cfg["out"], doc)

@@ -16,10 +16,12 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     EmptyDatasetError,
     MissingLabelError,
     RowParseError,
@@ -378,9 +380,6 @@ class EncodedDataset:
     def width(self) -> int:
         return self.x.shape[1]
 
-    def subset(self, indices: np.ndarray) -> "EncodedDataset":
-        return EncodedDataset(self.x[indices], self.labels[indices], self.class_names)
-
     def class_counts(self) -> dict[str, int]:
         return {name: int(np.sum(self.labels == i)) for i, name in enumerate(self.class_names)}
 
@@ -463,33 +462,44 @@ def random_split(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.nda
     return np.sort(perm[:take]), np.sort(perm[take:])
 
 
-def filter_classes(dataset: EncodedDataset, keep: list[str]) -> EncodedDataset:
-    """Drop rows outside `keep` and relabel 0..K-1 in keep-list order.
+class TaskRows(NamedTuple):
+    """A head-stage task: kept row indices into the loaded matrix, their labels, class names."""
 
-    Unlabeled rows are dropped too: class filtering only makes sense on
-    labeled data.
+    rows: np.ndarray
+    labels: np.ndarray
+    class_names: tuple[str, ...]
+
+    def gather(self, x: np.ndarray, idx: np.ndarray) -> EncodedDataset:
+        """The rows at task positions `idx`, copied once out of the loaded matrix `x`."""
+        return EncodedDataset(x[self.rows[idx]], self.labels[idx], self.class_names)
+
+
+def task_rows(labels: np.ndarray, class_names: tuple[str, ...], task: str,
+              classes: str | None = None, normal_class: str = "Normal") -> TaskRows:
+    """A head-stage task's rows and labels, decided from the labels alone.
+
+    binary keeps every row: `normal_class` is 0, every other class 1, and an
+    unlabeled row stays UNLABELED for the head split to reject. multiclass
+    keeps the rows of the comma-separated `classes` (default: every class),
+    labelled 0..K-1 in that order.
     """
-    keep = list(keep)
+    if task not in ("binary", "multiclass"):
+        raise ConfigError(f"task must be 'binary' or 'multiclass', got {task!r}")
+    keep = ([normal_class] if task == "binary" else
+            [c.strip() for c in classes.split(",")] if classes else list(class_names))
     if len(set(keep)) != len(keep):
         raise UnknownClassError("duplicate class names in keep list")
     for name in keep:
-        if name not in dataset.class_names:
-            raise UnknownClassError(f"class {name!r} not among {dataset.class_names}")
-    old_indices = [dataset.class_names.index(name) for name in keep]
-    lookup = np.zeros(len(dataset.class_names), dtype=np.int64)
-    lookup[old_indices] = np.arange(len(keep))
-    rows = np.flatnonzero(np.isin(dataset.labels, old_indices))
-    return EncodedDataset(dataset.x[rows], lookup[dataset.labels[rows]], tuple(keep))
-
-
-def binarize(dataset: EncodedDataset, normal_class: str = "Normal") -> EncodedDataset:
-    """Collapse to normal-vs-attack: the named class is 0, every other class 1."""
-    if normal_class not in dataset.class_names:
-        raise UnknownClassError(f"class {normal_class!r} not among {dataset.class_names}")
-    normal_idx = dataset.class_names.index(normal_class)
-    labels = np.where(dataset.labels == UNLABELED, UNLABELED,
-                      np.where(dataset.labels == normal_idx, 0, 1)).astype(np.int64)
-    return EncodedDataset(dataset.x, labels, (normal_class, "attack"))
+        if name not in class_names:
+            raise UnknownClassError(f"class {name!r} not among {class_names}")
+    old = [class_names.index(name) for name in keep]
+    if task == "binary":
+        binary = np.where(labels == UNLABELED, UNLABELED, np.where(labels == old[0], 0, 1))
+        return TaskRows(np.arange(labels.size), binary.astype(np.int64), (normal_class, "attack"))
+    lookup = np.zeros(len(class_names), dtype=np.int64)
+    lookup[old] = np.arange(len(keep))
+    rows = np.flatnonzero(np.isin(labels, old))
+    return TaskRows(rows, lookup[labels[rows]], tuple(keep))
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,12 @@ __all__ = [
 
 KERNEL_WIDTH = 2
 
+# The most parameters (e and g together) an encoder may have. Training keeps
+# four float64 copies of every parameter (value, gradient and AdamW's two
+# moments), so 2**27 of them take 4 GiB, half of an 8 GB box; a config above
+# it is a mistake, refused before anything is allocated.
+MAX_PARAMETERS = 2**27
+
 
 @dataclass(frozen=True)
 class Conv:
@@ -111,6 +117,17 @@ class EncoderConfig:
         if not isinstance(self.context_dim, int) or self.context_dim < 1:
             raise ConfigError(f"context_dim must be a positive int, got {self.context_dim!r}")
         self.validate_width()
+        if self.parameter_count() > MAX_PARAMETERS:
+            raise ConfigError(f"the encoder would have {self.parameter_count()} parameters, "
+                              f"more than the {MAX_PARAMETERS} that training can hold")
+
+    def parameter_count(self) -> int:
+        """Parameters of e and g at the shapes this config implies, counted, not built."""
+        count, in_channels = 0, 1
+        for c in (s.channels for s in self.layers if isinstance(s, Conv)):
+            count += c * in_channels * KERNEL_WIDTH + 3 * c  # kernel, bias, gamma, beta
+            in_channels = c
+        return count + self.context_dim * (self.hidden_dim + 1)
 
     @property
     def hidden_dim(self) -> int:

@@ -48,6 +48,18 @@ def save_arrays(path: str, arrays: dict[str, np.ndarray], meta: dict[str, Any] |
     os.replace(tmp, path)
 
 
+def _entry(z: np.lib.npyio.NpzFile, key: str, what: str, path: str) -> np.ndarray:
+    """One entry read as an array; any failure to read it names the entry."""
+    try:
+        value = z[key]
+    except Exception as err:  # e.g. an object array, or a header that does not parse
+        raise CheckpointError(f"{path}: {what} is unreadable: "
+                              f"{type(err).__name__}: {err}") from None
+    if not isinstance(value, np.ndarray):  # np.load returns raw bytes without the magic
+        raise CheckpointError(f"{path}: {what} is unreadable: not an .npy entry")
+    return value
+
+
 def load_arrays(path: str) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
     try:
         z = np.load(path, allow_pickle=False)
@@ -58,8 +70,9 @@ def load_arrays(path: str) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
     with z:
         if _META_KEY not in z:
             raise CheckpointError(f"{path} is not a recognized checkpoint (missing metadata)")
+        text = _entry(z, _META_KEY, "metadata", path)
         try:
-            header = json.loads(str(z[_META_KEY][()]))
+            header = json.loads(str(text[()]))
         except ValueError as err:
             raise CheckpointError(f"{path} has unreadable metadata: {err}") from None
         header = checked(header, dict, f"{path} header", CheckpointError)
@@ -70,10 +83,7 @@ def load_arrays(path: str) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
         arrays = {}
         for key in (k for k in z.files if k.startswith(_ARRAY_PREFIX)):
             name = key[len(_ARRAY_PREFIX):]
-            try:
-                arrays[name] = z[key]
-            except ValueError as err:  # an object array, which would need pickle
-                raise CheckpointError(f"{path}: array {name!r} is unreadable: {err}") from None
+            arrays[name] = _entry(z, key, f"array {name!r}", path)
             if arrays[name].dtype not in (np.float64, np.int64):
                 raise CheckpointError(f"{path}: array {name!r} has dtype "
                                       f"{arrays[name].dtype}, not float64 or int64")

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import numgrad as ng
 from .augment import MaskingConfig, augment_pair
-from .dataio import EncodedDataset, random_split, stratified_split, stratified_subsample
+from .dataio import TaskRows, random_split, stratified_split, stratified_subsample
 from .errors import (
     ConfigError,
     DegenerateVectorError,
@@ -354,24 +354,24 @@ def head_split(labels: np.ndarray, config: HeadConfig) -> tuple[np.ndarray, np.n
     return train, test
 
 
-def run_head_stage(encoder: EncoderBlock, projector: ProjectionHead,
-                   dataset: EncodedDataset, config: HeadConfig) -> HeadStageResult:
+def run_head_stage(encoder: EncoderBlock, projector: ProjectionHead, x: np.ndarray,
+                   task: TaskRows, config: HeadConfig) -> HeadStageResult:
     """The supervised protocol shared by plain evaluation and transfer.
 
-    `head_split` under the head seed, head fit on the training side, metrics
-    on the held-out side. Everything downstream of the dataset is a pure
-    function of (dataset, config), which is what makes an identity-aligned
-    transfer reproduce these numbers bit for bit.
+    `head_split` of the task's labels under the head seed, a head fit on the
+    training side's rows and metrics on the held-out side's, each gathered
+    from `x` once. The result is a pure function of (x, task, config), which
+    makes an identity-aligned transfer reproduce these numbers bit for bit.
     """
-    train_idx, test_idx = head_split(dataset.labels, config)
-    train = dataset.subset(train_idx)
+    train_idx, test_idx = head_split(task.labels, config)
+    train = task.gather(x, train_idx)
     head = train_head(encoder, projector, train.x, train.labels,
-                      len(dataset.class_names), config)
+                      len(task.class_names), config)
     del train
-    test = dataset.subset(test_idx)
+    test = task.gather(x, test_idx)
     report = evaluate_head(encoder, projector, head, test.x, test.labels,
                            config.representation)
-    return HeadStageResult(head, report, train_idx.size, test_idx.size, dataset.class_names)
+    return HeadStageResult(head, report, train_idx.size, test_idx.size, task.class_names)
 
 
 def predict(encoder: EncoderBlock, projector: ProjectionHead,

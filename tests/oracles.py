@@ -27,6 +27,7 @@ from flowcl.errors import (
     DegenerateVectorError,
     InvalidBatchError,
     InvalidShapeError,
+    UnknownClassError,
 )
 from flowcl.model import Conv, MaxPool, build_classification_head
 from flowcl.numgrad import AdamW, Tape, Tensor, backward
@@ -353,3 +354,31 @@ def fit_pin_encode_align(table, target_schema, original_state, amap) -> EncodedD
         if position >= 0:
             out[:, i] = encoded[:, position]
     return EncodedDataset(out, table.labels.copy(), target_schema.class_names)
+
+
+def filter_classes(dataset: EncodedDataset, keep: list[str]) -> EncodedDataset:
+    """The copying multiclass restriction: drop rows outside `keep`, relabel in its order.
+
+    Unlabeled rows are dropped too.
+    """
+    keep = list(keep)
+    if len(set(keep)) != len(keep):
+        raise UnknownClassError("duplicate class names in keep list")
+    for name in keep:
+        if name not in dataset.class_names:
+            raise UnknownClassError(f"class {name!r} not among {dataset.class_names}")
+    old_indices = [dataset.class_names.index(name) for name in keep]
+    lookup = np.zeros(len(dataset.class_names), dtype=np.int64)
+    lookup[old_indices] = np.arange(len(keep))
+    rows = np.flatnonzero(np.isin(dataset.labels, old_indices))
+    return EncodedDataset(dataset.x[rows], lookup[dataset.labels[rows]], tuple(keep))
+
+
+def binarize(dataset: EncodedDataset, normal_class: str = "Normal") -> EncodedDataset:
+    """The whole-dataset binary restriction: the named class is 0, every other class 1."""
+    if normal_class not in dataset.class_names:
+        raise UnknownClassError(f"class {normal_class!r} not among {dataset.class_names}")
+    normal_idx = dataset.class_names.index(normal_class)
+    labels = np.where(dataset.labels == UNLABELED, UNLABELED,
+                      np.where(dataset.labels == normal_idx, 0, 1)).astype(np.int64)
+    return EncodedDataset(dataset.x, labels, (normal_class, "attack"))

@@ -93,6 +93,25 @@ class TestStreamedSave:
         np.testing.assert_array_equal(load_arrays(str(tmp_path / "big.npz"))[0]["x"], big)
 
 
+def rewrite_entry(path, entry, edit):
+    """Rewrite one zip entry's bytes with `edit`, every other entry as it was.
+
+    Editing the file's bytes in place would trip the zip CRC check instead.
+    """
+    with zipfile.ZipFile(path) as zf:
+        entries = [(info, zf.read(info)) for info in zf.infolist()]
+    with zipfile.ZipFile(path, "w") as zf:
+        for info, data in entries:
+            zf.writestr(info, edit(data) if info.filename == entry else data)
+
+
+# Damage inside an .npy entry that the zip container cannot see.
+DAMAGE = {
+    "header": lambda data: data.replace(b"{'descr'", b"{('descr'", 1),
+    "magic": lambda data: data.replace(b"\x93NUMPY", b"\x93NUMPX", 1),
+}
+
+
 class TestCheckpointGuards:
     def test_foreign_npz_rejected(self, tmp_path):
         path = str(tmp_path / "foreign.npz")
@@ -131,6 +150,21 @@ class TestCheckpointGuards:
         header = json.dumps({"format_version": 1, "meta": {}})
         np.savez(path, __meta__=np.array(header), **{"a::w": np.array([{}], dtype=object)})
         with pytest.raises(CheckpointError, match="array 'w' is unreadable"):
+            load_arrays(path)
+
+    @pytest.mark.parametrize("entry", ["a::w.npy", "__meta__.npy"], ids=["array", "meta"])
+    @pytest.mark.parametrize("damage", sorted(DAMAGE), ids=sorted(DAMAGE))
+    def test_damaged_entry_rejected_by_name(self, tmp_path, entry, damage):
+        """A header that does not tokenize, or a lost magic, fails as a CheckpointError.
+
+        numpy raises TokenError for the first; for the second np.load hands
+        back raw bytes, which the array checks and the metadata read trip over.
+        """
+        path = str(tmp_path / "damaged.npz")
+        save_arrays(path, {"w": np.ones(3)}, meta={"kind": "test"})
+        rewrite_entry(path, entry, DAMAGE[damage])
+        what = "array 'w'" if entry.startswith("a::") else "metadata"
+        with pytest.raises(CheckpointError, match=f"{what} is unreadable"):
             load_arrays(path)
 
     def test_reserved_name_rejected(self, tmp_path):

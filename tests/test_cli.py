@@ -22,6 +22,7 @@ from flowcl.dataio import (
     DatasetSchema,
     EncodedDataset,
     Feature,
+    TaskRows,
     load_encoded,
     load_schema,
     load_state,
@@ -31,6 +32,7 @@ from flowcl.dataio import (
 from flowcl.model import Conv, EncoderConfig, MaxPool, build_encoder, load_encoder, save_encoder
 from flowcl.numgrad import load_arrays, save_arrays
 from flowcl.synth import Record, blob_schema, generate_blobs, subset_schema, write_csv
+from test_checkpoint import DAMAGE, rewrite_entry
 
 
 def sha(path):
@@ -448,6 +450,43 @@ class TestPretrain:
             tracemalloc.stop()
         assert peak < 1.5 * x.nbytes
 
+    @pytest.mark.parametrize("arch", [{"layers": [["conv", 2**40]], "context_dim": 8},
+                                      {"layers": [["conv", 8]], "context_dim": 2**63}],
+                             ids=["conv-2**40", "context_dim-2**63"])
+    def test_absurd_encoder_size_is_config_error(self, workspace, tmp_path, caplog, arch):
+        """Refused before any allocation: exit 2, not a MemoryError or numpy's ValueError."""
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps(arch), encoding="utf-8")
+        out = tmp_path / "e.npz"
+        assert main(["pretrain", "--config", str(config), "--out", str(out),
+                     "--data", str(workspace / "prep" / "train.npz")]) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and "parameters" in errors[0]
+        assert not out.exists()
+
+    def test_multiclass_head_stages_hold_one_copy_of_the_rows(self, workspace, tmp_path):
+        """--task multiclass restricts labels, not the matrix; each stage gathers its side.
+
+        Restricting the task used to copy every kept row before the split.
+        """
+        x = np.random.default_rng(1).random((20000, 64))
+        labels = np.arange(20000, dtype=np.int64) % 3
+        data = str(tmp_path / "rows.npz")
+        save_encoded(data, EncodedDataset(x, labels, ("a", "b", "c")))
+        enc, head = str(tmp_path / "e.npz"), str(tmp_path / "h.npz")
+        assert main(["pretrain", "--config", str(workspace / "arch.json"), "--data", data,
+                     "--out", enc, "--epochs", "0"]) == 0
+        for argv in (["train-head", "--out", head, "--task", "multiclass", "--classes", "c,a,b",
+                      "--label-fraction", "0.1", "--epochs", "1"],
+                     ["evaluate", "--head", head, "--out", str(tmp_path / "r.json")]):
+            tracemalloc.start()
+            try:
+                assert main(argv + ["--data", data, "--encoder", enc]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * x.nbytes, argv[0]
+
     def test_flag_overrides_config_file(self, workspace, tmp_path):
         out = tmp_path / "short.npz"
         assert main(["pretrain", "--config", str(workspace / "arch.json"),
@@ -494,13 +533,13 @@ class TestHeadAndEvaluate:
     def test_each_stage_gathers_only_the_rows_it_uses(self, workspace, tmp_path, monkeypatch):
         """train-head copies its labelled training rows, evaluate its test rows, nothing else."""
         gathered = []
-        real_subset = EncodedDataset.subset
+        real_gather = TaskRows.gather
 
-        def subset(self, indices):
-            gathered.append(len(indices))
-            return real_subset(self, indices)
+        def gather(self, x, idx):
+            gathered.append(len(idx))
+            return real_gather(self, x, idx)
 
-        monkeypatch.setattr(EncodedDataset, "subset", subset)
+        monkeypatch.setattr(TaskRows, "gather", gather)
         head, report = tmp_path / "head.npz", tmp_path / "report.json"
         assert main(["train-head", "--data", str(workspace / "prep" / "train.npz"),
                      "--encoder", str(workspace / "enc.npz"), "--out", str(head),
@@ -554,6 +593,21 @@ class TestHeadAndEvaluate:
         assert main(["train-head", "--data", str(workspace / "prep" / "train.npz"),
                      "--encoder", str(broken),
                      "--out", str(tmp_path / "h.npz")] + HEAD_FLAGS) == 7
+
+    @pytest.mark.parametrize("key, value", [("layers", [["conv", 2**40]]),
+                                            ("context_dim", 2**63)],
+                             ids=["conv-2**40", "context_dim-2**63"])
+    def test_absurd_encoder_size_is_checkpoint_error(self, workspace, tmp_path, caplog,
+                                                     key, value):
+        arrays, meta = load_arrays(str(workspace / "enc.npz"))
+        meta["config"][key] = value
+        broken = tmp_path / "broken.npz"
+        save_arrays(str(broken), arrays, meta=meta)
+        assert main(["train-head", "--data", str(workspace / "prep" / "train.npz"),
+                     "--encoder", str(broken),
+                     "--out", str(tmp_path / "h.npz")] + HEAD_FLAGS) == 7
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and "parameters" in errors[0]
 
     @pytest.mark.parametrize("key, value", [("input_width", None), ("input_width", "16"),
                                             ("input_width", True), ("context_dim", "x"),
@@ -647,6 +701,27 @@ class TestHeadAndEvaluate:
                      "--encoder", str(workspace / "enc.npz"), "--out", str(tmp_path / "h.npz")]
                     + HEAD_FLAGS + ["--lr", "nan"]) == 2
         assert "lr must be a finite number" in caplog.text
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    @pytest.mark.parametrize("flag, entry", [("encoder", "a::kernel0.npy"),
+                                             ("head", "a::weight.npy"), ("data", "a::x.npy"),
+                                             ("head", "__meta__.npy")],
+                             ids=["encoder", "head", "data", "head-meta"])
+    def test_damaged_npz_entry_is_checkpoint_error(self, workspace, trained_head, tmp_path,
+                                                   caplog, flag, entry, damage):
+        """An entry numpy cannot read exits 7 with one error line, not 1 with a traceback."""
+        paths = {"data": workspace / "prep" / "train.npz", "encoder": workspace / "enc.npz",
+                 "head": trained_head}
+        broken = tmp_path / "broken.npz"
+        broken.write_bytes(paths[flag].read_bytes())
+        rewrite_entry(str(broken), entry, DAMAGE[damage])
+        paths[flag] = broken
+        argv = ["evaluate", "--out", str(tmp_path / "r.json")]
+        for key, path in paths.items():
+            argv += ["--" + key, str(path)]
+        assert main(argv) == 7
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and "is unreadable" in errors[0]
 
     def test_wrong_checkpoint_kind_is_checkpoint_error(self, workspace, trained_head, tmp_path):
         assert main(["evaluate", "--data", str(workspace / "prep" / "train.npz"),

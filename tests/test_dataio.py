@@ -15,9 +15,7 @@ from flowcl.dataio import (
     PreprocessorState,
     UNLABELED,
     UnseenCategoryWarning,
-    binarize,
     encode_dataset,
-    filter_classes,
     fit_preprocessor,
     load_csv,
     load_encoded,
@@ -32,8 +30,10 @@ from flowcl.dataio import (
     schema_to_dict,
     stratified_split,
     stratified_subsample,
+    task_rows,
 )
 from flowcl.errors import (
+    ConfigError,
     EmptyDatasetError,
     MissingLabelError,
     RowParseError,
@@ -44,7 +44,7 @@ from flowcl.errors import (
 from flowcl.synth import Record
 from flowcl.synth import write_csv as synth_write_csv
 
-from oracles import naive_encode
+from oracles import binarize, filter_classes, naive_encode
 
 
 def tiny_schema() -> DatasetSchema:
@@ -421,17 +421,32 @@ class TestSplits:
         np.testing.assert_array_equal(a1, a2)
 
 
+def restricted(ds: EncodedDataset, task: str, classes=None, normal_class="Normal",
+               oracle: EncodedDataset | None = None) -> EncodedDataset:
+    """task_rows' rows gathered from ds, checked against the copying oracle's dataset."""
+    got = task_rows(ds.labels, ds.class_names, task, classes, normal_class)
+    out = EncodedDataset(ds.x[got.rows], got.labels, got.class_names)
+    assert out.class_names == oracle.class_names
+    assert out.labels.dtype == oracle.labels.dtype == np.int64
+    np.testing.assert_array_equal(out.labels, oracle.labels)
+    assert out.x.tobytes() == oracle.x.tobytes()
+    return out
+
+
 class TestClassFiltering:
     def test_keep_all_is_identity_up_to_relabeling(self):
         ds = labeled_dataset({0: 4, 1: 4, 2: 4})
-        out = filter_classes(ds, ["c2", "c0", "c1"])
+        out = restricted(ds, "multiclass", "c2,c0,c1",
+                         oracle=filter_classes(ds, ["c2", "c0", "c1"]))
         assert out.class_names == ("c2", "c0", "c1")
         assert len(out) == 12
         np.testing.assert_array_equal(out.labels[ds.labels[:] == 2][:1], [0])
+        every = restricted(ds, "multiclass", oracle=filter_classes(ds, ds.class_names))
+        np.testing.assert_array_equal(every.labels, ds.labels)
 
     def test_keep_one_class(self):
         ds = labeled_dataset({0: 4, 1: 3, 2: 2})
-        out = filter_classes(ds, ["c1"])
+        out = restricted(ds, "multiclass", " c1 ", oracle=filter_classes(ds, ["c1"]))
         assert len(out) == 3
         assert set(out.labels.tolist()) == {0}
 
@@ -439,29 +454,63 @@ class TestClassFiltering:
         ds = labeled_dataset({0: 4})
         with pytest.raises(UnknownClassError):
             filter_classes(ds, ["nope"])
+        with pytest.raises(UnknownClassError):
+            task_rows(ds.labels, ds.class_names, "multiclass", "nope")
+
+    def test_duplicate_class_rejected(self):
+        ds = labeled_dataset({0: 4, 1: 4})
+        with pytest.raises(UnknownClassError):
+            filter_classes(ds, ["c0", "c0"])
+        with pytest.raises(UnknownClassError):
+            task_rows(ds.labels, ds.class_names, "multiclass", "c0,c0")
 
     def test_reordered_keep_list_with_unlabeled_rows(self):
         labels = np.array([3, -1, 0, 2, 3, 1, -1, 0, 3], dtype=np.int64)
         x = np.arange(len(labels), dtype=np.float64)[:, None]
         ds = EncodedDataset(x, labels, ("c0", "c1", "c2", "c3"))
-        out = filter_classes(ds, ["c3", "c0", "c2"])
+        out = restricted(ds, "multiclass", "c3,c0,c2",
+                         oracle=filter_classes(ds, ["c3", "c0", "c2"]))
         assert out.class_names == ("c3", "c0", "c2")
-        assert out.labels.dtype == np.int64
         np.testing.assert_array_equal(out.x[:, 0], [0, 2, 3, 4, 7, 8])
         np.testing.assert_array_equal(out.labels, [0, 1, 2, 0, 1, 0])
 
     def test_binarize_normal_vs_rest(self):
-        ds = EncodedDataset(np.zeros((6, 2)),
+        ds = EncodedDataset(np.arange(12.0).reshape(6, 2),
                             np.array([0, 1, 2, 2, 1, 0], dtype=np.int64),
                             ("Normal", "probe", "flood"))
-        out = binarize(ds)
+        out = restricted(ds, "binary", oracle=binarize(ds))
         assert out.class_names == ("Normal", "attack")
         np.testing.assert_array_equal(out.labels, [0, 1, 1, 1, 1, 0])
+
+    def test_binary_keeps_unlabeled_rows_for_the_split_to_reject(self):
+        ds = EncodedDataset(np.zeros((4, 1)), np.array([1, -1, 0, 1], dtype=np.int64),
+                            ("probe", "benign"))
+        out = restricted(ds, "binary", normal_class="benign",
+                         oracle=binarize(ds, normal_class="benign"))
+        np.testing.assert_array_equal(out.labels, [0, UNLABELED, 1, 0])
+        with pytest.raises(MissingLabelError):
+            stratified_split(out.labels, 0.5, seed=1)
 
     def test_binarize_requires_known_normal_class(self):
         ds = labeled_dataset({0: 3})
         with pytest.raises(UnknownClassError):
             binarize(ds, normal_class="Normal")
+        with pytest.raises(UnknownClassError):
+            task_rows(ds.labels, ds.class_names, "binary", normal_class="Normal")
+
+    def test_unknown_task_is_a_config_error(self):
+        ds = labeled_dataset({0: 3})
+        with pytest.raises(ConfigError):
+            task_rows(ds.labels, ds.class_names, "ternary")
+
+    def test_gather_copies_the_task_rows_at_the_given_positions(self):
+        labels = np.array([2, 0, 1, 2, 0], dtype=np.int64)
+        ds = EncodedDataset(np.arange(5.0)[:, None], labels, ("c0", "c1", "c2"))
+        task = task_rows(ds.labels, ds.class_names, "multiclass", "c2,c0")
+        part = task.gather(ds.x, np.array([1, 3]))
+        np.testing.assert_array_equal(part.x[:, 0], [1, 4])
+        np.testing.assert_array_equal(part.labels, [1, 1])
+        assert part.class_names == ("c2", "c0")
 
 
 class TestArtifacts:

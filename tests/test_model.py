@@ -96,6 +96,21 @@ class TestParameterCounts:
         block, proj = build_encoder(preset_config("larger-pack", 200), seed=0)
         assert count_parameters(block, proj) == 121720
 
+    @pytest.mark.parametrize("config", [small_config(), preset_config("smaller-pack", 196),
+                                        preset_config("larger-pack", 200)],
+                             ids=["small", "smaller-pack", "larger-pack"])
+    def test_config_count_matches_the_built_encoder(self, config):
+        assert config.parameter_count() == count_parameters(*build_encoder(config, seed=0))
+
+    @pytest.mark.parametrize("size", [2**40, 2**63], ids=["2**40", "2**63"])
+    @pytest.mark.parametrize("where", ["conv", "context_dim"])
+    def test_absurd_size_is_a_config_error(self, size, where):
+        """Refused from the shape algebra, before numpy is asked for the memory."""
+        layers = (Conv(size),) if where == "conv" else (Conv(4),)
+        context_dim = size if where == "context_dim" else 4
+        with pytest.raises(ConfigError, match="parameters"):
+            EncoderConfig(layers, 8, context_dim)
+
 
 class TestBuildAndEncode:
     def test_output_shape_batch32_width196(self):

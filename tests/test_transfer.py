@@ -16,6 +16,7 @@ from flowcl.dataio import (
     fit_preprocessor,
     load_csv,
     packaged_schema,
+    task_rows,
 )
 from flowcl.errors import ConfigError, InvalidShapeError, NoSharedFeaturesError
 from flowcl.model import Conv, EncoderConfig, MaxPool, build_encoder
@@ -379,28 +380,34 @@ def trained_pipeline(tmp_path_factory):
 HEAD = HeadConfig(epochs=40, lr=0.05, seed=6)
 
 
+def head_stage(encoder, projector, dataset, config):
+    """run_head_stage on every class of an encoded dataset."""
+    task = task_rows(dataset.labels, dataset.class_names, "multiclass")
+    return run_head_stage(encoder, projector, dataset.x, task, config)
+
+
 class TestTransferEvaluate:
     """encode_aligned followed by the shared run_head_stage protocol."""
 
     def test_identity_transfer_reproduces_plain_metrics_exactly(self, trained_pipeline):
         schema, table, state, dataset, encoder, projector = trained_pipeline
-        plain = run_head_stage(encoder, projector, dataset, HEAD)
+        plain = head_stage(encoder, projector, dataset, HEAD)
         amap = build_alignment(schema, schema)
         target = encode_aligned(table, schema, state, amap)
-        result = run_head_stage(encoder, projector, target, HEAD)
+        result = head_stage(encoder, projector, target, HEAD)
         assert result.report == plain.report
         assert amap.mapped == 16 and amap.masked == 0
         assert result.train_count == plain.train_count
 
     def test_dropping_a_fifth_of_features_stays_close(self, trained_pipeline):
         schema, table, state, dataset, encoder, projector = trained_pipeline
-        baseline = run_head_stage(encoder, projector, dataset, HEAD).report.accuracy
+        baseline = head_stage(encoder, projector, dataset, HEAD).report.accuracy
         keep = [f.name for f in schema.features][:13]  # drop 3 of 16
         target_schema = subset_schema(schema, keep)
         amap = build_alignment(schema, target_schema)
         target_table = replace(table, numeric=table.numeric[:, :13])
         target = encode_aligned(target_table, target_schema, state, amap)
-        result = run_head_stage(encoder, projector, target, HEAD)
+        result = head_stage(encoder, projector, target, HEAD)
         assert amap.masked == 3
         assert abs(result.report.accuracy - baseline) <= 0.10
 
@@ -413,7 +420,7 @@ class TestTransferEvaluate:
             amap = build_alignment(schema, target_schema)
             target_table = replace(table, numeric=table.numeric[:, :16 - n_masked])
             target = encode_aligned(target_table, target_schema, state, amap)
-            result = run_head_stage(encoder, projector, target, HEAD)
+            result = head_stage(encoder, projector, target, HEAD)
             assert amap.masked == n_masked
             accuracies.append(result.report.accuracy)
         for earlier, later in zip(accuracies, accuracies[1:]):
@@ -422,7 +429,7 @@ class TestTransferEvaluate:
     def test_label_fraction_shrinks_the_training_side(self, trained_pipeline):
         schema, table, state, _, encoder, projector = trained_pipeline
         target = encode_aligned(table, schema, state, build_alignment(schema, schema))
-        full = run_head_stage(encoder, projector, target, HEAD)
-        tiny = run_head_stage(encoder, projector, target, replace(HEAD, label_fraction=0.05))
+        full = head_stage(encoder, projector, target, HEAD)
+        tiny = head_stage(encoder, projector, target, replace(HEAD, label_fraction=0.05))
         assert full.train_count == 240 and full.test_count == 60
         assert tiny.train_count == 12  # 5% of 120 per class, both classes
