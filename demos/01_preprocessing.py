@@ -65,10 +65,15 @@ for feat, lo, hi in zip((f for f in schema.features if f.kind == "numeric"),
     print(f"  {feat.name}: min={lo} max={hi}")
 
 dataset = encode_dataset(table, state)
-print("\nencoded matrix (rows are records):")
-print(np.round(dataset.x, 3))
+print("\nencoded table: scaled numerics; the codes and labels stay as parsed")
+print("  numerics:", np.round(dataset.numeric, 3).tolist())
 
-print(f"\nEncodedDataset: {dataset.x.shape[0]} samples x {dataset.width} dims,"
+# The encoder reads dense one-hot rows; they are built only for the rows a
+# batch or a scoring chunk needs, here all five.
+rows = dataset.dense(np.arange(len(dataset)))
+print("\ndense rows (rows are records):")
+print(np.round(rows, 3))
+
+print(f"\n{len(dataset)} samples x {dataset.layout.width} dims,"
       f" class counts {dataset.class_counts()}")
-print("every encoded value sits in [0,1]:",
-      bool(np.all((dataset.x >= 0) & (dataset.x <= 1))))
+print("every encoded value sits in [0,1]:", bool(np.all((rows >= 0) & (rows <= 1))))

@@ -31,9 +31,10 @@ print(f"{len(table)} samples, width {schema.encoded_width}, classes {schema.clas
 
 masking = MaskingConfig(ratio=0.3)
 rng = substream(7, "augment", 0, 0)
-a, b = augment_pair(dataset.x[0], masking, rng)
+first = dataset.dense([0])[0]  # one dense row, as a batch builds them
+a, b = augment_pair(first, masking, rng)
 print("\none sample, two views (masked positions shown as '.'):")
-for row in (dataset.x[0], a, b):
+for row in (first, a, b):
     print("  " + " ".join("  . " if v == 0 else f"{v:.2f}" for v in row))
 
 config = EncoderConfig(
@@ -49,7 +50,7 @@ print(f"\nencoder+projection parameters: {count_parameters(encoder, projector)}"
 history = pretrain(
     encoder,
     projector,
-    dataset.x,
+    dataset,
     ContrastiveConfig(batch_size=32, temperature=0.5, epochs=8,
                       masking=masking, seed=0, holdout_fraction=0.2),
 )

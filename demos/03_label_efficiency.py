@@ -31,7 +31,7 @@ config = EncoderConfig(
     context_dim=32,
 )
 encoder, projector = build_encoder(config, seed=0)
-pretrain(encoder, projector, dataset.x,
+pretrain(encoder, projector, dataset,
          ContrastiveConfig(batch_size=32, epochs=15, seed=0))
 print("pretrained; encoder is frozen from here on\n")
 print("fraction  labeled  accuracy  f1")
@@ -39,7 +39,7 @@ print("fraction  labeled  accuracy  f1")
 task = task_rows(dataset.labels, dataset.class_names, "multiclass")
 head_config = HeadConfig(representation="hidden", epochs=120, seed=3, split_fraction=0.8)
 for fraction in (1.0, 0.25, 0.05, 0.01):
-    result = run_head_stage(encoder, projector, dataset.x, task,
+    result = run_head_stage(encoder, projector, dataset, task,
                             replace(head_config, label_fraction=fraction))
     print(f"  {fraction:5.0%}  {result.train_count:7d}"
           f"  {result.report.accuracy:.4f}  {result.report.f1:.4f}")

@@ -46,7 +46,7 @@ encoder, projector = build_encoder(
                   input_width=original.encoded_width, context_dim=32),
     seed=0,
 )
-pretrain(encoder, projector, dataset.x,
+pretrain(encoder, projector, dataset,
          ContrastiveConfig(batch_size=32, epochs=12, seed=0))
 head = HeadConfig(epochs=80, seed=5)
 
@@ -54,7 +54,7 @@ head = HeadConfig(epochs=80, seed=5)
 def head_stage(ds):
     """Fit and score a head on every class of an encoded dataset."""
     task = task_rows(ds.labels, ds.class_names, "multiclass")
-    return run_head_stage(encoder, projector, ds.x, task, head)
+    return run_head_stage(encoder, projector, ds, task, head)
 
 
 baseline = head_stage(dataset)

@@ -98,9 +98,9 @@ def _setup_logging() -> None:
 # glibc mallopt parameters and the values main() sets. Arrays up to 64 MB (the
 # largest encoder activation at width 196 is a 12.7 MB conv buffer, the
 # 128-channel output of a training step's 64 views or of a 64-row eval chunk)
-# come from the heap and are reused; bigger ones, such as whole encoded
-# datasets, are still mmapped and returned on free. Up to 256 MB of free heap
-# top is kept.
+# come from the heap and are reused; bigger ones, such as the numerics of a
+# large encoded file, are still mmapped and returned on free. Up to 256 MB of
+# free heap top is kept.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD_BYTES, _TRIM_THRESHOLD_BYTES = 64 << 20, 256 << 20
 
@@ -224,7 +224,7 @@ PREPROCESS_SETTINGS = {
 def cmd_preprocess(cfg: dict) -> None:
     """Fit on the train split, then encode and save each split in turn.
 
-    A split's parsed table and matrix both go before the next split is read.
+    A split's parsed and encoded tables both go before the next split is read.
     Outputs are written to a staging directory inside the out-dir and moved
     into place only once every split is encoded, so a split that fails leaves
     the out-dir as it was.
@@ -286,13 +286,14 @@ def cmd_pretrain(cfg: dict) -> None:
     # The settings are checked before any file is read.
     masking = MaskingConfig(ratio=cfg["mask_ratio"])
     contrastive = _config_from(ContrastiveConfig, cfg, masking=masking)
-    dataset, meta = load_encoded(cfg["data"])
+    table, meta = load_encoded(cfg["data"])
     if cfg["layers"] is not None:
         if cfg["context_dim"] is None:
             raise ConfigError("custom 'layers' also need 'context_dim'")
-        config = EncoderConfig(parse_layers(cfg["layers"]), dataset.width, cfg["context_dim"])
+        config = EncoderConfig(parse_layers(cfg["layers"]), table.layout.width,
+                               cfg["context_dim"])
     else:
-        config = preset_config(cfg["arch"], dataset.width)
+        config = preset_config(cfg["arch"], table.layout.width)
     groups = None
     if cfg["group_mask"]:
         if cfg["schema"] is None:
@@ -307,7 +308,7 @@ def cmd_pretrain(cfg: dict) -> None:
     encoder, projector = build_encoder(config, cfg["seed"])
     logger.info("encoder+projection parameters: %d",
                 count_parameters(encoder, projector))
-    history = pretrain(encoder, projector, dataset.x, contrastive, groups=groups)
+    history = pretrain(encoder, projector, table, contrastive, groups=groups)
     if history:
         logger.info("epoch 0 loss %.6f -> final loss %.6f",
                     history[0]["loss"], history[-1]["loss"])
@@ -341,11 +342,11 @@ _PROTOCOL_KEYS = ("task", "representation", "label_fraction", "split_fraction", 
 
 def _load_task_data(encoder_path: str, data_path: str, task: str, classes,
                     normal_class: str):
-    """Frozen encoder, the loaded matrix, and the task's rows of it; no row is copied."""
+    """Frozen encoder, the loaded table, and the task's rows of it; no row is copied."""
     encoder, projector, _ = load_encoder(encoder_path)
-    dataset, _ = load_encoded(data_path)
-    return encoder, projector, dataset.x, task_rows(dataset.labels, dataset.class_names,
-                                                    task, classes, normal_class)
+    table, _ = load_encoded(data_path)
+    return encoder, projector, table, task_rows(table.labels, table.class_names,
+                                                task, classes, normal_class)
 
 
 def _report_doc(protocol: dict, train_count: int, test_count: int, report,
@@ -359,13 +360,12 @@ def _report_doc(protocol: dict, train_count: int, test_count: int, report,
 
 def cmd_train_head(cfg: dict) -> None:
     config = _config_from(HeadConfig, cfg)
-    encoder, projector, x, task = _load_task_data(
+    encoder, projector, table, task = _load_task_data(
         cfg["encoder"], cfg["data"], cfg["task"], cfg["classes"], cfg["normal_class"])
-    train = task.gather(x, head_split(task.labels, config)[0])
+    train = task.gather(table, head_split(task.labels, config)[0])
     logger.info("training on %d labeled samples: %s", len(train),
                 json.dumps(train.class_counts(), sort_keys=True))
-    head = train_head(encoder, projector, train.x, train.labels,
-                      len(task.class_names), config)
+    head = train_head(encoder, projector, train, train.labels, len(task.class_names), config)
     save_head(cfg["out"], head, extra_meta={
         **{key: cfg[key] for key in _PROTOCOL_KEYS},
         "classes": list(task.class_names),
@@ -405,7 +405,7 @@ def cmd_evaluate(cfg: dict) -> None:
             raise ConfigError(f"train_count must be non-negative, got {train_count}")
     except ConfigError as err:
         raise CheckpointError(f"head checkpoint {cfg['head']}: {err}") from None
-    encoder, projector, x, task = _load_task_data(
+    encoder, projector, table, task = _load_task_data(
         cfg["encoder"], cfg["data"], protocol["task"], requested, normal_class)
     if head_meta.get("data_sha256") not in (None, _sha256(cfg["data"])):
         logger.warning("--data differs from the file the head was trained on; "
@@ -414,9 +414,8 @@ def cmd_evaluate(cfg: dict) -> None:
         raise SchemaMismatchError(
             f"dataset classes {list(task.class_names)} do not match the "
             f"head's classes {classes}")
-    test = task.gather(x, head_split(task.labels, config)[1])
-    report = evaluate_head(encoder, projector, head, test.x, test.labels,
-                           config.representation)
+    test = task.gather(table, head_split(task.labels, config)[1])
+    report = evaluate_head(encoder, projector, head, test, test.labels, config.representation)
     write_json(cfg["out"], _report_doc(protocol, train_count, len(test),
                                        report, task.class_names))
     logger.info("accuracy %.4f, weighted f1 %.4f", report.accuracy, report.f1)
@@ -455,14 +454,14 @@ def cmd_transfer_eval(cfg: dict) -> None:
                 amap.mapped, amap.masked, amap.omitted)
     unseen: dict[str, int] = {}
     target_table = load_csv(cfg["target_csv"], target_schema, unseen)
-    target_ds = encode_aligned(target_table, target_schema, original_state, amap)
+    target = encode_aligned(target_table, target_schema, original_state, amap)
     del target_table  # free the parsed table before scoring
     if unseen:
         logger.warning("unseen categories in target data: %s",
                        json.dumps(unseen, sort_keys=True))
-    task = task_rows(target_ds.labels, target_ds.class_names, cfg["task"], cfg["classes"],
+    task = task_rows(target.labels, target.class_names, cfg["task"], cfg["classes"],
                      cfg["normal_class"])
-    result = run_head_stage(encoder, projector, target_ds.x, task, config)
+    result = run_head_stage(encoder, projector, target, task, config)
     doc = _report_doc(cfg, result.train_count, result.test_count, result.report,
                       task.class_names)
     doc["alignment"] = {"mapped": amap.mapped, "masked": amap.masked,

@@ -4,6 +4,11 @@ A schema declares the feature layout (names, kinds, categorical
 vocabularies) up front, so the encoded width is known before any data is
 read and stays identical across machines. Fitting touches only the training
 rows; encoding is a pure function of (parsed table, fitted state).
+
+A row has one type from the CSV to the batch, `FlowTable`: float64 numerics
+(min-max scaled once encoded), an int64 code per categorical (-1 for an
+all-zero block) and an int64 label. `FlowTable.dense` is the one place a
+one-hot row is built, a batch or a scoring chunk at a time.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     EmptyDatasetError,
+    InvalidShapeError,
     MissingLabelError,
     RowParseError,
     SchemaMismatchError,
@@ -38,6 +44,11 @@ STATE_FORMAT_VERSION = 1
 UNLABELED = -1  # label slot for rows with an empty label column
 
 MASK_VALUE = "-"  # categorical value masked to an all-zero block
+
+# The widest layout an encoded file may declare. Its width is a number in the
+# meta, not data that has to exist, so a damaged one could otherwise ask for a
+# dense batch of any size; at 2**16 a 64-row chunk is 32 MiB.
+MAX_ENCODED_WIDTH = 2**16
 
 
 class UnseenCategoryWarning(UserWarning):
@@ -74,6 +85,16 @@ class Feature:
     @property
     def width(self) -> int:
         return 1 if self.kind == "numeric" else len(self.vocabulary)
+
+
+class Layout(NamedTuple):
+    """Where a table's columns go in the dense row: the row's width, each
+    numeric's position, each categorical block's start and width."""
+
+    width: int
+    numeric: np.ndarray
+    starts: np.ndarray
+    widths: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -127,6 +148,11 @@ class DatasetSchema:
     def starts(self, kind: str) -> list[int]:
         """The encoded start of each feature of one kind, in schema order."""
         return [start for f, start, _ in self.block_spans() if f.kind == kind]
+
+    def layout(self) -> Layout:
+        widths = [f.width for f in self.features if f.kind == "categorical"]
+        return Layout(self.encoded_width, *(np.array(v, dtype=np.int64) for v in (
+            self.starts("numeric"), self.starts("categorical"), widths)))
 
     def class_index(self, name: str) -> int:
         spellings = {a.lower(): c for a, c in self.label_aliases}
@@ -226,16 +252,45 @@ PARSE_BLOCK_ROWS = 512  # CSV rows held as text before they become array rows
 
 
 @dataclass(frozen=True)
-class ParsedTable:
-    """A parsed CSV, one row per data row: float64 numerics and int64 category codes
-    (-1 for "-" and unseen values) in schema order, and label codes (UNLABELED if empty)."""
+class FlowTable:
+    """Rows from the CSV to the batch: float64 numerics (min-max scaled once
+    encoded) and int64 category codes (-1 for "-" and unseen values) in schema
+    order, int64 labels (UNLABELED if empty), class names and the dense layout."""
 
     numeric: np.ndarray
     codes: np.ndarray
     labels: np.ndarray
+    class_names: tuple[str, ...]
+    layout: Layout
 
     def __len__(self) -> int:
         return self.labels.shape[0]
+
+    def class_counts(self) -> dict[str, int]:
+        return {name: int(np.sum(self.labels == i)) for i, name in enumerate(self.class_names)}
+
+    def dense(self, idx) -> np.ndarray:
+        """The dense float64 rows at `idx` (row indices or a slice), as the encoder reads
+        them: each numeric at its position, 1.0 at each coded category, zeros elsewhere."""
+        numeric, codes = self.numeric[idx], self.codes[idx]
+        out = np.zeros((len(numeric), self.layout.width))
+        out[:, self.layout.numeric] = numeric
+        rows, cols = np.nonzero(codes >= 0)
+        out[rows, self.layout.starts[cols] + codes[rows, cols]] = 1.0
+        return out
+
+
+def as_table(x) -> FlowTable:
+    """`x` if it is a FlowTable; a dense float64 matrix as unlabeled rows of
+    numerics at every position, whose `dense` rows are its own, bit for bit."""
+    if isinstance(x, FlowTable):
+        return x
+    data = np.asarray(x, dtype=np.float64)
+    if data.ndim != 2:
+        raise InvalidShapeError(f"expected a [samples, width] matrix, got {data.shape}")
+    (n, width), none = data.shape, np.zeros(0, dtype=np.int64)
+    return FlowTable(data, np.zeros((n, 0), dtype=np.int64), np.full(n, UNLABELED),
+                     (), Layout(width, np.arange(width), none, none))
 
 
 def _row_error(numeric: list[tuple[Feature, int]], width: int,
@@ -290,7 +345,7 @@ def _block_arrays(path: str, schema: DatasetSchema, cols: dict[str, int], width:
 
 
 def load_csv(path: str, schema: DatasetSchema,
-             unseen: dict[str, int] | None = None) -> ParsedTable:
+             unseen: dict[str, int] | None = None) -> FlowTable:
     """Parse a UTF-8 CSV with a header row against the schema, PARSE_BLOCK_ROWS at a time.
 
     Header names match case-insensitively, in any order; extra columns are
@@ -324,7 +379,8 @@ def load_csv(path: str, schema: DatasetSchema,
                                       f"{err.object[err.start]:#04x}, {err.reason}") from None
         except csv.Error as err:
             raise SchemaMismatchError(f"{path}, line {reader.line_num}: {err}") from None
-    return ParsedTable(*(np.concatenate(parts) for parts in zip(*blocks)))
+    return FlowTable(*(np.concatenate(parts) for parts in zip(*blocks)),
+                     schema.class_names, schema.layout())
 
 
 @dataclass(frozen=True)
@@ -349,7 +405,7 @@ class PreprocessorState:
         return tuple(n for n, mn, mx in zip(numeric, self.minima, self.maxima) if mn == mx)
 
 
-def fit_preprocessor(table: ParsedTable, schema: DatasetSchema) -> PreprocessorState:
+def fit_preprocessor(table: FlowTable, schema: DatasetSchema) -> PreprocessorState:
     """Per-numeric-feature minima and maxima of the training table."""
     if not len(table):
         raise EmptyDatasetError("cannot fit a preprocessor on zero records")
@@ -360,53 +416,24 @@ def fit_preprocessor(table: ParsedTable, schema: DatasetSchema) -> PreprocessorS
     return state
 
 
-@dataclass(frozen=True)
-class EncodedDataset:
-    """Encoded matrix plus integer labels (-1 marks unlabeled rows)."""
-
-    x: np.ndarray
-    labels: np.ndarray
-    class_names: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "class_names", tuple(self.class_names))
-        if self.x.ndim != 2 or self.labels.shape != (self.x.shape[0],):
-            raise SchemaMismatchError("dataset arrays must be (n, width) and (n,)")
-
-    def __len__(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.x.shape[1]
-
-    def class_counts(self) -> dict[str, int]:
-        return {name: int(np.sum(self.labels == i)) for i, name in enumerate(self.class_names)}
-
-
-def encode_dataset(table: ParsedTable, state: PreprocessorState) -> EncodedDataset:
-    """Encode a table column by column: min-max scale numerics, one-hot categoricals.
+def encode_dataset(table: FlowTable, state: PreprocessorState) -> FlowTable:
+    """Min-max scale a parsed table's numerics; its codes and labels stay as they are.
 
     Numerics are clipped into [0,1]; a degenerate feature (min == max on the
     fitting data) encodes as 0. A code of -1 (the mask value "-", or a value
-    outside the vocabulary) yields an all-zero block.
+    outside the vocabulary) stands for an all-zero block.
     """
     if not len(table):
         raise EmptyDatasetError("no records to encode")
-    schema = state.schema
-    x = np.zeros((len(table), schema.encoded_width))
-    numeric = zip(schema.starts("numeric"), state.minima, state.maxima)
-    for j, (start, mn, mx) in enumerate(numeric):
-        if mx > mn:
-            # Selections, not np.clip or np.fmax (whose vector loops can
-            # keep -0.0): -0.0 and NaN become +0.0, as with max(0.0, v).
-            scaled = (table.numeric[:, j] - mn) / (mx - mn)
-            scaled = np.where(scaled > 0.0, scaled, 0.0)
-            x[:, start] = np.where(scaled < 1.0, scaled, 1.0)
-    categorical = np.array(schema.starts("categorical"), dtype=np.int64)
-    rows, cols = np.nonzero(table.codes >= 0)
-    x[rows, categorical[cols] + table.codes[rows, cols]] = 1.0
-    return EncodedDataset(x, table.labels.copy(), schema.class_names)
+    live = state.maxima > state.minima
+    numeric = (table.numeric - state.minima) / np.where(live, state.maxima - state.minima, 1.0)
+    # Selections, not np.clip or np.fmax (whose vector loops can keep -0.0):
+    # -0.0 and NaN become +0.0, as with max(0.0, v).
+    numeric[~(numeric > 0.0)] = 0.0
+    numeric[numeric >= 1.0] = 1.0
+    numeric[:, ~live] = 0.0
+    return FlowTable(numeric, table.codes, table.labels, table.class_names,
+                     state.schema.layout())
 
 
 def _round_count(x: float) -> int:
@@ -463,15 +490,17 @@ def random_split(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.nda
 
 
 class TaskRows(NamedTuple):
-    """A head-stage task: kept row indices into the loaded matrix, their labels, class names."""
+    """A head-stage task: kept row indices into the loaded table, their labels, class names."""
 
     rows: np.ndarray
     labels: np.ndarray
     class_names: tuple[str, ...]
 
-    def gather(self, x: np.ndarray, idx: np.ndarray) -> EncodedDataset:
-        """The rows at task positions `idx`, copied once out of the loaded matrix `x`."""
-        return EncodedDataset(x[self.rows[idx]], self.labels[idx], self.class_names)
+    def gather(self, table: FlowTable, idx: np.ndarray) -> FlowTable:
+        """The rows at task positions `idx`, copied compact out of the loaded `table`."""
+        rows = self.rows[idx]
+        return FlowTable(table.numeric[rows], table.codes[rows], self.labels[idx],
+                         self.class_names, table.layout)
 
 
 def task_rows(labels: np.ndarray, class_names: tuple[str, ...], task: str,
@@ -544,26 +573,68 @@ def load_state(path: str, schema: DatasetSchema) -> PreprocessorState:
     return PreprocessorState(schema, minima, maxima)
 
 
-def save_encoded(path: str, dataset: EncodedDataset, schema_fingerprint: str = "") -> None:
+def save_encoded(path: str, table: FlowTable, schema_fingerprint: str = "") -> None:
+    layout = table.layout
     meta = {
         "kind": "encoded-dataset",
-        "class_names": list(dataset.class_names),
+        "class_names": list(table.class_names),
         "schema_fingerprint": schema_fingerprint,
+        "layout": {"width": layout.width, **{key: getattr(layout, key).tolist()
+                                             for key in ("numeric", "starts", "widths")}},
     }
-    save_arrays(path, {"x": dataset.x, "labels": dataset.labels}, meta=meta)
+    save_arrays(path, {"numeric": table.numeric, "codes": table.codes,
+                       "labels": table.labels}, meta=meta)
 
 
-def load_encoded(path: str) -> tuple[EncodedDataset, dict]:
+def _file_layout(path: str, doc) -> Layout:
+    """The layout an encoded file's meta declares, checked to tile its width once."""
+    what = f"{path}: layout"
+    doc = checked(doc, dict, what, SchemaMismatchError)
+    try:
+        width = checked(doc["width"], int, f"{what} width", SchemaMismatchError)
+        numeric, starts, widths = (checked(doc[key], list, f"{what} {key}",
+                                           SchemaMismatchError, of=int)
+                                   for key in ("numeric", "starts", "widths"))
+    except KeyError as exc:
+        raise SchemaMismatchError(f"{what} lacks {exc}") from None
+    spans = sorted([(position, 1) for position in numeric] + list(zip(starts, widths)))
+    ends = list(itertools.accumulate(size for _, size in spans))
+    if not (len(starts) == len(widths) and all(size >= 1 for _, size in spans)
+            and [start for start, _ in spans] == [0] + ends[:-1] and ends[-1:] == [width]
+            and width <= MAX_ENCODED_WIDTH):
+        raise SchemaMismatchError(f"{what} must tile its width, at most {MAX_ENCODED_WIDTH}, "
+                                  "with a position per numeric and a block per categorical")
+    return Layout(width, *(np.array(v, dtype=np.int64) for v in (numeric, starts, widths)))
+
+
+def load_encoded(path: str) -> tuple[FlowTable, dict]:
+    """An encoded data file and its meta, its layout, shapes and values checked."""
     arrays, meta = load_arrays(path)
     if meta.get("kind") != "encoded-dataset":
         raise SchemaMismatchError(f"{path} is not an encoded dataset artifact")
+    if "x" in arrays:
+        raise SchemaMismatchError(f"{path} holds dense one-hot rows, a format this flowcl "
+                                  "no longer reads; re-run preprocess to rewrite it")
     try:
-        x, labels = arrays["x"], arrays["labels"]
+        numeric, codes, labels = arrays["numeric"], arrays["codes"], arrays["labels"]
         class_names = checked(meta["class_names"], list, f"{path}: class_names",
                               SchemaMismatchError, of=str)
+        layout = _file_layout(path, meta["layout"])
     except KeyError as exc:
         raise SchemaMismatchError(f"{path} is an encoded dataset without {exc}") from None
-    if x.dtype != np.float64 or labels.dtype != np.int64:
-        raise SchemaMismatchError(f"{path}: x must be float64 and labels int64, "
-                                  f"got {x.dtype} and {labels.dtype}")
-    return EncodedDataset(x, labels, class_names), meta
+    if (numeric.dtype, codes.dtype, labels.dtype) != (np.float64, np.int64, np.int64):
+        raise SchemaMismatchError(f"{path}: numeric must be float64, codes and labels int64, "
+                                  f"got {numeric.dtype}, {codes.dtype} and {labels.dtype}")
+    n = len(labels) if labels.ndim == 1 else -1
+    if numeric.shape != (n, layout.numeric.size) or codes.shape != (n, layout.starts.size):
+        raise SchemaMismatchError(f"{path}: numeric, codes and labels must be (n, "
+                                  f"{layout.numeric.size}), (n, {layout.starts.size}) and (n,)")
+    if not labels.size:
+        raise SchemaMismatchError(f"{path} holds no rows")
+    if numeric.size and not (numeric.min() >= 0.0 and numeric.max() <= 1.0):
+        raise SchemaMismatchError(f"{path}: numerics must be min-max scaled into [0, 1]")
+    if codes.size and np.any((codes < -1) | (codes >= layout.widths)):
+        raise SchemaMismatchError(f"{path}: category codes must lie in [-1, block width)")
+    if not (labels.min() >= UNLABELED and labels.max() < len(class_names)):
+        raise SchemaMismatchError(f"{path}: labels must lie in [-1, {len(class_names)})")
+    return FlowTable(numeric, codes, labels, tuple(class_names), layout), meta

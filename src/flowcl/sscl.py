@@ -18,6 +18,9 @@ Head training fits a single affine classifier on frozen-encoder features
 (hidden h by default, projected z on request). The encoder is never touched:
 features are computed once in eval mode and only the head's two tensors see
 the optimizer.
+
+Every entry point takes rows as a `FlowTable` or a dense matrix, and reads
+them through `FlowTable.dense` one batch or one scoring chunk at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import numgrad as ng
 from .augment import MaskingConfig, augment_pair
-from .dataio import TaskRows, random_split, stratified_split, stratified_subsample
+from .dataio import TaskRows, as_table, random_split, stratified_split, stratified_subsample
 from .errors import (
     ConfigError,
     DegenerateVectorError,
@@ -159,23 +162,24 @@ def _paired_views(batch: np.ndarray, config: ContrastiveConfig, stream_label: st
     return np.stack(pair, axis=1).reshape(-1, batch.shape[1])
 
 
-def holdout_loss(encoder: EncoderBlock, projector: ProjectionHead, holdout,
+def holdout_loss(encoder: EncoderBlock, projector: ProjectionHead, x,
                  config: ContrastiveConfig, epoch: int,
-                 groups: Sequence[tuple[int, int]] | None = None) -> float | None:
+                 groups: Sequence[tuple[int, int]] | None = None,
+                 held: np.ndarray | None = None) -> float | None:
     """Contrastive loss on held-out samples, eval-mode forward, no learning.
 
-    Augmentation draws come from the "holdout-augment" stream of
-    `config.seed`, one per batch, keyed by (epoch, batch offset in the
-    holdout rows), so the number reported for an epoch is reproducible.
-    Returns None when fewer than 2 held-out samples exist.
+    The held-out samples are x's rows at `held` (default: every row), built
+    dense a batch at a time. Augmentation draws come from the
+    "holdout-augment" stream of `config.seed`, one per batch, keyed by (epoch,
+    batch offset in the holdout rows), so the number reported for an epoch is
+    reproducible. Returns None when fewer than 2 held-out samples exist.
     """
-    data = np.asarray(holdout, dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] < 2:
-        return None
+    table = as_table(x)
+    held = np.arange(len(table)) if held is None else held
     total = 0.0
     weight = 0
-    for start in range(0, data.shape[0], config.batch_size):
-        batch = data[start:start + config.batch_size]
+    for start in range(0, held.size, config.batch_size):
+        batch = table.dense(held[start:start + config.batch_size])
         if batch.shape[0] < 2:
             break
         views = _paired_views(batch, config, "holdout-augment", epoch, start, groups)
@@ -192,7 +196,7 @@ def pretrain(encoder: EncoderBlock, projector: ProjectionHead, x,
     """Run the self-supervised loop in place; return the loss history.
 
     `random_split` under the seed holds out `holdout_fraction` of x's rows;
-    both sides stay row indices and each batch is gathered from x. Every
+    both sides stay row indices and each batch is built dense from x. Every
     epoch reshuffles the training rows from its own seed substream, the
     trailing partial batch is dropped, and each batch's views come from one
     rng stream keyed by (seed, epoch, batch offset in the epoch order), so the
@@ -200,10 +204,8 @@ def pretrain(encoder: EncoderBlock, projector: ProjectionHead, x,
     learning rate decays as lr * lr_gamma ** epoch. With 2 or more held-out
     rows, each history entry also carries their `holdout_loss`.
     """
-    data = np.asarray(x, dtype=np.float64)
-    if data.ndim != 2:
-        raise InvalidShapeError(f"expected a [samples, width] matrix, got {data.shape}")
-    rows, held = random_split(len(data), 1.0 - config.holdout_fraction, config.seed)
+    table = as_table(x)
+    rows, held = random_split(len(table), 1.0 - config.holdout_fraction, config.seed)
     n = rows.size
     if n < config.batch_size:
         raise InsufficientDataError(
@@ -216,7 +218,7 @@ def pretrain(encoder: EncoderBlock, projector: ProjectionHead, x,
         order = rows[substream(config.seed, "pretrain-shuffle", epoch).permutation(n)]
         epoch_losses = []
         for start in range(0, n - config.batch_size + 1, config.batch_size):
-            batch = data[order[start:start + config.batch_size]]
+            batch = table.dense(order[start:start + config.batch_size])
             views = _paired_views(batch, config, "augment", epoch, start, groups)
             with Tape() as tape:
                 h = encode(encoder, views, training=True)
@@ -228,8 +230,8 @@ def pretrain(encoder: EncoderBlock, projector: ProjectionHead, x,
             epoch_losses.append(float(loss.data))
         entry = {"epoch": epoch, "loss": float(np.mean(epoch_losses)), "lr": opt.lr}
         if held.size >= 2:
-            entry["holdout_loss"] = holdout_loss(encoder, projector, data[held],
-                                                 config, epoch, groups)
+            entry["holdout_loss"] = holdout_loss(encoder, projector, table, config, epoch,
+                                                 groups, held)
         history.append(entry)
     return history
 
@@ -272,14 +274,16 @@ FEATURE_CHUNK_ROWS = 64
 def _feature_chunks(encoder: EncoderBlock, projector: ProjectionHead, x, representation: str):
     """Yield (start, eval-mode features) of x's rows, FEATURE_CHUNK_ROWS at a time.
 
-    The module's one eval-mode forward loop. Eval-mode batch norm reads the
-    running statistics, so each row's features equal, bit for bit, those of a
-    single-batch pass. An empty input still makes one encode call, which rejects it.
+    The module's one eval-mode forward loop; each chunk's rows are built dense
+    only for it. Eval-mode batch norm reads the running statistics, so each
+    row's features equal, bit for bit, those of a single-batch pass. An empty
+    input still makes one encode call, which rejects it.
     """
     _check_representation(representation)
-    data = np.asarray(x, dtype=np.float64)
-    for start in range(0, max(len(data), 1), FEATURE_CHUNK_ROWS):
-        h = encode(encoder, data[start:start + FEATURE_CHUNK_ROWS], training=False)
+    table = as_table(x)
+    for start in range(0, max(len(table), 1), FEATURE_CHUNK_ROWS):
+        h = encode(encoder, table.dense(slice(start, start + FEATURE_CHUNK_ROWS)),
+                   training=False)
         yield start, (h if representation == "hidden" else project(projector, h)).data
 
 
@@ -304,16 +308,16 @@ def train_head(encoder: EncoderBlock, projector: ProjectionHead, x, labels,
     so the head is bit-identical to a taped fit.
     """
     y = np.asarray(labels, dtype=np.int64).ravel()
-    data = np.asarray(x, dtype=np.float64)
-    if data.shape[0] != y.size:
-        raise InvalidShapeError(f"{data.shape[0]} samples but {y.size} labels")
+    table = as_table(x)
+    if len(table) != y.size:
+        raise InvalidShapeError(f"{len(table)} samples but {y.size} labels")
     if y.size == 0:
         raise InsufficientDataError("no labeled samples to train on")
     if np.any(y < 0):
         raise MissingLabelError("head training needs a label on every sample")
     if np.any(y >= n_classes):
         raise InvalidLabelError(f"labels must lie in [0, {n_classes})")
-    features = representation_features(encoder, projector, data, config.representation)
+    features = representation_features(encoder, projector, table, config.representation)
     head = build_classification_head(features.shape[1], n_classes, config.seed)
     opt = AdamW(head.parameters(), lr=config.lr, weight_decay=config.weight_decay)
     n = features.shape[0]
@@ -354,7 +358,7 @@ def head_split(labels: np.ndarray, config: HeadConfig) -> tuple[np.ndarray, np.n
     return train, test
 
 
-def run_head_stage(encoder: EncoderBlock, projector: ProjectionHead, x: np.ndarray,
+def run_head_stage(encoder: EncoderBlock, projector: ProjectionHead, x,
                    task: TaskRows, config: HeadConfig) -> HeadStageResult:
     """The supervised protocol shared by plain evaluation and transfer.
 
@@ -363,14 +367,13 @@ def run_head_stage(encoder: EncoderBlock, projector: ProjectionHead, x: np.ndarr
     from `x` once. The result is a pure function of (x, task, config), which
     makes an identity-aligned transfer reproduce these numbers bit for bit.
     """
+    table = as_table(x)
     train_idx, test_idx = head_split(task.labels, config)
-    train = task.gather(x, train_idx)
-    head = train_head(encoder, projector, train.x, train.labels,
-                      len(task.class_names), config)
+    train = task.gather(table, train_idx)
+    head = train_head(encoder, projector, train, train.labels, len(task.class_names), config)
     del train
-    test = task.gather(x, test_idx)
-    report = evaluate_head(encoder, projector, head, test.x, test.labels,
-                           config.representation)
+    test = task.gather(table, test_idx)
+    report = evaluate_head(encoder, projector, head, test, test.labels, config.representation)
     return HeadStageResult(head, report, train_idx.size, test_idx.size, task.class_names)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DatasetSchema, EncodedDataset, ParsedTable, PreprocessorState, encode_dataset
+from .dataio import DatasetSchema, FlowTable, PreprocessorState, encode_dataset
 from .errors import ConfigError, InvalidShapeError, NoSharedFeaturesError
 
 __all__ = [
@@ -120,10 +120,10 @@ def build_alignment(original: DatasetSchema, target: DatasetSchema,
     return amap
 
 
-def encode_aligned(table: ParsedTable, target_schema: DatasetSchema,
+def encode_aligned(table: FlowTable, target_schema: DatasetSchema,
                    original_state: PreprocessorState,
-                   amap: FeatureAlignmentMap) -> EncodedDataset:
-    """Encode parsed target rows in the original layout, under `original_state`.
+                   amap: FeatureAlignmentMap) -> FlowTable:
+    """Parsed target rows as encoded rows of the original layout, under `original_state`.
 
     A masked numeric reads the original minimum, so it encodes as +0.0. A
     category without a counterpart, the code -1 and a masked block encode as
@@ -133,21 +133,17 @@ def encode_aligned(table: ParsedTable, target_schema: DatasetSchema,
     if (amap.width, amap.target_width) != (original.encoded_width, target_schema.encoded_width):
         raise InvalidShapeError("the alignment was not built for these two schemas")
     positions = amap.source_positions
-    t_numeric = target_schema.starts("numeric")
+    source, target = original.layout(), target_schema.layout()
     numeric = np.repeat(original_state.minima[None], len(table), axis=0)
-    for j, start in enumerate(original.starts("numeric")):
-        if positions[start] >= 0:
-            numeric[:, j] = table.numeric[:, t_numeric.index(positions[start])]
-    t_blocks, blocks = ([(start, stop) for f, start, stop in schema.block_spans()
-                         if f.kind == "categorical"] for schema in (target_schema, original))
-    codes = np.full((len(table), len(blocks)), -1, dtype=np.int64)
-    for j, (start, stop) in enumerate(blocks):
-        live = np.flatnonzero(positions[start:stop] >= 0)
+    mapped = positions[source.numeric]  # each original numeric's target position, or -1
+    numeric[:, mapped >= 0] = table.numeric[:, np.searchsorted(target.numeric, mapped[mapped >= 0])]
+    codes = np.full((len(table), source.starts.size), -1, dtype=np.int64)
+    for j, (start, width) in enumerate(zip(source.starts, source.widths)):
+        live = np.flatnonzero(positions[start:start + width] >= 0)
         if live.size:  # build_alignment maps a whole block to one target block, k
-            k = sum(t_start <= positions[start + live[0]] for t_start, _ in t_blocks) - 1
-            t_start, t_stop = t_blocks[k]
-            lookup = np.full(t_stop - t_start + 1, -1, dtype=np.int64)  # [-1] serves code -1
-            lookup[positions[start + live] - t_start] = live
+            k = np.searchsorted(target.starts, positions[start + live[0]], side="right") - 1
+            lookup = np.full(target.widths[k] + 1, -1, dtype=np.int64)  # [-1] serves code -1
+            lookup[positions[start + live] - target.starts[k]] = live
             codes[:, j] = lookup[table.codes[:, k]]
-    encoded = encode_dataset(ParsedTable(numeric, codes, table.labels), original_state)
-    return EncodedDataset(encoded.x, encoded.labels, target_schema.class_names)
+    return encode_dataset(FlowTable(numeric, codes, table.labels, target_schema.class_names,
+                                    source), original_state)

@@ -16,10 +16,8 @@ from flowcl.dataio import (
     MASK_VALUE,
     UNLABELED,
     DegenerateFeatureWarning,
-    EncodedDataset,
     PreprocessorState,
     UnseenCategoryWarning,
-    encode_dataset,
     fit_preprocessor,
 )
 from flowcl import numgrad as ng
@@ -330,7 +328,41 @@ def spread_values(rng: np.random.Generator, shape: tuple[int, ...],
     return rng.permutation(base).reshape(shape)
 
 
-def fit_pin_encode_align(table, target_schema, original_state, amap) -> EncodedDataset:
+@dataclass(frozen=True)
+class DenseDataset:
+    """A whole dense one-hot matrix with its labels, as the encoded rows once were held."""
+
+    x: np.ndarray
+    labels: np.ndarray
+    class_names: tuple
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
+
+
+def encode_dense(table, state: PreprocessorState) -> DenseDataset:
+    """The whole-matrix encoder, column by column: min-max scale numerics, one-hot categoricals.
+
+    Numerics are clipped into [0,1]; a degenerate feature (min == max on the
+    fitting data) encodes as 0. A code of -1 yields an all-zero block.
+    """
+    schema = state.schema
+    x = np.zeros((len(table), schema.encoded_width))
+    numeric = zip(schema.starts("numeric"), state.minima, state.maxima)
+    for j, (start, mn, mx) in enumerate(numeric):
+        if mx > mn:
+            # Selections, not np.clip or np.fmax (whose vector loops can
+            # keep -0.0): -0.0 and NaN become +0.0, as with max(0.0, v).
+            scaled = (table.numeric[:, j] - mn) / (mx - mn)
+            scaled = np.where(scaled > 0.0, scaled, 0.0)
+            x[:, start] = np.where(scaled < 1.0, scaled, 1.0)
+    categorical = np.array(schema.starts("categorical"), dtype=np.int64)
+    rows, cols = np.nonzero(table.codes >= 0)
+    x[rows, categorical[cols] + table.codes[rows, cols]] = 1.0
+    return DenseDataset(x, table.labels.copy(), schema.class_names)
+
+
+def fit_pin_encode_align(table, target_schema, original_state, amap) -> DenseDataset:
     """Target rows through the earlier four-step transfer pipeline.
 
     Fit min-max on the target rows, pin every mapped numeric to the
@@ -348,15 +380,15 @@ def fit_pin_encode_align(table, target_schema, original_state, amap) -> EncodedD
         if position >= 0:
             k = target_numerics.index(position)
             minima[k], maxima[k] = original_state.minima[j], original_state.maxima[j]
-    encoded = encode_dataset(table, PreprocessorState(target_schema, minima, maxima)).x
+    encoded = encode_dense(table, PreprocessorState(target_schema, minima, maxima)).x
     out = np.zeros((len(table), amap.width))
     for i, position in enumerate(amap.source_positions):
         if position >= 0:
             out[:, i] = encoded[:, position]
-    return EncodedDataset(out, table.labels.copy(), target_schema.class_names)
+    return DenseDataset(out, table.labels.copy(), target_schema.class_names)
 
 
-def filter_classes(dataset: EncodedDataset, keep: list[str]) -> EncodedDataset:
+def filter_classes(dataset: DenseDataset, keep: list[str]) -> DenseDataset:
     """The copying multiclass restriction: drop rows outside `keep`, relabel in its order.
 
     Unlabeled rows are dropped too.
@@ -371,14 +403,14 @@ def filter_classes(dataset: EncodedDataset, keep: list[str]) -> EncodedDataset:
     lookup = np.zeros(len(dataset.class_names), dtype=np.int64)
     lookup[old_indices] = np.arange(len(keep))
     rows = np.flatnonzero(np.isin(dataset.labels, old_indices))
-    return EncodedDataset(dataset.x[rows], lookup[dataset.labels[rows]], tuple(keep))
+    return DenseDataset(dataset.x[rows], lookup[dataset.labels[rows]], tuple(keep))
 
 
-def binarize(dataset: EncodedDataset, normal_class: str = "Normal") -> EncodedDataset:
+def binarize(dataset: DenseDataset, normal_class: str = "Normal") -> DenseDataset:
     """The whole-dataset binary restriction: the named class is 0, every other class 1."""
     if normal_class not in dataset.class_names:
         raise UnknownClassError(f"class {normal_class!r} not among {dataset.class_names}")
     normal_idx = dataset.class_names.index(normal_class)
     labels = np.where(dataset.labels == UNLABELED, UNLABELED,
                       np.where(dataset.labels == normal_idx, 0, 1)).astype(np.int64)
-    return EncodedDataset(dataset.x, labels, (normal_class, "attack"))
+    return DenseDataset(dataset.x, labels, (normal_class, "attack"))

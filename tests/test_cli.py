@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,12 +21,14 @@ from flowcl import cli
 from flowcl.cli import build_parser, main
 from flowcl.dataio import (
     DatasetSchema,
-    EncodedDataset,
     Feature,
+    FlowTable,
     TaskRows,
+    as_table,
     load_encoded,
     load_schema,
     load_state,
+    packaged_schema,
     save_encoded,
     save_schema,
 )
@@ -97,7 +100,7 @@ class TestPreprocess:
         state = load_state(str(workspace / "prep" / "preprocessor.json"), schema)
         assert state.minima.shape == (16,)
         ds, meta = load_encoded(str(workspace / "prep" / "train.npz"))
-        assert ds.width == 16 and len(ds) == 400
+        assert ds.layout.width == 16 and len(ds) == 400
         assert meta["schema_fingerprint"] == schema.fingerprint()
 
     def test_manifest_checksums_match(self, workspace):
@@ -315,7 +318,7 @@ class TestPretrain:
         ds, _ = load_encoded(str(workspace / "prep" / "train.npz"))
         from flowcl.model import EncoderConfig, Conv, MaxPool
 
-        config = EncoderConfig((Conv(8), MaxPool(2), Conv(16)), ds.width, 8)
+        config = EncoderConfig((Conv(8), MaxPool(2), Conv(16)), ds.layout.width, 8)
         fresh_enc, fresh_proj = build_encoder(config, seed=7)
         for got, want in zip(encoder.parameters(), fresh_enc.parameters()):
             np.testing.assert_array_equal(got.data, want.data)
@@ -368,7 +371,7 @@ class TestPretrain:
         text.write_text("f00,label\n0.5,normal\n", encoding="utf-8")
         assert main(["pretrain", "--data", str(text), "--out", str(tmp_path / "e.npz")]) == 7
 
-    @pytest.mark.parametrize("drop", ["x", "labels", "class_names"])
+    @pytest.mark.parametrize("drop", ["numeric", "codes", "labels", "class_names", "layout"])
     def test_incomplete_encoded_dataset_is_schema_error(self, workspace, tmp_path, drop):
         arrays, meta = load_arrays(str(workspace / "prep" / "train.npz"))
         arrays.pop(drop, None)
@@ -391,10 +394,12 @@ class TestPretrain:
         assert "class_names must be a list of strings" in caplog.text
 
     @pytest.mark.parametrize("key, dtype, code, message", [
-        ("labels", np.float64, 4, "x must be float64 and labels int64, got float64 and float64"),
-        ("x", np.int64, 4, "x must be float64 and labels int64, got int64 and int64"),
+        ("labels", np.float64, 4, "numeric must be float64, codes and labels int64, "
+                                  "got float64, int64 and float64"),
+        ("numeric", np.int64, 4, "numeric must be float64, codes and labels int64, "
+                                 "got int64, int64 and int64"),
         ("labels", np.int32, 7, "array 'labels' has dtype int32, not float64 or int64")],
-        ids=["float-labels", "int-x", "int32-labels"])
+        ids=["float-labels", "int-numeric", "int32-labels"])
     def test_mistyped_encoded_arrays_fail(self, workspace, tmp_path, caplog,
                                           key, dtype, code, message):
         """Float labels such as 0.5 and 1.5 used to be truncated to classes 0 and 1."""
@@ -439,7 +444,8 @@ class TestPretrain:
         """
         x = np.random.default_rng(0).random((20000, 64))
         labels = np.arange(20000, dtype=np.int64) % 2
-        save_encoded(str(tmp_path / "rows.npz"), EncodedDataset(x, labels, ("a", "b")))
+        save_encoded(str(tmp_path / "rows.npz"),
+                     replace(as_table(x), labels=labels, class_names=("a", "b")))
         tracemalloc.start()
         try:
             assert main(["pretrain", "--config", str(workspace / "arch.json"),
@@ -472,7 +478,7 @@ class TestPretrain:
         x = np.random.default_rng(1).random((20000, 64))
         labels = np.arange(20000, dtype=np.int64) % 3
         data = str(tmp_path / "rows.npz")
-        save_encoded(data, EncodedDataset(x, labels, ("a", "b", "c")))
+        save_encoded(data, replace(as_table(x), labels=labels, class_names=("a", "b", "c")))
         enc, head = str(tmp_path / "e.npz"), str(tmp_path / "h.npz")
         assert main(["pretrain", "--config", str(workspace / "arch.json"), "--data", data,
                      "--out", enc, "--epochs", "0"]) == 0
@@ -486,6 +492,38 @@ class TestPretrain:
             finally:
                 tracemalloc.stop()
             assert peak < 1.5 * x.nbytes, argv[0]
+
+    @pytest.mark.filterwarnings("ignore::flowcl.metrics.UndefinedMetricWarning")
+    def test_no_command_loads_a_dense_copy(self, workspace, tmp_path):
+        """Each command holds the compact rows and builds dense ones per batch or chunk.
+
+        UNSW-shaped rows (39 numerics, 3 categoricals, width 196) take 344 B
+        each, a dense float64 row 1,568 B; a 64-row chunk of the small
+        encoder is small next to either.
+        """
+        schema = packaged_schema("unsw_nb15_smaller")
+        rng = np.random.default_rng(2)
+        n, layout = 20000, schema.layout()
+        codes = np.stack([rng.integers(-1, w, size=n) for w in layout.widths], axis=1)
+        table = FlowTable(rng.random((n, layout.numeric.size)), codes,
+                          rng.integers(0, len(schema.class_names), size=n),
+                          schema.class_names, layout)
+        data, enc, head = (str(tmp_path / name) for name in ("rows.npz", "e.npz", "h.npz"))
+        save_encoded(data, table, schema.fingerprint())
+        dense_bytes = n * layout.width * 8
+        for argv in (["pretrain", "--config", str(workspace / "arch.json"), "--out", enc,
+                      "--epochs", "0"],
+                     ["train-head", "--encoder", enc, "--out", head, "--normal-class", "Normal",
+                      "--label-fraction", "0.1", "--epochs", "1"],
+                     ["evaluate", "--encoder", enc, "--head", head,
+                      "--out", str(tmp_path / "r.json")]):
+            tracemalloc.start()
+            try:
+                assert main(argv + ["--data", data]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < dense_bytes / 2, (argv[0], peak, dense_bytes)
 
     def test_flag_overrides_config_file(self, workspace, tmp_path):
         out = tmp_path / "short.npz"
@@ -704,7 +742,7 @@ class TestHeadAndEvaluate:
 
     @pytest.mark.parametrize("damage", sorted(DAMAGE))
     @pytest.mark.parametrize("flag, entry", [("encoder", "a::kernel0.npy"),
-                                             ("head", "a::weight.npy"), ("data", "a::x.npy"),
+                                             ("head", "a::weight.npy"), ("data", "a::numeric.npy"),
                                              ("head", "__meta__.npy")],
                              ids=["encoder", "head", "data", "head-meta"])
     def test_damaged_npz_entry_is_checkpoint_error(self, workspace, trained_head, tmp_path,
@@ -977,7 +1015,7 @@ class TestEmptyTestSide:
             assert main(["preprocess", "--schema", str(root / "blobs.json"),
                          "--train-csv", str(root / f"{name}.csv"),
                          "--out-dir", str(root / name)]) == 0
-        width = load_encoded(str(root / "blobs" / "train.npz"))[0].width
+        width = load_encoded(str(root / "blobs" / "train.npz"))[0].layout.width
         config = EncoderConfig((Conv(4), MaxPool(2), Conv(8)), width, 4)
         save_encoder(str(root / "enc.npz"), *build_encoder(config, seed=0))
         # A head for the same classes, trained on a file large enough to split.

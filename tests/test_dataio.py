@@ -10,11 +10,11 @@ import pytest
 from flowcl import dataio
 from flowcl.dataio import (
     DatasetSchema,
-    EncodedDataset,
     Feature,
     PreprocessorState,
     UNLABELED,
     UnseenCategoryWarning,
+    as_table,
     encode_dataset,
     fit_preprocessor,
     load_csv,
@@ -44,7 +44,7 @@ from flowcl.errors import (
 from flowcl.synth import Record
 from flowcl.synth import write_csv as synth_write_csv
 
-from oracles import binarize, filter_classes, naive_encode
+from oracles import DenseDataset, binarize, encode_dense, filter_classes, naive_encode
 
 
 def tiny_schema() -> DatasetSchema:
@@ -252,10 +252,15 @@ class TestPreprocessor:
             fit_preprocessor(parse(tmp_path, []), tiny_schema())
 
 
+def dense(table):
+    """Every row of a table, built dense."""
+    return table.dense(np.arange(len(table)))
+
+
 def encode_one(tmp_path, row, state):
-    """encode_dataset on a one-row table: (encoded row, class index)."""
+    """encode_dataset on a one-row table: (dense encoded row, class index)."""
     ds = encode_dataset(parse(tmp_path, [row]), state)
-    return ds.x[0], int(ds.labels[0])
+    return dense(ds)[0], int(ds.labels[0])
 
 
 class TestTransform:
@@ -291,7 +296,7 @@ class TestTransform:
         unseen = {}
         with pytest.warns(UnseenCategoryWarning):
             ds = encode_dataset(parse(tmp_path, [(1.0, "gre", 15.0, "ok")], unseen), state)
-        np.testing.assert_array_equal(ds.x[0, 1:4], [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(dense(ds)[0, 1:4], [0.0, 0.0, 0.0])
         assert unseen == {"proto": 1}
 
     def test_degenerate_feature_encodes_to_zero(self, tmp_path):
@@ -305,7 +310,7 @@ class TestTransform:
         rng = np.random.default_rng(3)
         table = parse(tmp_path, [(float(rng.normal(2, 5)), "udp", float(rng.normal(20, 30)), "ok")
                                  for _ in range(25)])
-        a, b = encode_dataset(table, state).x, encode_dataset(table, state).x
+        a, b = dense(encode_dataset(table, state)), dense(encode_dataset(table, state))
         np.testing.assert_array_equal(a, b)
         assert a.min() >= 0.0 and a.max() <= 1.0
 
@@ -313,9 +318,9 @@ class TestTransform:
         rng = np.random.default_rng(11)
         table = parse(tmp_path, [(float(rng.uniform(-5, 5)), "tcp", float(rng.uniform(0, 9)), "ok")
                                  for _ in range(40)])
-        ds = encode_dataset(table, fit_preprocessor(table, tiny_schema()))
-        assert ds.x[:, 0].min() == 0.0 and ds.x[:, 0].max() == 1.0
-        assert ds.x[:, 4].min() == 0.0 and ds.x[:, 4].max() == 1.0
+        x = dense(encode_dataset(table, fit_preprocessor(table, tiny_schema())))
+        assert x[:, 0].min() == 0.0 and x[:, 0].max() == 1.0
+        assert x[:, 4].min() == 0.0 and x[:, 4].max() == 1.0
 
     def test_matches_per_record_reference_bit_for_bit(self, tmp_path):
         inf, nan = float("inf"), float("nan")
@@ -349,17 +354,17 @@ class TestTransform:
             got = encode_dataset(table, state)
             want = [naive_encode(rec, state, want_unseen) for rec in records]
         want_x = np.array([row for row, _ in want])
-        assert got.x.tobytes() == want_x.tobytes()
+        assert dense(got).tobytes() == want_x.tobytes()
         assert got.labels.tolist() == [label for _, label in want]
         assert got_unseen == want_unseen == {"proto": 24}
 
 
-def labeled_dataset(counts: dict[int, int], n_classes=3, width=4, seed=0) -> EncodedDataset:
+def labeled_dataset(counts: dict[int, int], n_classes=3, width=4, seed=0) -> DenseDataset:
     rng = np.random.default_rng(seed)
     labels = np.concatenate([np.full(n, c, dtype=np.int64) for c, n in counts.items()])
     x = rng.uniform(size=(labels.size, width))
     names = tuple(f"c{i}" for i in range(n_classes))
-    return EncodedDataset(x, labels, names)
+    return DenseDataset(x, labels, names)
 
 
 class TestStratifiedSubsample:
@@ -421,11 +426,11 @@ class TestSplits:
         np.testing.assert_array_equal(a1, a2)
 
 
-def restricted(ds: EncodedDataset, task: str, classes=None, normal_class="Normal",
-               oracle: EncodedDataset | None = None) -> EncodedDataset:
+def restricted(ds: DenseDataset, task: str, classes=None, normal_class="Normal",
+               oracle: DenseDataset | None = None) -> DenseDataset:
     """task_rows' rows gathered from ds, checked against the copying oracle's dataset."""
     got = task_rows(ds.labels, ds.class_names, task, classes, normal_class)
-    out = EncodedDataset(ds.x[got.rows], got.labels, got.class_names)
+    out = DenseDataset(ds.x[got.rows], got.labels, got.class_names)
     assert out.class_names == oracle.class_names
     assert out.labels.dtype == oracle.labels.dtype == np.int64
     np.testing.assert_array_equal(out.labels, oracle.labels)
@@ -467,7 +472,7 @@ class TestClassFiltering:
     def test_reordered_keep_list_with_unlabeled_rows(self):
         labels = np.array([3, -1, 0, 2, 3, 1, -1, 0, 3], dtype=np.int64)
         x = np.arange(len(labels), dtype=np.float64)[:, None]
-        ds = EncodedDataset(x, labels, ("c0", "c1", "c2", "c3"))
+        ds = DenseDataset(x, labels, ("c0", "c1", "c2", "c3"))
         out = restricted(ds, "multiclass", "c3,c0,c2",
                          oracle=filter_classes(ds, ["c3", "c0", "c2"]))
         assert out.class_names == ("c3", "c0", "c2")
@@ -475,16 +480,16 @@ class TestClassFiltering:
         np.testing.assert_array_equal(out.labels, [0, 1, 2, 0, 1, 0])
 
     def test_binarize_normal_vs_rest(self):
-        ds = EncodedDataset(np.arange(12.0).reshape(6, 2),
-                            np.array([0, 1, 2, 2, 1, 0], dtype=np.int64),
-                            ("Normal", "probe", "flood"))
+        ds = DenseDataset(np.arange(12.0).reshape(6, 2),
+                          np.array([0, 1, 2, 2, 1, 0], dtype=np.int64),
+                          ("Normal", "probe", "flood"))
         out = restricted(ds, "binary", oracle=binarize(ds))
         assert out.class_names == ("Normal", "attack")
         np.testing.assert_array_equal(out.labels, [0, 1, 1, 1, 1, 0])
 
     def test_binary_keeps_unlabeled_rows_for_the_split_to_reject(self):
-        ds = EncodedDataset(np.zeros((4, 1)), np.array([1, -1, 0, 1], dtype=np.int64),
-                            ("probe", "benign"))
+        ds = DenseDataset(np.zeros((4, 1)), np.array([1, -1, 0, 1], dtype=np.int64),
+                          ("probe", "benign"))
         out = restricted(ds, "binary", normal_class="benign",
                          oracle=binarize(ds, normal_class="benign"))
         np.testing.assert_array_equal(out.labels, [0, UNLABELED, 1, 0])
@@ -505,10 +510,10 @@ class TestClassFiltering:
 
     def test_gather_copies_the_task_rows_at_the_given_positions(self):
         labels = np.array([2, 0, 1, 2, 0], dtype=np.int64)
-        ds = EncodedDataset(np.arange(5.0)[:, None], labels, ("c0", "c1", "c2"))
+        ds = DenseDataset(np.arange(5.0)[:, None], labels, ("c0", "c1", "c2"))
         task = task_rows(ds.labels, ds.class_names, "multiclass", "c2,c0")
-        part = task.gather(ds.x, np.array([1, 3]))
-        np.testing.assert_array_equal(part.x[:, 0], [1, 4])
+        part = task.gather(as_table(ds.x), np.array([1, 3]))
+        np.testing.assert_array_equal(dense(part)[:, 0], [1, 4])
         np.testing.assert_array_equal(part.labels, [1, 1])
         assert part.class_names == ("c2", "c0")
 
@@ -535,11 +540,135 @@ class TestArtifacts:
             load_state(path, other)
 
     def test_encoded_dataset_roundtrip(self, tmp_path):
-        ds = labeled_dataset({0: 7, 1: 3})
+        table = parse(tmp_path, [(1.0, "udp", 0.5, "ok"), (3.0, "-", 0.25, None),
+                                 (2.0, "icmp", 0.75, "bad")])
+        ds = encode_dataset(table, fit_preprocessor(table, tiny_schema()))
         path = str(tmp_path / "enc.npz")
         save_encoded(path, ds, schema_fingerprint="abc")
         loaded, meta = load_encoded(path)
-        np.testing.assert_array_equal(loaded.x, ds.x)
-        np.testing.assert_array_equal(loaded.labels, ds.labels)
+        for name in ("numeric", "codes", "labels"):
+            assert getattr(loaded, name).tobytes() == getattr(ds, name).tobytes()
         assert loaded.class_names == ds.class_names
+        assert dense(loaded).tobytes() == dense(ds).tobytes()
         assert meta["schema_fingerprint"] == "abc"
+        assert meta["layout"] == {"width": 5, "numeric": [0, 4], "starts": [1], "widths": [3]}
+
+
+def cells_table(schema, n_rows, seed):
+    """Numerics with -0.0, NaN, infinities and out-of-range values; codes with -1."""
+    rng = np.random.default_rng(seed)
+    k = len(schema.starts("numeric"))
+    numeric = np.where(rng.random((n_rows, k)) < 0.5, rng.normal(2.0, 4.0, size=(n_rows, k)),
+                       rng.choice([-0.0, 0.0, np.nan, np.inf, -np.inf, -5.0, 9.0, 1e308, -1e308],
+                                  size=(n_rows, k)))
+    codes = np.stack([rng.integers(-1, f.width, size=n_rows)
+                      for f in schema.features if f.kind == "categorical"], axis=1)
+    return dataio.FlowTable(numeric, codes, rng.integers(-1, len(schema.class_names), n_rows),
+                            schema.class_names, schema.layout())
+
+
+class TestDenseBuilder:
+    """FlowTable.dense against the whole-matrix one-hot encoder, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["unsw_nb15_smaller", "cidds_001"])
+    def test_rows_equal_the_dense_oracle(self, name):
+        schema = packaged_schema(name)
+        table = cells_table(schema, 300, seed=4)
+        k = len(schema.starts("numeric"))
+        minima, maxima = np.full(k, -2.0), np.full(k, 8.0)
+        maxima[::3] = minima[::3]  # degenerate features encode as +0.0
+        state = PreprocessorState(schema, minima, maxima)
+        got, want = encode_dataset(table, state), encode_dense(table, state)
+        order = np.random.default_rng(5).integers(0, 300, size=500)  # repeats, any order
+        assert got.dense(order).tobytes() == want.x[order].tobytes()
+        assert got.dense(slice(64, 128)).tobytes() == want.x[64:128].tobytes()
+        assert dense(got).tobytes() == want.x.tobytes()
+        np.testing.assert_array_equal(got.labels, want.labels)
+
+    def test_dash_and_unseen_values_give_all_zero_blocks(self, tmp_path):
+        with pytest.warns(UnseenCategoryWarning):
+            table = parse(tmp_path, [(1.0, "-", 0.5, "ok"), (2.0, "gre", 0.25, "ok"),
+                                     (3.0, "icmp", 0.75, "bad")])
+        state = fit_preprocessor(table, tiny_schema())
+        got = encode_dataset(table, state)
+        assert got.codes.ravel().tolist() == [-1, -1, 2]
+        assert dense(got).tobytes() == encode_dense(table, state).x.tobytes()
+        np.testing.assert_array_equal(dense(got)[:, 1:4], [[0, 0, 0], [0, 0, 0], [0, 0, 1]])
+
+    def test_a_dense_matrix_reads_back_bit_for_bit(self):
+        x = np.array([[-0.0, np.nan, 3.5], [1e-300, -np.inf, 0.0]])
+        table = as_table(x)
+        assert table.dense(np.array([1, 0, 1])).tobytes() == x[[1, 0, 1]].tobytes()
+        assert table.labels.tolist() == [UNLABELED] * 2
+
+
+class TestEncodedFileFormat:
+    """load_encoded checks what an encoded file declares before any row is built dense."""
+
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        table = parse(tmp_path, [(1.0, "udp", 0.5, "ok"), (3.0, "-", 0.25, "bad")])
+        path = str(tmp_path / "enc.npz")
+        save_encoded(path, encode_dataset(table, fit_preprocessor(table, tiny_schema())))
+        return path
+
+    def rewrite(self, path, arrays=None, **meta_changes):
+        loaded, meta = dataio.load_arrays(path)
+        loaded.update(arrays or {})
+        meta.update(meta_changes)
+        dataio.save_arrays(path, loaded, meta=meta)
+        return path
+
+    def test_dense_format_file_says_to_rerun_preprocess(self, tmp_path):
+        path = str(tmp_path / "old.npz")
+        dataio.save_arrays(path, {"x": np.zeros((2, 5)), "labels": np.zeros(2, dtype=np.int64)},
+                           meta={"kind": "encoded-dataset", "class_names": ["ok", "bad"]})
+        with pytest.raises(SchemaMismatchError, match="old.npz holds dense one-hot rows.*"
+                                                      "re-run preprocess"):
+            load_encoded(path)
+
+    @pytest.mark.parametrize("code", [3, 4, -2])
+    def test_code_outside_its_block_is_rejected(self, saved, code):
+        """Code 3 of a 3-wide block would otherwise set the next feature's position."""
+        codes = load_encoded(saved)[0].codes.copy()
+        codes[0, 0] = code
+        with pytest.raises(SchemaMismatchError, match="category codes must lie in"):
+            load_encoded(self.rewrite(saved, {"codes": codes}))
+
+    @pytest.mark.parametrize("value", [np.nan, -0.5, 1.5, np.inf])
+    def test_numeric_outside_the_unit_box_is_rejected(self, saved, value):
+        numeric = load_encoded(saved)[0].numeric.copy()
+        numeric[1, 1] = value
+        with pytest.raises(SchemaMismatchError, match="min-max scaled"):
+            load_encoded(self.rewrite(saved, {"numeric": numeric}))
+
+    @pytest.mark.parametrize("label", [-2, 2])
+    def test_label_outside_the_classes_is_rejected(self, saved, label):
+        with pytest.raises(SchemaMismatchError, match="labels must lie in"):
+            load_encoded(self.rewrite(saved, {"labels": np.array([0, label])}))
+
+    def test_a_file_without_rows_is_rejected(self, saved):
+        """preprocess never writes one; a head split of no labels would fail inside numpy."""
+        table = load_encoded(saved)[0]
+        empty = {"numeric": table.numeric[:0], "codes": table.codes[:0], "labels": table.labels[:0]}
+        with pytest.raises(SchemaMismatchError, match="enc.npz holds no rows"):
+            load_encoded(self.rewrite(saved, empty))
+
+    @pytest.mark.parametrize("layout", [
+        {"width": 6, "numeric": [0, 4], "starts": [1], "widths": [3]},
+        {"width": 5, "numeric": [0, 3], "starts": [1], "widths": [3]},
+        {"width": 5, "numeric": [0, 4], "starts": [1], "widths": [3, 1]},
+        {"width": 5, "numeric": [0, 4], "starts": [1], "widths": [0]},
+        {"width": 2**40, "numeric": [0, 4], "starts": [1, 5], "widths": [3, 2**40 - 5]},
+        {"width": 5, "numeric": [0, 4], "starts": [1]},
+        {"width": 5, "numeric": [0, True], "starts": [1], "widths": [3]},
+        [5]], ids=["wide", "overlap", "unpaired", "empty-block", "huge", "missing", "bool",
+                   "list"])
+    def test_layout_must_tile_its_width(self, saved, layout):
+        with pytest.raises(SchemaMismatchError, match="layout"):
+            load_encoded(self.rewrite(saved, layout=layout))
+
+    def test_layout_must_match_the_columns(self, saved):
+        layout = {"width": 4, "numeric": [0, 1, 2, 3], "starts": [], "widths": []}
+        with pytest.raises(SchemaMismatchError, match="enc.npz: numeric, codes and labels must"):
+            load_encoded(self.rewrite(saved, layout=layout))

@@ -10,7 +10,8 @@ from flowcl.dataio import (
     DatasetSchema,
     DegenerateFeatureWarning,
     Feature,
-    ParsedTable,
+    FlowTable,
+    Layout,
     PreprocessorState,
     encode_dataset,
     fit_preprocessor,
@@ -154,9 +155,14 @@ class TestBuildAlignment:
 
 
 def encode_target(table, target_schema, original_state, aliases=()):
-    """Target rows through build_alignment and encode_aligned."""
+    """Target rows through build_alignment and encode_aligned, built dense."""
     amap = build_alignment(original_state.schema, target_schema, aliases)
-    return encode_aligned(table, target_schema, original_state, amap).x
+    return dense(encode_aligned(table, target_schema, original_state, amap))
+
+
+def dense(table):
+    """Every row of a table, built dense."""
+    return table.dense(np.arange(len(table)))
 
 
 MIXED_STATE = PreprocessorState(mixed_schema(), np.array([0.0, 100.0]), np.array([10.0, 300.0]))
@@ -170,7 +176,7 @@ class TestAlignSample:
         plain = encode_dataset(table, MIXED_STATE)
         got = encode_aligned(table, mixed_schema(), MIXED_STATE,
                              build_alignment(mixed_schema(), mixed_schema()))
-        np.testing.assert_array_equal(got.x, plain.x)
+        assert dense(got).tobytes() == dense(plain).tobytes()
         np.testing.assert_array_equal(got.labels, plain.labels)
         assert got.class_names == plain.class_names
 
@@ -179,7 +185,7 @@ class TestAlignSample:
         state = PreprocessorState(schema, np.full(4, -2.0), np.full(4, 3.0))
         target = subset_schema(schema, ["f00", "f01", "f02"])
         amap = FeatureAlignmentMap(np.full(4, -1, dtype=np.int64), target_width=3)
-        x = encode_aligned(_table([(1.0, 2.0, 3.0)] * 2), target, state, amap).x
+        x = dense(encode_aligned(_table([(1.0, 2.0, 3.0)] * 2), target, state, amap))
         np.testing.assert_array_equal(x, np.zeros((2, 4)))
         assert not np.signbit(x).any()
 
@@ -208,7 +214,8 @@ class TestAlignSample:
                        codes=rng.integers(-1, 3, size=(6, 1)))
         got = encode_target(table, target, MIXED_STATE)
         for i in range(6):
-            row = ParsedTable(table.numeric[i:i + 1], table.codes[i:i + 1], table.labels[i:i + 1])
+            row = replace(table, numeric=table.numeric[i:i + 1], codes=table.codes[i:i + 1],
+                          labels=table.labels[i:i + 1])
             np.testing.assert_array_equal(got[i], encode_target(row, target, MIXED_STATE)[0])
 
     def test_never_invents_values(self):
@@ -269,9 +276,10 @@ class TestTransferPreprocessor:
         original_table = blob_table(tmp_path, schema, 50, seed=1)
         original_state = fit_preprocessor(original_table, schema)
         target_schema = subset_schema(schema, ["f00", "f01"])
-        target_table = replace(original_table, numeric=original_table.numeric[:, :2])
+        target_table = replace(original_table, numeric=original_table.numeric[:, :2],
+                               layout=target_schema.layout())
         x = encode_target(target_table, target_schema, original_state)
-        plain = encode_dataset(original_table, original_state).x
+        plain = dense(encode_dataset(original_table, original_state))
         np.testing.assert_array_equal(x[:, :2], plain[:, :2])
         np.testing.assert_array_equal(x[:, 2], 0.0)
 
@@ -314,16 +322,16 @@ def random_table(schema, n_rows, rng, spread):
                       for f in schema.features if f.kind == "categorical"],
                      dtype=np.int64).reshape(-1, n_rows).T
     labels = rng.integers(-1, len(schema.class_names), size=n_rows)
-    return ParsedTable(numeric, codes, labels)
+    return FlowTable(numeric, codes, labels, schema.class_names, schema.layout())
 
 
 class TestMatchesFormerPipeline:
-    """encode_aligned against fit -> pin -> encode -> align, byte for byte."""
+    """encode_aligned's rows, built dense, against fit -> pin -> encode -> align, byte for byte."""
 
     def check(self, table, target, original_state, amap):
         got = encode_aligned(table, target, original_state, amap)
         want = fit_pin_encode_align(table, target, original_state, amap)
-        assert got.x.tobytes() == want.x.tobytes()
+        assert dense(got).tobytes() == want.x.tobytes()
         assert got.labels.tobytes() == want.labels.tobytes()
         assert got.class_names == want.class_names == target.class_names
 
@@ -347,13 +355,28 @@ class TestMatchesFormerPipeline:
         self.check(table, mixed_schema(), MIXED_STATE,
                    build_alignment(mixed_schema(), mixed_schema()))
 
+    def test_masked_numeric_and_partly_mapped_block(self):
+        # dur is masked; of proto's block only udp and tcp have a target category.
+        target = DatasetSchema(
+            (Feature("bytes", "numeric"), Feature("proto", "categorical", ("UDP", "gre", "tcp"))),
+            "y", ("ok", "bad"))
+        table = _table([(-0.0,), (150.0,), (900.0,), (300.0,)], codes=[(0,), (1,), (2,), (-1,)])
+        self.check(table, target, MIXED_STATE, build_alignment(mixed_schema(), target))
+
 
 def _table(numeric, codes=None):
-    """A table built directly: numeric rows, optional categorical codes, class 0 labels."""
+    """A table built directly: numeric rows, optional categorical codes, class 0 labels.
+
+    Its layout fits its own shape (numerics first, each block as wide as its
+    codes need): encode_aligned and fit_preprocessor read only the columns.
+    """
     n = len(numeric)
-    return ParsedTable(np.array(numeric, dtype=np.float64),
-                       np.array(codes if codes is not None else np.zeros((n, 0)), dtype=np.int64),
-                       np.zeros(n, dtype=np.int64))
+    numeric = np.array(numeric, dtype=np.float64).reshape(n, -1)
+    codes = np.array(codes if codes is not None else np.zeros((n, 0)), dtype=np.int64)
+    k, widths = numeric.shape[1], np.maximum(codes.max(axis=0, initial=0) + 1, 1)
+    starts = k + np.cumsum(widths) - widths
+    layout = Layout(int(k + widths.sum()), np.arange(k), starts, widths)
+    return FlowTable(numeric, codes, np.zeros(n, dtype=np.int64), ("ok", "bad"), layout)
 
 
 def blob_table(root, schema, n_per_class, seed):
@@ -372,8 +395,7 @@ def trained_pipeline(tmp_path_factory):
     dataset = encode_dataset(table, state)
     config = EncoderConfig((Conv(8), MaxPool(2), Conv(16)), 16, context_dim=8)
     encoder, projector = build_encoder(config, seed=4)
-    pretrain(encoder, projector, dataset.x,
-             ContrastiveConfig(batch_size=16, epochs=15, seed=5))
+    pretrain(encoder, projector, dataset, ContrastiveConfig(batch_size=16, epochs=15, seed=5))
     return schema, table, state, dataset, encoder, projector
 
 
@@ -383,7 +405,7 @@ HEAD = HeadConfig(epochs=40, lr=0.05, seed=6)
 def head_stage(encoder, projector, dataset, config):
     """run_head_stage on every class of an encoded dataset."""
     task = task_rows(dataset.labels, dataset.class_names, "multiclass")
-    return run_head_stage(encoder, projector, dataset.x, task, config)
+    return run_head_stage(encoder, projector, dataset, task, config)
 
 
 class TestTransferEvaluate:
@@ -405,7 +427,8 @@ class TestTransferEvaluate:
         keep = [f.name for f in schema.features][:13]  # drop 3 of 16
         target_schema = subset_schema(schema, keep)
         amap = build_alignment(schema, target_schema)
-        target_table = replace(table, numeric=table.numeric[:, :13])
+        target_table = replace(table, numeric=table.numeric[:, :13],
+                               layout=target_schema.layout())
         target = encode_aligned(target_table, target_schema, state, amap)
         result = head_stage(encoder, projector, target, HEAD)
         assert amap.masked == 3
@@ -418,7 +441,8 @@ class TestTransferEvaluate:
         for n_masked in (0, 2, 5, 8):
             target_schema = subset_schema(schema, names[:16 - n_masked])
             amap = build_alignment(schema, target_schema)
-            target_table = replace(table, numeric=table.numeric[:, :16 - n_masked])
+            target_table = replace(table, numeric=table.numeric[:, :16 - n_masked],
+                                   layout=target_schema.layout())
             target = encode_aligned(target_table, target_schema, state, amap)
             result = head_stage(encoder, projector, target, HEAD)
             assert amap.masked == n_masked
