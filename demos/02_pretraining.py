@@ -31,10 +31,11 @@ print(f"{len(table)} samples, width {schema.encoded_width}, classes {schema.clas
 
 masking = MaskingConfig(ratio=0.3)
 rng = substream(7, "augment", 0, 0)
-first = dataset.dense([0])[0]  # one dense row, as a batch builds them
-a, b = augment_pair(first, masking, rng)
+batch = dataset.dense([0])  # a batch of one dense row, as pretraining builds them
+# One draw masks both views of every row, interleaved: rows 2k and 2k+1 are row k's pair.
+a, b = augment_pair(batch, masking, rng)
 print("\none sample, two views (masked positions shown as '.'):")
-for row in (first, a, b):
+for row in (batch[0], a, b):
     print("  " + " ".join("  . " if v == 0 else f"{v:.2f}" for v in row))
 
 config = EncoderConfig(

@@ -273,7 +273,6 @@ PRETRAIN_SETTINGS = {
     "arch": Setting("smaller-pack", "encoder preset (smaller-pack or larger-pack)"),
     "layers": Setting(kind=list, flag=False),
     "context_dim": Setting(kind=int, flag=False),
-    "schema": Setting(help="schema for --group-mask feature blocks"),
     **_config_defaults(ContrastiveConfig, "batch_size", "temperature", "epochs"),
     "mask_ratio": Setting(MaskingConfig.ratio),
     "group_mask": Setting(False),
@@ -294,15 +293,7 @@ def cmd_pretrain(cfg: dict) -> None:
                                cfg["context_dim"])
     else:
         config = preset_config(cfg["arch"], table.layout.width)
-    groups = None
-    if cfg["group_mask"]:
-        if cfg["schema"] is None:
-            raise ConfigError("group masking needs --schema to recover feature blocks")
-        schema = _schema_by_name_or_path(cfg["schema"])
-        if schema.fingerprint() != meta.get("schema_fingerprint"):
-            raise SchemaMismatchError(
-                "--schema does not match the schema the data was encoded with")
-        groups = [(start, stop) for _, start, stop in schema.block_spans()]
+    groups = table.layout.spans() if cfg["group_mask"] else None
     logger.info("temperature %g, batch size %d, mask ratio %g",
                 contrastive.temperature, contrastive.batch_size, masking.ratio)
     encoder, projector = build_encoder(config, cfg["seed"])
@@ -363,6 +354,7 @@ def cmd_train_head(cfg: dict) -> None:
     encoder, projector, table, task = _load_task_data(
         cfg["encoder"], cfg["data"], cfg["task"], cfg["classes"], cfg["normal_class"])
     train = task.gather(table, head_split(task.labels, config)[0])
+    del table  # the feature buffers reuse its pages
     logger.info("training on %d labeled samples: %s", len(train),
                 json.dumps(train.class_counts(), sort_keys=True))
     head = train_head(encoder, projector, train, train.labels, len(task.class_names), config)
@@ -415,6 +407,7 @@ def cmd_evaluate(cfg: dict) -> None:
             f"dataset classes {list(task.class_names)} do not match the "
             f"head's classes {classes}")
     test = task.gather(table, head_split(task.labels, config)[1])
+    del table  # the scoring buffers reuse its pages
     report = evaluate_head(encoder, projector, head, test, test.labels, config.representation)
     write_json(cfg["out"], _report_doc(protocol, train_count, len(test),
                                        report, task.class_names))

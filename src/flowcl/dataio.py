@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     EmptyDatasetError,
+    InsufficientDataError,
     InvalidShapeError,
     MissingLabelError,
     RowParseError,
@@ -95,6 +96,18 @@ class Layout(NamedTuple):
     numeric: np.ndarray
     starts: np.ndarray
     widths: np.ndarray
+
+    def spans(self) -> list[tuple[int, int]]:
+        """(start, stop) of each numeric's position and each categorical's block, in order."""
+        return sorted([(int(p), int(p) + 1) for p in self.numeric]
+                      + [(int(s), int(s) + int(w)) for s, w in zip(self.starts, self.widths)])
+
+
+def spans_tile(spans, width: int) -> bool:
+    """Whether (start, stop) spans cover the positions of a row of `width` >= 1, in order."""
+    stops = [0] + [stop for _, stop in spans]
+    return (stops[-1] == width > 0 and [start for start, _ in spans] == stops[:-1]
+            and all(np.diff(stops) > 0))
 
 
 @dataclass(frozen=True)
@@ -436,10 +449,6 @@ def encode_dataset(table: FlowTable, state: PreprocessorState) -> FlowTable:
                      state.schema.layout())
 
 
-def _round_count(x: float) -> int:
-    return int(round(x))
-
-
 def _stratified_indices(labels: np.ndarray, fraction: float,
                         rng: np.random.Generator) -> np.ndarray:
     """Per class: round(fraction*size) indices, minimum 1, uniform w/o replacement."""
@@ -449,7 +458,7 @@ def _stratified_indices(labels: np.ndarray, fraction: float,
     picked = []
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
-        count = max(1, _round_count(fraction * idx.size))
+        count = max(1, int(round(fraction * idx.size)))
         picked.append(rng.choice(idx, size=min(count, idx.size), replace=False))
     return np.sort(np.concatenate(picked))
 
@@ -484,21 +493,21 @@ def random_split(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.nda
     """
     if not 0 < fraction <= 1:
         raise SchemaMismatchError(f"fraction must lie in (0, 1], got {fraction}")
-    take = _round_count(fraction * n)
+    take = int(round(fraction * n))
     perm = substream(seed, "pretrain-split").permutation(n)
     return np.sort(perm[:take]), np.sort(perm[take:])
 
 
 class TaskRows(NamedTuple):
-    """A head-stage task: kept row indices into the loaded table, their labels, class names."""
+    """A head-stage task: its rows of the loaded table (or all), their labels, class names."""
 
-    rows: np.ndarray
+    rows: np.ndarray | slice
     labels: np.ndarray
     class_names: tuple[str, ...]
 
     def gather(self, table: FlowTable, idx: np.ndarray) -> FlowTable:
         """The rows at task positions `idx`, copied compact out of the loaded `table`."""
-        rows = self.rows[idx]
+        rows = idx if isinstance(self.rows, slice) else self.rows[idx]
         return FlowTable(table.numeric[rows], table.codes[rows], self.labels[idx],
                          self.class_names, table.layout)
 
@@ -510,7 +519,7 @@ def task_rows(labels: np.ndarray, class_names: tuple[str, ...], task: str,
     binary keeps every row: `normal_class` is 0, every other class 1, and an
     unlabeled row stays UNLABELED for the head split to reject. multiclass
     keeps the rows of the comma-separated `classes` (default: every class),
-    labelled 0..K-1 in that order.
+    labelled 0..K-1 in that order, and fails when there are none.
     """
     if task not in ("binary", "multiclass"):
         raise ConfigError(f"task must be 'binary' or 'multiclass', got {task!r}")
@@ -524,10 +533,12 @@ def task_rows(labels: np.ndarray, class_names: tuple[str, ...], task: str,
     old = [class_names.index(name) for name in keep]
     if task == "binary":
         binary = np.where(labels == UNLABELED, UNLABELED, np.where(labels == old[0], 0, 1))
-        return TaskRows(np.arange(labels.size), binary.astype(np.int64), (normal_class, "attack"))
+        return TaskRows(slice(None), binary.astype(np.int64), (normal_class, "attack"))
     lookup = np.zeros(len(class_names), dtype=np.int64)
     lookup[old] = np.arange(len(keep))
     rows = np.flatnonzero(np.isin(labels, old))
+    if not rows.size:
+        raise InsufficientDataError(f"no rows of classes {keep} among {labels.size}")
     return TaskRows(rows, lookup[labels[rows]], tuple(keep))
 
 
@@ -597,10 +608,8 @@ def _file_layout(path: str, doc) -> Layout:
                                    for key in ("numeric", "starts", "widths"))
     except KeyError as exc:
         raise SchemaMismatchError(f"{what} lacks {exc}") from None
-    spans = sorted([(position, 1) for position in numeric] + list(zip(starts, widths)))
-    ends = list(itertools.accumulate(size for _, size in spans))
-    if not (len(starts) == len(widths) and all(size >= 1 for _, size in spans)
-            and [start for start, _ in spans] == [0] + ends[:-1] and ends[-1:] == [width]
+    spans = Layout(width, numeric, starts, widths).spans()
+    if not (len(starts) == len(widths) and spans_tile(spans, width)
             and width <= MAX_ENCODED_WIDTH):
         raise SchemaMismatchError(f"{what} must tile its width, at most {MAX_ENCODED_WIDTH}, "
                                   "with a position per numeric and a block per categorical")

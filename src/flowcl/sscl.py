@@ -158,8 +158,7 @@ def _paired_views(batch: np.ndarray, config: ContrastiveConfig, stream_label: st
                   epoch: int, start: int, groups) -> np.ndarray:
     """Both views of every row, interleaved; one stream per batch, keyed by its offset."""
     rng = substream(config.seed, stream_label, epoch, start)
-    pair = augment_pair(batch, config.masking, rng, groups)
-    return np.stack(pair, axis=1).reshape(-1, batch.shape[1])
+    return augment_pair(batch, config.masking, rng, groups)
 
 
 def holdout_loss(encoder: EncoderBlock, projector: ProjectionHead, x,

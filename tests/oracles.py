@@ -414,3 +414,25 @@ def binarize(dataset: DenseDataset, normal_class: str = "Normal") -> DenseDatase
     labels = np.where(dataset.labels == UNLABELED, UNLABELED,
                       np.where(dataset.labels == normal_idx, 0, 1)).astype(np.int64)
     return DenseDataset(dataset.x, labels, (normal_class, "attack"))
+
+
+def member_mask_view(x: np.ndarray, ratio: float, rng: np.random.Generator,
+                     groups) -> np.ndarray:
+    """A batch with whole blocks masked through a blocks-by-width member matrix.
+
+    Each row draws one key per (start, stop) block and hits its k smallest,
+    k = round(ratio * blocks); the product of the hits with the 0/1 member
+    matrix marks every position of a hit block.
+    """
+    view = np.array(x, dtype=np.float64)
+    k = int(round(ratio * len(groups)))
+    if k > 0:
+        keys = rng.random((view.shape[0], len(groups)))
+        hit = np.zeros(keys.shape, dtype=bool)
+        for row, order in enumerate(np.argpartition(keys, k - 1, axis=1)):
+            hit[row, order[:k]] = True
+        member = np.zeros((len(groups), view.shape[1]))
+        for g, (start, stop) in enumerate(groups):
+            member[g, start:stop] = 1.0
+        view[hit @ member > 0.0] = 0.0
+    return view

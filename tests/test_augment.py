@@ -6,6 +6,7 @@ import pytest
 from flowcl.augment import MaskingConfig, augment_pair, mask_count, mask_view
 from flowcl.errors import ConfigError
 from flowcl.seeding import substream
+from oracles import member_mask_view
 
 
 class TestMaskView:
@@ -84,9 +85,9 @@ class TestMaskView:
 class TestAugmentPair:
     def test_ratio_zero_views_equal_source(self):
         x = np.arange(1.0, 5.0)
-        pair = augment_pair(x, MaskingConfig(ratio=0.0), substream(8, "augment", 0, 0))
-        np.testing.assert_array_equal(pair.x_i, x)
-        np.testing.assert_array_equal(pair.x_j, x)
+        x_i, x_j = augment_pair(x, MaskingConfig(ratio=0.0), substream(8, "augment", 0, 0))
+        np.testing.assert_array_equal(x_i, x)
+        np.testing.assert_array_equal(x_j, x)
 
     def test_views_are_independent_draws(self):
         # width 4, ratio 0.5: each view zeroes one of the C(4,2)=6 index pairs.
@@ -95,11 +96,11 @@ class TestAugmentPair:
         config = MaskingConfig(ratio=0.5)
         seen = set()
         for s in range(4000):
-            pair = augment_pair(x, config, substream(s, "augment", 0, 0))
-            assert int(np.sum(pair.x_i == 0.0)) == 2
-            assert int(np.sum(pair.x_j == 0.0)) == 2
-            key_i = tuple(np.flatnonzero(pair.x_i == 0.0).tolist())
-            key_j = tuple(np.flatnonzero(pair.x_j == 0.0).tolist())
+            x_i, x_j = augment_pair(x, config, substream(s, "augment", 0, 0))
+            assert int(np.sum(x_i == 0.0)) == 2
+            assert int(np.sum(x_j == 0.0)) == 2
+            key_i = tuple(np.flatnonzero(x_i == 0.0).tolist())
+            key_j = tuple(np.flatnonzero(x_j == 0.0).tolist())
             seen.add((key_i, key_j))
         assert len(seen) == 36
 
@@ -111,9 +112,9 @@ class TestAugmentPair:
         mi = np.zeros((draws, 8))
         mj = np.zeros((draws, 8))
         for t in range(draws):
-            pair = augment_pair(x, config, rng)
-            mi[t] = pair.x_i == 0.0
-            mj[t] = pair.x_j == 0.0
+            x_i, x_j = augment_pair(x, config, rng)
+            mi[t] = x_i == 0.0
+            mj[t] = x_j == 0.0
         # Correlate view-i and view-j indicators position by position.
         ci = mi - mi.mean(axis=0)
         cj = mj - mj.mean(axis=0)
@@ -125,10 +126,9 @@ class TestAugmentPair:
         config = MaskingConfig(ratio=0.3)
         a = augment_pair(x, config, substream(10, "augment", 3, 7))
         b = augment_pair(x, config, substream(10, "augment", 3, 7))
-        np.testing.assert_array_equal(a.x_i, b.x_i)
-        np.testing.assert_array_equal(a.x_j, b.x_j)
+        np.testing.assert_array_equal(a, b)
         c = augment_pair(x, config, substream(10, "augment", 3, 8))
-        assert not (np.array_equal(a.x_i, c.x_i) and np.array_equal(a.x_j, c.x_j))
+        assert not np.array_equal(a, c)
 
 
 class TestBatchMasking:
@@ -169,12 +169,56 @@ class TestBatchMasking:
         a = augment_pair(x, config, substream(15, "augment", 2, 64))
         b = augment_pair(x, config, substream(15, "augment", 2, 64))
         c = augment_pair(x, config, substream(15, "augment", 2, 96))
-        np.testing.assert_array_equal(a.x_i, b.x_i)
-        np.testing.assert_array_equal(a.x_j, b.x_j)
-        assert not np.array_equal(a.x_i, a.x_j)
-        assert not np.array_equal(a.x_i, c.x_i) and not np.array_equal(a.x_j, c.x_j)
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a[0::2], a[1::2])
+        assert not np.array_equal(a[0::2], c[0::2]) and not np.array_equal(a[1::2], c[1::2])
 
     @pytest.mark.parametrize("shape", [(2, 3, 4), (4, 0), ()])
     def test_other_shapes_rejected(self, shape):
         with pytest.raises(ConfigError):
             mask_view(np.ones(shape), MaskingConfig(), substream(16, "augment", 0, 0))
+        with pytest.raises(ConfigError):
+            augment_pair(np.ones(shape), MaskingConfig(), substream(16, "augment", 0, 0))
+
+
+# Blocks of a row of width 9: a numeric, a 3-wide categorical, two numerics, a 4-wide one.
+BLOCKS = [(0, 1), (1, 4), (4, 5), (5, 9)]
+
+
+class TestOneDrawPair:
+    """A pair is one draw of both views' keys: the draws of two `mask_view` calls."""
+
+    @pytest.mark.parametrize("groups", [None, BLOCKS], ids=["positions", "blocks"])
+    @pytest.mark.parametrize("ratio", [0.0, 0.3, 0.5, 1.0])
+    def test_pair_equals_two_sequential_views_interleaved(self, groups, ratio):
+        x = np.random.default_rng(17).uniform(0.1, 1.0, size=(33, 9))
+        config = MaskingConfig(ratio=ratio)
+        pair = augment_pair(x, config, substream(18, "augment", 1, 32), groups)
+        rng = substream(18, "augment", 1, 32)
+        first, second = mask_view(x, config, rng, groups), mask_view(x, config, rng, groups)
+        assert pair.shape == (66, 9)
+        assert pair[0::2].tobytes() == first.tobytes()
+        assert pair[1::2].tobytes() == second.tobytes()
+
+    def test_a_sample_gives_two_rows(self):
+        x = np.arange(1.0, 10.0)
+        pair = augment_pair(x, MaskingConfig(ratio=0.5), substream(19, "augment", 0, 0), BLOCKS)
+        rng = substream(19, "augment", 0, 0)
+        want = [mask_view(x, MaskingConfig(ratio=0.5), rng, BLOCKS) for _ in range(2)]
+        np.testing.assert_array_equal(pair, want)
+
+    @pytest.mark.parametrize("ratio", [0.25, 0.5, 0.75])
+    def test_block_hits_equal_the_member_matrix_product(self, ratio):
+        x = np.random.default_rng(20).uniform(0.1, 1.0, size=(64, 9))
+        config = MaskingConfig(ratio=ratio)
+        got = mask_view(x, config, substream(21, "augment", 0, 0), BLOCKS)
+        want = member_mask_view(x, ratio, substream(21, "augment", 0, 0), BLOCKS)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("groups", [[(0, 4), (4, 8)], [(0, 4), (5, 9)], [(0, 5), (4, 9)],
+                                        [(4, 9), (0, 4)], [(0, 0), (0, 9)], []],
+                             ids=["short", "gap", "overlap", "unordered", "empty-block", "none"])
+    def test_blocks_must_tile_the_row(self, groups):
+        for masker in (mask_view, augment_pair):
+            with pytest.raises(ConfigError, match="tile"):
+                masker(np.ones((2, 9)), MaskingConfig(), substream(22, "augment", 0, 0), groups)

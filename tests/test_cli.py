@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import flowcl
-from flowcl import cli
+from flowcl import cli, sscl
 from flowcl.cli import build_parser, main
 from flowcl.dataio import (
     DatasetSchema,
@@ -35,6 +35,7 @@ from flowcl.dataio import (
 from flowcl.model import Conv, EncoderConfig, MaxPool, build_encoder, load_encoder, save_encoder
 from flowcl.numgrad import load_arrays, save_arrays
 from flowcl.synth import Record, blob_schema, generate_blobs, subset_schema, write_csv
+from oracles import member_mask_view
 from test_checkpoint import DAMAGE, rewrite_entry
 
 
@@ -268,7 +269,7 @@ class TestPretrain:
                     == sha(workspace / "enc-history.json"))
 
     def test_group_mask_rerun_is_byte_identical(self, workspace, tmp_path):
-        """`pretrain --group-mask --schema` masks whole one-hot blocks: a finite
+        """`pretrain --group-mask` masks whole one-hot blocks: a finite
         history, a checkpoint unlike the per-position run's, and identical reruns."""
         blobs = blob_schema(4)
         schema = DatasetSchema(blobs.features + (Feature("proto", "categorical",
@@ -284,8 +285,7 @@ class TestPretrain:
         base = ["pretrain", "--config", str(workspace / "arch.json"), "--epochs", "3",
                 "--data", str(tmp_path / "prep" / "train.npz")]
         for run in ("a", "b"):
-            assert main(base + ["--group-mask", "--schema", str(tmp_path / "proto.json"),
-                                "--out", str(tmp_path / f"{run}.npz")]) == 0
+            assert main(base + ["--group-mask", "--out", str(tmp_path / f"{run}.npz")]) == 0
         assert main(base + ["--out", str(tmp_path / "plain.npz")]) == 0
         assert sha(tmp_path / "a.npz") == sha(tmp_path / "b.npz")
         assert sha(tmp_path / "a-history.json") == sha(tmp_path / "b-history.json")
@@ -293,6 +293,49 @@ class TestPretrain:
         history = json.loads((tmp_path / "a-history.json").read_text())["history"]
         assert len(history) == 3
         assert all(np.isfinite([h["loss"], h["holdout_loss"]]).all() for h in history)
+
+    # sha256 of (encoder, history) of the per-position and the `--group-mask --schema
+    # proto.json` runs below, written when the blocks came from the schema and each view
+    # took its own draw (numpy 2.4, OpenBLAS 0.3.31, x86-64).
+    PLAIN_SHA256 = ("6c5a5bab26f065834e708c59bd78f8f23f2f69bb632545a7d713e0edc1a3e3fb",
+                    "3005facd236daa4e15d5cd1c0f7f491f4c32f28f78792a68ec38223febfb770a")
+    GROUP_MASK_SHA256 = ("f127155b3d6473b60aa06ab9958af6da73c7cec255b99532bd364afefd7fecae",
+                         "d3a23fb8a2095cf82bcf6b01ca44b9ef99036781ffb8355e408be6bf9eaf5253")
+
+    def test_group_mask_reads_its_blocks_from_the_file(self, workspace, tmp_path, monkeypatch):
+        """`--group-mask` with no `--schema` masks the encoded file's blocks and writes
+        the bytes of two member-matrix masks of the schema's blocks per batch. Where the
+        per-position run reproduces its pinned bytes (the same float arithmetic), the
+        group-mask run reproduces those of the former `--group-mask --schema` run."""
+        blobs = blob_schema(4)
+        schema = DatasetSchema(blobs.features + (Feature("proto", "categorical",
+                                                         ("tcp", "udp", "icmp")),),
+                               blobs.label_column, blobs.class_names)
+        save_schema(str(tmp_path / "proto.json"), schema)
+        records = [Record(r.values + (("tcp", "udp", "icmp")[k % 3],), r.label)
+                   for k, r in enumerate(generate_blobs(blobs, 40, seed=5))]
+        write_csv(str(tmp_path / "proto.csv"), schema, records)
+        assert main(["preprocess", "--schema", str(tmp_path / "proto.json"),
+                     "--train-csv", str(tmp_path / "proto.csv"),
+                     "--out-dir", str(tmp_path / "prep")]) == 0
+        base = ["pretrain", "--config", str(workspace / "arch.json"), "--epochs", "3",
+                "--data", str(tmp_path / "prep" / "train.npz")]
+        blocks = [(start, stop) for _, start, stop in schema.block_spans()]
+
+        def schema_block_pair(batch, masking, rng, groups):
+            views = [member_mask_view(batch, masking.ratio, rng, blocks) for _ in range(2)]
+            return np.stack(views, axis=1).reshape(-1, batch.shape[1])
+
+        outputs = {}
+        for run in ("plain", "group", "oracle"):
+            if run == "oracle":
+                monkeypatch.setattr(sscl, "augment_pair", schema_block_pair)
+            flags = [] if run == "plain" else ["--group-mask"]
+            assert main(base + flags + ["--out", str(tmp_path / f"{run}.npz")]) == 0
+            outputs[run] = (sha(tmp_path / f"{run}.npz"), sha(tmp_path / f"{run}-history.json"))
+        assert outputs["group"] == outputs["oracle"]
+        if outputs["plain"] == self.PLAIN_SHA256:
+            assert outputs["group"] == self.GROUP_MASK_SHA256
 
     def test_history_written_with_holdout(self, workspace):
         history_path = os.path.splitext(str(workspace / "enc.npz"))[0] + "-history.json"
@@ -363,7 +406,6 @@ class TestPretrain:
         config.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["pretrain", "--config", str(config),
                      "--data", str(workspace / "prep" / "train.npz"),
-                     "--schema", str(workspace / "blobs.json"),
                      "--out", str(tmp_path / "e.npz")]) == 2
 
     def test_non_npz_data_is_checkpoint_error(self, tmp_path):
@@ -588,6 +630,33 @@ class TestHeadAndEvaluate:
         doc = json.loads(report.read_text())
         assert (doc["train_count"], doc["test_count"]) == (32, 80)
         assert gathered == [doc["train_count"], doc["test_count"]]
+
+    def test_loaded_rows_are_freed_before_scoring(self, workspace, trained_head, tmp_path,
+                                                  monkeypatch):
+        """Only the gathered rows outlive the split, so scoring reuses the loaded rows' pages."""
+        tables, freed = [], []
+        real_load = cli.load_encoded
+
+        def load(path):
+            table, meta = real_load(path)
+            tables.append(weakref.ref(table))
+            return table, meta
+
+        def scorer(real):
+            def score(*args):
+                freed.append(tables[-1]() is None)
+                return real(*args)
+            return score
+
+        monkeypatch.setattr(cli, "load_encoded", load)
+        monkeypatch.setattr(cli, "train_head", scorer(cli.train_head))
+        monkeypatch.setattr(cli, "evaluate_head", scorer(cli.evaluate_head))
+        data, encoder = str(workspace / "prep" / "train.npz"), str(workspace / "enc.npz")
+        assert main(["train-head", "--data", data, "--encoder", encoder,
+                     "--out", str(tmp_path / "h.npz")] + HEAD_FLAGS) == 0
+        assert main(["evaluate", "--data", data, "--encoder", encoder, "--head", str(trained_head),
+                     "--out", str(tmp_path / "r.json")]) == 0
+        assert freed == [True, True]
 
     def test_config_int_fraction_gives_the_same_head(self, workspace, trained_head, tmp_path):
         config = tmp_path / "fraction.json"
@@ -1049,6 +1118,44 @@ class TestEmptyTestSide:
         assert not (tiny / "transfer.json").exists()
 
 
+class TestEmptyTask:
+    """A multiclass task whose classes have no rows exits 5 with one error line."""
+
+    @pytest.fixture(scope="class")
+    def absent(self, tmp_path_factory):
+        """Rows of classes normal and attack under a schema that also names class c."""
+        root = tmp_path_factory.mktemp("absent")
+        blobs = blob_schema(8)
+        save_schema(str(root / "abc.json"), replace(blobs, class_names=("normal", "attack", "c")))
+        write_csv(str(root / "abc.csv"), blobs, generate_blobs(blobs, 20, seed=5))
+        assert main(["preprocess", "--schema", str(root / "abc.json"),
+                     "--train-csv", str(root / "abc.csv"), "--out-dir", str(root / "prep")]) == 0
+        config = EncoderConfig((Conv(4), MaxPool(2), Conv(8)), 8, 4)
+        save_encoder(str(root / "enc.npz"), *build_encoder(config, seed=0))
+        return root
+
+    def assert_exits_5(self, argv, caplog):
+        caplog.clear()
+        assert main(argv + ["--task", "multiclass", "--classes", "c", "--epochs", "1"]) == 5
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == ["no rows of classes ['c'] among 40"]
+
+    def test_train_head_exits_5(self, absent, caplog):
+        self.assert_exits_5(["train-head", "--data", str(absent / "prep" / "train.npz"),
+                             "--encoder", str(absent / "enc.npz"),
+                             "--out", str(absent / "head.npz")], caplog)
+        assert not (absent / "head.npz").exists()
+
+    def test_transfer_eval_exits_5(self, absent, caplog):
+        self.assert_exits_5(["transfer-eval", "--target-csv", str(absent / "abc.csv"),
+                             "--target-schema", str(absent / "abc.json"),
+                             "--original-schema", str(absent / "abc.json"),
+                             "--original-state", str(absent / "prep" / "preprocessor.json"),
+                             "--encoder", str(absent / "enc.npz"),
+                             "--out", str(absent / "transfer.json")], caplog)
+        assert not (absent / "transfer.json").exists()
+
+
 class TestCheckpointMismatch:
     """Checkpoints that contradict themselves fail at load, with exit 7."""
 
@@ -1161,7 +1268,6 @@ class TestParser:
                 "--data": ("data", "str", None, "encoded .npz from preprocess"),
                 "--out": ("out", "str", None, "encoder checkpoint path (.npz)"),
                 "--arch": ("arch", "str", None, "encoder preset (smaller-pack or larger-pack)"),
-                "--schema": ("schema", "str", None, "schema for --group-mask feature blocks"),
                 "--batch-size": ("batch_size", "int", None, None),
                 "--temperature": ("temperature", "float", None, None),
                 "--epochs": ("epochs", "int", None, None),

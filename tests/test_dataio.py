@@ -1,6 +1,7 @@
 """Schema handling, CSV parsing, encoding, and the split/subsample rules."""
 
 import math
+import os
 import warnings
 from dataclasses import replace
 
@@ -41,10 +42,14 @@ from flowcl.errors import (
     UnknownClassError,
 )
 
-from flowcl.synth import Record
+from flowcl.synth import Record, blob_schema
 from flowcl.synth import write_csv as synth_write_csv
 
 from oracles import DenseDataset, binarize, encode_dense, filter_classes, naive_encode
+
+
+PACKAGED = sorted(name[:-len(".json")] for name in
+                  os.listdir(os.path.join(os.path.dirname(dataio.__file__), "schemas")))
 
 
 def tiny_schema() -> DatasetSchema:
@@ -667,6 +672,19 @@ class TestEncodedFileFormat:
     def test_layout_must_tile_its_width(self, saved, layout):
         with pytest.raises(SchemaMismatchError, match="layout"):
             load_encoded(self.rewrite(saved, layout=layout))
+
+    @pytest.mark.parametrize("schema", [packaged_schema(name) for name in PACKAGED]
+                             + [blob_schema(16)], ids=PACKAGED + ["blobs"])
+    def test_layout_spans_are_the_schema_blocks(self, schema, tmp_path):
+        """The spans of a schema's layout, and of a file's, are its features' blocks."""
+        blocks = [(start, stop) for _, start, stop in schema.block_spans()]
+        layout = schema.layout()
+        assert layout.spans() == blocks
+        table = dataio.FlowTable(np.zeros((1, layout.numeric.size)),
+                                 np.full((1, layout.starts.size), -1), np.zeros(1, dtype=np.int64),
+                                 schema.class_names, layout)
+        save_encoded(str(tmp_path / "one.npz"), table)
+        assert load_encoded(str(tmp_path / "one.npz"))[0].layout.spans() == blocks
 
     def test_layout_must_match_the_columns(self, saved):
         layout = {"width": 4, "numeric": [0, 1, 2, 3], "starts": [], "widths": []}

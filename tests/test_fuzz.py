@@ -3,11 +3,13 @@
 Each trial damages one input of one command with a deterministic mutator:
 byte edits of a CSV or an alias file, a value swap in a schema, config or
 state JSON, or an edit of one npz entry (its header, magic, data length,
-dtype, values, or the JSON meta, the encoded file's layout included). It then
-runs `main()` and checks the contract: `main()` never raises, never returns 1
-(an internal fault), and a failing command logs exactly one error line while
-a passing one logs none. A trial is a pure function of (seed, trial number),
-so a failure names both and replays alone.
+dtype, values, or the JSON meta, the encoded file's layout included). A
+head-stage trial may also set the task, its classes and the normal class,
+picked from the schema's class names (one of which has no rows), repeated or
+empty. It then runs `main()` and checks the contract: `main()` never raises,
+never returns 1 (an internal fault), and a failing command logs exactly one
+error line while a passing one logs none. A trial is a pure function of
+(seed, trial number), so a failure names both and replays alone.
 
 Long runs, from the repository root:
 
@@ -46,6 +48,10 @@ JSON_VALUES = [None, True, False, 0, -1, 1, 3, 2**40, 2**63, 0.5, -0.0, 1e308, f
 # them at 3, so that no trial asks for 2**40 epochs.
 LOOP_KEYS = {"epochs"}
 
+# Class lists a head-stage trial may ask for: classes with rows and the one
+# without, repeated, empty, padded.
+CLASS_PICKS = ["", ",", "normal", "absent", " absent ", "attack,absent", "normal,normal"]
+
 # Bytes and tokens a CSV or alias edit writes.
 BYTE_TOKENS = [b",", b"\n", b"\r", b'"', b"-", b"=", b"#", b" ", b"\x00", b"\xff", b"\x96",
                b"nan", b"inf", b"1e400", b"-0", b"9" * 30, "é".encode(), b",,", b"tcp"]
@@ -59,18 +65,19 @@ def fuzz_schema() -> DatasetSchema:
         tuple(Feature(f"f{i}", "numeric") for i in range(4))
         + (Feature("proto", "categorical", ("tcp", "udp", "icmp")),
            Feature("state", "categorical", ("CON", "FIN"))),
-        label_column="label", class_names=("normal", "attack"))
+        label_column="label", class_names=("normal", "attack", "absent"))
 
 
 def target_schema() -> DatasetSchema:
     return DatasetSchema(
         (Feature("g0", "numeric"), Feature("f2", "numeric"),
          Feature("proto", "categorical", ("udp", "gre", "tcp"))),
-        label_column="label", class_names=("normal", "attack"))
+        label_column="label", class_names=("normal", "attack", "absent"))
 
 
 def write_rows(path: str, names: list[str], n_rows: int, seed: int) -> None:
-    """Two-class rows: class-shifted numerics, categories with '-' and unseen values."""
+    """Rows of two of the three classes: class-shifted numerics, categories with '-'
+    and unseen values."""
     rng = np.random.default_rng(seed)
     cells = {"proto": ["tcp", "udp", "icmp", "-", "gre"], "state": ["CON", "FIN", "-"]}
     lines = [",".join(names + ["label"])]
@@ -238,6 +245,20 @@ def mutate_entry(name: str, data: bytes, rng: random.Random) -> tuple[bytes, str
     return npy_bytes(flat.reshape(array.shape)), what
 
 
+def set_task(src: str, dst: str, rng: random.Random) -> str:
+    """Write the head config at `src` to `dst` with a task, classes and a normal class."""
+    with open(src, "rb") as fh:
+        doc = json.loads(fh.read())
+    what = ""
+    if isinstance(doc, dict):
+        doc.update(task=rng.choice(["binary", "multiclass"]), classes=rng.choice(CLASS_PICKS),
+                   normal_class=rng.choice(CLASS_PICKS))
+        what = f", task {doc['task']} classes {doc['classes']!r} normal {doc['normal_class']!r}"
+    with open(dst, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return what
+
+
 def mutate_file(kind: str, src: str, dst: str, rng: random.Random) -> str:
     with open(src, "rb") as fh:
         data = fh.read()
@@ -283,6 +304,10 @@ def run_trial(base: dict[str, str], work: str, seed: int, trial: int):
     inputs = dict(base)
     inputs[name] = os.path.join(out, "mutated-" + name)
     what = mutate_file(kind, base[name], inputs[name], rng)
+    if command in ("train-head", "transfer-eval") and rng.random() < 0.5:
+        task_path = os.path.join(out, "task-head.json")
+        what += set_task(inputs["head.json"], task_path, rng)
+        inputs["head.json"] = task_path
     errors = ErrorLines()
     logger = logging.getLogger("flowcl")
     logger.addHandler(errors)
@@ -344,5 +369,5 @@ if __name__ == "__main__":
     for failure in found:
         print(json.dumps(failure))
     print(f"{args.trials * len(args.seeds)} trials, seeds {args.seeds}: "
-          f"{len(found)} broke the contract; exit codes {dict(sorted(codes.items()))}")
+          f"{len(found)} broke the contract; exit codes {dict(sorted(codes.items(), key=str))}")
     sys.exit(1 if found else 0)

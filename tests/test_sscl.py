@@ -12,7 +12,7 @@ import pytest
 import flowcl
 
 from flowcl import sscl
-from flowcl.augment import MaskingConfig, augment_pair
+from flowcl.augment import MaskingConfig, mask_view
 from flowcl.errors import (
     ConfigError,
     DegenerateVectorError,
@@ -309,9 +309,9 @@ class TestPretrain:
         x, _ = blob_data(np.random.default_rng(5), 4)
         config = ContrastiveConfig(batch_size=8, seed=5)
         views = sscl._paired_views(x, config, "augment", 3, 16, None)
-        pair = augment_pair(x, config.masking, substream(5, "augment", 3, 16))
-        np.testing.assert_array_equal(views[0::2], pair.x_i)
-        np.testing.assert_array_equal(views[1::2], pair.x_j)
+        rng = substream(5, "augment", 3, 16)
+        np.testing.assert_array_equal(views[0::2], mask_view(x, config.masking, rng))
+        np.testing.assert_array_equal(views[1::2], mask_view(x, config.masking, rng))
 
     def test_loss_history_shape_and_lr_decay(self):
         x, _ = blob_data(np.random.default_rng(2), 16)
