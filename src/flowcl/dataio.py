@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -153,19 +152,11 @@ class DatasetSchema:
     def encoded_width(self) -> int:
         return sum(f.width for f in self.features)
 
-    def block_spans(self) -> tuple[tuple[Feature, int, int], ...]:
-        """(feature, start, stop) of each feature's slice in the encoded vector."""
-        stops = itertools.accumulate(f.width for f in self.features)
-        return tuple((f, stop - f.width, stop) for f, stop in zip(self.features, stops))
-
-    def starts(self, kind: str) -> list[int]:
-        """The encoded start of each feature of one kind, in schema order."""
-        return [start for f, start, _ in self.block_spans() if f.kind == kind]
-
     def layout(self) -> Layout:
-        widths = [f.width for f in self.features if f.kind == "categorical"]
-        return Layout(self.encoded_width, *(np.array(v, dtype=np.int64) for v in (
-            self.starts("numeric"), self.starts("categorical"), widths)))
+        numeric = np.array([f.kind == "numeric" for f in self.features])
+        widths = np.array([f.width for f in self.features], dtype=np.int64)
+        starts = np.cumsum(widths) - widths
+        return Layout(int(widths.sum()), starts[numeric], starts[~numeric], widths[~numeric])
 
     def class_index(self, name: str) -> int:
         spellings = {a.lower(): c for a, c in self.label_aliases}
@@ -254,11 +245,13 @@ def load_schema(path: str) -> DatasetSchema:
 
 
 def packaged_schema(name: str) -> DatasetSchema:
-    """Load one of the schemas shipped inside the package (by file stem)."""
-    here = os.path.join(os.path.dirname(__file__), "schemas", name + ".json")
-    if not os.path.exists(here):
-        raise SchemaMismatchError(f"no packaged schema named {name!r}")
-    return load_schema(here)
+    """Load a schema shipped inside the package by file stem; FileNotFoundError if none."""
+    folder = os.path.join(os.path.dirname(__file__), "schemas")
+    names = sorted(entry[:-len(".json")] for entry in os.listdir(folder))
+    if name not in names:
+        raise FileNotFoundError(f"{name!r} is neither a schema file nor a packaged schema "
+                                f"({', '.join(names)})")
+    return load_schema(os.path.join(folder, name + ".json"))
 
 
 PARSE_BLOCK_ROWS = 512  # CSV rows held as text before they become array rows

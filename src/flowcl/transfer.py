@@ -85,7 +85,7 @@ def build_alignment(original: DatasetSchema, target: DatasetSchema,
     """
     originals = {feature.name.lower(): feature for feature in original.features}
     targets = {feature.name.lower(): (feature, start)
-               for feature, start, _ in target.block_spans()}
+               for feature, (start, _) in zip(target.features, target.layout().spans())}
     rename: dict[str, str] = {}
     for orig, tgt in aliases:
         source, hit = originals.get(orig.lower()), targets.get(tgt.lower())
@@ -98,7 +98,7 @@ def build_alignment(original: DatasetSchema, target: DatasetSchema,
             raise ConfigError(f"alias '{orig} = {tgt}': {problem}")
         rename[orig.lower()] = tgt.lower()
     positions = np.full(original.encoded_width, -1, dtype=np.int64)
-    for feature, start, stop in original.block_spans():
+    for feature, (start, _) in zip(original.features, original.layout().spans()):
         wanted = rename.get(feature.name.lower(), feature.name.lower())
         hit = targets.get(wanted)
         if hit is None or hit[0].kind != feature.kind:

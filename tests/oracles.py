@@ -348,7 +348,8 @@ def encode_dense(table, state: PreprocessorState) -> DenseDataset:
     """
     schema = state.schema
     x = np.zeros((len(table), schema.encoded_width))
-    numeric = zip(schema.starts("numeric"), state.minima, state.maxima)
+    layout = schema.layout()
+    numeric = zip(layout.numeric.tolist(), state.minima, state.maxima)
     for j, (start, mn, mx) in enumerate(numeric):
         if mx > mn:
             # Selections, not np.clip or np.fmax (whose vector loops can
@@ -356,7 +357,7 @@ def encode_dense(table, state: PreprocessorState) -> DenseDataset:
             scaled = (table.numeric[:, j] - mn) / (mx - mn)
             scaled = np.where(scaled > 0.0, scaled, 0.0)
             x[:, start] = np.where(scaled < 1.0, scaled, 1.0)
-    categorical = np.array(schema.starts("categorical"), dtype=np.int64)
+    categorical = layout.starts
     rows, cols = np.nonzero(table.codes >= 0)
     x[rows, categorical[cols] + table.codes[rows, cols]] = 1.0
     return DenseDataset(x, table.labels.copy(), schema.class_names)
@@ -374,8 +375,8 @@ def fit_pin_encode_align(table, target_schema, original_state, amap) -> DenseDat
         warnings.simplefilter("ignore", DegenerateFeatureWarning)
         fitted = fit_preprocessor(table, target_schema)
     minima, maxima = fitted.minima.copy(), fitted.maxima.copy()
-    target_numerics = target_schema.starts("numeric")
-    for j, start in enumerate(original_state.schema.starts("numeric")):
+    target_numerics = target_schema.layout().numeric.tolist()
+    for j, start in enumerate(original_state.schema.layout().numeric.tolist()):
         position = amap.source_positions[start]
         if position >= 0:
             k = target_numerics.index(position)

@@ -150,6 +150,15 @@ class TestPreprocess:
                      "--out-dir", str(tmp_path)])
         assert code == 3
 
+    @pytest.mark.parametrize("value", ["./nope.json", "nope"])
+    def test_missing_schema_is_io_error(self, workspace, tmp_path, caplog, value):
+        """Neither a file nor a packaged name exits 3, as a missing CSV does."""
+        assert main(["preprocess", "--schema", value,
+                     "--train-csv", str(workspace / "blobs.csv"),
+                     "--out-dir", str(tmp_path / "prep")]) == 3
+        assert f"{value!r} is neither a schema file nor a packaged schema" in caplog.text
+        assert "unsw_nb15_smaller" in caplog.text and not (tmp_path / "prep").exists()
+
     def test_malformed_schema_json_is_schema_error(self, workspace, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
@@ -320,7 +329,7 @@ class TestPretrain:
                      "--out-dir", str(tmp_path / "prep")]) == 0
         base = ["pretrain", "--config", str(workspace / "arch.json"), "--epochs", "3",
                 "--data", str(tmp_path / "prep" / "train.npz")]
-        blocks = [(start, stop) for _, start, stop in schema.block_spans()]
+        blocks = schema.layout().spans()
 
         def schema_block_pair(batch, masking, rng, groups):
             views = [member_mask_view(batch, masking.ratio, rng, blocks) for _ in range(2)]
@@ -882,6 +891,15 @@ class TestTransferEval:
                                  tmp_path / "missing.csv", tmp_path / "t.json",
                                  extra=["--weight-decay", "inf"]) == 2
         assert "weight_decay must be a finite number" in caplog.text
+
+    def test_missing_original_schema_is_io_error(self, workspace, tmp_path, caplog):
+        assert main(["transfer-eval", "--target-csv", str(workspace / "blobs.csv"),
+                     "--target-schema", str(workspace / "blobs.json"),
+                     "--original-schema", str(tmp_path / "nope.json"),
+                     "--original-state", str(workspace / "prep" / "preprocessor.json"),
+                     "--encoder", str(workspace / "enc.npz"),
+                     "--out", str(tmp_path / "t.json")] + HEAD_FLAGS) == 3
+        assert "nope.json' is neither a schema file nor a packaged schema" in caplog.text
 
     @pytest.mark.parametrize("text", ['{"features": [', "[]"], ids=["truncated", "list"])
     @pytest.mark.parametrize("flag", ["--target-schema", "--original-schema",

@@ -72,8 +72,7 @@ class TestSchema:
         assert tiny_schema().encoded_width == 1 + 3 + 1
 
     def test_block_spans_tile_the_width(self):
-        spans = tiny_schema().block_spans()
-        assert [(s, e) for _, s, e in spans] == [(0, 1), (1, 4), (4, 5)]
+        assert tiny_schema().layout().spans() == [(0, 1), (1, 4), (4, 5)]
 
     def test_duplicate_feature_names_rejected(self):
         with pytest.raises(SchemaMismatchError):
@@ -562,7 +561,7 @@ class TestArtifacts:
 def cells_table(schema, n_rows, seed):
     """Numerics with -0.0, NaN, infinities and out-of-range values; codes with -1."""
     rng = np.random.default_rng(seed)
-    k = len(schema.starts("numeric"))
+    k = schema.layout().numeric.size
     numeric = np.where(rng.random((n_rows, k)) < 0.5, rng.normal(2.0, 4.0, size=(n_rows, k)),
                        rng.choice([-0.0, 0.0, np.nan, np.inf, -np.inf, -5.0, 9.0, 1e308, -1e308],
                                   size=(n_rows, k)))
@@ -579,7 +578,7 @@ class TestDenseBuilder:
     def test_rows_equal_the_dense_oracle(self, name):
         schema = packaged_schema(name)
         table = cells_table(schema, 300, seed=4)
-        k = len(schema.starts("numeric"))
+        k = schema.layout().numeric.size
         minima, maxima = np.full(k, -2.0), np.full(k, 8.0)
         maxima[::3] = minima[::3]  # degenerate features encode as +0.0
         state = PreprocessorState(schema, minima, maxima)
@@ -677,7 +676,8 @@ class TestEncodedFileFormat:
                              + [blob_schema(16)], ids=PACKAGED + ["blobs"])
     def test_layout_spans_are_the_schema_blocks(self, schema, tmp_path):
         """The spans of a schema's layout, and of a file's, are its features' blocks."""
-        blocks = [(start, stop) for _, start, stop in schema.block_spans()]
+        stops = np.cumsum([f.width for f in schema.features]).tolist()
+        blocks = list(zip([0] + stops[:-1], stops))
         layout = schema.layout()
         assert layout.spans() == blocks
         table = dataio.FlowTable(np.zeros((1, layout.numeric.size)),

@@ -313,7 +313,7 @@ class TestTransferPreprocessor:
 
 def random_table(schema, n_rows, rng, spread):
     """Heavy-tailed numerics with exact and negative zeros, codes with -1, any labels."""
-    width = len(schema.starts("numeric"))
+    width = schema.layout().numeric.size
     numeric = np.exp(rng.normal(2.0, spread, size=(n_rows, width)))
     numeric[rng.random((n_rows, width)) < 0.2] = 0.0
     numeric[rng.random((n_rows, width)) < 0.05] = -0.0
