@@ -54,7 +54,7 @@ def _masked_views(x, config: MaskingConfig, rng: np.random.Generator,
     if k > 0:
         keys = rng.random((views, rows.shape[0], n_keys)).swapaxes(0, 1).reshape(-1, n_keys)
         hit = np.zeros(keys.shape, dtype=bool)
-        np.put_along_axis(hit, np.argpartition(keys, k - 1, axis=1)[:, :k], True, axis=1)
+        hit[np.arange(len(keys))[:, None], np.argpartition(keys, k - 1, axis=1)[:, :k]] = True
         if groups is not None:
             hit = np.repeat(hit, [stop - start for start, stop in groups], axis=1)
         out[hit] = 0.0

@@ -456,14 +456,18 @@ def _stratified_indices(labels: np.ndarray, fraction: float,
     return np.sort(np.concatenate(picked))
 
 
+def _check_fraction(fraction: float) -> None:
+    if not 0 < fraction <= 1:
+        raise ConfigError(f"fraction must lie in (0, 1], got {fraction}")
+
+
 def stratified_subsample(labels: np.ndarray, fraction: float, seed: int) -> np.ndarray:
     """Sorted indices of round(fraction x class size) rows per class (at least one each).
 
     Selection is uniform without replacement under the seed's "head-set"
     subsample stream and deterministic.
     """
-    if not 0 < fraction <= 1:
-        raise SchemaMismatchError(f"fraction must lie in (0, 1], got {fraction}")
+    _check_fraction(fraction)
     rng = substream(seed, "stratified-subsample", "head-set")
     return _stratified_indices(labels, fraction, rng)
 
@@ -471,6 +475,7 @@ def stratified_subsample(labels: np.ndarray, fraction: float, seed: int) -> np.n
 def stratified_split(labels: np.ndarray, fraction: float,
                      seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Stratified (selected, remainder) sorted index pair; selected gets the fraction."""
+    _check_fraction(fraction)
     rng = substream(seed, "stratified-split", "head-set")
     take = _stratified_indices(labels, fraction, rng)
     mask = np.ones(labels.size, dtype=bool)
@@ -484,8 +489,7 @@ def random_split(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.nda
     The permutation comes from the seed's "pretrain-split" stream, the split
     that holds out pretraining rows.
     """
-    if not 0 < fraction <= 1:
-        raise SchemaMismatchError(f"fraction must lie in (0, 1], got {fraction}")
+    _check_fraction(fraction)
     take = int(round(fraction * n))
     perm = substream(seed, "pretrain-split").permutation(n)
     return np.sort(perm[:take]), np.sort(perm[take:])

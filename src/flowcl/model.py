@@ -20,8 +20,9 @@ Two presets mirror the reference architecture pair: "smaller-pack"
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -116,39 +117,45 @@ class EncoderConfig:
             raise ConfigError(f"input_width must be a positive int, got {self.input_width!r}")
         if not isinstance(self.context_dim, int) or self.context_dim < 1:
             raise ConfigError(f"context_dim must be a positive int, got {self.context_dim!r}")
-        self.validate_width()
+        # Counting walks `plan`, so a width the layers cannot feed is refused first.
         if self.parameter_count() > MAX_PARAMETERS:
             raise ConfigError(f"the encoder would have {self.parameter_count()} parameters, "
                               f"more than the {MAX_PARAMETERS} that training can hold")
 
+    @cached_property
+    def plan(self) -> tuple[tuple[int, ...], tuple[tuple[int, int, int | None], ...]]:
+        """Walk the shape algebra once; name the first layer the width cannot feed.
+
+        Returns the windows of the pools before the first Conv and, per Conv,
+        (in_channels, channels, pool): pool is the product of the MaxPool
+        windows right after it, or None (non-overlapping pools compose).
+        """
+        w, leading, units = self.input_width, [], []
+        for spec in self.layers:
+            need = KERNEL_WIDTH if isinstance(spec, Conv) else spec.window
+            if w < need:
+                raise InvalidShapeError(f"input_width {self.input_width} is too small: "
+                                        f"{spec.display} needs width >= {need}, has {w}")
+            if isinstance(spec, Conv):
+                w -= KERNEL_WIDTH - 1
+                units.append([units[-1][1] if units else 1, spec.channels, None])
+                continue
+            w //= spec.window
+            if units:
+                units[-1][2] = (units[-1][2] or 1) * spec.window
+            else:
+                leading.append(spec.window)
+        return tuple(leading), tuple(map(tuple, units))
+
     def parameter_count(self) -> int:
         """Parameters of e and g at the shapes this config implies, counted, not built."""
-        count, in_channels = 0, 1
-        for c in (s.channels for s in self.layers if isinstance(s, Conv)):
-            count += c * in_channels * KERNEL_WIDTH + 3 * c  # kernel, bias, gamma, beta
-            in_channels = c
-        return count + self.context_dim * (self.hidden_dim + 1)
+        # Per Conv: an (out, in, KERNEL_WIDTH) kernel, then bias, gamma and beta of out each.
+        convs = sum(c * (n * KERNEL_WIDTH + 3) for n, c, _ in self.plan[1])
+        return convs + self.context_dim * (self.hidden_dim + 1)
 
     @property
     def hidden_dim(self) -> int:
-        return [s for s in self.layers if isinstance(s, Conv)][-1].channels
-
-    def validate_width(self) -> None:
-        """Walk the shape algebra; name the first layer the width cannot feed."""
-        w = self.input_width
-        for spec in self.layers:
-            if isinstance(spec, Conv):
-                if w < KERNEL_WIDTH:
-                    raise InvalidShapeError(
-                        f"input_width {self.input_width} is too small: "
-                        f"{spec.display} needs width >= {KERNEL_WIDTH}, has {w}")
-                w -= KERNEL_WIDTH - 1
-            else:
-                if w < spec.window:
-                    raise InvalidShapeError(
-                        f"input_width {self.input_width} is too small: "
-                        f"{spec.display} needs width >= {spec.window}, has {w}")
-                w //= spec.window
+        return self.plan[1][-1][1]
 
 
 def preset_config(name: str, input_width: int) -> EncoderConfig:
@@ -197,22 +204,25 @@ def config_from_dict(doc: dict) -> EncoderConfig:
                          checked(doc["preset"], str, "preset", ConfigError))
 
 
-@dataclass
-class _ConvLayer:
+class _ConvLayer(NamedTuple):
+    """One fused encoder unit, in the field order `numgrad.conv_stack` takes."""
+
     kernel: Tensor
     bias: Tensor
     gamma: Tensor
     beta: Tensor
     running_mean: np.ndarray
     running_var: np.ndarray
+    pool: int | None  # product of the MaxPool windows right after the Conv
 
 
 @dataclass
 class EncoderBlock:
-    """e(.): the conv/BN/ReLU/pool stack plus the global pool."""
+    """e(.): the pools before the first Conv, the conv units, then the global pool."""
 
     config: EncoderConfig
-    convs: list = field(default_factory=list)
+    pools: tuple[int, ...]
+    convs: list[_ConvLayer]
 
     @property
     def hidden_dim(self) -> int:
@@ -271,14 +281,11 @@ def _param(*shape: int) -> Tensor:
 
 def _skeleton(config: EncoderConfig) -> tuple[EncoderBlock, ProjectionHead]:
     """e and g zero-filled, at exactly the shapes `config` implies."""
-    block = EncoderBlock(config)
-    in_channels = 1
-    for c in (s.channels for s in config.layers if isinstance(s, Conv)):
-        block.convs.append(_ConvLayer(_param(c, in_channels, KERNEL_WIDTH), _param(c),
-                                      _param(c), _param(c), np.zeros(c), np.zeros(c)))
-        in_channels = c
-    return block, ProjectionHead(_param(config.context_dim, config.hidden_dim),
-                                 _param(config.context_dim))
+    pools, units = config.plan
+    convs = [_ConvLayer(_param(c, n, KERNEL_WIDTH), _param(c), _param(c), _param(c),
+                        np.zeros(c), np.zeros(c), pool) for n, c, pool in units]
+    return EncoderBlock(config, pools, convs), ProjectionHead(
+        _param(config.context_dim, config.hidden_dim), _param(config.context_dim))
 
 
 def _draw_affine(rng: np.random.Generator, weight: Tensor, bias: Tensor) -> None:
@@ -317,17 +324,17 @@ def encode(block: EncoderBlock, x, training: bool = False) -> Tensor:
 
     Activations stay channels-last, (batch, width, channels), with the input
     read as one channel. Each pool before the first Conv is one
-    `maxpool_cl` op; the rest is one `conv_stack` op. In it, each Conv is a
-    fused conv/BN/ReLU unit whose pool window is the product of the MaxPool
-    windows right after it (non-overlapping pools compose), and the global
-    pool widens the last unit's window over its whole pooled width. A taped
-    pass records one entry for the stack. It keeps each pooled unit's and
-    the last unit's centred conv output, output and routing mask; an
-    unpooled unit keeps only its batch statistics and is replayed in the
-    backward, which writes each input gradient over the activation it
-    replaces. Eval mode reads the frozen BN running stats and mutates
-    nothing; train mode normalizes by batch statistics and updates the
-    running stats.
+    `maxpool_cl` op; the rest is one `conv_stack` op over the block's units
+    as built. In it, each Conv is a fused conv/BN/ReLU unit whose pool
+    window is the product of the MaxPool windows right after it (folded by
+    `EncoderConfig.plan`), and the global pool widens the last unit's
+    window over its whole pooled width. A taped pass records one entry for
+    the stack. It keeps each pooled unit's and the last unit's centred conv
+    output, output and routing mask; an unpooled unit keeps only its batch
+    statistics and is replayed in the backward, which writes each input
+    gradient over the activation it replaces. Eval mode reads the frozen BN
+    running stats and mutates nothing; train mode normalizes by batch
+    statistics and updates the running stats.
     """
     xt = ng.as_tensor(x)
     if xt.data.ndim != 2:
@@ -338,20 +345,9 @@ def encode(block: EncoderBlock, x, training: bool = False) -> Tensor:
             f"configured width {block.config.input_width}")
     if xt.data.shape[0] == 0:
         raise InvalidShapeError(f"cannot encode an empty batch (shape {xt.data.shape})")
-    specs = tuple(block.config.layers)
-    first = next(i for i, spec in enumerate(specs) if isinstance(spec, Conv))
-    out = xt
-    for spec in specs[:first]:
-        out = ng.maxpool_cl(out, spec.window)
-    windows = []
-    for spec in specs[first:]:
-        if isinstance(spec, Conv):
-            windows.append(None)
-        else:
-            windows[-1] = (windows[-1] or 1) * spec.window
-    units = [(layer.kernel, layer.bias, layer.gamma, layer.beta, layer.running_mean,
-              layer.running_var, window) for layer, window in zip(block.convs, windows)]
-    return ng.conv_stack(out, units, training=training, global_pool=True)
+    for window in block.pools:
+        xt = ng.maxpool_cl(xt, window)
+    return ng.conv_stack(xt, block.convs, training=training, global_pool=True)
 
 
 def project(head: ProjectionHead, h) -> Tensor:
@@ -362,7 +358,7 @@ def count_parameters(*blocks) -> int:
     return sum(int(t.data.size) for block in blocks for t in block.parameters())
 
 
-# Checkpoint key of each _ConvLayer field; conv layer i's keys end in i.
+# Checkpoint key of each _ConvLayer array; conv layer i's keys end in i.
 _LAYER_KEYS = {"kernel": "kernel", "bias": "bias", "gamma": "gamma", "beta": "beta",
                "running_mean": "rmean", "running_var": "rvar"}
 

@@ -66,7 +66,7 @@ class AdamW:
         for p in self.params:
             if p.grad is None:
                 raise ConfigError(f"no gradient for parameter of shape {p.shape}")
-        g = np.concatenate([p.grad.ravel() for p in self.params], out=self._g)
+        g = np.concatenate([p.grad for p in self.params], axis=None, out=self._g)
         if not np.isfinite(g).all():
             bad = next(p for p in self.params if not np.isfinite(p.grad).all())
             raise NonFiniteGradientError(

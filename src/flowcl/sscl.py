@@ -124,7 +124,7 @@ def batch_loss(z: Tensor, temperature: float) -> Tensor:
         raise InvalidBatchError(f"need an even number >= 2 of views, got {n}")
     if not temperature > 0:
         raise ConfigError(f"temperature must be > 0, got {temperature!r}")
-    norms = np.linalg.norm(zd, axis=1)
+    norms = np.sqrt(np.add.reduce(zd * zd, axis=1))
     if np.any(norms == 0.0):
         bad = int(np.flatnonzero(norms == 0.0)[0])
         raise DegenerateVectorError(f"latent vector {bad} has zero norm; "
@@ -132,7 +132,7 @@ def batch_loss(z: Tensor, temperature: float) -> Tensor:
     unit = zd / norms[:, None]
     sim = unit @ unit.T
     scaled = sim / temperature
-    np.fill_diagonal(scaled, -np.inf)
+    scaled.flat[::n + 1] = -np.inf  # the diagonal
     peak = scaled.max(axis=1, keepdims=True)
     expd = np.exp(scaled - peak)
     row_sum = expd.sum(axis=1, keepdims=True)

@@ -1,5 +1,7 @@
 """Masking augmentation: exact counts, marginals, independence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,18 @@ class TestOneDrawPair:
         got = mask_view(x, config, substream(21, "augment", 0, 0), BLOCKS)
         want = member_mask_view(x, ratio, substream(21, "augment", 0, 0), BLOCKS)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(("seed", "groups", "digest"), [
+        (1, None, "3ad820dd4c00f53c829d660df9066c455906b03c307d78ee6231f087718d87f9"),
+        (1, BLOCKS, "24d957553096fce4678af57c66775eda5b3c8f9c15f237897126a0acd4ddc8a2"),
+        (2, None, "0654f0d89e538f750d4ec49378df98c9dc2fc899bcedde8ca7f202393de10999"),
+        (2, BLOCKS, "68f0dcd733b8f29a75e4ea5cdbd354db84fcee5a903c4baf1f681460faba5e25"),
+    ], ids=["seed1-positions", "seed1-blocks", "seed2-positions", "seed2-blocks"])
+    def test_pair_bytes_are_pinned(self, seed, groups, digest):
+        """The views' sha256 at two seeds: a rewrite of the masking must keep every bit."""
+        x = np.random.default_rng(23).uniform(0.1, 1.0, size=(64, 9))
+        pair = augment_pair(x, MaskingConfig(ratio=0.3), substream(seed, "augment", 2, 64), groups)
+        assert hashlib.sha256(pair.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("groups", [[(0, 4), (4, 8)], [(0, 4), (5, 9)], [(0, 5), (4, 9)],
                                         [(4, 9), (0, 4)], [(0, 0), (0, 9)], []],

@@ -32,7 +32,15 @@ from flowcl.dataio import (
     save_encoded,
     save_schema,
 )
-from flowcl.model import Conv, EncoderConfig, MaxPool, build_encoder, load_encoder, save_encoder
+from flowcl.model import (
+    Conv,
+    EncoderConfig,
+    MaxPool,
+    build_encoder,
+    load_encoder,
+    preset_config,
+    save_encoder,
+)
 from flowcl.numgrad import load_arrays, save_arrays
 from flowcl.synth import Record, blob_schema, generate_blobs, subset_schema, write_csv
 from oracles import member_mask_view
@@ -263,16 +271,18 @@ class TestPreprocess:
 class TestPretrain:
     def test_fresh_processes_write_identical_checkpoint(self, workspace, tmp_path):
         """Two `python -m flowcl.cli pretrain` processes, each with the allocator
-        policy applied from its start, write the in-process run's bytes."""
+        policy applied from its start, write the in-process run's bytes, one on one
+        OpenBLAS thread and one on two: the bytes do not depend on the thread count."""
         src = os.path.dirname(os.path.dirname(flowcl.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        for run in ("a", "b"):
+        for run, threads in (("a", "1"), ("b", "2")):
             subprocess.run([sys.executable, "-m", "flowcl.cli", "pretrain",
                             "--config", str(workspace / "arch.json"),
                             "--data", str(workspace / "prep" / "train.npz"),
                             "--out", str(tmp_path / f"{run}.npz")],
-                           env=env, capture_output=True, check=True, timeout=300)
+                           env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                           capture_output=True, check=True, timeout=300)
             assert sha(tmp_path / f"{run}.npz") == sha(workspace / "enc.npz")
             assert (sha(tmp_path / f"{run}-history.json")
                     == sha(workspace / "enc-history.json"))
@@ -375,6 +385,29 @@ class TestPretrain:
         for got, want in zip(encoder.parameters(), fresh_enc.parameters()):
             np.testing.assert_array_equal(got.data, want.data)
         np.testing.assert_array_equal(projector.weight.data, fresh_proj.weight.data)
+
+    def test_preset_arch_writes_the_preset_encoder(self, tmp_path):
+        """`--arch larger-pack` on 32-wide rows writes the preset, as `build_encoder` makes it."""
+        x = np.random.default_rng(2).random((40, 32))
+        data = str(tmp_path / "rows.npz")
+        save_encoded(data, replace(as_table(x), labels=np.arange(40) % 2, class_names=("a", "b")))
+        assert main(["pretrain", "--arch", "larger-pack", "--epochs", "0", "--seed", "4",
+                     "--data", data, "--out", str(tmp_path / "e.npz")]) == 0
+        encoder, projector, _ = load_encoder(str(tmp_path / "e.npz"))
+        assert encoder.config == preset_config("larger-pack", 32)
+        fresh = build_encoder(preset_config("larger-pack", 32), seed=4)
+        for got, want in zip([t for b in (encoder, projector) for t in b.parameters()],
+                             [t for b in fresh for t in b.parameters()]):
+            np.testing.assert_array_equal(got.data, want.data)
+
+    def test_layers_without_context_dim_is_config_error(self, workspace, tmp_path, caplog):
+        config = tmp_path / "no-context.json"
+        config.write_text('{"layers": [["conv", 4]]}', encoding="utf-8")
+        assert main(["pretrain", "--config", str(config),
+                     "--data", str(workspace / "prep" / "train.npz"),
+                     "--out", str(tmp_path / "e.npz")]) == 2
+        assert "custom 'layers' also need 'context_dim'" in caplog.text
+        assert not (tmp_path / "e.npz").exists()
 
     def test_unknown_config_key_rejected(self, workspace, tmp_path):
         bad = tmp_path / "bad.json"
@@ -607,6 +640,20 @@ class TestHeadAndEvaluate:
                          "--encoder", str(workspace / "enc.npz"),
                          "--head", str(trained_head), "--out", str(p)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_data_with_other_classes_is_schema_error(self, workspace, tmp_path, caplog):
+        """A multiclass head of every class, scored on data that names one more: exit 4."""
+        data, head = str(workspace / "prep" / "train.npz"), str(tmp_path / "h.npz")
+        assert main(["train-head", "--data", data, "--encoder", str(workspace / "enc.npz"),
+                     "--out", head, "--task", "multiclass", "--epochs", "1"]) == 0
+        table, _ = load_encoded(data)
+        other = str(tmp_path / "other.npz")
+        save_encoded(other, replace(table, class_names=table.class_names + ("extra",)))
+        assert main(["evaluate", "--data", other, "--encoder", str(workspace / "enc.npz"),
+                     "--head", head, "--out", str(tmp_path / "r.json")]) == 4
+        assert ("dataset classes ['normal', 'attack', 'extra'] do not match the head's "
+                "classes ['normal', 'attack']") in caplog.text
+        assert not (tmp_path / "r.json").exists()
 
     def test_tiny_label_fraction_keeps_one_per_class(self, workspace, tmp_path):
         head = tmp_path / "tiny.npz"
@@ -965,6 +1012,20 @@ class TestTransferEval:
                                  workspace / "target13.csv", tmp_path / "t.json") == 0
         assert freed == [[True]]
 
+    def test_original_schema_off_the_encoder_width_exits_5(self, workspace, tmp_path, caplog):
+        """An original schema that encodes to 13 positions cannot feed the 16-wide encoder."""
+        prep = tmp_path / "prep13"
+        assert main(["preprocess", "--schema", str(workspace / "target13.json"),
+                     "--train-csv", str(workspace / "target13.csv"), "--out-dir", str(prep)]) == 0
+        assert main(["transfer-eval", "--target-csv", str(workspace / "target13.csv"),
+                     "--target-schema", str(workspace / "target13.json"),
+                     "--original-schema", str(workspace / "target13.json"),
+                     "--original-state", str(prep / "preprocessor.json"),
+                     "--encoder", str(workspace / "enc.npz"),
+                     "--out", str(tmp_path / "t.json")] + HEAD_FLAGS) == 5
+        assert "encoder expects width 16 but the original schema encodes to 13" in caplog.text
+        assert not (tmp_path / "t.json").exists()
+
     def test_disjoint_schemas_exit_code(self, workspace, tmp_path):
         from flowcl.dataio import DatasetSchema, Feature
 
@@ -1224,6 +1285,19 @@ class TestCheckpointMismatch:
                        "--encoder", workspace / "enc.npz", "--head", broken,
                        "--out", tmp_path / "r.json")
         assert_error_exit(done, 7, "array 'weight' has dtype <U")
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("key", ["weight", "bias"])
+    def test_head_without_an_array_exits_7(self, workspace, trained_head, tmp_path, caplog,
+                                           key):
+        arrays, meta = load_arrays(str(trained_head))
+        del arrays[key]
+        broken = tmp_path / "broken-head.npz"
+        save_arrays(str(broken), arrays, meta=meta)
+        assert main(["evaluate", "--data", str(workspace / "prep" / "train.npz"),
+                     "--encoder", str(workspace / "enc.npz"),
+                     "--head", str(broken), "--out", str(tmp_path / "r.json")]) == 7
+        assert f"lacks array '{key}'" in caplog.text
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("rows, bias, message", [

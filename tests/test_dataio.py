@@ -406,8 +406,14 @@ class TestStratifiedSubsample:
             stratified_split(ds.labels, 0.5, seed=1)
 
     def test_invalid_spec_rejected(self):
-        with pytest.raises(SchemaMismatchError):
-            stratified_subsample(labeled_dataset({0: 5, 1: 5}).labels, 0.0, seed=1)
+        """All three splits refuse a fraction outside (0, 1] with one ConfigError."""
+        labels = labeled_dataset({0: 5, 1: 5}).labels
+        for fraction in (0.0, -0.5, 1.5, math.nan):
+            for split in (lambda: stratified_subsample(labels, fraction, seed=1),
+                          lambda: stratified_split(labels, fraction, seed=1),
+                          lambda: random_split(labels.size, fraction, seed=1)):
+                with pytest.raises(ConfigError, match=r"fraction must lie in \(0, 1\]"):
+                    split()
 
 
 class TestSplits:

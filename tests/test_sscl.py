@@ -291,6 +291,18 @@ class TestPretrain:
                              param_checksum(ref_enc, ref_proj)):
             np.testing.assert_array_equal(got, want)
 
+    def test_holdout_loss_drops_a_trailing_one_row_batch(self):
+        """A last batch of one held-out row has no pair to contrast, so it is left out:
+        17 rows at batch 8 give the 16-row number, and one row gives none."""
+        x, _ = blob_data(np.random.default_rng(7), 10)
+        config = ContrastiveConfig(batch_size=8, seed=5, masking=MaskingConfig(ratio=0.3))
+        encoder, projector = tiny_encoder(seed=3)
+        full = holdout_loss(encoder, projector, x[:16], config, 0)
+        assert np.isfinite(full)
+        assert holdout_loss(encoder, projector, x[:17], config, 0) == full
+        assert holdout_loss(encoder, projector, x, config, 0, held=np.arange(17)) == full
+        assert holdout_loss(encoder, projector, x[:1], config, 0) is None
+
     @pytest.mark.parametrize("field, value", [
         ("holdout_fraction", -0.1), ("holdout_fraction", 1.0), ("holdout_fraction", np.nan),
         ("temperature", 0.0), ("temperature", np.inf), ("temperature", np.nan),

@@ -22,6 +22,7 @@ from flowcl.numgrad import (
     cosine_similarity,
     global_maxpool1d,
     maxpool1d,
+    record_op,
     relu,
     softmax_cross_entropy,
 )
@@ -119,6 +120,14 @@ class TestTapeMechanics:
             backward(loss, tape)
         with pytest.raises(ConfigError, match="consumed by an earlier backward"):
             backward(loss, tape)
+
+    def test_op_that_never_reaches_the_loss_is_skipped(self):
+        x = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+        with Tape() as tape:
+            record_op(Tensor(3.0 * x.data), (x,), lambda g: pytest.fail("a dead op's rule ran"))
+            loss = affine(x, Tensor(np.ones((1, 2))), Tensor(np.zeros(1)))
+        backward(loss, tape)
+        np.testing.assert_array_equal(x.grad, np.ones((1, 2)))
 
     def test_len_counts_recorded_entries_after_backward(self):
         x = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
