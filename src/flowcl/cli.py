@@ -125,12 +125,13 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(manifest_path: str, command: str, config: dict,
-                    inputs: list[str], outputs: list[str]) -> None:
+def _write_manifest(manifest_path: str, command: str, config: dict, inputs: list[str],
+                    outputs: list[str], known: dict[str, str] | None = None) -> None:
+    """The command's manifest; `known` gives the sha256s already taken of some inputs."""
     doc = {
         "command": command,
         "config": config,
-        "inputs": {p: _sha256(p) for p in inputs},
+        "inputs": {p: (known or {}).get(p) or _sha256(p) for p in inputs},
         "outputs": {p: _sha256(p) for p in outputs},
         "tool": "flowcl",
         "version": __version__,
@@ -331,11 +332,23 @@ TRAIN_HEAD_SETTINGS = {**{key: Setting(required=True) for key in ("data", "encod
 _PROTOCOL_KEYS = ("task", "representation", "label_fraction", "split_fraction", "seed")
 
 
+def _check_schema(encoder_path: str, encoder_meta: dict, fingerprint, source: str) -> None:
+    """Refuse data of a schema other than the encoder's; a missing fingerprint passes."""
+    trained = encoder_meta.get("schema_fingerprint")
+    if trained is not None:
+        checked(trained, str, f"encoder checkpoint {encoder_path}: schema_fingerprint",
+                CheckpointError)
+    if trained and fingerprint and trained != fingerprint:
+        raise SchemaMismatchError(f"encoder {encoder_path} was pretrained on schema {trained}, "
+                                  f"but {source} has schema {fingerprint}")
+
+
 def _load_task_data(encoder_path: str, data_path: str, task: str, classes,
                     normal_class: str):
     """Frozen encoder, the loaded table, and the task's rows of it; no row is copied."""
-    encoder, projector, _ = load_encoder(encoder_path)
-    table, _ = load_encoded(data_path)
+    encoder, projector, encoder_meta = load_encoder(encoder_path)
+    table, meta = load_encoded(data_path)
+    _check_schema(encoder_path, encoder_meta, meta.get("schema_fingerprint"), data_path)
     return encoder, projector, table, task_rows(table.labels, table.class_names,
                                                 task, classes, normal_class)
 
@@ -358,16 +371,17 @@ def cmd_train_head(cfg: dict) -> None:
     logger.info("training on %d labeled samples: %s", len(train),
                 json.dumps(train.class_counts(), sort_keys=True))
     head = train_head(encoder, projector, train, train.labels, len(task.class_names), config)
+    data_sha256 = _sha256(cfg["data"])
     save_head(cfg["out"], head, extra_meta={
         **{key: cfg[key] for key in _PROTOCOL_KEYS},
         "classes": list(task.class_names),
         "normal_class": cfg["normal_class"],
         "requested_classes": cfg["classes"],
         "train_count": len(train),
-        "data_sha256": _sha256(cfg["data"]),
+        "data_sha256": data_sha256,
     })
     _write_manifest(cfg["out"] + ".manifest.json", "train-head", cfg,
-                    [cfg["data"], cfg["encoder"]], [cfg["out"]])
+                    [cfg["data"], cfg["encoder"]], [cfg["out"]], {cfg["data"]: data_sha256})
 
 
 EVALUATE_SETTINGS = {key: Setting(required=True) for key in ("data", "encoder", "head", "out")}
@@ -399,7 +413,8 @@ def cmd_evaluate(cfg: dict) -> None:
         raise CheckpointError(f"head checkpoint {cfg['head']}: {err}") from None
     encoder, projector, table, task = _load_task_data(
         cfg["encoder"], cfg["data"], protocol["task"], requested, normal_class)
-    if head_meta.get("data_sha256") not in (None, _sha256(cfg["data"])):
+    data_sha256 = _sha256(cfg["data"])
+    if head_meta.get("data_sha256") not in (None, data_sha256):
         logger.warning("--data differs from the file the head was trained on; "
                        "the train/test split will not line up")
     if list(task.class_names) != classes:
@@ -413,7 +428,8 @@ def cmd_evaluate(cfg: dict) -> None:
                                        report, task.class_names))
     logger.info("accuracy %.4f, weighted f1 %.4f", report.accuracy, report.f1)
     _write_manifest(cfg["out"] + ".manifest.json", "evaluate", cfg,
-                    [cfg["data"], cfg["encoder"], cfg["head"]], [cfg["out"]])
+                    [cfg["data"], cfg["encoder"], cfg["head"]], [cfg["out"]],
+                    {cfg["data"]: data_sha256})
 
 
 TRANSFER_SETTINGS = {
@@ -437,12 +453,14 @@ def cmd_transfer_eval(cfg: dict) -> None:
                 aliases = parse_alias_table(fh.read())
         except UnicodeDecodeError as err:
             raise ConfigError(f"{cfg['alias']} is not UTF-8 text: {err}") from None
-    encoder, projector, _ = load_encoder(cfg["encoder"])
+    encoder, projector, encoder_meta = load_encoder(cfg["encoder"])
     amap = build_alignment(original_schema, target_schema, aliases)
     if encoder.config.input_width != amap.width:
         raise InvalidShapeError(
             f"encoder expects width {encoder.config.input_width} but the original "
             f"schema encodes to {amap.width}")
+    _check_schema(cfg["encoder"], encoder_meta, original_schema.fingerprint(),
+                  f"--original-schema {cfg['original_schema']}")
     logger.info("alignment: %d mapped, %d masked, %d omitted",
                 amap.mapped, amap.masked, amap.omitted)
     unseen: dict[str, int] = {}

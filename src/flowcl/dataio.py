@@ -449,7 +449,7 @@ def _stratified_indices(labels: np.ndarray, fraction: float,
     if unlabeled:
         raise MissingLabelError(f"{unlabeled} unlabeled rows where labels are required")
     picked = []
-    for c in np.unique(labels):
+    for c in np.flatnonzero(np.bincount(labels)):  # np.unique would import numpy.ma
         idx = np.flatnonzero(labels == c)
         count = max(1, int(round(fraction * idx.size)))
         picked.append(rng.choice(idx, size=min(count, idx.size), replace=False))
@@ -531,9 +531,11 @@ def task_rows(labels: np.ndarray, class_names: tuple[str, ...], task: str,
     if task == "binary":
         binary = np.where(labels == UNLABELED, UNLABELED, np.where(labels == old[0], 0, 1))
         return TaskRows(slice(None), binary.astype(np.int64), (normal_class, "attack"))
+    kept = np.zeros(len(class_names) + 1, dtype=bool)  # kept[-1], UNLABELED's, stays False
+    kept[old] = True
+    rows = np.flatnonzero(kept[labels])
     lookup = np.zeros(len(class_names), dtype=np.int64)
     lookup[old] = np.arange(len(keep))
-    rows = np.flatnonzero(np.isin(labels, old))
     if not rows.size:
         raise InsufficientDataError(f"no rows of classes {keep} among {labels.size}")
     return TaskRows(rows, lookup[labels[rows]], tuple(keep))

@@ -86,9 +86,7 @@ def confusion(preds, labels, n_classes: int) -> ConfusionMatrix:
 
 
 def _ratio(num: float, den: float, what: str) -> float:
-    if den == 0:
-        if num != 0:
-            raise InvalidLabelError("ratio numerator nonzero with zero denominator")
+    if den == 0:  # a diagonal count never exceeds its row or column sum, so num is 0 too
         warnings.warn(f"{what} is 0/0; defining it as 0", UndefinedMetricWarning, stacklevel=3)
         return 0.0
     return num / den

@@ -376,9 +376,7 @@ def _encoder_arrays(block: EncoderBlock, proj: ProjectionHead) -> dict[str, np.n
 
 def save_encoder(path: str, block: EncoderBlock, proj: ProjectionHead,
                  extra_meta: dict | None = None) -> None:
-    meta = {"kind": "encoder", "config": config_to_dict(block.config)}
-    if extra_meta:
-        meta.update(extra_meta)
+    meta = {"kind": "encoder", "config": config_to_dict(block.config), **(extra_meta or {})}
     ng.save_arrays(path, _encoder_arrays(block, proj), meta=meta)
 
 
@@ -403,10 +401,8 @@ def load_encoder(path: str) -> tuple[EncoderBlock, ProjectionHead, dict]:
 
 
 def save_head(path: str, head: ClassificationHead, extra_meta: dict | None = None) -> None:
-    meta = {"kind": "head"}
-    if extra_meta:
-        meta.update(extra_meta)
-    ng.save_arrays(path, {"weight": head.weight.data, "bias": head.bias.data}, meta=meta)
+    ng.save_arrays(path, {"weight": head.weight.data, "bias": head.bias.data},
+                   meta={"kind": "head", **(extra_meta or {})})
 
 
 def load_head(path: str) -> tuple[ClassificationHead, dict]:

@@ -782,20 +782,15 @@ def softmax_regression_grads(x: np.ndarray, weight: np.ndarray, bias: np.ndarray
 def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
     """a.b / (|a||b|) for 1-D vectors, as a differentiable scalar in [-1, 1]."""
     a, b = as_tensor(a), as_tensor(b)
-    _require(a.data.ndim == 1 and b.data.ndim == 1,
-             f"cosine_similarity takes 1-D vectors, got {a.shape} and {b.shape}")
-    _require(a.shape == b.shape, f"dim mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a.data))
-    nb = float(np.linalg.norm(b.data))
+    _require(a.data.ndim == 1 and a.shape == b.shape,
+             f"cosine_similarity takes two 1-D vectors of one size, got {a.shape} and {b.shape}")
+    na, nb = float(np.linalg.norm(a.data)), float(np.linalg.norm(b.data))
     if na == 0.0 or nb == 0.0:
         raise DegenerateVectorError("cosine similarity of a zero-norm vector is undefined")
     c = float(np.clip(a.data @ b.data / (na * nb), -1.0, 1.0))
-    out = Tensor(c)
 
     def rule(g: np.ndarray):
-        s = float(g)
-        a_hat = a.data / na
-        b_hat = b.data / nb
+        s, a_hat, b_hat = float(g), a.data / na, b.data / nb
         return s * (b_hat - c * a_hat) / na, s * (a_hat - c * b_hat) / nb
 
-    return record_op(out, (a, b), rule)
+    return record_op(Tensor(c), (a, b), rule)

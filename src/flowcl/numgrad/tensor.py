@@ -41,17 +41,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
-    def __repr__(self) -> str:
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}{flag})"
-
 
 def as_tensor(value) -> Tensor:
     """Wrap arrays or scalars as a constant (non-differentiable) Tensor."""
@@ -136,7 +125,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
     held by reference and every sum is a new array, so no rule may mutate
     the gradient it receives or the ones it returns.
     """
-    if loss.size != 1:
+    if loss.data.size != 1:
         raise InvalidShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     if tape._consumed:
         raise ConfigError("this tape was consumed by an earlier backward; "

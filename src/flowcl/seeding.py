@@ -14,20 +14,12 @@ import numpy as np
 
 def _label_word(label: object) -> int:
     """Map one label to a stable 32-bit word (independent of PYTHONHASHSEED)."""
-    if isinstance(label, (bool, float)):
-        raise TypeError(f"stream labels must be ints or strings, got {label!r}")
-    if isinstance(label, (int, np.integer)):
+    if isinstance(label, (int, np.integer)) and not isinstance(label, bool):
         return int(label) & 0xFFFFFFFF
     if isinstance(label, str):
         digest = hashlib.sha256(label.encode("utf-8")).digest()
         return int.from_bytes(digest[:4], "little")
     raise TypeError(f"stream labels must be ints or strings, got {label!r}")
-
-
-def seed_sequence(root_seed: int, *labels: object) -> np.random.SeedSequence:
-    entropy = [int(root_seed) & 0xFFFFFFFFFFFFFFFF]
-    entropy.extend(_label_word(label) for label in labels)
-    return np.random.SeedSequence(entropy)
 
 
 def substream(root_seed: int, *labels: object) -> np.random.Generator:
@@ -36,4 +28,5 @@ def substream(root_seed: int, *labels: object) -> np.random.Generator:
     Identical (root_seed, labels) always yields an identical draw sequence;
     distinct label paths yield statistically independent streams.
     """
-    return np.random.default_rng(seed_sequence(root_seed, *labels))
+    entropy = [int(root_seed) & 0xFFFFFFFFFFFFFFFF] + [_label_word(label) for label in labels]
+    return np.random.default_rng(np.random.SeedSequence(entropy))

@@ -55,7 +55,8 @@ class FeatureAlignmentMap:
 
     @property
     def omitted(self) -> int:
-        return np.setdiff1d(np.arange(self.target_width), self.source_positions).size
+        p = self.source_positions  # the target positions no original position reads
+        return int(np.sum(np.bincount(p[p >= 0], minlength=self.target_width) == 0))
 
 
 def parse_alias_table(text: str) -> tuple[tuple[str, str], ...]:

@@ -196,6 +196,24 @@ class TestPreprocess:
             "list-label_aliases", "int-alias-target", "int-label_column"])
     def test_mistyped_schema_is_schema_error(self, workspace, tmp_path, caplog,
                                              mutate, message):
+        self.assert_schema_error(workspace, tmp_path, caplog, mutate, message)
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d.update(features=[]), "schema needs at least one feature"),
+        (lambda d: d["features"][0].update(vocabulary=["tcp"]),
+         "numeric features carry no vocabulary"),
+        (lambda d: d.update(label_aliases={"benign": "zombie"}),
+         "label alias target 'zombie' is not a class name"),
+        (lambda d: d.update(label_aliases={"NORMAL": "attack"}),
+         "label alias 'NORMAL' shadows a class name"),
+    ], ids=["no-features", "numeric-vocabulary", "alias-to-no-class", "alias-of-a-class"])
+    def test_inconsistent_schema_is_schema_error(self, workspace, tmp_path, caplog,
+                                                 mutate, message):
+        self.assert_schema_error(workspace, tmp_path, caplog, mutate, message)
+
+    @staticmethod
+    def assert_schema_error(workspace, tmp_path, caplog, mutate, message):
+        """Preprocess under the workspace schema as `mutate` edits it: exit 4, `message`."""
         doc = json.loads((workspace / "blobs.json").read_text(encoding="utf-8"))
         mutate(doc)
         bad = tmp_path / "bad.json"
@@ -204,6 +222,24 @@ class TestPreprocess:
                      "--train-csv", str(workspace / "blobs.csv"),
                      "--out-dir", str(tmp_path / "out")]) == 4
         assert message in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_csv_is_schema_error(self, workspace, tmp_path, caplog):
+        empty = tmp_path / "empty.csv"
+        empty.write_bytes(b"")
+        assert main(["preprocess", "--schema", str(workspace / "blobs.json"),
+                     "--train-csv", str(empty), "--out-dir", str(tmp_path / "out")]) == 4
+        assert f"{empty}: empty file, no header row" in caplog.text
+
+    def test_header_only_test_csv_is_data_error(self, workspace, tmp_path, caplog):
+        header = tmp_path / "header.csv"
+        header.write_text((workspace / "blobs.csv").read_text(encoding="utf-8").split("\n")[0]
+                          + "\n", encoding="utf-8")
+        assert main(["preprocess", "--schema", str(workspace / "blobs.json"),
+                     "--train-csv", str(workspace / "blobs.csv"), "--test-csv", str(header),
+                     "--out-dir", str(tmp_path / "out")]) == 5
+        assert "no records to encode" in caplog.text
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("cell", ["Infinity", "-inf", "nan", "NaN"])
     @pytest.mark.parametrize("flag", ["--train-csv", "--test-csv"])
@@ -454,6 +490,34 @@ class TestPretrain:
         text = tmp_path / "not.npz"
         text.write_text("f00,label\n0.5,normal\n", encoding="utf-8")
         assert main(["pretrain", "--data", str(text), "--out", str(tmp_path / "e.npz")]) == 7
+
+    def test_npy_data_is_checkpoint_error(self, tmp_path, caplog):
+        """np.load gives a bare array for an .npy file, not an archive."""
+        rows = tmp_path / "rows.npy"
+        np.save(rows, np.zeros((4, 16)))
+        assert main(["pretrain", "--data", str(rows), "--out", str(tmp_path / "e.npz")]) == 7
+        assert f"{rows} is not an npz checkpoint" in caplog.text
+
+    def test_encoder_as_data_is_schema_error(self, workspace, tmp_path, caplog):
+        assert main(["pretrain", "--data", str(workspace / "enc.npz"),
+                     "--out", str(tmp_path / "e.npz")]) == 4
+        assert "is not an encoded dataset artifact" in caplog.text
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"batch_size": 0}, "batch_size must be a positive int, got 0"),
+        ({"epochs": -1}, "epochs must be a non-negative int, got -1"),
+        ({"layers": [], "context_dim": 4}, "layers must be a non-empty sequence"),
+        ({"layers": [["conv", 4]], "context_dim": 0}, "context_dim must be a positive int"),
+    ], ids=["batch_size-0", "epochs--1", "no-layers", "context_dim-0"])
+    def test_out_of_range_setting_is_config_error(self, workspace, tmp_path, caplog,
+                                                  settings, message):
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps(settings), encoding="utf-8")
+        out = tmp_path / "e.npz"
+        assert main(["pretrain", "--config", str(config), "--out", str(out),
+                     "--data", str(workspace / "prep" / "train.npz")]) == 2
+        assert message in caplog.text
+        assert not out.exists()
 
     @pytest.mark.parametrize("drop", ["numeric", "codes", "labels", "class_names", "layout"])
     def test_incomplete_encoded_dataset_is_schema_error(self, workspace, tmp_path, drop):
@@ -747,7 +811,7 @@ class TestHeadAndEvaluate:
         assert json.loads((report_path).read_text())["representation"] == "context"
 
     @pytest.mark.parametrize("layers", [[["conv"]], [["dense", 4]],
-                                        [["conv", 8.5], ["pool", 2], ["conv", 16]]])
+                                        [["conv", 8.5], ["pool", 2], ["conv", 16]], "conv"])
     def test_bad_checkpoint_layers_are_checkpoint_error(self, workspace, tmp_path, layers):
         arrays, meta = load_arrays(str(workspace / "enc.npz"))
         meta["config"]["layers"] = layers
@@ -774,9 +838,11 @@ class TestHeadAndEvaluate:
 
     @pytest.mark.parametrize("key, value", [("input_width", None), ("input_width", "16"),
                                             ("input_width", True), ("context_dim", "x"),
-                                            ("context_dim", 8.7), ("preset", ["a"])],
+                                            ("context_dim", 8.7), ("preset", ["a"]),
+                                            ("input_width", 0)],
                              ids=["null-input_width", "str-input_width", "bool-input_width",
-                                  "str-context_dim", "float-context_dim", "list-preset"])
+                                  "str-context_dim", "float-context_dim", "list-preset",
+                                  "zero-input_width"])
     def test_mistyped_encoder_config_is_checkpoint_error(self, workspace, tmp_path, caplog,
                                                          key, value):
         arrays, meta = load_arrays(str(workspace / "enc.npz"))
@@ -787,6 +853,17 @@ class TestHeadAndEvaluate:
                      "--encoder", str(broken),
                      "--out", str(tmp_path / "h.npz")] + HEAD_FLAGS) == 7
         assert f"{key} must be a" in caplog.text
+
+    def test_encoder_config_with_an_extra_key_is_checkpoint_error(self, workspace, tmp_path,
+                                                                   caplog):
+        arrays, meta = load_arrays(str(workspace / "enc.npz"))
+        meta["config"]["kernel_width"] = 2
+        broken = tmp_path / "broken.npz"
+        save_arrays(str(broken), arrays, meta=meta)
+        assert main(["train-head", "--data", str(workspace / "prep" / "train.npz"),
+                     "--encoder", str(broken),
+                     "--out", str(tmp_path / "h.npz")] + HEAD_FLAGS) == 7
+        assert "bad encoder config keys: ['kernel_width']" in caplog.text
 
     def test_encoder_meta_without_config_is_checkpoint_error(self, workspace, tmp_path):
         arrays, meta = load_arrays(str(workspace / "enc.npz"))
@@ -1132,13 +1209,18 @@ class TestCsvDefects:
         assert f"{bad}" in caplog.text and message in caplog.text
 
 
-def run_cli(*args):
-    """The flowcl command in a child process, so its stderr shows any traceback."""
+def run_python(*args):
+    """`python *args` in a child process that imports this flowcl."""
     src = os.path.dirname(os.path.dirname(flowcl.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "flowcl.cli", *map(str, args)],
+    return subprocess.run([sys.executable, *map(str, args)],
                           env=env, capture_output=True, text=True, timeout=300)
+
+
+def run_cli(*args):
+    """The flowcl command in a child process, so its stderr shows any traceback."""
+    return run_python("-m", "flowcl.cli", *args)
 
 
 def assert_error_exit(done, code, text):
@@ -1316,6 +1398,121 @@ class TestCheckpointMismatch:
                      "--head", str(broken), "--out", str(tmp_path / "r.json")]) == 7
         assert message in caplog.text
         assert not (tmp_path / "r.json").exists()
+
+
+class TestSchemaFingerprint:
+    """An encoder scores only rows encoded under the schema it was pretrained on.
+
+    The case: the workspace's rows, preprocessed under a copy of its schema
+    with every feature renamed, used to train and score with exit 0.
+    """
+
+    @pytest.fixture(scope="class")
+    def renamed(self, workspace, tmp_path_factory):
+        root = tmp_path_factory.mktemp("renamed")
+        schema = load_schema(str(workspace / "blobs.json"))
+        renamed = replace(schema, features=tuple(replace(f, name="r" + f.name)
+                                                 for f in schema.features))
+        save_schema(str(root / "renamed.json"), renamed)
+        write_csv(str(root / "renamed.csv"), renamed, generate_blobs(schema, 200, seed=11))
+        assert main(["preprocess", "--schema", str(root / "renamed.json"),
+                     "--train-csv", str(root / "renamed.csv"),
+                     "--out-dir", str(root / "prep")]) == 0
+        return root
+
+    def assert_mismatch(self, argv, workspace, renamed, caplog, source):
+        """Exit 4 with one error line that names both fingerprints; no output written."""
+        out = argv[argv.index("--out") + 1]
+        assert main(argv) == 4
+        trained, other = (load_schema(str(path)).fingerprint()
+                          for path in (workspace / "blobs.json", renamed / "renamed.json"))
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [
+            f"encoder {workspace / 'enc.npz'} was pretrained on schema {trained}, "
+            f"but {source} has schema {other}"]
+        assert not os.path.exists(out)
+
+    def test_train_head_exits_4(self, workspace, renamed, caplog):
+        data = renamed / "prep" / "train.npz"
+        self.assert_mismatch(["train-head", "--data", str(data),
+                              "--encoder", str(workspace / "enc.npz"),
+                              "--out", str(renamed / "h.npz")] + HEAD_FLAGS,
+                             workspace, renamed, caplog, data)
+
+    def test_evaluate_exits_4(self, workspace, trained_head, renamed, caplog):
+        data = renamed / "prep" / "train.npz"
+        self.assert_mismatch(["evaluate", "--data", str(data),
+                              "--encoder", str(workspace / "enc.npz"),
+                              "--head", str(trained_head), "--out", str(renamed / "r.json")],
+                             workspace, renamed, caplog, data)
+
+    def test_transfer_eval_exits_4(self, workspace, renamed, caplog):
+        schema = renamed / "renamed.json"
+        self.assert_mismatch(["transfer-eval", "--target-csv", str(renamed / "renamed.csv"),
+                              "--target-schema", str(schema), "--original-schema", str(schema),
+                              "--original-state", str(renamed / "prep" / "preprocessor.json"),
+                              "--encoder", str(workspace / "enc.npz"),
+                              "--out", str(renamed / "t.json")] + HEAD_FLAGS,
+                             workspace, renamed, caplog, f"--original-schema {schema}")
+
+    @pytest.mark.parametrize("mutate", [lambda meta: meta.pop("schema_fingerprint"),
+                                        lambda meta: meta.update(schema_fingerprint=None),
+                                        lambda meta: meta.update(schema_fingerprint="")],
+                             ids=["absent", "null", "empty"])
+    def test_encoder_without_a_fingerprint_runs_as_before(self, workspace, renamed, tmp_path,
+                                                          mutate):
+        arrays, meta = load_arrays(str(workspace / "enc.npz"))
+        mutate(meta)
+        save_arrays(str(tmp_path / "enc.npz"), arrays, meta=meta)
+        assert main(["train-head", "--data", str(renamed / "prep" / "train.npz"),
+                     "--encoder", str(tmp_path / "enc.npz"), "--out", str(tmp_path / "h.npz")]
+                    + HEAD_FLAGS + ["--epochs", "1"]) == 0
+
+    @pytest.mark.parametrize("value", [5, 0, ["x"], True], ids=["int", "zero", "list", "bool"])
+    def test_non_string_encoder_fingerprint_is_checkpoint_error(self, workspace, tmp_path,
+                                                                caplog, value):
+        arrays, meta = load_arrays(str(workspace / "enc.npz"))
+        meta["schema_fingerprint"] = value
+        save_arrays(str(tmp_path / "enc.npz"), arrays, meta=meta)
+        assert main(["train-head", "--data", str(workspace / "prep" / "train.npz"),
+                     "--encoder", str(tmp_path / "enc.npz"), "--out", str(tmp_path / "h.npz")]
+                    + HEAD_FLAGS) == 7
+        assert f"schema_fingerprint must be a string, got {value!r}" in caplog.text
+
+    @pytest.mark.parametrize("value", [5, ["x"], True], ids=["int", "list", "bool"])
+    def test_non_string_data_fingerprint_is_a_mismatch(self, workspace, tmp_path, caplog,
+                                                       value):
+        arrays, meta = load_arrays(str(workspace / "prep" / "train.npz"))
+        meta["schema_fingerprint"] = value
+        save_arrays(str(tmp_path / "train.npz"), arrays, meta=meta)
+        assert main(["train-head", "--data", str(tmp_path / "train.npz"),
+                     "--encoder", str(workspace / "enc.npz"), "--out", str(tmp_path / "h.npz")]
+                    + HEAD_FLAGS) == 4
+        assert f"{tmp_path / 'train.npz'} has schema {value}" in caplog.text
+
+
+class TestHeadStageImports:
+    """No head-stage command imports numpy.ma, which np.unique, np.isin and np.setdiff1d do."""
+
+    PROBE = ("import sys\nfrom flowcl.cli import main\ncode = main(sys.argv[1:])\n"
+             "print('numpy.ma' in sys.modules)\nsys.exit(code)")
+
+    @pytest.mark.parametrize("command", ["train-head", "evaluate", "transfer-eval"])
+    def test_numpy_ma_is_never_imported(self, workspace, multiclass_head, tmp_path, command):
+        data, encoder = workspace / "prep" / "train.npz", workspace / "enc.npz"
+        task = ["--task", "multiclass", "--classes", "attack,normal", "--epochs", "1"]
+        argv = {
+            "train-head": ["--data", data, "--encoder", encoder,
+                           "--out", tmp_path / "h.npz", *task],
+            "evaluate": ["--data", data, "--encoder", encoder, "--head", multiclass_head,
+                         "--out", tmp_path / "r.json"],
+            "transfer-eval": ["--target-csv", workspace / "target13.csv",
+                              "--target-schema", workspace / "target13.json",
+                              "--original-schema", workspace / "blobs.json",
+                              "--original-state", workspace / "prep" / "preprocessor.json",
+                              "--encoder", encoder, "--out", tmp_path / "t.json", *task],
+        }[command]
+        done = run_python("-c", self.PROBE, command, *argv)
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 class TestParser:

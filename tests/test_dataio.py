@@ -36,6 +36,7 @@ from flowcl.dataio import (
 from flowcl.errors import (
     ConfigError,
     EmptyDatasetError,
+    InvalidShapeError,
     MissingLabelError,
     RowParseError,
     SchemaMismatchError,
@@ -110,6 +111,11 @@ class TestSchema:
         doc["surprise"] = 1
         with pytest.raises(SchemaMismatchError):
             schema_from_dict(doc)
+
+    def test_document_must_be_an_object(self):
+        """load_schema's reader refuses a non-object first; a direct caller meets this check."""
+        with pytest.raises(SchemaMismatchError, match="must be a JSON object"):
+            schema_from_dict([schema_to_dict(tiny_schema())])
 
     def test_packaged_unsw_smaller_has_width_196(self):
         schema = packaged_schema("unsw_nb15_smaller")
@@ -254,6 +260,10 @@ class TestPreprocessor:
     def test_empty_input_rejected(self, tmp_path):
         with pytest.raises(EmptyDatasetError):
             fit_preprocessor(parse(tmp_path, []), tiny_schema())
+
+    def test_state_needs_one_bound_per_numeric(self):
+        with pytest.raises(SchemaMismatchError, match="one entry per numeric feature"):
+            PreprocessorState(tiny_schema(), np.zeros(1), np.ones(1))
 
 
 def dense(table):
@@ -610,6 +620,11 @@ class TestDenseBuilder:
         table = as_table(x)
         assert table.dense(np.array([1, 0, 1])).tobytes() == x[[1, 0, 1]].tobytes()
         assert table.labels.tolist() == [UNLABELED] * 2
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 1)])
+    def test_only_a_matrix_is_read_as_rows(self, shape):
+        with pytest.raises(InvalidShapeError, match="expected a \\[samples, width\\] matrix"):
+            as_table(np.zeros(shape))
 
 
 class TestEncodedFileFormat:

@@ -38,6 +38,24 @@ class TestConfusion:
         with pytest.raises(InvalidShapeError):
             confusion([0, 1], [0], 2)
 
+    def test_no_classes_rejected(self):
+        with pytest.raises(InvalidLabelError, match="n_classes must be >= 1"):
+            confusion([], [], 0)
+
+    @pytest.mark.parametrize("counts", [np.zeros((2, 3), dtype=np.int64),
+                                        np.zeros(2, dtype=np.int64),
+                                        np.zeros((0, 0), dtype=np.int64)],
+                             ids=["2x3", "vector", "0x0"])
+    def test_matrix_must_be_square(self, counts):
+        with pytest.raises(InvalidShapeError, match="must be square"):
+            ConfusionMatrix(counts)
+
+    @pytest.mark.parametrize("counts", [[[1, -1], [0, 1]], [[1.0, 0.0], [0.0, 1.0]]],
+                             ids=["negative", "float"])
+    def test_counts_must_be_non_negative_integers(self, counts):
+        with pytest.raises(InvalidLabelError, match="non-negative integers"):
+            ConfusionMatrix(np.array(counts))
+
     def test_total_counts_samples(self):
         rng = np.random.default_rng(0)
         p = rng.integers(0, 4, size=100)

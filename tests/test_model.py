@@ -183,6 +183,12 @@ class TestBuildAndEncode:
         with pytest.raises(InvalidShapeError):
             encode(block, np.zeros((2, 13)))
 
+    @pytest.mark.parametrize("shape", [(12,), (2, 12, 1)])
+    def test_only_a_matrix_is_encoded(self, shape):
+        block, _ = build_encoder(small_config(width=12), seed=5)
+        with pytest.raises(InvalidShapeError, match="expected a \\[batch, width\\] input"):
+            encode(block, np.zeros(shape))
+
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
     def test_empty_batch_rejected(self, training):
         block, _ = build_encoder(small_config(width=12), seed=5)

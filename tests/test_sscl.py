@@ -19,6 +19,7 @@ from flowcl.errors import (
     InsufficientDataError,
     InvalidBatchError,
     InvalidLabelError,
+    InvalidShapeError,
     MissingLabelError,
     NonFiniteGradientError,
 )
@@ -177,6 +178,10 @@ class TestBatchLoss:
         with pytest.raises(InvalidBatchError):
             batch_loss(Tensor(np.ones((5, 3))), 0.5)
 
+    def test_latents_must_be_a_matrix(self):
+        with pytest.raises(InvalidShapeError, match=r"expected \[views, dim\] latents"):
+            batch_loss(Tensor(np.ones(4)), 0.5)
+
     def test_zero_row_rejected(self):
         z = np.ones((4, 3))
         z[1] = 0.0
@@ -312,6 +317,15 @@ class TestPretrain:
         with pytest.raises(ConfigError, match=field):
             ContrastiveConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("batch_size", 0, "batch_size must be a positive int"),
+        ("batch_size", 2.0, "batch_size must be a positive int"),
+        ("epochs", -1, "epochs must be a non-negative int"),
+        ("masking", 0.3, "masking must be a MaskingConfig")])
+    def test_mistyped_fields_rejected(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            ContrastiveConfig(**{field: value})
+
     def test_range_edges_accepted(self):
         config = ContrastiveConfig(holdout_fraction=0.99, weight_decay=0.0)
         assert (config.holdout_fraction, config.weight_decay) == (0.99, 0.0)
@@ -401,6 +415,10 @@ class TestHeadStage:
         with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
             HeadConfig(**{field: value})
 
+    def test_unknown_representation_rejected(self):
+        with pytest.raises(ConfigError, match="representation must be 'hidden' or 'context'"):
+            HeadConfig(representation="z")
+
     def test_unlabeled_sample_rejected(self):
         rng = np.random.default_rng(16)
         x, y = blob_data(rng, 8)
@@ -408,6 +426,14 @@ class TestHeadStage:
         encoder, projector = tiny_encoder(seed=17)
         with pytest.raises(MissingLabelError):
             train_head(encoder, projector, x, y, 2, HeadConfig(epochs=1))
+
+    def test_one_label_per_sample_required(self):
+        x, y = blob_data(np.random.default_rng(16), 8)
+        encoder, projector = tiny_encoder(seed=17)
+        with pytest.raises(InvalidShapeError, match="16 samples but 15 labels"):
+            train_head(encoder, projector, x, y[:15], 2, HeadConfig(epochs=1))
+        with pytest.raises(InsufficientDataError, match="no labeled samples"):
+            train_head(encoder, projector, x[:0], y[:0], 2, HeadConfig(epochs=1))
 
     def test_same_seed_same_head(self):
         rng = np.random.default_rng(18)

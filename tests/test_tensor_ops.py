@@ -961,18 +961,18 @@ class TestAffine:
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_give_log_k(self):
         out = softmax_cross_entropy(Tensor(np.zeros((3, 4))), [0, 1, 2])
-        np.testing.assert_allclose(out.item(), np.log(4.0), rtol=1e-12)
+        np.testing.assert_allclose(float(out.data), np.log(4.0), rtol=1e-12)
 
     def test_saturated_logits_stay_finite(self):
         out = softmax_cross_entropy(Tensor(np.array([[1000.0, -1000.0]])), [0])
-        assert np.isfinite(out.item())
-        np.testing.assert_allclose(out.item(), 0.0, atol=1e-12)
+        assert np.isfinite(float(out.data))
+        np.testing.assert_allclose(float(out.data), 0.0, atol=1e-12)
 
     def test_hand_computed_value(self):
         out = softmax_cross_entropy(Tensor(np.array([[1.0, 2.0, 3.0]])), [2])
         expected = -np.log(np.exp(3) / (np.exp(1) + np.exp(2) + np.exp(3)))
-        np.testing.assert_allclose(out.item(), expected, rtol=1e-12)
-        np.testing.assert_allclose(out.item(), 0.4076, atol=5e-5)
+        np.testing.assert_allclose(float(out.data), expected, rtol=1e-12)
+        np.testing.assert_allclose(float(out.data), 0.4076, atol=5e-5)
 
     def test_out_of_range_label_rejected(self):
         with pytest.raises(InvalidLabelError):
@@ -980,13 +980,18 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(InvalidLabelError):
             softmax_cross_entropy(Tensor(np.zeros((2, 3))), [-1, 0])
 
+    @pytest.mark.parametrize("labels", [[0], [0, 1, 2], [[0, 1]]])
+    def test_one_label_per_row_required(self, labels):
+        with pytest.raises(InvalidLabelError, match=r"labels must be \(2,\)"):
+            softmax_cross_entropy(Tensor(np.zeros((2, 3))), labels)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(31)
         z0 = rng.normal(size=(5, 4))
         labels = rng.integers(0, 4, size=5)
 
         def run(z):
-            return softmax_cross_entropy(Tensor(z), labels).item()
+            return float(softmax_cross_entropy(Tensor(z), labels).data)
 
         z_t = Tensor(z0, requires_grad=True)
         with Tape() as tape:
@@ -1006,22 +1011,22 @@ class TestSoftmaxCrossEntropy:
 class TestCosineSimilarity:
     def test_self_similarity_is_one(self):
         a = Tensor(np.array([3.0, -4.0, 1.0]))
-        np.testing.assert_allclose(cosine_similarity(a, a).item(), 1.0, atol=1e-12)
+        np.testing.assert_allclose(float(cosine_similarity(a, a).data), 1.0, atol=1e-12)
 
     def test_orthogonal_vectors_give_zero(self):
         out = cosine_similarity(Tensor(np.array([1.0, 0.0])), Tensor(np.array([0.0, 2.0])))
-        np.testing.assert_allclose(out.item(), 0.0, atol=1e-15)
+        np.testing.assert_allclose(float(out.data), 0.0, atol=1e-15)
 
     def test_hand_computed_value(self):
         out = cosine_similarity(Tensor(np.array([1.0, 0.0])), Tensor(np.array([1.0, 1.0])))
-        np.testing.assert_allclose(out.item(), 1.0 / np.sqrt(2.0), rtol=1e-12)
+        np.testing.assert_allclose(float(out.data), 1.0 / np.sqrt(2.0), rtol=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(41)
         a = rng.normal(size=6)
         b = rng.normal(size=6)
-        base = cosine_similarity(Tensor(a), Tensor(b)).item()
-        scaled = cosine_similarity(Tensor(3.7 * a), Tensor(0.002 * b)).item()
+        base = float(cosine_similarity(Tensor(a), Tensor(b)).data)
+        scaled = float(cosine_similarity(Tensor(3.7 * a), Tensor(0.002 * b)).data)
         np.testing.assert_allclose(scaled, base, rtol=1e-12)
 
     def test_zero_vector_rejected(self):
@@ -1034,10 +1039,10 @@ class TestCosineSimilarity:
         b0 = rng.normal(size=5)
 
         def run_a(a):
-            return cosine_similarity(Tensor(a), Tensor(b0)).item()
+            return float(cosine_similarity(Tensor(a), Tensor(b0)).data)
 
         def run_b(b):
-            return cosine_similarity(Tensor(a0), Tensor(b)).item()
+            return float(cosine_similarity(Tensor(a0), Tensor(b)).data)
 
         a_t = Tensor(a0, requires_grad=True)
         b_t = Tensor(b0, requires_grad=True)
@@ -1089,6 +1094,6 @@ class TestCompositeGradient:
             def run(x, i=i):
                 args = list(values)
                 args[i] = x
-                return forward(*args).item()
+                return float(forward(*args).data)
 
             assert rel_error(p.grad, fd_gradient(run, v.copy())) < 1e-5, f"param {i}"

@@ -112,6 +112,14 @@ class TestBuildAlignment:
         with pytest.raises(NoSharedFeaturesError):
             build_alignment(mixed_schema(), target)
 
+    @pytest.mark.parametrize("positions, message", [
+        ([], "non-empty vector"), ([[0, 1]], "non-empty vector"),
+        ([0, 3], "valid target indices"), ([0, -2], "valid target indices")],
+        ids=["empty", "matrix", "past-the-target", "below-minus-one"])
+    def test_map_must_point_into_the_target(self, positions, message):
+        with pytest.raises(InvalidShapeError, match=message):
+            FeatureAlignmentMap(np.array(positions, dtype=np.int64), 3)
+
     def test_omitted_counts_each_target_position_once(self):
         # Two aliases read f00's column as well: three originals, one target position.
         original = blob_schema(4)
